@@ -19,12 +19,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gradient import _solve_z
+from .homogeneity import verify_weights
 from .levi import DEFAULT_TOL_RANK, Stratum, levi_scan, ma_from_fields
 from .potential import bidegree_decompose, homogeneous_degree
 
 VERDICT_MA_TOL = 1e-8  # homogeneous MA examples satisfy the equation exactly
 RADIAL_INFO_TOL = 1e-8  # expected scale of the radial/identity residuals on a pass
 IDENTITY_SAMPLE_CAP = 5000  # polynomial identities need points, not extremes
+RHO_FLOOR = 1e-12  # log rho needs rho > 0: grid points at or below are skipped
+
+
+@dataclass
+class GridResiduals:
+    """|det U| at the grid points with rho > RHO_FLOOR (the rows of burns --csv)."""
+
+    points: np.ndarray
+    rho: np.ndarray
+    raw: np.ndarray
+    scaled: np.ndarray
+
+
+def grid_residuals(p, grid_points, tol_rank=DEFAULT_TOL_RANK):
+    """Levi scan of the grid, its rho > RHO_FLOOR mask, and the Monge-Ampere
+    residuals of log rho on the masked points."""
+    scan = levi_scan(p, grid_points, tol_rank)
+    inside = scan.rho > RHO_FLOOR
+    raw, scaled = ma_from_fields(scan.rho[inside], scan.grad[inside], scan.hessian[inside], p.dim)
+    return scan, inside, GridResiduals(scan.points[inside], scan.rho[inside], raw, scaled)
 
 
 @dataclass
@@ -42,6 +64,7 @@ class BurnsReport:
     min_rho_on_sphere: float
     verdict: bool
     reasons: list
+    residuals: GridResiduals | None  # None when a degree gate stops the check
 
     def format(self):
         lines = []
@@ -74,17 +97,10 @@ class BurnsReport:
 
 
 def log_growth_check(p, k, z_samples, lam_samples):
-    """Max relative residual of rho(lam z) = |lam|^{2k} rho(z) over samples."""
-    pts = np.asarray(z_samples, dtype=complex)
-    worst = 0.0
-    for lam in lam_samples:
-        lam = complex(lam)
-        factor = abs(lam) ** (2 * k)
-        for z in pts:
-            base = p.evaluate(z).real
-            moved = p.evaluate(lam * z).real
-            worst = max(worst, abs(moved - factor * base) / abs(base))
-    return worst
+    """Max relative residual of rho(lam z) = |lam|^{2k} rho(z) over samples:
+    the homogeneity identity with weights 1/k at L = k log lam."""
+    weights = np.full(p.dim, 1.0 / k)
+    return verify_weights(p, weights, z_samples, [k * np.log(complex(lam)) for lam in lam_samples])
 
 
 def _component_identity_residual(p, k, points):
@@ -113,97 +129,65 @@ def _component_identity_residual(p, k, points):
 def burns_check(p, grid_points, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK):
     """Run every gate on the grid and assemble the verdict.
 
-    grid_points: (N, n) complex array; points with rho <= 1e-12 are skipped
-    for the Monge-Ampere and radial gates (log rho needs rho > 0). Failures
-    are verdicts with reasons, not errors.
+    grid_points: (N, n) complex array; points with rho <= RHO_FLOOR are
+    skipped for the Monge-Ampere and radial gates (log rho needs rho > 0).
+    Failures are verdicts with reasons, not errors.
     """
     pts = np.asarray(grid_points, dtype=complex)
     masses = {
         key: float(sum(abs(c) for c in comp.terms.values()))
         for key, comp in bidegree_decompose(p).items()
     }
-    reasons = []
     degree = homogeneous_degree(p)
+    nan = float("nan")
+    degree2k = worst_point = residuals = None
+    ma_max_raw = ma_max_scaled = radial = comp_res = min_sphere = nan
+    reasons = []
     if degree is None:
         reasons.append("not homogeneous: mixed total degrees")
-        return BurnsReport(
-            degree2k=None,
-            is_homogeneous=False,
-            ma_max_residual=float("nan"),
-            ma_max_scaled=float("nan"),
-            worst_ma_point=None,
-            bidegree_mass=masses,
-            radial_field_residual=float("nan"),
-            component_identity_residual=float("nan"),
-            min_rho_on_sphere=float("nan"),
-            verdict=False,
-            reasons=reasons,
-        )
-    if degree % 2 != 0:
+    elif degree % 2 != 0:
         reasons.append(f"homogeneous degree {degree} is odd; no bidegree (k,k) form")
-        return BurnsReport(
-            degree2k=None,
-            is_homogeneous=True,
-            ma_max_residual=float("nan"),
-            ma_max_scaled=float("nan"),
-            worst_ma_point=None,
-            bidegree_mass=masses,
-            radial_field_residual=float("nan"),
-            component_identity_residual=float("nan"),
-            min_rho_on_sphere=float("nan"),
-            verdict=False,
-            reasons=reasons,
-        )
-    k = degree // 2
+    else:
+        degree2k, k = degree, degree // 2
+        scan, inside, residuals = grid_residuals(p, pts, tol_rank)
+        raw, scaled = residuals.raw, residuals.scaled
+        ma_max_raw = float(raw.max()) if len(raw) else 0.0
+        ma_max_scaled = float(scaled.max()) if len(scaled) else 0.0
+        if len(scaled):
+            worst_point = np.array(residuals.points[int(np.argmax(scaled))])
 
-    scan = levi_scan(p, pts, tol_rank)
-    inside = scan.rho > 1e-12
-    pts_in = pts[inside]
-    raw, scaled = ma_from_fields(
-        scan.rho[inside], scan.grad[inside], scan.hessian[inside], p.dim
-    )
-    worst_idx = int(np.argmax(scaled)) if len(scaled) else 0
-    ma_max_raw = float(raw.max()) if len(raw) else 0.0
-    ma_max_scaled = float(scaled.max()) if len(scaled) else 0.0
-    worst_point = pts_in[worst_idx] if len(scaled) else None
+        p_mask = (scan.strata == Stratum.STRICTLY_PSH) & inside
+        if np.any(p_mask):
+            z_field = _solve_z(scan.grad[p_mask], scan.hessian[p_mask])
+            radial = float(np.max(np.linalg.norm(z_field - pts[p_mask] / k, axis=1)))
 
-    p_mask = (scan.strata == Stratum.STRICTLY_PSH) & inside
-    radial = float("nan")
-    if np.any(p_mask):
-        h_t = scan.hessian[p_mask].transpose(0, 2, 1)
-        gbar = scan.grad[p_mask].conj()
-        z_field = np.linalg.solve(h_t, gbar[..., None])[..., 0]
-        radial = float(
-            np.max(np.linalg.norm(z_field - pts[p_mask] / k, axis=1))
-        )
+        comp_res = _component_identity_residual(p, k, residuals.points[:IDENTITY_SAMPLE_CAP])
 
-    comp_res = _component_identity_residual(p, k, pts_in[:IDENTITY_SAMPLE_CAP])
+        norms = np.linalg.norm(pts, axis=1)
+        on_sphere = pts[norms > 1e-9] / norms[norms > 1e-9][:, None]
+        sphere_vals = p.evaluate_many(on_sphere).real
+        min_sphere = float(sphere_vals.min()) if sphere_vals.size else nan
 
-    norms = np.linalg.norm(pts, axis=1)
-    on_sphere = pts[norms > 1e-9] / norms[norms > 1e-9][:, None]
-    sphere_vals = p.evaluate_many(on_sphere).real
-    min_sphere = float(sphere_vals.min()) if sphere_vals.size else float("nan")
-
-    nonkk = {key: v for key, v in masses.items() if key != (k, k)}
-    if nonkk:
-        listing = ", ".join(f"({l},{m}): {v:.6g}" for (l, m), v in sorted(nonkk.items()))
-        reasons.append(f"bidegree mass outside ({k},{k}): {listing}")
-    if ma_max_scaled > tol:
-        coords = ", ".join(f"{c:.6g}" for c in worst_point)
-        reasons.append(
-            f"scaled Monge-Ampere residual {ma_max_scaled:.3e} > {tol:.0e} at ({coords})"
-        )
-    verdict = not reasons
+        nonkk = {key: v for key, v in masses.items() if key != (k, k)}
+        if nonkk:
+            listing = ", ".join(f"({l},{m}): {v:.6g}" for (l, m), v in sorted(nonkk.items()))
+            reasons.append(f"bidegree mass outside ({k},{k}): {listing}")
+        if ma_max_scaled > tol:
+            coords = ", ".join(f"{c:.6g}" for c in worst_point)
+            reasons.append(
+                f"scaled Monge-Ampere residual {ma_max_scaled:.3e} > {tol:.0e} at ({coords})"
+            )
     return BurnsReport(
-        degree2k=degree,
-        is_homogeneous=True,
+        degree2k=degree2k,
+        is_homogeneous=degree is not None,
         ma_max_residual=ma_max_raw,
         ma_max_scaled=ma_max_scaled,
-        worst_ma_point=np.array(worst_point) if worst_point is not None else None,
+        worst_ma_point=worst_point,
         bidegree_mass=masses,
         radial_field_residual=radial,
         component_identity_residual=comp_res,
         min_rho_on_sphere=min_sphere,
-        verdict=verdict,
+        verdict=not reasons,
         reasons=reasons,
+        residuals=residuals,
     )

@@ -27,16 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .burns import burns_check
+from .burns import burns_check, grid_residuals
 from .foliation import IntegratorConfig, leaf_log_linearity, leaf_stratum_invariance, level_set_invariance, trace_leaf
-from .gradient import gradient_field
+from .gradient import _solve_z
 from .homogeneity import (
     analyze_weights,
     default_lambda_samples,
     linear_field_agreement,
     verify_weights,
 )
-from .levi import levi_scan, ma_from_fields, ma_matrix, ma_scan, rank_identity_residual
+from .levi import levi_scan, ma_from_fields, ma_matrix, rank_identity_residual
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
 from .sampling import real_grid, sample_domain
 
@@ -67,6 +67,11 @@ class CheckOutcome:
     measured: float
     threshold: float
     wall: float
+
+
+def _outcome(name, ok, measured, threshold, t0):
+    """Pass/fail outcome of a check that started at perf_counter() == t0."""
+    return CheckOutcome(name, "pass" if ok else "fail", measured, threshold, time.perf_counter() - t0)
 
 
 def _fmt(x):
@@ -121,26 +126,20 @@ def _internal_invariants(p, scan, raw_ma, euler_res):
     t0 = time.perf_counter()
     vals = p.evaluate_many(scan.points)
     herm = float(np.max(np.abs(vals.imag) / np.maximum(1.0, np.abs(vals))))
-    outcomes.append(
-        CheckOutcome("hermitian_eval", "pass" if herm < 1e-12 else "fail", herm, 1e-12, time.perf_counter() - t0)
-    )
+    outcomes.append(_outcome("hermitian_eval", herm < 1e-12, herm, 1e-12, t0))
 
     t0 = time.perf_counter()
     h = scan.hessian
     asym = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
     scale = max(1.0, float(np.max(np.abs(h))))
     hsym = float(asym / scale)
-    outcomes.append(
-        CheckOutcome("hessian_symmetry", "pass" if hsym < 1e-12 else "fail", hsym, 1e-12, time.perf_counter() - t0)
-    )
+    outcomes.append(_outcome("hessian_symmetry", hsym < 1e-12, hsym, 1e-12, t0))
 
     t0 = time.perf_counter()
     det_imag = float(
         np.max(np.abs(scan.det_hessian.imag) / np.maximum(1.0, np.abs(scan.det_hessian)))
     )
-    outcomes.append(
-        CheckOutcome("det_real", "pass" if det_imag < 1e-10 else "fail", det_imag, 1e-10, time.perf_counter() - t0)
-    )
+    outcomes.append(_outcome("det_real", det_imag < 1e-10, det_imag, 1e-10, t0))
 
     t0 = time.perf_counter()
     worst = 0.0
@@ -150,15 +149,11 @@ def _internal_invariants(p, scan, raw_ma, euler_res):
         lhs = rank_identity_residual(p, z)
         rhs = rho ** (p.dim + 1) * np.linalg.det(ma_matrix(p, z)).real
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    outcomes.append(
-        CheckOutcome("det_lemma", "pass" if worst < 1e-9 else "fail", worst, 1e-9, time.perf_counter() - t0)
-    )
+    outcomes.append(_outcome("det_lemma", worst < 1e-9, worst, 1e-9, t0))
 
     t0 = time.perf_counter()
     mismatch = int(np.count_nonzero((euler_res < IFF_TOL) != (raw_ma < IFF_TOL)))
-    outcomes.append(
-        CheckOutcome("euler_ma_iff", "pass" if mismatch == 0 else "fail", float(mismatch), 0.0, time.perf_counter() - t0)
-    )
+    outcomes.append(_outcome("euler_ma_iff", mismatch == 0, float(mismatch), 0.0, t0))
     return outcomes
 
 
@@ -167,7 +162,7 @@ def _analyze_scan(p, cfg):
     pts = sample_domain(p, cfg.samples, cfg.box_radius, rng)
     scan = levi_scan(p, pts, cfg.tol_rank)
     raw, scaled = ma_from_fields(scan.rho, scan.grad, scan.hessian, p.dim)
-    z_field = gradient_field(p, pts)
+    z_field = _solve_z(scan.grad, scan.hessian)
     euler = np.abs(np.einsum("ni,ni->n", z_field, scan.grad) - scan.rho)
     return pts, scan, raw, scaled, euler
 
@@ -307,17 +302,14 @@ def cmd_burns(args):
     if args.csv:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         out_path = cfg.out_dir / (Path(args.potential).stem + "_burns.csv")
-        rho = p.evaluate_many(grid).real
-        inside = rho > 1e-12
-        raw, scaled = ma_scan(p, grid[inside])
+        res = report.residuals
+        if res is None:  # a degree gate stopped burns_check before its grid scan
+            _, _, res = grid_residuals(p, grid, cfg.tol_rank)
         header = _coord_header(p.dim) + ["rho", "ma_residual", "ma_residual_scaled"]
-        rows = []
-        kept = grid[inside]
-        rho_kept = rho[inside]
-        for i in range(len(kept)):
-            rows.append(
-                _coord_row(kept[i]) + [_fmt(rho_kept[i]), _fmt(raw[i]), _fmt(scaled[i])]
-            )
+        rows = [
+            _coord_row(z) + [_fmt(rho), _fmt(raw), _fmt(scaled)]
+            for z, rho, raw, scaled in zip(res.points, res.rho, res.raw, res.scaled)
+        ]
         _write_csv(out_path, header, rows)
         print(f"csv: {out_path}")
     if report.verdict and not (report.radial_field_residual < RADIAL_TOL):
@@ -344,16 +336,11 @@ def _suite_checks(p, expect, cfg):
     exp_ma = expect.get("ma")
     if exp_ma is not None:
         t0 = time.perf_counter()
+        worst = float(scaled.max())
         if exp_ma:
-            ok = scaled.max() < cfg.tol_ma
-            outcomes.append(
-                CheckOutcome("ma_holds", "pass" if ok else "fail", float(scaled.max()), cfg.tol_ma, time.perf_counter() - t0)
-            )
+            outcomes.append(_outcome("ma_holds", worst < cfg.tol_ma, worst, cfg.tol_ma, t0))
         else:
-            ok = scaled.max() > NON_MA_FLOOR
-            outcomes.append(
-                CheckOutcome("ma_fails", "pass" if ok else "fail", float(scaled.max()), NON_MA_FLOOR, time.perf_counter() - t0)
-            )
+            outcomes.append(_outcome("ma_fails", worst > NON_MA_FLOOR, worst, NON_MA_FLOOR, t0))
 
     if "weights" in expect:
         t0 = time.perf_counter()
@@ -361,9 +348,7 @@ def _suite_checks(p, expect, cfg):
         analysis = analyze_weights(p)
         if exp_w is None:
             ok = analysis.status == "infeasible"
-            outcomes.append(
-                CheckOutcome("weights_infeasible", "pass" if ok else "fail", analysis.residual, 0.0, time.perf_counter() - t0)
-            )
+            outcomes.append(_outcome("weights_infeasible", ok, analysis.residual, 0.0, t0))
         else:
             ok = analysis.status == "ok" and np.allclose(
                 analysis.weights, np.asarray(exp_w, dtype=float), atol=1e-9
@@ -373,31 +358,23 @@ def _suite_checks(p, expect, cfg):
                 if analysis.status == "ok"
                 else math.inf
             )
-            outcomes.append(
-                CheckOutcome("weights_match", "pass" if ok else "fail", measured, 1e-9, time.perf_counter() - t0)
-            )
+            outcomes.append(_outcome("weights_match", ok, measured, 1e-9, t0))
             if analysis.status == "ok":
                 t0 = time.perf_counter()
                 ver = verify_weights(p, analysis.weights, pts[:100], default_lambda_samples())
+                outcomes.append(_outcome("weights_verify", ver < WEIGHT_VERIFY_TOL, ver, WEIGHT_VERIFY_TOL, t0))
+                t0 = time.perf_counter()
                 lin = linear_field_agreement(p, analysis.weights, pts[:100])
-                outcomes.append(
-                    CheckOutcome("weights_verify", "pass" if ver < WEIGHT_VERIFY_TOL else "fail", ver, WEIGHT_VERIFY_TOL, time.perf_counter() - t0)
-                )
-                outcomes.append(
-                    CheckOutcome("weights_field", "pass" if lin < WEIGHT_FIELD_TOL else "fail", lin, WEIGHT_FIELD_TOL, time.perf_counter() - t0)
-                )
+                outcomes.append(_outcome("weights_field", lin < WEIGHT_FIELD_TOL, lin, WEIGHT_FIELD_TOL, t0))
 
     exp_burns = expect.get("burns")
     if exp_burns is not None:
         t0 = time.perf_counter()
         grid = real_grid(p.dim, _suite_grid_axis(p.dim), cfg.box_radius)
         report = burns_check(p, grid, tol=cfg.tol_ma, tol_rank=cfg.tol_rank)
-        got = "pass" if report.verdict else "fail"
-        ok = got == exp_burns
+        ok = ("pass" if report.verdict else "fail") == exp_burns
         measured = report.ma_max_scaled if math.isfinite(report.ma_max_scaled) else math.inf
-        outcomes.append(
-            CheckOutcome("burns_verdict", "pass" if ok else "fail", measured, cfg.tol_ma, time.perf_counter() - t0)
-        )
+        outcomes.append(_outcome("burns_verdict", ok, measured, cfg.tol_ma, t0))
     return outcomes
 
 

@@ -5,8 +5,10 @@ matching the (t, s) flow grid rather than arc length so that log rho is an
 exact affine function of t along the leaf (kappa = 1 convention:
 rho(flow_X(t, z)) = e^t rho(z)).
 
-Integrator: classical fixed-step RK4 (default step 1e-3). The fields are
-smooth and low-dimensional; reproducibility beats adaptivity here.
+Integrator: classical fixed-step RK4 (default step 1e-3) in ``rk4_segment``,
+the one RK4 loop behind flow_point, flow_points and the Theta orbit of
+gradient.theta_orbit_det_check. The fields are smooth and low-dimensional;
+reproducibility beats adaptivity here.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradient import DEFAULT_TOL, RealFieldKind, gradient_field, gradient_vector
-from .levi import DEFAULT_TOL_RANK, Stratum, classify_stratum, fields_at_many
+from .levi import DEFAULT_TOL_RANK, Stratum, classify_strata, fields_at_many
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"
     step: float = 1e-3
     tol: float = DEFAULT_TOL
     tol_rank: float = DEFAULT_TOL_RANK
@@ -31,7 +32,11 @@ class IntegratorConfig:
 
 
 def rk4_segment(vel, z, duration, step):
-    """Advance z by `duration` with fixed-step RK4, landing exactly on target."""
+    """Advance z by `duration` with fixed-step RK4, landing exactly on target.
+
+    The one RK4 loop of the package: z is one point or an (N, n) batch,
+    whatever `vel` maps.
+    """
     if duration == 0.0:
         return np.array(z, dtype=complex)
     n_steps = max(1, math.ceil(abs(duration) / step))
@@ -58,19 +63,12 @@ def flow_point(p, z, time, kind=RealFieldKind.X, step=1e-3, tol=DEFAULT_TOL):
 
 def flow_points(p, points, time, kind=RealFieldKind.X, step=1e-3, tol=DEFAULT_TOL):
     """Flow an (N, n) batch of points simultaneously (one solve per RK4 stage)."""
-    pts = np.array(points, dtype=complex)
-    if time == 0.0:
-        return pts
     mult = kind.multiplier
-    n_steps = max(1, math.ceil(abs(time) / step))
-    h = time / n_steps
-    for _ in range(n_steps):
-        k1 = mult * gradient_field(p, pts, tol)
-        k2 = mult * gradient_field(p, pts + 0.5 * h * k1, tol)
-        k3 = mult * gradient_field(p, pts + 0.5 * h * k2, tol)
-        k4 = mult * gradient_field(p, pts + h * k3, tol)
-        pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return pts
+
+    def vel(w):
+        return mult * gradient_field(p, w, tol)
+
+    return rk4_segment(vel, points, time, step)
 
 
 @dataclass
@@ -186,9 +184,7 @@ def trace_leaf(p, z0, t_grid, s_grid, cfg=None):
     rho, _, hess = fields_at_many(p, flat)
     det = np.linalg.det(hess)
     eig = np.linalg.eigvalsh(hess)
-    strata = np.empty(len(flat), dtype=object)
-    for i in range(len(flat)):
-        strata[i] = classify_stratum(rho[i], eig[i], cfg.tol_rank)
+    strata = classify_strata(rho, eig, cfg.tol_rank)
     return LeafTrace(
         base=z0,
         base_rho=base_rho,
@@ -238,17 +234,12 @@ def leaf_stratum_invariance(trace, tol=None):
     rank tolerance (defaults to the trace's own).
     """
     tol = trace.config.tol_rank if tol is None else tol
-    nt, ns = trace.rho.shape
     it0 = int(np.argmin(np.abs(trace.t_values)))
     is0 = int(np.argmin(np.abs(trace.s_values)))
-    base = classify_stratum(trace.rho[it0, is0], trace.eigenvalues[it0, is0], tol)
-    report = StratumInvarianceReport(passed=True, base_stratum=base)
-    for it in range(nt):
-        for isx in range(ns):
-            st = classify_stratum(trace.rho[it, isx], trace.eigenvalues[it, isx], tol)
-            if st is not base:
-                report.passed = False
-                report.violations.append(
-                    (it, isx, st, float(abs(trace.det_hessian[it, isx])))
-                )
-    return report
+    strata = classify_strata(trace.rho, trace.eigenvalues, tol)
+    base = strata[it0, is0]
+    violations = [
+        (int(it), int(isx), strata[it, isx], float(abs(trace.det_hessian[it, isx])))
+        for it, isx in np.argwhere(strata != base)
+    ]
+    return StratumInvarianceReport(passed=not violations, base_stratum=base, violations=violations)

@@ -3,7 +3,9 @@
 Z solves sum_mu Z^mu rho_{mu nubar} = rho_nubar, i.e. H^T Z = conj(grad).
 On the full-rank stratum this is a direct solve; across degenerate points the
 minimum-norm least-squares solution is used, validated by the achieved system
-residual and by the Euler identity Z(rho) = rho.
+residual and by the Euler identity Z(rho) = rho. Every batched Z (gradient_field,
+the analyze scan, the radial gate of burns) comes from the one solve
+``_solve_z``; the scalar gradient_vector stays the fast path of leaf tracing.
 
 Real-field conventions (kappa = 1): the flows below use the standard
 identification of a (1,0)-field with a real field via zdot = V(z):
@@ -69,30 +71,33 @@ class GradientSample:
     consistent: bool = True
 
 
-def _euler_residual(z_field, grad, rho):
-    return float(abs(z_field @ grad - rho))
+def _sample(z, z_field, method, rho, grad, hess, tol=np.inf):
+    """GradientSample for z_field, flagged inconsistent when the system
+    residual exceeds tol * max(1, ||conj(grad)||)."""
+    gbar = grad.conj()
+    sys_res = float(np.linalg.norm(hess.T @ z_field - gbar))
+    return GradientSample(
+        point=np.asarray(z, dtype=complex).ravel(),
+        Z=z_field,
+        method=method,
+        euler_residual=float(abs(z_field @ grad - rho)),
+        system_residual=sys_res,
+        consistent=sys_res <= tol * max(1.0, float(np.linalg.norm(gbar))),
+    )
 
 
 def complex_gradient(p, z, tol_rank=DEFAULT_TOL_RANK):
     """Direct solve of H^T Z = conj(grad); requires the point to be in the
     full-rank stratum under tol_rank."""
-    rho, grad, hess = fields_at(p, z)
-    eig = np.linalg.eigvalsh(hess)
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    if np.count_nonzero(np.abs(eig) > tol_rank * scale) < p.dim:
+    ld = levi_data(p, z, tol_rank)
+    if ld.stratum is Stratum.OUTSIDE_DOMAIN:
+        raise ValueError(f"rho(z) = {ld.rho} <= 0; outside the domain")
+    if ld.stratum is not Stratum.STRICTLY_PSH:
         raise SingularHessianError(
             "Hessian is singular under the rank tolerance; use extended_gradient"
         )
-    gbar = grad.conj()
-    z_field = np.linalg.solve(hess.T, gbar)
-    sys_res = float(np.linalg.norm(hess.T @ z_field - gbar))
-    return GradientSample(
-        point=np.asarray(z, dtype=complex).ravel(),
-        Z=z_field,
-        method=DIRECT_SOLVE,
-        euler_residual=_euler_residual(z_field, grad, rho),
-        system_residual=sys_res,
-    )
+    z_field = np.linalg.solve(ld.hessian.T, ld.grad.conj())
+    return _sample(z, z_field, DIRECT_SOLVE, ld.rho, ld.grad, ld.hessian)
 
 
 def extended_gradient(p, z, tol=DEFAULT_TOL):
@@ -104,26 +109,17 @@ def extended_gradient(p, z, tol=DEFAULT_TOL):
     rho, grad, hess = fields_at(p, z)
     if rho <= 0:
         raise ValueError(f"rho(z) = {rho} <= 0; outside the domain")
-    gbar = grad.conj()
-    z_field = np.linalg.lstsq(hess.T, gbar, rcond=LSTSQ_RCOND)[0]
-    sys_res = float(np.linalg.norm(hess.T @ z_field - gbar))
-    ok = sys_res <= tol * max(1.0, float(np.linalg.norm(gbar)))
-    return GradientSample(
-        point=np.asarray(z, dtype=complex).ravel(),
-        Z=z_field,
-        method=LEAST_SQUARES,
-        euler_residual=_euler_residual(z_field, grad, rho),
-        system_residual=sys_res,
-        consistent=ok,
-    )
+    z_field = np.linalg.lstsq(hess.T, grad.conj(), rcond=LSTSQ_RCOND)[0]
+    return _sample(z, z_field, LEAST_SQUARES, rho, grad, hess, tol)
 
 
 def gradient_vector(p, z, tol=DEFAULT_TOL):
     """Z as a bare array, fast path for flow integration.
 
     Tries the direct solve and falls back to the least-squares extension when
-    the solve fails or leaves a residual; identical values to
-    extended_gradient wherever both are defined.
+    the solve fails or leaves a residual. The fallback is extended_gradient's
+    Z bit for bit; an accepted direct solve agrees with it up to rounding
+    (the system then has one solution, but the two solvers round differently).
     """
     _, grad, hess = fields_at(p, z)
     gbar = grad.conj()
@@ -138,32 +134,35 @@ def gradient_vector(p, z, tol=DEFAULT_TOL):
     return np.linalg.lstsq(hess.T, gbar, rcond=LSTSQ_RCOND)[0]
 
 
-def gradient_field(p, points, tol=DEFAULT_TOL):
-    """Batched Z over an (N, n) array; per-row least-squares fallback on
-    singular or inconsistent rows."""
-    pts = np.asarray(points, dtype=complex)
-    _, grad, hess = fields_at_many(p, pts)
+def _solve_z(grad, hess, tol=DEFAULT_TOL):
+    """Batched Z from (N, n) gradients and (N, n, n) Hessians: one direct
+    solve of H^T Z = conj(grad) for all rows, then a per-row least-squares
+    fallback on singular, inconsistent or non-finite rows."""
     gbar = grad.conj()
     ht = hess.transpose(0, 2, 1)
-    out = np.empty_like(gbar)
-    det = np.linalg.det(ht)
-    good = det != 0
-    bad = ~good
-    if np.any(good):
+    try:
+        out = np.ascontiguousarray(np.linalg.solve(ht, gbar[..., None])[..., 0])
+        bad = np.zeros(len(gbar), dtype=bool)
+    except np.linalg.LinAlgError:
+        # some row is exactly singular: solve the others on their own
+        bad = np.linalg.det(ht) == 0
+        out = np.zeros_like(gbar)
         try:
-            out[good] = np.linalg.solve(ht[good], gbar[good][..., None])[..., 0]
-            res = np.linalg.norm(
-                np.einsum("nij,nj->ni", ht[good], out[good]) - gbar[good], axis=1
-            )
-            limit = tol * np.maximum(1.0, np.linalg.norm(gbar[good], axis=1))
-            retry = np.zeros(len(pts), dtype=bool)
-            retry[np.nonzero(good)[0]] = (res > limit) | ~np.isfinite(res)
-            bad = bad | retry
+            out[~bad] = np.linalg.solve(ht[~bad], gbar[~bad][..., None])[..., 0]
         except np.linalg.LinAlgError:
-            bad = np.ones(len(pts), dtype=bool)
+            bad[:] = True
+    res = np.linalg.norm(np.einsum("nji,nj->ni", hess, out) - gbar, axis=1)
+    bad |= ~(res <= tol * np.maximum(1.0, np.linalg.norm(gbar, axis=1)))
     for i in np.nonzero(bad)[0]:
         out[i] = np.linalg.lstsq(ht[i], gbar[i], rcond=LSTSQ_RCOND)[0]
     return out
+
+
+def gradient_field(p, points, tol=DEFAULT_TOL):
+    """Batched Z over an (N, n) array; per-row least-squares fallback on
+    singular or inconsistent rows."""
+    _, grad, hess = fields_at_many(p, np.asarray(points, dtype=complex))
+    return _solve_z(grad, hess, tol)
 
 
 def euler_residual_scan(p, samples):
@@ -258,8 +257,10 @@ def theta_orbit_det_check(
             max_abs_det=abs(base.det_hessian),
             max_rho_drift=0.0,
         )
+    from .foliation import rk4_segment  # foliation imports this module
+
     h = t_max / steps
-    z = np.asarray(z0, dtype=complex).ravel().copy()
+    z = np.asarray(z0, dtype=complex).ravel()
     mult = RealFieldKind.THETA.multiplier
 
     def vel(w):
@@ -269,11 +270,7 @@ def theta_orbit_det_check(
     max_drift = 0.0
     rho0 = base.rho
     for _ in range(steps):
-        k1 = vel(z)
-        k2 = vel(z + 0.5 * h * k1)
-        k3 = vel(z + 0.5 * h * k2)
-        k4 = vel(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        z = rk4_segment(vel, z, h, h)
         if not np.all(np.isfinite(z)):
             raise ValueError("integrator step failure: non-finite state")
         rho, _, hess = fields_at(p, z)
@@ -284,10 +281,3 @@ def theta_orbit_det_check(
     return ThetaOrbitResult(
         skipped=False, reason="", max_abs_det=float(max_det), max_rho_drift=float(max_drift)
     )
-
-
-def zero_field_norms(p, samples, tol=DEFAULT_TOL):
-    """||Z|| at each sample; used to probe where the gradient field vanishes."""
-    pts = np.asarray(samples, dtype=complex)
-    field_vals = gradient_field(p, pts, tol)
-    return np.linalg.norm(field_vals, axis=1)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .potential import PolyPotential
+from .potential import PolyPotential, monomial_table
 
 DEFAULT_TOL_RANK = 1e-8
 _RHO_FLOOR = 0.0  # stratum assignment needs rho > 0
@@ -65,49 +65,27 @@ def jet(p):
 class _BatchJet:
     """One-pass vectorized evaluator for (rho, grad, hessian) on many points.
 
-    All jet components share a single power table so a 20^4 grid scan stays
-    cheap; component results are sliced back out of one accumulator.
+    All jet components share one ``monomial_table`` call so a 20^4 grid scan
+    stays cheap; component results are sliced back out of its rows.
     """
 
     def __init__(self, p):
         j = jet(p)
         self.dim = p.dim
-        exprs = [j.rho]
-        exprs.extend(j.grad)
-        for mu in range(p.dim):
-            exprs.extend(j.hessian[mu])
-        packs = [e._pack() for e in exprs]
-        self.slices = []
-        pos = 0
-        for alphas, _, _ in packs:
-            self.slices.append(slice(pos, pos + alphas.shape[0]))
-            pos += alphas.shape[0]
+        packs = [e._pack() for e in (j.rho, *j.grad, *(h for row in j.hessian for h in row))]
+        ends = np.cumsum([len(coeffs) for _, _, coeffs in packs])
+        self.slices = [slice(end - len(pk[2]), end) for end, pk in zip(ends, packs)]
         self.alphas = np.concatenate([pk[0] for pk in packs], axis=0)
         self.betas = np.concatenate([pk[1] for pk in packs], axis=0)
         self.coeffs = [pk[2] for pk in packs]
 
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        count, dim = pts.shape
-        max_e = int(max(self.alphas.max(), self.betas.max())) if len(self.alphas) else 0
-        pow_z = np.empty((max_e + 1, count, dim), dtype=complex)
-        pow_z[0] = 1.0
-        for e in range(1, max_e + 1):
-            pow_z[e] = pow_z[e - 1] * pts
-        pow_zc = pow_z.conj()
-        acc = np.ones((self.alphas.shape[0], count), dtype=complex)
-        for jx in range(dim):
-            acc *= pow_z[self.alphas[:, jx], :, jx]
-            acc *= pow_zc[self.betas[:, jx], :, jx]
+        dim = self.dim
+        acc = monomial_table(self.alphas, self.betas, np.asarray(pts, dtype=complex))
         vals = [c @ acc[s] for c, s in zip(self.coeffs, self.slices)]
-        rho = vals[0].real
         grad = np.stack(vals[1 : 1 + dim], axis=1)
-        hess = np.stack(
-            [np.stack(vals[1 + dim + mu * dim : 1 + dim + (mu + 1) * dim], axis=1)
-             for mu in range(dim)],
-            axis=1,
-        )
-        return rho, grad, hess
+        hess = np.stack(vals[1 + dim :], axis=1).reshape(-1, dim, dim)
+        return vals[0].real, grad, hess
 
 
 @lru_cache(maxsize=64)
@@ -140,30 +118,19 @@ def fields_at_many(p, points):
     return _batch_jet(p)(points)
 
 
-def classify_stratum(rho, eigenvalues, tol_rank=DEFAULT_TOL_RANK):
-    """Rank rule: an eigenvalue counts as zero iff |l| <= tol_rank * max(1, |l|_max)."""
-    if rho <= _RHO_FLOOR:
-        return Stratum.OUTSIDE_DOMAIN
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0)
-    rank = int(np.count_nonzero(np.abs(eigenvalues) > tol_rank * scale))
-    n = eigenvalues.size
-    if rank == n:
-        return Stratum.STRICTLY_PSH
-    if rank == n - 1:
-        return Stratum.LOW_DEGENERACY
-    return Stratum.WEAK
-
-
 def classify_strata(rho, eigenvalues, tol_rank=DEFAULT_TOL_RANK):
-    """Vectorized rank rule over (N,) rho and (N, n) eigenvalue arrays."""
+    """Rank rule over rho (...) and spectra (..., n), for one point or many.
+
+    An eigenvalue counts as zero iff |l| <= tol_rank times max(1, |l|_max);
+    points with rho <= 0 are outside the domain. Returns an object array of
+    Stratum with rho's shape (0-d for one point: take ``.item()``).
+    """
     rho = np.asarray(rho, dtype=float)
-    eig = np.asarray(eigenvalues, dtype=float)
-    scale = np.maximum(1.0, np.max(np.abs(eig), axis=1))
-    rank = np.count_nonzero(np.abs(eig) > tol_rank * scale[:, None], axis=1)
-    n = eig.shape[1]
-    strata = np.empty(len(rho), dtype=object)
-    strata[:] = Stratum.WEAK
+    eig = np.abs(np.asarray(eigenvalues, dtype=float))
+    scale = np.maximum(1.0, np.max(eig, axis=-1))
+    rank = np.count_nonzero(eig > tol_rank * scale[..., None], axis=-1)
+    n = eig.shape[-1]
+    strata = np.full(rho.shape, Stratum.WEAK, dtype=object)
     strata[rank == n - 1] = Stratum.LOW_DEGENERACY
     strata[rank == n] = Stratum.STRICTLY_PSH
     strata[rho <= _RHO_FLOOR] = Stratum.OUTSIDE_DOMAIN
@@ -182,16 +149,26 @@ def levi_data(p, z, tol_rank=DEFAULT_TOL_RANK):
         hessian=hess,
         det_hessian=det,
         eigenvalues=eigvals,
-        stratum=classify_stratum(rho, eigvals, tol_rank),
+        stratum=classify_strata(rho, eigvals, tol_rank).item(),
     )
 
 
+def log_levi_form(rho, grad, hess):
+    """The Levi form of log rho, U = H/rho - g gbar^T / rho^2. Requires rho > 0.
+
+    rho, grad and hess are one point's scalar, (n,) and (n, n) arrays, or
+    carry the same leading batch axes.
+    """
+    rho = np.asarray(rho)[..., None, None]
+    return hess / rho - grad[..., :, None] * grad.conj()[..., None, :] / rho**2
+
+
 def ma_matrix(p, z):
-    """The Levi form of log rho: U = H/rho - g gbar^T / rho^2. Requires rho > 0."""
+    """The Levi form of log rho at z. Requires rho > 0."""
     rho, grad, hess = fields_at(p, z)
     if rho <= 0:
         raise ValueError(f"rho(z) = {rho} <= 0; log rho undefined")
-    return hess / rho - np.outer(grad, grad.conj()) / rho**2
+    return log_levi_form(rho, grad, hess)
 
 
 def ma_residual(p, z):
@@ -207,9 +184,7 @@ def ma_from_fields(rho, grad, hess, dim):
     """
     if np.any(rho <= 0):
         raise ValueError("Monge-Ampere residual requires rho > 0 at every point")
-    u = hess / rho[:, None, None] - (
-        grad[:, :, None] * grad.conj()[:, None, :]
-    ) / (rho**2)[:, None, None]
+    u = log_levi_form(rho, grad, hess)
     raw = np.abs(np.linalg.det(u))
     fro = np.linalg.norm(u, axis=(1, 2))
     scaled = raw / np.maximum(1.0, fro) ** dim
@@ -269,7 +244,7 @@ def restricted_levi_eigen(p, z):
         raise ValueError(f"rho(z) = {rho} <= 0; log rho undefined")
     if np.linalg.norm(grad) == 0:
         raise ValueError("zero gradient: Ker d rho is not a hyperplane here")
-    u = hess / rho - np.outer(grad, grad.conj()) / rho**2
+    u = log_levi_form(rho, grad, hess)
     basis = _kernel_basis(grad.conj())
     # the Hermitian form sum U[m,n] v^m conj(v^n) is the quadratic form of conj(U)
     restricted = basis.conj().T @ u.conj() @ basis

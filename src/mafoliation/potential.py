@@ -44,6 +44,27 @@ def _normalize_terms(dim, terms):
     return {k: c for k, c in out.items() if c != 0}
 
 
+def monomial_table(alphas, betas, pts):
+    """(terms, N) array of z**alpha * zbar**beta, one row per exponent pair.
+
+    Per-coordinate power tables make each repeated exponent cost one
+    multiplication; this is the one batched evaluator behind
+    ``PolyExpr.evaluate_many`` and the batched jet of ``levi``.
+    """
+    count, dim = pts.shape
+    max_e = int(max(alphas.max(), betas.max())) if len(alphas) else 0
+    pow_z = np.empty((max_e + 1, count, dim), dtype=complex)
+    pow_z[0] = 1.0
+    for e in range(1, max_e + 1):
+        pow_z[e] = pow_z[e - 1] * pts
+    pow_zc = pow_z.conj()
+    acc = np.ones((alphas.shape[0], count), dtype=complex)
+    for j in range(dim):
+        acc *= pow_z[alphas[:, j], :, j]
+        acc *= pow_zc[betas[:, j], :, j]
+    return acc
+
+
 class PolyExpr:
     """Complex-valued polynomial in z and zbar as a sparse monomial map.
 
@@ -141,8 +162,7 @@ class PolyExpr:
     def evaluate_many(self, points):
         """Evaluate at an (N, n) array of points, returning an (N,) complex array.
 
-        Uses per-coordinate power tables so repeated exponents cost one
-        multiplication each; intended for grid scans.
+        Monomials come from ``monomial_table``; intended for grid scans.
         """
         pts = np.asarray(points, dtype=complex)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
@@ -151,17 +171,7 @@ class PolyExpr:
         if not self.terms or count == 0:
             return np.zeros(count, dtype=complex)
         alphas, betas, coeffs = self._pack()
-        max_e = int(max(alphas.max(), betas.max()))
-        pow_z = np.empty((max_e + 1, count, self.dim), dtype=complex)
-        pow_z[0] = 1.0
-        for e in range(1, max_e + 1):
-            pow_z[e] = pow_z[e - 1] * pts
-        pow_zc = pow_z.conj()
-        acc = np.ones((alphas.shape[0], count), dtype=complex)
-        for j in range(self.dim):
-            acc *= pow_z[alphas[:, j], :, j]
-            acc *= pow_zc[betas[:, j], :, j]
-        return coeffs @ acc
+        return coeffs @ monomial_table(alphas, betas, pts)
 
     # -- Wirtinger derivatives ----------------------------------------------
 

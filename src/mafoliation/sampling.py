@@ -11,6 +11,9 @@ import numpy as np
 
 DEFAULT_BOX = 1.5
 DEFAULT_MIN_RHO = 1e-12
+# 4x the largest grid the README, tests and benchmark use (8 per axis on C^3);
+# real_grid builds every point up front, so larger grids are refused
+MAX_GRID_POINTS = 2**20
 
 
 def complex_from_reals(x):
@@ -61,7 +64,16 @@ def sample_domain(
 
 
 def real_grid(dim, per_axis, radius=DEFAULT_BOX):
-    """Uniform grid over the real 2n-cube: per_axis**(2*dim) complex points."""
+    """Uniform grid over the real 2n-cube: per_axis**(2*dim) complex points.
+
+    Raises ValueError above MAX_GRID_POINTS points.
+    """
+    count = per_axis ** (2 * dim)
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid of {per_axis}^{2 * dim} = {count} points exceeds the limit of "
+            f"{MAX_GRID_POINTS} points; use fewer points per axis"
+        )
     axes = [np.linspace(-radius, radius, per_axis)] * (2 * dim)
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=-1)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from mafoliation.cli import bundled_corpus_dir, main
-from mafoliation.potential import format_potential
+from mafoliation.gradient import gradient_field
+from mafoliation.levi import fields_at_many, ma_scan
+from mafoliation.potential import format_potential, parse_potential_file
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +269,58 @@ def test_analyze_csv_determinism(corpus, tmp_path, capsys):
     assert (out1 / "weighted24_analyze.csv").read_bytes() == (
         out2 / "weighted24_analyze.csv"
     ).read_bytes()
+
+
+def _csv_points(rows, dim):
+    return np.array(
+        [[complex(float(r[f"re_z{j + 1}"]), float(r[f"im_z{j + 1}"])) for j in range(dim)] for r in rows]
+    )
+
+
+def _column(rows, name):
+    return np.array([float(r[name]) for r in rows])
+
+
+def _assert_close(got, want, scale=None):
+    # 1e-12 relative to the magnitude of the column (or of the given scale)
+    scale = np.max(np.abs(want if scale is None else scale))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+# nonma is stopped by the homogeneity gate, so its CSV takes the other path
+@pytest.mark.parametrize("name", ["square_norm", "quartic_mixed", "nonma"])
+def test_burns_csv_matches_fresh_evaluation(corpus, tmp_path, capsys, name):
+    pot = corpus / f"{name}.pot"
+    assert main(["burns", str(pot), "--grid-n", "10", "--csv", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    p = parse_potential_file(pot)
+    rows = _read_csv(tmp_path / f"{name}_burns.csv")
+    pts = _csv_points(rows, p.dim)
+    rho = p.evaluate_many(pts).real
+    raw, scaled = ma_scan(p, pts)
+    assert len(rows) == 10 ** (2 * p.dim) and np.all(rho > 1e-12)
+    _assert_close(_column(rows, "rho"), rho)
+    _assert_close(_column(rows, "ma_residual"), raw)
+    _assert_close(_column(rows, "ma_residual_scaled"), scaled)
+
+
+@pytest.mark.parametrize("name", ["weighted24", "nonma"])
+def test_analyze_euler_residual_matches_gradient_field(corpus, tmp_path, capsys, name):
+    pot = corpus / f"{name}.pot"
+    assert main(["analyze", str(pot), "--samples", "200", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    p = parse_potential_file(pot)
+    rows = _read_csv(tmp_path / f"{name}_analyze.csv")
+    pts = _csv_points(rows, p.dim)
+    rho, grad, _ = fields_at_many(p, pts)
+    euler = np.abs(np.einsum("ni,ni->n", gradient_field(p, pts), grad) - rho)
+    # |Z(rho) - rho| is rounding noise on MA potentials: compare on the scale of rho
+    _assert_close(_column(rows, "euler_residual"), euler, rho)
+
+
+def test_burns_default_grid_on_c3_refused(corpus, tmp_path, capsys):
+    # 20 points per axis on C^3 would be 64M points built up front
+    rc = main(["burns", str(corpus / "ball3.pot"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "20^6 = 64000000 points exceeds the limit of 1048576" in err

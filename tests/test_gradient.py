@@ -46,6 +46,12 @@ def test_complex_gradient_singular_raises(weighted24):
         complex_gradient(weighted24, [1, 0])
 
 
+def test_complex_gradient_outside_domain_raises(nonma):
+    with pytest.raises(ValueError, match="outside the domain") as info:
+        complex_gradient(nonma, [0, 0])
+    assert not isinstance(info.value, SingularHessianError)
+
+
 def test_solve_correctness(ma_examples):
     rng = np.random.default_rng(83)
     for p in ma_examples.values():
