@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .burns import burns_check, grid_residuals
-from .foliation import IntegratorConfig, leaf_log_linearity, leaf_stratum_invariance, level_set_invariance, trace_leaf
+from .foliation import DEFAULT_STEP, IntegratorConfig, leaf_log_linearity, leaf_stratum_invariance, level_set_invariance, trace_leaf
 from .gradient import _solve_z
 from .homogeneity import (
     analyze_weights,
@@ -38,7 +38,7 @@ from .homogeneity import (
 )
 from .levi import levi_scan, ma_from_fields, ma_matrix, rank_identity_residual
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
-from .sampling import real_grid, sample_domain
+from .sampling import MAX_GRID_POINTS, real_grid, sample_domain
 
 TRACE_LOG_LIN_TOL = 1e-6
 TRACE_LEVEL_TOL = 1e-6
@@ -56,7 +56,7 @@ class ScanConfig:
     rng_seed: int = 1234
     tol_rank: float = 1e-8
     tol_ma: float = 1e-8
-    step: float = 1e-3
+    step: float = DEFAULT_STEP
     out_dir: Path = Path(".")
 
 
@@ -325,7 +325,13 @@ SUITE_GRID_BUDGET = 20_000  # total burns grid points per potential in the suite
 
 
 def _suite_grid_axis(dim):
-    return max(4, int(SUITE_GRID_BUDGET ** (1.0 / (2 * dim))))
+    """Burns grid points per real axis: about SUITE_GRID_BUDGET points and at
+    least 4 per axis where that fits under MAX_GRID_POINTS, else the largest
+    axis >= 2 that fits."""
+    axis = max(4, int(SUITE_GRID_BUDGET ** (1.0 / (2 * dim))))
+    while axis > 2 and axis ** (2 * dim) > MAX_GRID_POINTS:
+        axis -= 1
+    return axis
 
 
 def _suite_checks(p, expect, cfg):
@@ -431,7 +437,7 @@ def _add_common(sub):
     sub.add_argument("--box", type=float, default=1.5, help="half-width of the real sampling cube")
     sub.add_argument("--tol-rank", dest="tol_rank", type=float, default=1e-8, help="rank tolerance for strata")
     sub.add_argument("--tol-ma", dest="tol_ma", type=float, default=1e-8, help="Monge-Ampere residual threshold")
-    sub.add_argument("--step", type=float, default=1e-3, help="RK4 step size")
+    sub.add_argument("--step", type=float, default=DEFAULT_STEP, help="RK4 step size (read by trace only)")
     sub.add_argument("--out", default=".", help="output directory for CSV artifacts")
 
 

@@ -5,10 +5,13 @@ matching the (t, s) flow grid rather than arc length so that log rho is an
 exact affine function of t along the leaf (kappa = 1 convention:
 rho(flow_X(t, z)) = e^t rho(z)).
 
-Integrator: classical fixed-step RK4 (default step 1e-3) in ``rk4_segment``,
-the one RK4 loop behind flow_point, flow_points and the Theta orbit of
-gradient.theta_orbit_det_check. The fields are smooth and low-dimensional;
-reproducibility beats adaptivity here.
+Integrator: classical fixed-step RK4 (default step DEFAULT_STEP = 1e-2) in
+``rk4_segment``, the one RK4 loop behind flow_points and the Theta orbit of
+gradient.theta_orbit_det_check. A leaf is traced in two batched sweeps: one in
+s from z0, then one in t that advances every s-column together, one batched Z
+solve per RK4 stage. The fields are smooth and low-dimensional;
+reproducibility beats adaptivity here. At 1e-2 the log-linearity error of a
+leaf is about 1e-11, five orders below the 1e-6 gates.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradient import DEFAULT_TOL, RealFieldKind, gradient_field, gradient_vector
+from .gradient import DEFAULT_TOL, RealFieldKind, gradient_field
 from .levi import DEFAULT_TOL_RANK, Stratum, classify_strata, fields_at_many
+
+DEFAULT_STEP = 1e-2
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    step: float = 1e-3
+    step: float = DEFAULT_STEP
     tol: float = DEFAULT_TOL
     tol_rank: float = DEFAULT_TOL_RANK
     box_radius: float = math.inf   # truncate when any |Re|, |Im| exceeds this
@@ -51,17 +56,12 @@ def rk4_segment(vel, z, duration, step):
     return z
 
 
-def flow_point(p, z, time, kind=RealFieldKind.X, step=1e-3, tol=DEFAULT_TOL):
+def flow_point(p, z, time, kind=RealFieldKind.X, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     """Flow a single point for `time` along the given real field."""
-    mult = kind.multiplier
-
-    def vel(w):
-        return mult * gradient_vector(p, w, tol)
-
-    return rk4_segment(vel, np.asarray(z, dtype=complex).ravel(), time, step)
+    return flow_points(p, np.asarray(z, dtype=complex).reshape(1, -1), time, kind, step, tol)[0]
 
 
-def flow_points(p, points, time, kind=RealFieldKind.X, step=1e-3, tol=DEFAULT_TOL):
+def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     """Flow an (N, n) batch of points simultaneously (one solve per RK4 stage)."""
     mult = kind.multiplier
 
@@ -94,53 +94,46 @@ class LeafTrace:
 
 
 def _node_ok(z, rho, cfg):
-    if not np.all(np.isfinite(z)):
-        return False
-    if rho <= cfg.min_rho:
-        return False
+    """Row mask of an (N, n) batch: finite, above the rho floor, inside the box."""
+    ok = np.all(np.isfinite(z), axis=1) & (rho > cfg.min_rho)
     if cfg.box_radius != math.inf:
-        if np.max(np.abs(z.real)) > cfg.box_radius or np.max(np.abs(z.imag)) > cfg.box_radius:
-            return False
-    return True
+        ok &= np.max(np.maximum(np.abs(z.real), np.abs(z.imag)), axis=1) <= cfg.box_radius
+    return ok
 
 
 def _sweep(p, z0, values, kind, cfg):
-    """Points at the given sorted parameter values, integrating outward from 0.
+    """Flow the (N, n) batch z0 to the given parameter values, integrating
+    outward from 0 with all rows advanced together.
 
-    Returns (kept_values, kept_points); stops at the first node that violates
-    the rho floor or the box.
+    Returns (kept_values, points, truncated) with points of shape
+    (len(kept_values), N, n). Each direction stops at the first node where any
+    row violates the rho floor or the box, so the kept values are the longest
+    prefix, on each side of 0, on which every row survives.
     """
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values)
-    sorted_vals = values[order]
-    nonneg = [v for v in sorted_vals if v >= 0]
-    neg = [v for v in sorted_vals if v < 0][::-1]  # walk 0 -> most negative
-    results = {}
-
-    def run(direction_vals):
-        z = np.asarray(z0, dtype=complex).ravel().copy()
-        prev = 0.0
-        for v in direction_vals:
-            z = flow_point(p, z, v - prev, kind, cfg.step, cfg.tol)
+    values = np.unique(np.asarray(values, dtype=float))
+    kept, nodes = [], []
+    truncated = False
+    for direction in (values[values >= 0], values[values < 0][::-1]):
+        z, prev = z0, 0.0
+        for v in direction:
+            z = flow_points(p, z, v - prev, kind, cfg.step, cfg.tol)
             prev = v
-            rho = p.evaluate(z).real
-            if not _node_ok(z, rho, cfg):
-                return True
-            results[v] = z.copy()
-        return False
-
-    truncated = run(nonneg)
-    truncated = run(neg) or truncated
-    kept = np.array(sorted([v for v in results]), dtype=float)
-    pts = np.array([results[v] for v in kept], dtype=complex)
-    return kept, pts, truncated
+            if not np.all(_node_ok(z, p.evaluate_many(z).real, cfg)):
+                truncated = True
+                break
+            kept.append(v)
+            nodes.append(z)
+    order = np.argsort(kept)
+    return np.array(kept)[order], np.array(nodes, dtype=complex)[order], truncated
 
 
 def trace_leaf(p, z0, t_grid, s_grid, cfg=None):
     """Trace node(t, s) = flow_X(t, flow_Y(s, z0)) over the given grids.
 
     Grids should contain 0 so the base point appears as a node; they are
-    sorted internally. rho(z0) must be positive.
+    sorted internally. rho(z0) must be positive. The t sweep advances every
+    s-column together, so truncation keeps the t values on which every column
+    survives and the node grid stays rectangular.
     """
     cfg = cfg or IntegratorConfig()
     z0 = np.asarray(z0, dtype=complex).ravel()
@@ -148,38 +141,14 @@ def trace_leaf(p, z0, t_grid, s_grid, cfg=None):
     if base_rho <= 0:
         raise ValueError(f"rho(z0) = {base_rho} <= 0; outside the domain")
 
-    s_vals, s_points, s_trunc = _sweep(p, z0, np.asarray(s_grid), RealFieldKind.Y, cfg)
+    s_vals, s_points, s_trunc = _sweep(p, z0[None, :], s_grid, RealFieldKind.Y, cfg)
     if len(s_vals) == 0:
         raise ValueError("no admissible nodes on the s sweep")
-
-    t_sorted = np.sort(np.asarray(t_grid, dtype=float))
-    columns = []
-    truncated = s_trunc
-    for s_idx in range(len(s_vals)):
-        t_vals, t_points, t_trunc = _sweep(
-            p, s_points[s_idx], t_sorted, RealFieldKind.X, cfg
-        )
-        truncated = truncated or t_trunc
-        columns.append((t_vals, t_points))
-    if min(len(c[0]) for c in columns) == 0:
+    t_vals, points, t_trunc = _sweep(p, s_points[:, 0], t_grid, RealFieldKind.X, cfg)
+    if len(t_vals) == 0:
         raise ValueError("no admissible nodes on the t sweep")
 
-    # intersect the per-column t values to keep the grid rectangular
-    common = set(columns[0][0].tolist())
-    for t_vals, _ in columns[1:]:
-        common &= set(t_vals.tolist())
-    if not common:
-        raise ValueError("no t values survived truncation on every s column")
-    common_t = np.array(sorted(common), dtype=float)
-    nt, ns = len(common_t), len(s_vals)
-    points = np.empty((nt, ns, p.dim), dtype=complex)
-    for s_idx, (t_vals, t_points) in enumerate(columns):
-        sel = {v: i for i, v in enumerate(t_vals)}
-        for t_idx, tv in enumerate(common_t):
-            points[t_idx, s_idx] = t_points[sel[tv]]
-    if nt < len(t_sorted):
-        truncated = True
-
+    nt, ns = len(t_vals), len(s_vals)
     flat = points.reshape(-1, p.dim)
     rho, _, hess = fields_at_many(p, flat)
     det = np.linalg.det(hess)
@@ -188,14 +157,14 @@ def trace_leaf(p, z0, t_grid, s_grid, cfg=None):
     return LeafTrace(
         base=z0,
         base_rho=base_rho,
-        t_values=common_t,
+        t_values=t_vals,
         s_values=s_vals,
         points=points,
         rho=rho.reshape(nt, ns),
         det_hessian=det.reshape(nt, ns),
         eigenvalues=eig.reshape(nt, ns, p.dim),
         strata=strata.reshape(nt, ns),
-        truncated=truncated,
+        truncated=s_trunc or t_trunc,
         config=cfg,
     )
 

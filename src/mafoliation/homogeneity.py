@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliation import flow_points
+from .foliation import DEFAULT_STEP, flow_points
 from .gradient import DEFAULT_TOL, RealFieldKind, gradient_field
 from .potential import evaluate
 
@@ -226,7 +226,7 @@ def rescale_to_level(p, z, r, tol=1e-14, max_iter=200):
     return 0.5 * (lo + hi) * z
 
 
-def flow_level_map_check(p, r1, r2, boundary_samples, step=1e-3, tol=DEFAULT_TOL):
+def flow_level_map_check(p, r1, r2, boundary_samples, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     """Flow {rho = r1} samples along X for log(r2/r1) and measure the miss.
 
     Returns max |rho(endpoint) - r2| / r2. Samples must lie on {rho = r1}

@@ -72,7 +72,7 @@ def real_grid(dim, per_axis, radius=DEFAULT_BOX):
     if count > MAX_GRID_POINTS:
         raise ValueError(
             f"grid of {per_axis}^{2 * dim} = {count} points exceeds the limit of "
-            f"{MAX_GRID_POINTS} points; use fewer points per axis"
+            f"{MAX_GRID_POINTS} points; use fewer points per axis (burns --grid-n)"
         )
     axes = [np.linspace(-radius, radius, per_axis)] * (2 * dim)
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from mafoliation.cli import bundled_corpus_dir, main
+from mafoliation.cli import _suite_grid_axis, bundled_corpus_dir, main
 from mafoliation.gradient import gradient_field
 from mafoliation.levi import fields_at_many, ma_scan
-from mafoliation.potential import format_potential, parse_potential_file
+from mafoliation.potential import PolyPotential, format_potential, parse_potential_file
+from mafoliation.sampling import MAX_GRID_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,17 @@ def test_trace_weighted_diagnostics_pass(corpus, tmp_path, capsys):
         "abs_detH",
         "stratum",
     }
+
+
+def test_trace_csv_deterministic(corpus, tmp_path, capsys):
+    csvs = []
+    for run in ("r1", "r2"):
+        argv = ["trace", str(corpus / "weighted24.pot"), "--base", "1+0i,1+0i",
+                "--t-nodes", "5", "--s-nodes", "9", "--out", str(tmp_path / run)]
+        assert main(argv) == 0
+        csvs.append((tmp_path / run / "weighted24_trace.csv").read_bytes())
+    capsys.readouterr()
+    assert csvs[0] == csvs[1]
 
 
 def test_trace_from_origin_exit2(corpus, capsys):
@@ -238,6 +250,28 @@ def test_suite_honors_expectation_metadata(tmp_path, capsys, nonma):
     assert "ma_fails" in out and "weights_infeasible" in out
 
 
+def test_suite_grid_axis_fits_the_grid_limit():
+    # today's axis wherever it fits, else the largest axis >= 2 that fits
+    assert [_suite_grid_axis(n) for n in range(1, 6)] == [141, 11, 5, 4, 4]
+    assert _suite_grid_axis(6) == 3
+    assert _suite_grid_axis(8) == 2
+    for n in range(1, 11):
+        assert _suite_grid_axis(n) ** (2 * n) <= MAX_GRID_POINTS
+
+
+def test_suite_burns_on_c6_ball(tmp_path, capsys):
+    n = 6
+    terms = {(e, e): 1 for e in (tuple(int(i == j) for i in range(n)) for j in range(n))}
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ball6.pot").write_text(format_potential(PolyPotential(n, terms)))
+    (corpus / "expect.json").write_text('{"ball6.pot": {"burns": "pass"}}')
+    rc = main(["suite", str(corpus), "--samples", "100", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "burns_verdict" in out
+
+
 def test_suite_flags_wrong_expectation(tmp_path, capsys, nonma):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -324,3 +358,4 @@ def test_burns_default_grid_on_c3_refused(corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "20^6 = 64000000 points exceeds the limit of 1048576" in err
+    assert "burns --grid-n" in err
