@@ -65,6 +65,7 @@ class BurnsReport:
     verdict: bool
     reasons: list
     residuals: GridResiduals | None  # None when a degree gate stops the check
+    grid_size: int  # grid points given to burns_check, skipped ones included
 
     def format(self):
         lines = []
@@ -90,6 +91,9 @@ class BurnsReport:
             f"(threshold {RADIAL_INFO_TOL:.0e} on pass)"
         )
         lines.append(f"min rho on sphere : {self.min_rho_on_sphere:.6g} (threshold > 0)")
+        if self.residuals is not None:
+            skipped = self.grid_size - len(self.residuals.rho)
+            lines.append(f"skipped points    : {skipped} of {self.grid_size} (rho <= {RHO_FLOOR:g})")
         lines.append(f"verdict           : {'pass' if self.verdict else 'fail'}")
         for reason in self.reasons:
             lines.append(f"  - {reason}")
@@ -190,4 +194,5 @@ def burns_check(p, grid_points, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK):
         verdict=not reasons,
         reasons=reasons,
         residuals=residuals,
+        grid_size=len(pts),
     )

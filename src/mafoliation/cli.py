@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import itertools
 import json
 import math
 import sys
@@ -47,6 +49,7 @@ WEIGHT_FIELD_TOL = 1e-8
 RADIAL_TOL = 1e-8
 IFF_TOL = 1e-9
 NON_MA_FLOOR = 1e-3
+_CSV_BLOCK_ROWS = 16_384  # rows joined per write, to bound the memory of one write
 
 
 @dataclass
@@ -74,29 +77,48 @@ def _outcome(name, ok, measured, threshold, t0):
     return CheckOutcome(name, "pass" if ok else "fail", measured, threshold, time.perf_counter() - t0)
 
 
-def _fmt(x):
-    return repr(float(x))
+def _csv_field(text):
+    """text as csv.writer (QUOTE_MINIMAL) writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
-def _write_csv(path, header, rows):
+def _cells(col):
+    """The cell strings of one column, each distinct value formatted once.
+
+    A float ndarray gives repr(float(x)), Python's shortest round-trip form,
+    keyed on the bit pattern because np.unique on floats merges -0.0 with 0.0
+    and collapses NaNs. Any other sequence gives str(x), quoted as csv.writer
+    quotes it.
+    """
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
+        keys, inverse = np.unique(bits, return_inverse=True)
+        text = np.empty(len(keys), dtype=object)
+        text[:] = list(map(repr, keys.view(np.float64).tolist()))
+        return text[inverse]
+    quoted = {v: _csv_field(str(v)) for v in set(col)}
+    return [quoted[v] for v in col]
+
+
+def _write_csv(path, header, *columns):
+    """Write the header and the rows of the equal-length columns (see _cells),
+    byte for byte as csv.writer with lineterminator "\n" would."""
+    lines = map(",".join, zip(*map(_cells, columns)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_csv_field, header)) + "\n")
+        while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _coord_header(dim):
-    cols = []
-    for j in range(dim):
-        cols.extend([f"re_z{j + 1}", f"im_z{j + 1}"])
-    return cols
+    return [f"{part}_z{j + 1}" for j in range(dim) for part in ("re", "im")]
 
 
-def _coord_row(z):
-    out = []
-    for v in z:
-        out.extend([_fmt(v.real), _fmt(v.imag)])
-    return out
+def _coord_columns(points):
+    """The re_z1, im_z1, ... columns of an (N, n) complex array, as rows of a 2-D array."""
+    return np.stack([points.real, points.imag], axis=-1).reshape(len(points), -1).T
 
 
 def _config_from(args):
@@ -184,22 +206,9 @@ def cmd_analyze(args):
         + _coord_header(p.dim)
         + ["rho", "re_detH", "im_detH", "stratum", "ma_residual", "ma_residual_scaled", "euler_residual"]
     )
-    rows = []
-    for i in range(len(pts)):
-        rows.append(
-            [str(i)]
-            + _coord_row(pts[i])
-            + [
-                _fmt(scan.rho[i]),
-                _fmt(scan.det_hessian[i].real),
-                _fmt(scan.det_hessian[i].imag),
-                str(scan.strata[i]),
-                _fmt(raw[i]),
-                _fmt(scaled[i]),
-                _fmt(euler[i]),
-            ]
-        )
-    _write_csv(out_path, header, rows)
+    det = scan.det_hessian
+    _write_csv(out_path, header, range(len(pts)), *_coord_columns(pts), scan.rho, det.real, det.imag, scan.strata,
+               raw, scaled, euler)
 
     total = len(pts)
     print("stratum census:")
@@ -232,19 +241,10 @@ def cmd_trace(args):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / (Path(args.potential).stem + "_trace.csv")
     header = ["t", "s"] + _coord_header(p.dim) + ["rho", "abs_detH", "stratum"]
-    rows = []
-    for it, t in enumerate(trace.t_values):
-        for isx, s in enumerate(trace.s_values):
-            rows.append(
-                [_fmt(t), _fmt(s)]
-                + _coord_row(trace.points[it, isx])
-                + [
-                    _fmt(trace.rho[it, isx]),
-                    _fmt(abs(trace.det_hessian[it, isx])),
-                    str(trace.strata[it, isx]),
-                ]
-            )
-    _write_csv(out_path, header, rows)
+    nt, ns = trace.rho.shape
+    _write_csv(out_path, header, np.repeat(trace.t_values, ns), np.tile(trace.s_values, nt),
+               *_coord_columns(trace.points.reshape(nt * ns, p.dim)), trace.rho.ravel(),
+               np.abs(trace.det_hessian).ravel(), trace.strata.ravel())
     print(f"csv: {out_path}")
     if trace.truncated:
         print("note: trace truncated at the domain/box boundary")
@@ -306,11 +306,7 @@ def cmd_burns(args):
         if res is None:  # a degree gate stopped burns_check before its grid scan
             _, _, res = grid_residuals(p, grid, cfg.tol_rank)
         header = _coord_header(p.dim) + ["rho", "ma_residual", "ma_residual_scaled"]
-        rows = [
-            _coord_row(z) + [_fmt(rho), _fmt(raw), _fmt(scaled)]
-            for z, rho, raw, scaled in zip(res.points, res.rho, res.raw, res.scaled)
-        ]
-        _write_csv(out_path, header, rows)
+        _write_csv(out_path, header, *_coord_columns(res.points), res.rho, res.raw, res.scaled)
         print(f"csv: {out_path}")
     if report.verdict and not (report.radial_field_residual < RADIAL_TOL):
         print(
@@ -399,7 +395,7 @@ def cmd_suite(args):
         expectations = json.loads(expect_path.read_text(encoding="utf-8"))
 
     _print_header(f"suite {directory}", cfg)
-    all_rows = []
+    names, results = [], []
     failed = 0
     for pot_path in pot_files:
         try:
@@ -415,12 +411,14 @@ def cmd_suite(args):
                 f"threshold={oc.threshold:g} [{oc.wall:.2f}s]"
             )
             failed += oc.status == "fail"
-            all_rows.append(
-                [pot_path.name, oc.name, oc.status, _fmt(oc.measured), _fmt(oc.threshold)]
-            )
+            names.append(pot_path.name)
+            results.append(oc)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "suite_summary.csv"
-    _write_csv(out_path, ["potential", "check", "status", "measured", "threshold"], all_rows)
+    _write_csv(out_path, ["potential", "check", "status", "measured", "threshold"], names,
+               [oc.name for oc in results], [oc.status for oc in results],
+               np.array([oc.measured for oc in results], dtype=float),
+               np.array([oc.threshold for oc in results], dtype=float))
     print(f"csv: {out_path}")
     print(f"{'FAILED' if failed else 'OK'}: {failed} failing checks")
     return 1 if failed else 0

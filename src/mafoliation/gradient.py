@@ -5,7 +5,7 @@ On the full-rank stratum this is a direct solve; across degenerate points the
 minimum-norm least-squares solution is used, validated by the achieved system
 residual and by the Euler identity Z(rho) = rho. Every batched Z (gradient_field,
 the analyze scan, the radial gate of burns) comes from the one solve
-``_solve_z``; the scalar gradient_vector stays the fast path of leaf tracing.
+``_solve_z``; the Theta orbit takes the least-squares Z of one point at a time.
 
 Real-field conventions (kappa = 1): the flows below use the standard
 identification of a (1,0)-field with a real field via zdot = V(z):
@@ -113,27 +113,6 @@ def extended_gradient(p, z, tol=DEFAULT_TOL):
     return _sample(z, z_field, LEAST_SQUARES, rho, grad, hess, tol)
 
 
-def gradient_vector(p, z, tol=DEFAULT_TOL):
-    """Z as a bare array, fast path for flow integration.
-
-    Tries the direct solve and falls back to the least-squares extension when
-    the solve fails or leaves a residual. The fallback is extended_gradient's
-    Z bit for bit; an accepted direct solve agrees with it up to rounding
-    (the system then has one solution, but the two solvers round differently).
-    """
-    _, grad, hess = fields_at(p, z)
-    gbar = grad.conj()
-    try:
-        z_field = np.linalg.solve(hess.T, gbar)
-        if np.all(np.isfinite(z_field)):
-            res = np.linalg.norm(hess.T @ z_field - gbar)
-            if res <= tol * max(1.0, np.linalg.norm(gbar)):
-                return z_field
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(hess.T, gbar, rcond=LSTSQ_RCOND)[0]
-
-
 def _solve_z(grad, hess, tol=DEFAULT_TOL):
     """Batched Z from (N, n) gradients and (N, n, n) Hessians: one direct
     solve of H^T Z = conj(grad) for all rows, then a per-row least-squares
@@ -237,15 +216,15 @@ class ThetaOrbitResult:
     max_rho_drift: float
 
 
-def theta_orbit_det_check(
-    p, z0, t_max=5.0, steps=5000, tol=DEFAULT_TOL, tol_rank=DEFAULT_TOL_RANK
-):
+def theta_orbit_det_check(p, z0, t_max=5.0, steps=5000, tol_rank=DEFAULT_TOL_RANK):
     """Integrate zdot = iZ(z) from a degenerate point and track |det H| and rho.
 
     The orbit field is the real vector field i(Z - Zbar); it is tangent to the
     level set of rho, and det H should stay zero along the orbit when it
     starts at a degenerate point. Non-degenerate starting points are reported
-    as skipped rather than failed.
+    as skipped rather than failed. Z is extended_gradient's minimum-norm
+    least-squares solution at every RK4 stage, because the orbit runs on the
+    degenerate stratum, where H is singular and has no direct solve.
     """
     base = levi_data(p, z0, tol_rank)
     if base.rho <= 0:
@@ -264,7 +243,8 @@ def theta_orbit_det_check(
     mult = RealFieldKind.THETA.multiplier
 
     def vel(w):
-        return mult * gradient_vector(p, w, tol)
+        _, grad, hess = fields_at(p, w)
+        return mult * np.linalg.lstsq(hess.T, grad.conj(), rcond=LSTSQ_RCOND)[0]
 
     max_det = abs(base.det_hessian)
     max_drift = 0.0

@@ -4,6 +4,9 @@ The finite-difference Wirtinger oracles here are the independent check for the
 symbolic derivative code: they only ever call ``evaluate``.
 """
 
+import csv
+import io
+
 import numpy as np
 
 from mafoliation import PolyPotential
@@ -54,3 +57,14 @@ def random_hermitian_potential(rng, dim=2, pairs=4, max_exp=2, coeff_scale=3.0):
 def random_points(rng, dim, count, radius=1.5):
     x = rng.uniform(-radius, radius, size=(count, 2 * dim))
     return x[:, 0::2] + 1j * x[:, 1::2]
+
+
+def reference_csv_bytes(header, rows):
+    """CSV bytes written row by row with csv.writer, every float cell as
+    repr(float(x)): the reference for the column-wise CLI writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(c)) if isinstance(c, (float, np.floating)) else c for c in row])
+    return buf.getvalue().encode("utf-8")

@@ -107,3 +107,10 @@ def test_log_growth_random_scalings(square_norm):
     z = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
     lams = [0.5 + 0.3j, 2.0 - 1.0j, 0.1j, 3.0]
     assert log_growth_check(square_norm, 2, z, lams) < 1e-10
+
+
+def test_skipped_points_reported(square_norm):
+    # an odd axis holds the origin, where rho = 0
+    report = burns_check(square_norm, real_grid(2, 5, 1.5))
+    assert len(report.residuals.rho) == 624
+    assert "skipped points    : 1 of 625 (rho <= 1e-12)" in report.format()

@@ -14,7 +14,7 @@ from mafoliation import (
     levi_data,
     theta_orbit_det_check,
 )
-from mafoliation.gradient import RealFieldKind, gradient_vector
+from mafoliation.gradient import RealFieldKind
 from mafoliation.levi import fields_at
 from mafoliation.sampling import sample_domain
 from helpers import random_points
@@ -105,14 +105,6 @@ def test_extended_gradient_flags_inconsistent_system():
     g = extended_gradient(p, [1, 1])
     assert not g.consistent
     assert g.system_residual > 0.1
-
-
-def test_gradient_vector_matches_extended(weighted24):
-    rng = np.random.default_rng(89)
-    for z in sample_domain(weighted24, 50, 1.5, rng, min_rho=1e-3):
-        fast = gradient_vector(weighted24, z)
-        slow = extended_gradient(weighted24, z).Z
-        assert np.allclose(fast, slow, atol=1e-9)
 
 
 def test_gradient_field_batch_matches_pointwise(ma_examples):
