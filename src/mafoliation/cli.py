@@ -38,7 +38,7 @@ from .homogeneity import (
     linear_field_agreement,
     verify_weights,
 )
-from .levi import levi_scan, ma_from_fields, ma_matrix, rank_identity_residual
+from .levi import levi_scan, log_levi_form, ma_from_fields, rank_identity
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
 from .sampling import MAX_GRID_POINTS, real_grid, sample_domain
 
@@ -164,13 +164,10 @@ def _internal_invariants(p, scan, raw_ma, euler_res):
     outcomes.append(_outcome("det_real", det_imag < 1e-10, det_imag, 1e-10, t0))
 
     t0 = time.perf_counter()
-    worst = 0.0
-    subset = scan.points[: min(200, len(scan.points))]
-    for z in subset:
-        rho = p.evaluate(z).real
-        lhs = rank_identity_residual(p, z)
-        rhs = rho ** (p.dim + 1) * np.linalg.det(ma_matrix(p, z)).real
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    rho, grad, hess = scan.rho[:200], scan.grad[:200], scan.hessian[:200]
+    lhs = rank_identity(rho, grad, hess)
+    rhs = rho ** (p.dim + 1) * np.linalg.det(log_levi_form(rho, grad, hess)).real
+    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)), initial=0.0))
     outcomes.append(_outcome("det_lemma", worst < 1e-9, worst, 1e-9, t0))
 
     t0 = time.perf_counter()

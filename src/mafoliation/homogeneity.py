@@ -158,15 +158,12 @@ def verify_weights(p, c, z_samples, lam_samples):
     """
     weights = _weights_array(c)
     pts = np.asarray(z_samples, dtype=complex)
+    base = p.evaluate_many(pts).real
     worst = 0.0
-    for lam in lam_samples:
-        lam = complex(lam)
-        scale = abs(np.exp(lam)) ** 2
-        factors = np.exp(weights * lam)
-        for z in pts:
-            base = evaluate(p, z)
-            moved = evaluate(p, factors * z)
-            worst = max(worst, abs(moved - scale * base) / abs(base))
+    for lam in map(complex, lam_samples):
+        moved = p.evaluate_many(np.exp(weights * lam) * pts).real
+        rel = np.abs(moved - abs(np.exp(lam)) ** 2 * base) / np.abs(base)
+        worst = float(np.max(rel, initial=worst))
     return worst
 
 
@@ -235,7 +232,7 @@ def flow_level_map_check(p, r1, r2, boundary_samples, step=DEFAULT_STEP, tol=DEF
     if r1 <= 0 or r2 <= 0:
         raise ValueError("level values must be positive")
     pts = np.asarray(boundary_samples, dtype=complex)
-    values = np.array([evaluate(p, z) for z in pts])
+    values = p.evaluate_many(pts).real
     off = np.max(np.abs(values - r1)) / r1
     if off > 1e-8:
         raise ValueError(
@@ -243,5 +240,5 @@ def flow_level_map_check(p, r1, r2, boundary_samples, step=DEFAULT_STEP, tol=DEF
         )
     duration = math.log(r2 / r1)
     ends = flow_points(p, pts, duration, RealFieldKind.X, step=step, tol=tol)
-    end_values = np.array([evaluate(p, z) for z in ends])
+    end_values = p.evaluate_many(ends).real
     return float(np.max(np.abs(end_values - r2)) / r2)

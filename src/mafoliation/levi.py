@@ -3,6 +3,10 @@
 Conventions: dd^c is realized as the plain matrix of mixed Wirtinger
 derivatives rho_{mu nubar}; no i/2pi or 1/4 factors are carried. All
 vanishing and positivity statements are unaffected by that choice.
+
+Fields: rho, its gradient and the Hessian come from one batched jet over the
+deduplicated monomials of all three (``fields_at_many``); ``fields_at`` is
+that jet on one row, so every scalar and batched check reads the same numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .potential import PolyPotential, monomial_table
+from .potential import Monomials
 
 DEFAULT_TOL_RANK = 1e-8
 _RHO_FLOOR = 0.0  # stratum assignment needs rho > 0
@@ -63,29 +67,27 @@ def jet(p):
 
 
 class _BatchJet:
-    """One-pass vectorized evaluator for (rho, grad, hessian) on many points.
+    """(rho, grad, hessian) of a potential on an (N, n) point array.
 
-    All jet components share one ``monomial_table`` call so a 20^4 grid scan
-    stays cheap; component results are sliced back out of its rows.
+    The jet components share most of their monomials, so the distinct ones
+    are evaluated once and a single (N, K) @ (K, 1+n+n^2) coefficient product
+    gives every component; rho, grad and hessian are views of that product.
     """
 
     def __init__(self, p):
         j = jet(p)
-        self.dim = p.dim
         packs = [e._pack() for e in (j.rho, *j.grad, *(h for row in j.hessian for h in row))]
-        ends = np.cumsum([len(coeffs) for _, _, coeffs in packs])
-        self.slices = [slice(end - len(pk[2]), end) for end, pk in zip(ends, packs)]
-        self.alphas = np.concatenate([pk[0] for pk in packs], axis=0)
-        self.betas = np.concatenate([pk[1] for pk in packs], axis=0)
-        self.coeffs = [pk[2] for pk in packs]
+        self.dim = p.dim
+        self.monomials = Monomials(p.dim, sorted(set().union(*(m.keys for m, _ in packs))))
+        row = {key: i for i, key in enumerate(self.monomials.keys)}
+        self.coeffs = np.zeros((len(row), len(packs)), dtype=complex)
+        for col, (m, c) in enumerate(packs):
+            self.coeffs[[row[key] for key in m.keys], col] = c
 
-    def __call__(self, pts):
-        dim = self.dim
-        acc = monomial_table(self.alphas, self.betas, np.asarray(pts, dtype=complex))
-        vals = [c @ acc[s] for c, s in zip(self.coeffs, self.slices)]
-        grad = np.stack(vals[1 : 1 + dim], axis=1)
-        hess = np.stack(vals[1 + dim :], axis=1).reshape(-1, dim, dim)
-        return vals[0].real, grad, hess
+    def __call__(self, points):
+        n = self.dim
+        out = self.monomials(np.asarray(points, dtype=complex)).T @ self.coeffs
+        return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
 
 
 @lru_cache(maxsize=64)
@@ -94,23 +96,13 @@ def _batch_jet(p):
 
 
 def fields_at(p, z):
-    """(rho, grad, hessian) at a single point; hessian entries each evaluated
-    from their own symbolic expression (both triangles independently)."""
-    zl = [complex(v) for v in np.asarray(z).ravel()]
-    if len(zl) != p.dim:
-        raise ValueError(f"point has length {len(zl)}, expected {p.dim}")
-    zc = [v.conjugate() for v in zl]
-    j = jet(p)
-    rho = j.rho._evaluate_prepped(zl, zc).real
-    grad = np.array([g._evaluate_prepped(zl, zc) for g in j.grad], dtype=complex)
-    hess = np.array(
-        [
-            [j.hessian[mu][nu]._evaluate_prepped(zl, zc) for nu in range(p.dim)]
-            for mu in range(p.dim)
-        ],
-        dtype=complex,
-    )
-    return rho, grad, hess
+    """(rho, grad, hessian) at a single point (``fields_at_many`` on one row);
+    every Hessian entry comes from its own symbolic expression."""
+    z = np.asarray(z, dtype=complex).ravel()
+    if z.size != p.dim:
+        raise ValueError(f"point has length {z.size}, expected {p.dim}")
+    rho, grad, hess = fields_at_many(p, z[None, :])
+    return float(rho[0]), grad[0], hess[0]
 
 
 def fields_at_many(p, points):
@@ -199,30 +191,36 @@ def ma_scan(p, points):
 
 
 def adjugate(h):
-    """Adjugate via cofactors: H adj(H) = det(H) I, defined for singular H too."""
+    """Adjugate via cofactors over the last two axes: H adj(H) = det(H) I,
+    defined for singular H too. h is one (n, n) matrix or a batch of them."""
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
+    n = h.shape[-1]
     if n == 1:
-        return np.ones((1, 1), dtype=complex)
+        return np.ones_like(h)
     cof = np.empty_like(h)
-    rows = np.arange(n)
+    keep = ~np.eye(n, dtype=bool)
     for i in range(n):
         for jx in range(n):
-            minor = h[np.ix_(rows != i, rows != jx)]
-            cof[i, jx] = (-1) ** (i + jx) * np.linalg.det(minor)
-    return cof.T
+            minor = h[..., keep[i], :][..., keep[jx]]
+            cof[..., i, jx] = (-1) ** (i + jx) * np.linalg.det(minor)
+    return np.swapaxes(cof, -1, -2)
+
+
+def rank_identity(rho, grad, hess):
+    """rho det(H) - gbar^T adj(H) g, which equals rho^(n+1) det U identically.
+
+    rho, grad and hess are one point's scalar, (n,) and (n, n) arrays, or
+    carry the same leading batch axes. Vanishes exactly where the
+    Monge-Ampere residual does, but is defined wherever the derivatives are
+    (no rho > 0 requirement).
+    """
+    quad = grad.conj()[..., None, :] @ (adjugate(hess) @ grad[..., None])
+    return (rho * np.linalg.det(hess) - quad[..., 0, 0]).real
 
 
 def rank_identity_residual(p, z):
-    """rho det(H) - gbar^T adj(H) g, which equals rho^(n+1) det U identically.
-
-    Vanishes exactly where the Monge-Ampere residual does, but is defined
-    wherever the derivatives are (no rho > 0 requirement).
-    """
-    rho, grad, hess = fields_at(p, z)
-    det = np.linalg.det(hess)
-    quad = grad.conj() @ (adjugate(hess) @ grad)
-    return float((rho * det - quad).real)
+    """``rank_identity`` at one point z."""
+    return float(rank_identity(*fields_at(p, z)))
 
 
 def _kernel_basis(v):

@@ -5,6 +5,10 @@ complex coefficient, representing ``sum c[alpha,beta] * z**alpha * zbar**beta``.
 Exponent arithmetic is exact integer arithmetic; only point evaluation rounds.
 Coefficients that become exactly zero are pruned, never epsilon-pruned, so the
 term structure stays exact under differentiation and bidegree splitting.
+
+Every point evaluation goes through ``Monomials``, the one monomial evaluator:
+``PolyExpr.evaluate_many`` is one coefficient product over its table, and
+``PolyExpr.evaluate`` is ``evaluate_many`` on one row.
 """
 
 from __future__ import annotations
@@ -44,25 +48,42 @@ def _normalize_terms(dim, terms):
     return {k: c for k, c in out.items() if c != 0}
 
 
-def monomial_table(alphas, betas, pts):
-    """(terms, N) array of z**alpha * zbar**beta, one row per exponent pair.
-
-    Per-coordinate power tables make each repeated exponent cost one
-    multiplication; this is the one batched evaluator behind
+class Monomials:
+    """The monomials z**alpha * zbar**beta of a fixed, ordered list of
+    exponent pairs ``keys``: the one monomial evaluator of the package, behind
     ``PolyExpr.evaluate_many`` and the batched jet of ``levi``.
+
+    A power table of z and zbar makes each repeated exponent cost one
+    multiplication. A monomial is the product of its factors z1^a1, zbar1^b1,
+    z2^a2, ..., taken left to right, so it is the same number whichever list
+    it sits in.
     """
-    count, dim = pts.shape
-    max_e = int(max(alphas.max(), betas.max())) if len(alphas) else 0
-    pow_z = np.empty((max_e + 1, count, dim), dtype=complex)
-    pow_z[0] = 1.0
-    for e in range(1, max_e + 1):
-        pow_z[e] = pow_z[e - 1] * pts
-    pow_zc = pow_z.conj()
-    acc = np.ones((alphas.shape[0], count), dtype=complex)
-    for j in range(dim):
-        acc *= pow_z[alphas[:, j], :, j]
-        acc *= pow_zc[betas[:, j], :, j]
-    return acc
+
+    __slots__ = ("dim", "keys", "_max_e", "_factors")
+
+    def __init__(self, dim, keys):
+        self.dim = dim
+        self.keys = tuple(keys)
+        exps = np.array([(*a, *b) for a, b in self.keys], dtype=np.intp).reshape(-1, 2 * dim)
+        self._max_e = int(exps.max(initial=0))
+        # (power-table column, exponents) of z1, zbar1, z2, zbar2, ...
+        self._factors = [(c, np.ascontiguousarray(exps[:, c])) for j in range(dim) for c in (j, dim + j)]
+
+    def __call__(self, pts):
+        """(len(keys), N) complex table of the monomials at an (N, n) point array."""
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"expected an (N, {self.dim}) array, got {pts.shape}")
+        base = np.concatenate((pts, pts.conj()), axis=1)
+        powers = np.empty((self._max_e + 1, *base.shape), dtype=complex)
+        powers[0] = 1.0
+        for e in range(1, self._max_e + 1):
+            np.multiply(powers[e - 1], base, out=powers[e])
+        powers = powers.transpose(2, 0, 1)
+        (c, exps), *rest = self._factors
+        acc = powers[c].take(exps, axis=0)
+        for c, exps in rest:
+            acc *= powers[c].take(exps, axis=0)
+        return acc
 
 
 class PolyExpr:
@@ -127,51 +148,25 @@ class PolyExpr:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, z):
-        """Evaluate at a single point, returning a complex number."""
-        z = [complex(v) for v in np.asarray(z).ravel()]
-        if len(z) != self.dim:
-            raise ValueError(f"point has length {len(z)}, expected {self.dim}")
-        return self._evaluate_prepped(z, [v.conjugate() for v in z])
-
-    def _evaluate_prepped(self, z, zc):
-        # hot path for jet evaluation: z, zc are python-complex lists
-        total = 0j
-        for (alpha, beta), coeff in self.terms.items():
-            m = coeff
-            for j in range(self.dim):
-                if alpha[j]:
-                    m *= z[j] ** alpha[j]
-                if beta[j]:
-                    m *= zc[j] ** beta[j]
-            total += m
-        return total
+        """Evaluate at a single point, returning a complex number
+        (``evaluate_many`` on one row)."""
+        z = np.asarray(z, dtype=complex).ravel()
+        if z.size != self.dim:
+            raise ValueError(f"point has length {z.size}, expected {self.dim}")
+        return complex(self.evaluate_many(z[None, :])[0])
 
     def _pack(self):
+        """(Monomials over the sorted term keys, their coefficients), cached."""
         if self._packed is None:
             keys = sorted(self.terms)
-            alphas = np.array([k[0] for k in keys], dtype=np.intp).reshape(
-                len(keys), self.dim
-            )
-            betas = np.array([k[1] for k in keys], dtype=np.intp).reshape(
-                len(keys), self.dim
-            )
             coeffs = np.array([self.terms[k] for k in keys], dtype=complex)
-            self._packed = (alphas, betas, coeffs)
+            self._packed = (Monomials(self.dim, keys), coeffs)
         return self._packed
 
     def evaluate_many(self, points):
-        """Evaluate at an (N, n) array of points, returning an (N,) complex array.
-
-        Monomials come from ``monomial_table``; intended for grid scans.
-        """
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"expected an (N, {self.dim}) array, got {pts.shape}")
-        count = pts.shape[0]
-        if not self.terms or count == 0:
-            return np.zeros(count, dtype=complex)
-        alphas, betas, coeffs = self._pack()
-        return coeffs @ monomial_table(alphas, betas, pts)
+        """Evaluate at an (N, n) array of points, returning an (N,) complex array."""
+        monomials, coeffs = self._pack()
+        return coeffs @ monomials(np.asarray(points, dtype=complex))
 
     # -- Wirtinger derivatives ----------------------------------------------
 

@@ -39,8 +39,11 @@ def sample_domain(
 ):
     """Rejection-sample `count` points with rho > min_rho (and rho < rho_max).
 
-    Deterministic for a given seed/generator state.
+    Deterministic for a given seed/generator state. Raises ValueError for
+    count < 1.
     """
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count} (--samples)")
     rng = np.random.default_rng(rng)
     kept = []
     have = 0
@@ -66,8 +69,10 @@ def sample_domain(
 def real_grid(dim, per_axis, radius=DEFAULT_BOX):
     """Uniform grid over the real 2n-cube: per_axis**(2*dim) complex points.
 
-    Raises ValueError above MAX_GRID_POINTS points.
+    Raises ValueError below 2 points per axis or above MAX_GRID_POINTS points.
     """
+    if per_axis < 2:
+        raise ValueError(f"grid needs at least 2 points per axis, got {per_axis} (burns --grid-n)")
     count = per_axis ** (2 * dim)
     if count > MAX_GRID_POINTS:
         raise ValueError(

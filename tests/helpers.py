@@ -1,7 +1,10 @@
 """Shared oracles and generators for the test suite.
 
-The finite-difference Wirtinger oracles here are the independent check for the
-symbolic derivative code: they only ever call ``evaluate``.
+``reference_evaluate`` is the independent check for the batched monomial
+kernel behind ``evaluate``, ``evaluate_many`` and the jet: a term-by-term
+Python loop that shares no code with it. The finite-difference Wirtinger
+oracles are the independent check for the symbolic derivative code: they
+difference values of ``evaluate`` and never read a derivative.
 """
 
 import csv
@@ -10,6 +13,30 @@ import io
 import numpy as np
 
 from mafoliation import PolyPotential
+from mafoliation.potential import PolyExpr
+
+
+def reference_evaluate(expr, z):
+    """Value of a PolyExpr at one point, term by term in Python complex
+    arithmetic."""
+    z = [complex(v) for v in np.asarray(z).ravel()]
+    zc = [v.conjugate() for v in z]
+    total = 0j
+    for (alpha, beta), coeff in expr.terms.items():
+        m = coeff
+        for j in range(expr.dim):
+            if alpha[j]:
+                m *= z[j] ** alpha[j]
+            if beta[j]:
+                m *= zc[j] ** beta[j]
+        total += m
+    return total
+
+
+def term_scale(expr, z):
+    """Sum over the terms of |coefficient * monomial| at z: the magnitude
+    against which the rounding of a sum of those terms is measured."""
+    return reference_evaluate(PolyExpr(expr.dim, {k: abs(c) for k, c in expr.terms.items()}), np.abs(z)).real
 
 
 def wirtinger_fd(f, z, mu, h=1e-4, anti=False):

@@ -359,3 +359,28 @@ def test_burns_default_grid_on_c3_refused(corpus, tmp_path, capsys):
     assert rc == 2
     assert "20^6 = 64000000 points exceeds the limit of 1048576" in err
     assert "burns --grid-n" in err
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_analyze_samples_below_one_exit2(corpus, tmp_path, capsys, samples):
+    # -5 used to scan 59 points (the first 64-row batch cut at [:-5])
+    rc = main(["analyze", str(corpus / "ball2.pot"), "--samples", samples, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "--samples" in err
+    assert not (tmp_path / "ball2_analyze.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--csv"]])
+@pytest.mark.parametrize("grid_n", ["0", "1"])
+def test_burns_grid_below_two_per_axis_exit2(tmp_path, capsys, grid_n, extra):
+    # |z1|^4 + 3|z1|^2|z2|^2 + |z2|^4 passes every degree gate, so an empty
+    # grid used to reach a verdict on 0 points
+    pot = tmp_path / "homog22.pot"
+    terms = {((2, 0), (2, 0)): 1, ((1, 1), (1, 1)): 3, ((0, 2), (0, 2)): 1}
+    pot.write_text(format_potential(PolyPotential(2, terms)))
+    rc = main(["burns", str(pot), "--grid-n", grid_n, "--out", str(tmp_path), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "burns --grid-n" in captured.err
+    assert "verdict" not in captured.out

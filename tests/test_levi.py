@@ -12,9 +12,12 @@ from mafoliation import (
     rank_identity_residual,
     restricted_levi_eigen,
 )
-from mafoliation.levi import adjugate, ma_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mafoliation.levi import adjugate, fields_at, fields_at_many, jet, ma_matrix, rank_identity
 from mafoliation.sampling import sample_domain
-from helpers import hessian_fd, random_points
+from helpers import hessian_fd, random_hermitian_potential, random_points, reference_evaluate, term_scale
 
 
 def test_levi_data_weighted_at_11(weighted24):
@@ -124,6 +127,21 @@ def test_adjugate_matches_inverse():
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         adj = adjugate(a)
         assert np.allclose(a @ adj, np.linalg.det(a) * np.eye(n), atol=1e-10)
+        batch = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        assert np.array_equal(adjugate(batch), np.array([adjugate(m) for m in batch]))
+
+
+def test_batched_rank_identity_matches_pointwise():
+    rng = np.random.default_rng(61)
+    p = random_hermitian_potential(rng, dim=4, pairs=6, max_exp=2)
+    pts = random_points(rng, 4, 25, radius=1.0)
+    rho, grad, hess = fields_at_many(p, pts)
+    batched = rank_identity(rho, grad, hess)
+    det = np.linalg.det(hess)
+    quad = np.einsum("ni,nij,nj->n", grad.conj(), adjugate(hess), grad)
+    scale = np.maximum(1.0, np.abs(rho * det) + np.abs(quad))
+    for k, z in enumerate(pts):
+        assert abs(batched[k] - rank_identity_residual(p, z)) <= 1e-12 * scale[k]
 
 
 def test_determinant_lemma_equivalence(all_examples):
@@ -209,3 +227,30 @@ def test_hessian_matches_finite_differences(all_examples):
                     ref = scan.hessian[i, mu, nu]
                     fd = hessian_fd(p, z, mu, nu)
                     assert abs(fd - ref) <= 1e-5 * max(1.0, abs(ref))
+
+
+# -- the batched jet against the term-by-term oracle ------------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dim=st.integers(1, 8),
+    pairs=st.integers(1, 6),
+    count=st.sampled_from([0, 1, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jet_matches_term_by_term_oracle(dim, pairs, count, seed):
+    rng = np.random.default_rng(seed)
+    p = random_hermitian_potential(rng, dim=dim, pairs=pairs, max_exp=2)
+    pts = random_points(rng, dim, count, radius=1.0)
+    j = jet(p)
+    comps = [j.rho, *j.grad, *(h for row in j.hessian for h in row)]
+    rho, grad, hess = fields_at_many(p, pts)
+    assert rho.shape == (count,) and grad.shape == (count, dim) and hess.shape == (count, dim, dim)
+    for k, z in enumerate(pts):
+        refs = [reference_evaluate(e, z) for e in comps]
+        refs[0] = refs[0].real
+        tols = [1e-12 * max(1.0, term_scale(e, z)) for e in comps]
+        for r, g, h in ((rho[k], grad[k], hess[k]), fields_at(p, z)):
+            for value, ref, tol in zip([r, *g, *h.ravel()], refs, tols):
+                assert abs(value - ref) <= tol

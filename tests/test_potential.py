@@ -13,7 +13,7 @@ from mafoliation import (
     wirtinger_z,
     wirtinger_zbar,
 )
-from helpers import random_hermitian_potential, random_points, wirtinger_fd
+from helpers import random_hermitian_potential, random_points, reference_evaluate, wirtinger_fd
 
 
 # -- parsing -----------------------------------------------------------------
@@ -90,7 +90,9 @@ def test_evaluate_many_matches_single(quartic_mixed):
     pts = random_points(rng, 2, 40)
     batch = quartic_mixed.evaluate_many(pts)
     singles = np.array([quartic_mixed.evaluate(z) for z in pts])
-    assert np.max(np.abs(batch - singles)) < 1e-12
+    oracle = np.array([reference_evaluate(quartic_mixed, z) for z in pts])
+    assert np.max(np.abs(batch - oracle)) < 1e-12
+    assert np.max(np.abs(singles - oracle)) < 1e-12
 
 
 def test_hermitian_evaluation_is_real(all_examples):
