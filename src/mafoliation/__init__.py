@@ -8,11 +8,9 @@ homogeneous potentials. Ships a CLI (``mafoliation``) for file-driven scans
 with seeded, reproducible output.
 """
 
-from .burns import BurnsReport, burns_check, log_growth_check
+from .burns import burns_check, log_growth_check
 from .foliation import (
     IntegratorConfig,
-    LeafTrace,
-    StratumInvarianceReport,
     flow_point,
     flow_points,
     leaf_log_linearity,
@@ -21,11 +19,8 @@ from .foliation import (
     trace_leaf,
 )
 from .gradient import (
-    CrReport,
-    GradientSample,
     RealFieldKind,
     SingularHessianError,
-    ThetaOrbitResult,
     complex_gradient,
     cr_residual,
     cr_scan,
@@ -35,8 +30,6 @@ from .gradient import (
     theta_orbit_det_check,
 )
 from .homogeneity import (
-    WeightAnalysis,
-    WeightVector,
     analyze_weights,
     default_lambda_samples,
     find_weights,
@@ -46,8 +39,6 @@ from .homogeneity import (
     verify_weights,
 )
 from .levi import (
-    DEFAULT_TOL_RANK,
-    LeviData,
     Stratum,
     levi_data,
     levi_scan,
@@ -73,23 +64,17 @@ from .potential import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BurnsReport",
     "burns_check",
     "log_growth_check",
     "IntegratorConfig",
-    "LeafTrace",
-    "StratumInvarianceReport",
     "flow_point",
     "flow_points",
     "leaf_log_linearity",
     "leaf_stratum_invariance",
     "level_set_invariance",
     "trace_leaf",
-    "CrReport",
-    "GradientSample",
     "RealFieldKind",
     "SingularHessianError",
-    "ThetaOrbitResult",
     "complex_gradient",
     "cr_residual",
     "cr_scan",
@@ -97,8 +82,6 @@ __all__ = [
     "extended_gradient",
     "gradient_field",
     "theta_orbit_det_check",
-    "WeightAnalysis",
-    "WeightVector",
     "analyze_weights",
     "default_lambda_samples",
     "find_weights",
@@ -106,8 +89,6 @@ __all__ = [
     "linear_field_agreement",
     "rescale_to_level",
     "verify_weights",
-    "DEFAULT_TOL_RANK",
-    "LeviData",
     "Stratum",
     "levi_data",
     "levi_scan",

@@ -32,7 +32,7 @@ RHO_FLOOR = 1e-12  # log rho needs rho > 0: grid points at or below are skipped
 
 @dataclass
 class GridResiduals:
-    """|det U| at the grid points with rho > RHO_FLOOR (the rows of burns --csv)."""
+    """|det U| at the points of one grid chunk with rho > RHO_FLOOR (rows of burns --csv)."""
 
     points: np.ndarray
     rho: np.ndarray
@@ -41,8 +41,8 @@ class GridResiduals:
 
 
 def grid_residuals(p, grid_points, tol_rank=DEFAULT_TOL_RANK):
-    """Levi scan of the grid, its rho > RHO_FLOOR mask, and the Monge-Ampere
-    residuals of log rho on the masked points."""
+    """Levi scan of an (M, n) grid chunk, its rho > RHO_FLOOR mask, and the
+    Monge-Ampere residuals of log rho on the masked points."""
     scan = levi_scan(p, grid_points, tol_rank)
     inside = scan.rho > RHO_FLOOR
     raw, scaled = ma_from_fields(scan.rho[inside], scan.grad[inside], scan.hessian[inside], p.dim)
@@ -64,8 +64,12 @@ class BurnsReport:
     min_rho_on_sphere: float
     verdict: bool
     reasons: list
-    residuals: GridResiduals | None  # None when a degree gate stops the check
+    kept_points: int | None  # points with rho > RHO_FLOOR; None when a degree gate stops the check
     grid_size: int  # grid points given to burns_check, skipped ones included
+
+    @property
+    def skipped_points(self):
+        return None if self.kept_points is None else self.grid_size - self.kept_points
 
     def format(self):
         lines = []
@@ -91,9 +95,8 @@ class BurnsReport:
             f"(threshold {RADIAL_INFO_TOL:.0e} on pass)"
         )
         lines.append(f"min rho on sphere : {self.min_rho_on_sphere:.6g} (threshold > 0)")
-        if self.residuals is not None:
-            skipped = self.grid_size - len(self.residuals.rho)
-            lines.append(f"skipped points    : {skipped} of {self.grid_size} (rho <= {RHO_FLOOR:g})")
+        if self.kept_points is not None:
+            lines.append(f"skipped points    : {self.skipped_points} of {self.grid_size} (rho <= {RHO_FLOOR:g})")
         lines.append(f"verdict           : {'pass' if self.verdict else 'fail'}")
         for reason in self.reasons:
             lines.append(f"  - {reason}")
@@ -130,21 +133,63 @@ def _component_identity_residual(p, k, points):
     return worst
 
 
-def burns_check(p, grid_points, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK):
+def _fold(op, acc, value):
+    """Running np.maximum/np.minimum from None; a NaN sticks, as in ndarray.max."""
+    return value if acc is None else op(acc, value)
+
+
+def _scan_grid(p, grid, k, tol_rank, rows):
+    """One pass over the grid chunks. Each chunk's residual rows go to rows
+    (if given); with k set they also fold into the gates' running reductions:
+    max raw |det U|, the first point of max scaled |det U| (a NaN counts as
+    the max, as in np.argmax), the radial max over strictly psh rows, min rho
+    on the sphere, the kept count and the first IDENTITY_SAMPLE_CAP kept
+    points. Reductions over no rows stay None."""
+    raw_max = scaled_max = worst = radial = sphere_min = None
+    kept, sample = 0, [np.empty((0, p.dim), dtype=complex)]
+    for chunk in grid:
+        scan, inside, res = grid_residuals(p, chunk, tol_rank)
+        if rows is not None:
+            rows(res)
+        if k is None:
+            continue
+        if kept < IDENTITY_SAMPLE_CAP:
+            sample.append(res.points[: IDENTITY_SAMPLE_CAP - kept])
+        kept += len(res.rho)
+        if len(res.rho):
+            raw_max = _fold(np.maximum, raw_max, res.raw.max())
+            i = int(np.argmax(res.scaled))
+            value = res.scaled[i]
+            if scaled_max is None or value > scaled_max or (np.isnan(value) and not np.isnan(scaled_max)):
+                scaled_max, worst = value, np.array(res.points[i])
+        p_mask = (scan.strata == Stratum.STRICTLY_PSH) & inside
+        if np.any(p_mask):
+            z_field = _solve_z(scan.grad[p_mask], scan.hessian[p_mask])
+            radial = _fold(np.maximum, radial, np.max(np.linalg.norm(z_field - chunk[p_mask] / k, axis=1)))
+        norms = np.linalg.norm(chunk, axis=1)
+        away = norms > 1e-9
+        if np.any(away):  # rho(z / |z|) = rho(z) / |z|^(2k) on a homogeneous rho
+            sphere_min = _fold(np.minimum, sphere_min, np.min(scan.rho[away] / norms[away] ** (2 * k)))
+    return raw_max, scaled_max, worst, radial, sphere_min, kept, np.concatenate(sample)
+
+
+def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=None):
     """Run every gate on the grid and assemble the verdict.
 
-    grid_points: (N, n) complex array; points with rho <= RHO_FLOOR are
-    skipped for the Monge-Ampere and radial gates (log rho needs rho > 0).
-    Failures are verdicts with reasons, not errors.
+    grid: a RealGrid (sampling.real_grid), read one chunk at a time in a
+    single pass; points with rho <= RHO_FLOOR are skipped for the
+    Monge-Ampere and radial gates (log rho needs rho > 0). rows: optional
+    callable given each chunk's GridResiduals in grid order (the rows of
+    burns --csv), also when a degree gate fails. Failures are verdicts with
+    reasons, not errors.
     """
-    pts = np.asarray(grid_points, dtype=complex)
     masses = {
         key: float(sum(abs(c) for c in comp.terms.values()))
         for key, comp in bidegree_decompose(p).items()
     }
     degree = homogeneous_degree(p)
     nan = float("nan")
-    degree2k = worst_point = residuals = None
+    degree2k = k = worst_point = kept = None
     ma_max_raw = ma_max_scaled = radial = comp_res = min_sphere = nan
     reasons = []
     if degree is None:
@@ -153,24 +198,15 @@ def burns_check(p, grid_points, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK):
         reasons.append(f"homogeneous degree {degree} is odd; no bidegree (k,k) form")
     else:
         degree2k, k = degree, degree // 2
-        scan, inside, residuals = grid_residuals(p, pts, tol_rank)
-        raw, scaled = residuals.raw, residuals.scaled
-        ma_max_raw = float(raw.max()) if len(raw) else 0.0
-        ma_max_scaled = float(scaled.max()) if len(scaled) else 0.0
-        if len(scaled):
-            worst_point = np.array(residuals.points[int(np.argmax(scaled))])
-
-        p_mask = (scan.strata == Stratum.STRICTLY_PSH) & inside
-        if np.any(p_mask):
-            z_field = _solve_z(scan.grad[p_mask], scan.hessian[p_mask])
-            radial = float(np.max(np.linalg.norm(z_field - pts[p_mask] / k, axis=1)))
-
-        comp_res = _component_identity_residual(p, k, residuals.points[:IDENTITY_SAMPLE_CAP])
-
-        norms = np.linalg.norm(pts, axis=1)
-        on_sphere = pts[norms > 1e-9] / norms[norms > 1e-9][:, None]
-        sphere_vals = p.evaluate_many(on_sphere).real
-        min_sphere = float(sphere_vals.min()) if sphere_vals.size else nan
+    if k is not None or rows is not None:
+        folded = _scan_grid(p, grid, k, tol_rank, rows)
+    if k is not None:
+        raw_max, scaled_max, worst_point, radial_max, sphere_min, kept, sample = folded
+        ma_max_raw = 0.0 if raw_max is None else float(raw_max)
+        ma_max_scaled = 0.0 if scaled_max is None else float(scaled_max)
+        radial = nan if radial_max is None else float(radial_max)
+        min_sphere = nan if sphere_min is None else float(sphere_min)
+        comp_res = _component_identity_residual(p, k, sample)
 
         nonkk = {key: v for key, v in masses.items() if key != (k, k)}
         if nonkk:
@@ -193,6 +229,6 @@ def burns_check(p, grid_points, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK):
         min_rho_on_sphere=min_sphere,
         verdict=not reasons,
         reasons=reasons,
-        residuals=residuals,
-        grid_size=len(pts),
+        kept_points=kept,
+        grid_size=len(grid),
     )

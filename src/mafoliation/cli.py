@@ -16,6 +16,7 @@ and configs give byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .burns import burns_check, grid_residuals
+from .burns import burns_check
 from .foliation import DEFAULT_STEP, IntegratorConfig, leaf_log_linearity, leaf_stratum_invariance, level_set_invariance, trace_leaf
 from .gradient import _solve_z
 from .homogeneity import (
@@ -102,12 +103,18 @@ def _cells(col):
     return [quoted[v] for v in col]
 
 
-def _write_csv(path, header, *columns):
-    """Write the header and the rows of the equal-length columns (see _cells),
-    byte for byte as csv.writer with lineterminator "\n" would."""
-    lines = map(",".join, zip(*map(_cells, columns)))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(_csv_field, header)) + "\n")
+def _write_csv(out, header, *columns):
+    """Write the header (unless None) and the rows of the equal-length columns
+    (see _cells), byte for byte as csv.writer with lineterminator "\n" would.
+
+    out is a path, or a text file opened with newline="" that further calls
+    append to (burns --csv writes one call per grid chunk).
+    """
+    opened = contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="", encoding="utf-8")
+    with opened as fh:
+        if header is not None:
+            fh.write(",".join(map(_csv_field, header)) + "\n")
+        lines = map(",".join, zip(*map(_cells, columns)))
         while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
             fh.write("\n".join(block) + "\n")
 
@@ -118,7 +125,7 @@ def _coord_header(dim):
 
 def _coord_columns(points):
     """The re_z1, im_z1, ... columns of an (N, n) complex array, as rows of a 2-D array."""
-    return np.stack([points.real, points.imag], axis=-1).reshape(len(points), -1).T
+    return np.stack([points.real, points.imag], axis=-1).reshape(len(points), 2 * points.shape[1]).T
 
 
 def _config_from(args):
@@ -294,16 +301,22 @@ def cmd_burns(args):
     p = parse_potential_file(args.potential)
     _print_header(f"burns {args.potential}", cfg)
     grid = real_grid(p.dim, args.grid_n, cfg.box_radius)
-    report = burns_check(p, grid, tol=cfg.tol_ma, tol_rank=cfg.tol_rank)
-    print(report.format())
-    if args.csv:
+    if not args.csv:
+        report = burns_check(p, grid, tol=cfg.tol_ma, tol_rank=cfg.tol_rank)
+    else:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         out_path = cfg.out_dir / (Path(args.potential).stem + "_burns.csv")
-        res = report.residuals
-        if res is None:  # a degree gate stopped burns_check before its grid scan
-            _, _, res = grid_residuals(p, grid, cfg.tol_rank)
         header = _coord_header(p.dim) + ["rho", "ma_residual", "ma_residual_scaled"]
-        _write_csv(out_path, header, *_coord_columns(res.points), res.rho, res.raw, res.scaled)
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+
+            def write_rows(res):  # the header goes out with the first chunk
+                nonlocal header
+                _write_csv(fh, header, *_coord_columns(res.points), res.rho, res.raw, res.scaled)
+                header = None
+
+            report = burns_check(p, grid, tol=cfg.tol_ma, tol_rank=cfg.tol_rank, rows=write_rows)
+    print(report.format())
+    if args.csv:
         print(f"csv: {out_path}")
     if report.verdict and not (report.radial_field_residual < RADIAL_TOL):
         print(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,7 +86,12 @@ class _BatchJet:
 
     def __call__(self, points):
         n = self.dim
-        out = self.monomials(np.asarray(points, dtype=complex)).T @ self.coeffs
+        pts = np.asarray(points, dtype=complex)
+        # numpy hands a one-row product to BLAS gemv, whose sums can differ in
+        # the last bit from gemm's; a doubled row stays on gemm, so no row
+        # depends on the size of the batch it is evaluated in
+        table = self.monomials(np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts)
+        out = (table.T @ self.coeffs)[: len(pts)]
         return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
 
 
@@ -257,22 +262,24 @@ class LeviScan:
     rho: np.ndarray
     grad: np.ndarray
     hessian: np.ndarray
-    det_hessian: np.ndarray
     eigenvalues: np.ndarray
     strata: np.ndarray  # (N,) object array of Stratum
+
+    @cached_property
+    def det_hessian(self):
+        """(N,) complex det H, computed on first use (the burns grid never reads it)."""
+        return np.linalg.det(self.hessian)
 
 
 def levi_scan(p, points, tol_rank=DEFAULT_TOL_RANK):
     pts = np.asarray(points, dtype=complex)
     rho, grad, hess = fields_at_many(p, pts)
-    det = np.linalg.det(hess)
     eig = np.linalg.eigvalsh(hess)
     return LeviScan(
         points=pts,
         rho=rho,
         grad=grad,
         hessian=hess,
-        det_hessian=det,
         eigenvalues=eig,
         strata=classify_strata(rho, eig, tol_rank),
     )

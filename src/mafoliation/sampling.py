@@ -7,13 +7,21 @@ rejected. Identical seeds reproduce identical samples.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 DEFAULT_BOX = 1.5
 DEFAULT_MIN_RHO = 1e-12
-# 4x the largest grid the README, tests and benchmark use (8 per axis on C^3);
-# real_grid builds every point up front, so larger grids are refused
+# 4x the largest grid the README, tests and benchmark use (8 per axis on C^3).
+# The grid is streamed (GRID_CHUNK_ROWS), so this bounds time, not memory: a
+# burns check of 2^20 points takes 1-5 s for n = 1..5 (6 s with --csv at
+# n = 2) and peaks under 50 MiB RSS on a 2-core x86-64 box
 MAX_GRID_POINTS = 2**20
+# points per real_grid chunk. On the burns grids of the benchmark and the n = 6
+# suite, peak RSS is 39-60 MiB at 2^12, 45-83 MiB at 2^13 and 57-126 MiB at
+# 2^14 (157-290 MiB and 1.7 GB with whole-grid arrays); time gains stop at 2^12
+GRID_CHUNK_ROWS = 2**12
 
 
 def complex_from_reals(x):
@@ -66,8 +74,32 @@ def sample_domain(
     return np.concatenate(kept, axis=0)[:count]
 
 
+@dataclass(frozen=True)
+class RealGrid:
+    """The per_axis**(2*dim) points of a uniform grid over the real 2n-cube,
+    built on demand: iterating yields (M, dim) complex chunks of at most
+    GRID_CHUNK_ROWS points, in the C order of meshgrid(indexing="ij")."""
+
+    dim: int
+    per_axis: int
+    radius: float
+
+    def __len__(self):
+        return self.per_axis ** (2 * self.dim)
+
+    def __iter__(self):
+        axis = np.linspace(-self.radius, self.radius, self.per_axis)
+        # real coordinate j of flat index i is its base-per_axis digit j
+        place = self.per_axis ** np.arange(2 * self.dim - 1, -1, -1)
+        count, step = len(self), GRID_CHUNK_ROWS
+        for start in range(0, count, step):
+            flat = np.arange(start, min(start + step, count))
+            yield complex_from_reals(axis[flat[:, None] // place % self.per_axis])
+
+
 def real_grid(dim, per_axis, radius=DEFAULT_BOX):
-    """Uniform grid over the real 2n-cube: per_axis**(2*dim) complex points.
+    """Uniform grid over the real 2n-cube: per_axis**(2*dim) complex points,
+    as a RealGrid that yields them chunk by chunk.
 
     Raises ValueError below 2 points per axis or above MAX_GRID_POINTS points.
     """
@@ -79,7 +111,4 @@ def real_grid(dim, per_axis, radius=DEFAULT_BOX):
             f"grid of {per_axis}^{2 * dim} = {count} points exceeds the limit of "
             f"{MAX_GRID_POINTS} points; use fewer points per axis (burns --grid-n)"
         )
-    axes = [np.linspace(-radius, radius, per_axis)] * (2 * dim)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    return complex_from_reals(flat)
+    return RealGrid(dim, per_axis, radius)

@@ -1,7 +1,13 @@
+import dataclasses
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mafoliation import PolyPotential, burns_check, find_weights, log_growth_check
+from mafoliation import PolyPotential, burns, burns_check, find_weights, log_growth_check, sampling
+from mafoliation.cli import bundled_corpus_dir, main
+from mafoliation.potential import parse_potential_file
 from mafoliation.sampling import real_grid
 
 
@@ -112,5 +118,82 @@ def test_log_growth_random_scalings(square_norm):
 def test_skipped_points_reported(square_norm):
     # an odd axis holds the origin, where rho = 0
     report = burns_check(square_norm, real_grid(2, 5, 1.5))
-    assert len(report.residuals.rho) == 624
+    assert (report.kept_points, report.skipped_points) == (624, 1)
     assert "skipped points    : 1 of 625 (rho <= 1e-12)" in report.format()
+
+
+# -- the streamed grid ------------------------------------------------------------
+
+
+def _exact(value):
+    return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+
+def _burns_outputs(name, grid_n, tmp_path):
+    """Every BurnsReport field, and the stdout and CSV sha256 of burns --csv."""
+    pot = bundled_corpus_dir() / f"{name}.pot"
+    report = burns_check(parse_potential_file(pot), real_grid(2, grid_n, 1.5))
+    fields = {f.name: _exact(getattr(report, f.name)) for f in dataclasses.fields(report)}
+    out = tmp_path / str(sampling.GRID_CHUNK_ROWS)
+    rc = main(["burns", str(pot), "--grid-n", str(grid_n), "--csv", "--out", str(out)])
+    digest = hashlib.sha256((out / f"{name}_burns.csv").read_bytes()).hexdigest()
+    return rc, fields, digest
+
+
+# even grids; an odd axis (it holds the origin, where rho = 0); a degree gate
+# fails but --csv still scans the grid. At about 1 ms per chunk, chunk sizes 1
+# and 7 would take minutes on the 160,000 points of square_norm --grid-n 20, so
+# that grid is split at an unaligned size instead.
+@pytest.mark.parametrize(
+    "name, grid_n, sizes",
+    [
+        ("square_norm", 20, (997,)),
+        ("quartic_mixed", 6, (1, 7)),
+        ("quartic_mixed", 5, (1, 7)),
+        ("nonma", 6, (1, 7)),
+    ],
+)
+def test_results_do_not_depend_on_chunk_size(name, grid_n, sizes, tmp_path, capsys, monkeypatch):
+    results = []
+    for size in (sampling.GRID_CHUNK_ROWS, *sizes):
+        monkeypatch.setattr(sampling, "GRID_CHUNK_ROWS", size)
+        rc, fields, digest = _burns_outputs(name, grid_n, tmp_path)
+        stdout = capsys.readouterr().out.replace(str(tmp_path / str(size)), "<out>")
+        results.append((rc, fields, stdout, digest))
+    assert results[0][0] == 0
+    for other in results[1:]:
+        assert other == results[0]
+
+
+def test_real_grid_chunks_follow_meshgrid_order(monkeypatch):
+    monkeypatch.setattr(sampling, "GRID_CHUNK_ROWS", 7)
+    grid = real_grid(2, 3, 1.5)
+    chunks = list(grid)
+    assert len(grid) == 81 and [len(c) for c in chunks] == [7] * 11 + [4]
+    axes = np.meshgrid(*[np.linspace(-1.5, 1.5, 3)] * 4, indexing="ij")
+    flat = np.stack([a.ravel() for a in axes], axis=-1)
+    np.testing.assert_array_equal(np.concatenate(chunks), flat[:, 0::2] + 1j * flat[:, 1::2])
+
+
+def test_identity_sample_is_the_first_kept_points(square_norm, monkeypatch):
+    seen = []
+    monkeypatch.setattr(burns, "_component_identity_residual", lambda p, k, points: seen.append(points) or 0.0)
+    monkeypatch.setattr(sampling, "GRID_CHUNK_ROWS", 999)
+    grid = real_grid(2, 11, 1.5)  # 14,641 points; rho vanishes only at the origin
+    burns_check(square_norm, grid)
+    pts = np.concatenate(list(grid))
+    kept = pts[np.any(pts != 0, axis=1)]
+    np.testing.assert_array_equal(seen[0], kept[: burns.IDENTITY_SAMPLE_CAP])
+
+
+def test_burns_check_memory_is_bounded(ball3):
+    # 8^6 = 262,144 points; the whole-grid arrays took about 290 MB RSS
+    grid = real_grid(3, 8, 1.5)
+    tracemalloc.start()
+    try:
+        report = burns_check(ball3, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict and report.kept_points == len(grid)
+    assert peak < 64 * 2**20

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,10 +267,16 @@ def test_suite_burns_on_c6_ball(tmp_path, capsys):
     corpus.mkdir()
     (corpus / "ball6.pot").write_text(format_potential(PolyPotential(n, terms)))
     (corpus / "expect.json").write_text('{"ball6.pot": {"burns": "pass"}}')
-    rc = main(["suite", str(corpus), "--samples", "100", "--out", str(tmp_path)])
+    tracemalloc.start()
+    try:
+        rc = main(["suite", str(corpus), "--samples", "100", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     out = capsys.readouterr().out
     assert rc == 0
     assert "burns_verdict" in out
+    assert peak < 200 * 10**6  # 3^12 grid points, streamed in chunks
 
 
 def test_suite_flags_wrong_expectation(tmp_path, capsys, nonma):

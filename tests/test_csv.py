@@ -67,7 +67,8 @@ def test_burns_csv_bytes_match_row_writer(corpus, tmp_path, capsys, name):
     pot = corpus / f"{name}.pot"
     assert main(["burns", str(pot), "--grid-n", "10", "--csv", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    _, _, res = grid_residuals(parse_potential_file(pot), real_grid(2, 10, 1.5))
+    grid = np.concatenate(list(real_grid(2, 10, 1.5)))
+    _, _, res = grid_residuals(parse_potential_file(pot), grid)
     rows = [_coords(z) + [rho, raw, scaled] for z, rho, raw, scaled in zip(res.points, res.rho, res.raw, res.scaled)]
     header = COORDS2 + ["rho", "ma_residual", "ma_residual_scaled"]
     assert (tmp_path / f"{name}_burns.csv").read_bytes() == reference_csv_bytes(header, rows)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mafoliation.levi import adjugate, fields_at, fields_at_many, jet, ma_matrix, rank_identity
-from mafoliation.sampling import sample_domain
+from mafoliation.sampling import real_grid, sample_domain
 from helpers import hessian_fd, random_hermitian_potential, random_points, reference_evaluate, term_scale
 
 
@@ -254,3 +254,15 @@ def test_jet_matches_term_by_term_oracle(dim, pairs, count, seed):
         for r, g, h in ((rho[k], grad[k], hess[k]), fields_at(p, z)):
             for value, ref, tol in zip([r, *g, *h.ravel()], refs, tols):
                 assert abs(value - ref) <= tol
+
+
+def test_jet_row_does_not_depend_on_batch_size(quartic_mixed):
+    # numpy sends a one-row product to BLAS gemv; on this grid gemv's sums
+    # differ from gemm's in the last bit at about 800 entries
+    pts = np.concatenate(list(real_grid(2, 6, 1.5)))
+    batch = fields_at_many(quartic_mixed, pts)
+    for size in (1, 2, 7):
+        for start in range(0, len(pts), size):
+            part = fields_at_many(quartic_mixed, pts[start : start + size])
+            for got, want in zip(part, batch):
+                assert got.tobytes() == want[start : start + size].tobytes()
