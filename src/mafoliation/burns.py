@@ -2,15 +2,13 @@
 
 For a positive homogeneous polynomial rho of degree 2k whose log is
 plurisubharmonic and Monge-Ampere, the bidegree decomposition must be
-supported on the single component (k, k), the gradient field is radial
-(Z = w/k), and the per-component derivative identities
-
-    rho^{l,m}_abar = sum_mu (w^mu / k) rho^{l,m}_{mu abar}   (l, m >= 1)
-    rho^{0,2k}_abar = 0
-
-hold identically. The checker evaluates all of these on a grid and combines
-them into a verdict; counterexamples fail with the offending evidence
-located, never silently.
+supported on the single component (k, k), and the gradient field is radial
+(Z = w/k). burns_check passes rho iff it is homogeneous of even degree 2k,
+has no bidegree mass outside (k, k) and its max scaled |det U| on the grid
+is at most tol; counterexamples fail with the offending evidence located.
+A pass must also have max ||Z - w/k|| < RADIAL_TOL on the strictly psh grid
+points; if not, the report's internal_failure names a code bug, which burns
+and suite both report. Min rho on the unit sphere is reported, not gated.
 """
 
 from __future__ import annotations
@@ -21,13 +19,9 @@ import numpy as np
 
 from .gradient import _solve_z
 from .homogeneity import verify_weights
-from .levi import DEFAULT_TOL_RANK, Stratum, levi_scan, ma_from_fields
+from .levi import Stratum, levi_scan, ma_from_fields
 from .potential import bidegree_decompose, homogeneous_degree
-
-VERDICT_MA_TOL = 1e-8  # homogeneous MA examples satisfy the equation exactly
-RADIAL_INFO_TOL = 1e-8  # expected scale of the radial/identity residuals on a pass
-IDENTITY_SAMPLE_CAP = 5000  # polynomial identities need points, not extremes
-RHO_FLOOR = 1e-12  # log rho needs rho > 0: grid points at or below are skipped
+from .thresholds import DEFAULT_TOL_RANK, RADIAL_TOL, RHO_FLOOR, SPHERE_MIN_NORM, VERDICT_MA_TOL
 
 
 @dataclass
@@ -57,13 +51,14 @@ class BurnsReport:
     is_homogeneous: bool
     ma_max_residual: float
     ma_max_scaled: float
+    ma_tol: float  # the threshold the Monge-Ampere gate applied
     worst_ma_point: np.ndarray | None
     bidegree_mass: dict
     radial_field_residual: float
-    component_identity_residual: float
     min_rho_on_sphere: float
     verdict: bool
     reasons: list
+    internal_failure: str | None  # a passing verdict whose radial invariant fails
     kept_points: int | None  # points with rho > RHO_FLOOR; None when a degree gate stops the check
     grid_size: int  # grid points given to burns_check, skipped ones included
 
@@ -81,18 +76,14 @@ class BurnsReport:
         lines.append(f"bidegree mass     : {mass}")
         lines.append(
             f"max |det U|       : {self.ma_max_residual:.3e} "
-            f"(scaled {self.ma_max_scaled:.3e}, threshold {VERDICT_MA_TOL:.0e})"
+            f"(scaled {self.ma_max_scaled:.3e}, threshold {self.ma_tol:.0e})"
         )
         if self.worst_ma_point is not None:
             coords = ", ".join(f"{c:.6g}" for c in self.worst_ma_point)
             lines.append(f"worst grid point  : ({coords})")
         lines.append(
             f"radial residual   : {self.radial_field_residual:.3e} "
-            f"(max ||Z - w/k||, threshold {RADIAL_INFO_TOL:.0e} on pass)"
-        )
-        lines.append(
-            f"component identity: {self.component_identity_residual:.3e} "
-            f"(threshold {RADIAL_INFO_TOL:.0e} on pass)"
+            f"(max ||Z - w/k||, threshold {RADIAL_TOL:.0e} on pass)"
         )
         lines.append(f"min rho on sphere : {self.min_rho_on_sphere:.6g} (threshold > 0)")
         if self.kept_points is not None:
@@ -110,29 +101,6 @@ def log_growth_check(p, k, z_samples, lam_samples):
     return verify_weights(p, weights, z_samples, [k * np.log(complex(lam)) for lam in lam_samples])
 
 
-def _component_identity_residual(p, k, points):
-    """Max violation of the per-component derivative identities on the grid."""
-    comps = bidegree_decompose(p)
-    deg = 2 * k
-    worst = 0.0
-    for (l, m), comp in comps.items():
-        for alpha in range(p.dim):
-            lhs = comp.diff_zbar(alpha)
-            if l == 0 or (l, m) == (deg, 0):
-                # these components must have vanishing zbar-derivative outright
-                vals = np.abs(lhs.evaluate_many(points))
-                if vals.size:
-                    worst = max(worst, float(vals.max()))
-                continue
-            rhs = np.zeros(points.shape[0], dtype=complex)
-            for mu in range(p.dim):
-                rhs += points[:, mu] / k * lhs.diff_z(mu).evaluate_many(points)
-            res = np.abs(lhs.evaluate_many(points) - rhs)
-            if res.size:
-                worst = max(worst, float(res.max()))
-    return worst
-
-
 def _fold(op, acc, value):
     """Running np.maximum/np.minimum from None; a NaN sticks, as in ndarray.max."""
     return value if acc is None else op(acc, value)
@@ -143,18 +111,15 @@ def _scan_grid(p, grid, k, tol_rank, rows):
     (if given); with k set they also fold into the gates' running reductions:
     max raw |det U|, the first point of max scaled |det U| (a NaN counts as
     the max, as in np.argmax), the radial max over strictly psh rows, min rho
-    on the sphere, the kept count and the first IDENTITY_SAMPLE_CAP kept
-    points. Reductions over no rows stay None."""
+    on the sphere and the kept count. Reductions over no rows stay None."""
     raw_max = scaled_max = worst = radial = sphere_min = None
-    kept, sample = 0, [np.empty((0, p.dim), dtype=complex)]
+    kept = 0
     for chunk in grid:
         scan, inside, res = grid_residuals(p, chunk, tol_rank)
         if rows is not None:
             rows(res)
         if k is None:
             continue
-        if kept < IDENTITY_SAMPLE_CAP:
-            sample.append(res.points[: IDENTITY_SAMPLE_CAP - kept])
         kept += len(res.rho)
         if len(res.rho):
             raw_max = _fold(np.maximum, raw_max, res.raw.max())
@@ -167,10 +132,10 @@ def _scan_grid(p, grid, k, tol_rank, rows):
             z_field = _solve_z(scan.grad[p_mask], scan.hessian[p_mask])
             radial = _fold(np.maximum, radial, np.max(np.linalg.norm(z_field - chunk[p_mask] / k, axis=1)))
         norms = np.linalg.norm(chunk, axis=1)
-        away = norms > 1e-9
+        away = norms > SPHERE_MIN_NORM
         if np.any(away):  # rho(z / |z|) = rho(z) / |z|^(2k) on a homogeneous rho
             sphere_min = _fold(np.minimum, sphere_min, np.min(scan.rho[away] / norms[away] ** (2 * k)))
-    return raw_max, scaled_max, worst, radial, sphere_min, kept, np.concatenate(sample)
+    return raw_max, scaled_max, worst, radial, sphere_min, kept
 
 
 def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=None):
@@ -178,10 +143,10 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
 
     grid: a RealGrid (sampling.real_grid), read one chunk at a time in a
     single pass; points with rho <= RHO_FLOOR are skipped for the
-    Monge-Ampere and radial gates (log rho needs rho > 0). rows: optional
-    callable given each chunk's GridResiduals in grid order (the rows of
-    burns --csv), also when a degree gate fails. Failures are verdicts with
-    reasons, not errors.
+    Monge-Ampere gate and the radial invariant (log rho needs rho > 0).
+    rows: optional callable given each chunk's GridResiduals in grid order
+    (the rows of burns --csv), also when a degree gate fails. Failures are
+    verdicts with reasons, not errors.
     """
     masses = {
         key: float(sum(abs(c) for c in comp.terms.values()))
@@ -189,8 +154,8 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
     }
     degree = homogeneous_degree(p)
     nan = float("nan")
-    degree2k = k = worst_point = kept = None
-    ma_max_raw = ma_max_scaled = radial = comp_res = min_sphere = nan
+    degree2k = k = worst_point = kept = internal = None
+    ma_max_raw = ma_max_scaled = radial = min_sphere = nan
     reasons = []
     if degree is None:
         reasons.append("not homogeneous: mixed total degrees")
@@ -201,12 +166,11 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
     if k is not None or rows is not None:
         folded = _scan_grid(p, grid, k, tol_rank, rows)
     if k is not None:
-        raw_max, scaled_max, worst_point, radial_max, sphere_min, kept, sample = folded
+        raw_max, scaled_max, worst_point, radial_max, sphere_min, kept = folded
         ma_max_raw = 0.0 if raw_max is None else float(raw_max)
         ma_max_scaled = 0.0 if scaled_max is None else float(scaled_max)
         radial = nan if radial_max is None else float(radial_max)
         min_sphere = nan if sphere_min is None else float(sphere_min)
-        comp_res = _component_identity_residual(p, k, sample)
 
         nonkk = {key: v for key, v in masses.items() if key != (k, k)}
         if nonkk:
@@ -217,18 +181,21 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
             reasons.append(
                 f"scaled Monge-Ampere residual {ma_max_scaled:.3e} > {tol:.0e} at ({coords})"
             )
+        if not reasons and not radial < RADIAL_TOL:
+            internal = f"verdict passes but radial residual {radial:.3e} >= {RADIAL_TOL:g}"
     return BurnsReport(
         degree2k=degree2k,
         is_homogeneous=degree is not None,
         ma_max_residual=ma_max_raw,
         ma_max_scaled=ma_max_scaled,
+        ma_tol=tol,
         worst_ma_point=worst_point,
         bidegree_mass=masses,
         radial_field_residual=radial,
-        component_identity_residual=comp_res,
         min_rho_on_sphere=min_sphere,
         verdict=not reasons,
         reasons=reasons,
+        internal_failure=internal,
         kept_points=kept,
         grid_size=len(grid),
     )

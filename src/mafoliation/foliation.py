@@ -21,19 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradient import DEFAULT_TOL, RealFieldKind, gradient_field
-from .levi import DEFAULT_TOL_RANK, Stratum, classify_strata, fields_at_many
-
-DEFAULT_STEP = 1e-2
+from .gradient import RealFieldKind, gradient_field
+from .levi import Stratum, classify_strata, fields_at_many
+from .thresholds import DEFAULT_STEP, DEFAULT_TOL_RANK, RHO_FLOOR
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     step: float = DEFAULT_STEP
-    tol: float = DEFAULT_TOL
     tol_rank: float = DEFAULT_TOL_RANK
     box_radius: float = math.inf   # truncate when any |Re|, |Im| exceeds this
-    min_rho: float = 1e-12         # truncate when rho drops to this
 
 
 def rk4_segment(vel, z, duration, step):
@@ -56,17 +53,17 @@ def rk4_segment(vel, z, duration, step):
     return z
 
 
-def flow_point(p, z, time, kind=RealFieldKind.X, step=DEFAULT_STEP, tol=DEFAULT_TOL):
+def flow_point(p, z, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
     """Flow a single point for `time` along the given real field."""
-    return flow_points(p, np.asarray(z, dtype=complex).reshape(1, -1), time, kind, step, tol)[0]
+    return flow_points(p, np.asarray(z, dtype=complex).reshape(1, -1), time, kind, step)[0]
 
 
-def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP, tol=DEFAULT_TOL):
+def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
     """Flow an (N, n) batch of points simultaneously (one solve per RK4 stage)."""
     mult = kind.multiplier
 
     def vel(w):
-        return mult * gradient_field(p, w, tol)
+        return mult * gradient_field(p, w)
 
     return rk4_segment(vel, points, time, step)
 
@@ -94,8 +91,8 @@ class LeafTrace:
 
 
 def _node_ok(z, rho, cfg):
-    """Row mask of an (N, n) batch: finite, above the rho floor, inside the box."""
-    ok = np.all(np.isfinite(z), axis=1) & (rho > cfg.min_rho)
+    """Row mask of an (N, n) batch: finite, above RHO_FLOOR, inside the box."""
+    ok = np.all(np.isfinite(z), axis=1) & (rho > RHO_FLOOR)
     if cfg.box_radius != math.inf:
         ok &= np.max(np.maximum(np.abs(z.real), np.abs(z.imag)), axis=1) <= cfg.box_radius
     return ok
@@ -116,7 +113,7 @@ def _sweep(p, z0, values, kind, cfg):
     for direction in (values[values >= 0], values[values < 0][::-1]):
         z, prev = z0, 0.0
         for v in direction:
-            z = flow_points(p, z, v - prev, kind, cfg.step, cfg.tol)
+            z = flow_points(p, z, v - prev, kind, cfg.step)
             prev = v
             if not np.all(_node_ok(z, p.evaluate_many(z).real, cfg)):
                 truncated = True
@@ -196,16 +193,15 @@ class StratumInvarianceReport:
     violations: list = field(default_factory=list)  # (it, is, stratum, |det H|)
 
 
-def leaf_stratum_invariance(trace, tol=None):
+def leaf_stratum_invariance(trace):
     """Check that every node shares the base node's stratum.
 
-    Strata are re-derived from the stored eigenvalue spectra with the given
-    rank tolerance (defaults to the trace's own).
+    Strata are re-derived from the stored eigenvalue spectra with the trace's
+    own rank tolerance.
     """
-    tol = trace.config.tol_rank if tol is None else tol
     it0 = int(np.argmin(np.abs(trace.t_values)))
     is0 = int(np.argmin(np.abs(trace.s_values)))
-    strata = classify_strata(trace.rho, trace.eigenvalues, tol)
+    strata = classify_strata(trace.rho, trace.eigenvalues, trace.config.tol_rank)
     base = strata[it0, is0]
     violations = [
         (int(it), int(isx), strata[it, isx], float(abs(trace.det_hessian[it, isx])))

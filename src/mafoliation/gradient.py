@@ -24,20 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .levi import (
-    DEFAULT_TOL_RANK,
-    Stratum,
-    fields_at,
-    fields_at_many,
-    levi_data,
-)
-
-DEFAULT_TOL = 1e-8
-# SVD cutoff for the minimum-norm solve. Deliberately near machine scale and
-# decoupled from the inconsistency tolerance: a hard threshold at 1e-8 would
-# zero out consistent small-singular-value directions near the degenerate set
-# and create O(|z|) jumps in the extended field.
-LSTSQ_RCOND = 1e-12
+from .levi import Stratum, fields_at, fields_at_many, levi_data
+from .thresholds import LSTSQ_RCOND, Z_SOLVE_TOL
 
 DIRECT_SOLVE = "direct-solve"
 LEAST_SQUARES = "least-squares-extension"
@@ -86,10 +74,10 @@ def _sample(z, z_field, method, rho, grad, hess, tol=np.inf):
     )
 
 
-def complex_gradient(p, z, tol_rank=DEFAULT_TOL_RANK):
+def complex_gradient(p, z):
     """Direct solve of H^T Z = conj(grad); requires the point to be in the
-    full-rank stratum under tol_rank."""
-    ld = levi_data(p, z, tol_rank)
+    full-rank stratum under DEFAULT_TOL_RANK."""
+    ld = levi_data(p, z)
     if ld.stratum is Stratum.OUTSIDE_DOMAIN:
         raise ValueError(f"rho(z) = {ld.rho} <= 0; outside the domain")
     if ld.stratum is not Stratum.STRICTLY_PSH:
@@ -100,20 +88,20 @@ def complex_gradient(p, z, tol_rank=DEFAULT_TOL_RANK):
     return _sample(z, z_field, DIRECT_SOLVE, ld.rho, ld.grad, ld.hessian)
 
 
-def extended_gradient(p, z, tol=DEFAULT_TOL):
+def extended_gradient(p, z):
     """Minimum-norm least-squares Z across the degenerate set. Requires rho > 0.
 
     The sample is flagged inconsistent when the achieved system residual
-    exceeds tol * max(1, ||conj(grad)||).
+    exceeds Z_SOLVE_TOL * max(1, ||conj(grad)||).
     """
     rho, grad, hess = fields_at(p, z)
     if rho <= 0:
         raise ValueError(f"rho(z) = {rho} <= 0; outside the domain")
     z_field = np.linalg.lstsq(hess.T, grad.conj(), rcond=LSTSQ_RCOND)[0]
-    return _sample(z, z_field, LEAST_SQUARES, rho, grad, hess, tol)
+    return _sample(z, z_field, LEAST_SQUARES, rho, grad, hess, Z_SOLVE_TOL)
 
 
-def _solve_z(grad, hess, tol=DEFAULT_TOL):
+def _solve_z(grad, hess):
     """Batched Z from (N, n) gradients and (N, n, n) Hessians: one direct
     solve of H^T Z = conj(grad) for all rows, then a per-row least-squares
     fallback on singular, inconsistent or non-finite rows."""
@@ -131,17 +119,17 @@ def _solve_z(grad, hess, tol=DEFAULT_TOL):
         except np.linalg.LinAlgError:
             bad[:] = True
     res = np.linalg.norm(np.einsum("nji,nj->ni", hess, out) - gbar, axis=1)
-    bad |= ~(res <= tol * np.maximum(1.0, np.linalg.norm(gbar, axis=1)))
+    bad |= ~(res <= Z_SOLVE_TOL * np.maximum(1.0, np.linalg.norm(gbar, axis=1)))
     for i in np.nonzero(bad)[0]:
         out[i] = np.linalg.lstsq(ht[i], gbar[i], rcond=LSTSQ_RCOND)[0]
     return out
 
 
-def gradient_field(p, points, tol=DEFAULT_TOL):
+def gradient_field(p, points):
     """Batched Z over an (N, n) array; per-row least-squares fallback on
     singular or inconsistent rows."""
     _, grad, hess = fields_at_many(p, np.asarray(points, dtype=complex))
-    return _solve_z(grad, hess, tol)
+    return _solve_z(grad, hess)
 
 
 def euler_residual_scan(p, samples):
@@ -164,20 +152,21 @@ class CrReport:
     mixed_stratum_points: list = field(default_factory=list)
 
 
-def cr_scan(p, samples, h=1e-4, tol=DEFAULT_TOL, tol_rank=DEFAULT_TOL_RANK):
+def cr_scan(p, samples):
     """Central-difference estimate of the antiholomorphic derivatives of Z.
 
     Stencil points are always evaluated with the extended gradient; samples
     whose stencil crosses into a different stratum are recorded (flagged, not
     fatal). Stencil points must stay inside {rho > 0}.
     """
+    h = 1e-4  # central-difference step
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim == 1:
         samples = samples[None, :]
     n = p.dim
     report = CrReport(max_residual=0.0, worst_point=None)
     for zpt in samples:
-        base_stratum = levi_data(p, zpt, tol_rank).stratum
+        base_stratum = levi_data(p, zpt).stratum
         mixed = False
         worst_here = 0.0
         for nu in range(n):
@@ -186,8 +175,8 @@ def cr_scan(p, samples, h=1e-4, tol=DEFAULT_TOL, tol_rank=DEFAULT_TOL_RANK):
             vals = {}
             for tag, delta in (("xp", h), ("xm", -h), ("yp", 1j * h), ("ym", -1j * h)):
                 w = zpt + delta * e_nu
-                vals[tag] = extended_gradient(p, w, tol).Z
-                if levi_data(p, w, tol_rank).stratum is not base_stratum:
+                vals[tag] = extended_gradient(p, w).Z
+                if levi_data(p, w).stratum is not base_stratum:
                     mixed = True
             dx = (vals["xp"] - vals["xm"]) / (2 * h)
             dy = (vals["yp"] - vals["ym"]) / (2 * h)
@@ -201,9 +190,9 @@ def cr_scan(p, samples, h=1e-4, tol=DEFAULT_TOL, tol_rank=DEFAULT_TOL_RANK):
     return report
 
 
-def cr_residual(p, samples, h=1e-4, tol=DEFAULT_TOL):
+def cr_residual(p, samples):
     """Max over samples, components and directions of the estimated d Z / d zbar."""
-    return cr_scan(p, samples, h=h, tol=tol).max_residual
+    return cr_scan(p, samples).max_residual
 
 
 @dataclass
@@ -216,7 +205,7 @@ class ThetaOrbitResult:
     max_rho_drift: float
 
 
-def theta_orbit_det_check(p, z0, t_max=5.0, steps=5000, tol_rank=DEFAULT_TOL_RANK):
+def theta_orbit_det_check(p, z0, t_max=5.0, steps=5000):
     """Integrate zdot = iZ(z) from a degenerate point and track |det H| and rho.
 
     The orbit field is the real vector field i(Z - Zbar); it is tangent to the
@@ -226,7 +215,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=5000, tol_rank=DEFAULT_TOL_RAN
     least-squares solution at every RK4 stage, because the orbit runs on the
     degenerate stratum, where H is singular and has no direct solve.
     """
-    base = levi_data(p, z0, tol_rank)
+    base = levi_data(p, z0)
     if base.rho <= 0:
         raise ValueError(f"rho(z0) = {base.rho} <= 0; outside the domain")
     if base.stratum is Stratum.STRICTLY_PSH:

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foliation import DEFAULT_STEP, flow_points
-from .gradient import DEFAULT_TOL, RealFieldKind, gradient_field
+from .foliation import flow_points
+from .gradient import RealFieldKind, gradient_field
 from .potential import evaluate
-
-FEASIBLE_TOL = 1e-9
+from .thresholds import DEFAULT_STEP, FEASIBLE_TOL, LEVEL_BISECT_TOL, LEVEL_SET_TOL
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ def _lstsq_residual(rows):
     return sol, float(np.max(np.abs(a @ sol - rhs)))
 
 
-def _minimal_inconsistent_subset(equations, dim, tol):
+def _minimal_inconsistent_subset(equations, dim):
     """Smallest inconsistent equation subset by brute force (desk scale).
 
     An inconsistent system has an irreducible inconsistent subsystem of at
@@ -91,12 +90,12 @@ def _minimal_inconsistent_subset(equations, dim, tol):
     for size in range(2, min(m, dim + 1) + 1):
         for combo in itertools.combinations(range(m), size):
             _, res = _lstsq_residual([rows[i] for i in combo])
-            if res > tol:
+            if res > FEASIBLE_TOL:
                 return tuple(equations[i] for i in combo)
     return equations
 
 
-def analyze_weights(p, tol=FEASIBLE_TOL):
+def analyze_weights(p):
     """Solve the weight feasibility system and report the full diagnosis.
 
     Feasible underdetermined systems return the minimum-norm solution with
@@ -117,14 +116,14 @@ def analyze_weights(p, tol=FEASIBLE_TOL):
     rhs = np.ones(a.shape[0])
     sol = np.linalg.lstsq(a, rhs, rcond=None)[0]
     residual = float(np.max(np.abs(a @ sol - rhs)))
-    if residual > tol:
+    if residual > FEASIBLE_TOL:
         return WeightAnalysis(
             status="infeasible",
             weights=None,
             unique=False,
             residual=residual,
             equations=equations,
-            inconsistent_subset=_minimal_inconsistent_subset(equations, p.dim, tol),
+            inconsistent_subset=_minimal_inconsistent_subset(equations, p.dim),
         )
     unique = int(np.linalg.matrix_rank(a)) == p.dim
     status = "ok" if bool(np.all(sol > 0)) else "not_positive"
@@ -181,15 +180,15 @@ def default_lambda_samples():
     )
 
 
-def linear_field_agreement(p, c, z_samples, tol=DEFAULT_TOL):
+def linear_field_agreement(p, c, z_samples):
     """Max ||Z(z) - c * z|| over the samples (the linear orbit field)."""
     weights = _weights_array(c)
     pts = np.asarray(z_samples, dtype=complex)
-    z_field = gradient_field(p, pts, tol)
+    z_field = gradient_field(p, pts)
     return float(np.max(np.linalg.norm(z_field - weights * pts, axis=1)))
 
 
-def rescale_to_level(p, z, r, tol=1e-14, max_iter=200):
+def rescale_to_level(p, z, r):
     """Positive real s with rho(s z) = r, found by bracketing and bisection."""
     z = np.asarray(z, dtype=complex).ravel()
     if evaluate(p, z) <= 0:
@@ -211,10 +210,10 @@ def rescale_to_level(p, z, r, tol=1e-14, max_iter=200):
         lo /= 2.0
     else:
         raise ValueError("could not bracket the level set from below")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = val(mid)
-        if abs(v) <= tol * max(1.0, r):
+        if abs(v) <= LEVEL_BISECT_TOL * max(1.0, r):
             return mid * z
         if v > 0:
             hi = mid
@@ -223,22 +222,22 @@ def rescale_to_level(p, z, r, tol=1e-14, max_iter=200):
     return 0.5 * (lo + hi) * z
 
 
-def flow_level_map_check(p, r1, r2, boundary_samples, step=DEFAULT_STEP, tol=DEFAULT_TOL):
+def flow_level_map_check(p, r1, r2, boundary_samples, step=DEFAULT_STEP):
     """Flow {rho = r1} samples along X for log(r2/r1) and measure the miss.
 
     Returns max |rho(endpoint) - r2| / r2. Samples must lie on {rho = r1}
-    within 1e-8 relative.
+    within LEVEL_SET_TOL relative.
     """
     if r1 <= 0 or r2 <= 0:
         raise ValueError("level values must be positive")
     pts = np.asarray(boundary_samples, dtype=complex)
     values = p.evaluate_many(pts).real
     off = np.max(np.abs(values - r1)) / r1
-    if off > 1e-8:
+    if off > LEVEL_SET_TOL:
         raise ValueError(
             f"samples are not on the level set rho = {r1}: worst relative offset {off:.3e}"
         )
     duration = math.log(r2 / r1)
-    ends = flow_points(p, pts, duration, RealFieldKind.X, step=step, tol=tol)
+    ends = flow_points(p, pts, duration, RealFieldKind.X, step=step)
     end_values = p.evaluate_many(ends).real
     return float(np.max(np.abs(end_values - r2)) / r2)

@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .potential import Monomials
+from .thresholds import DEFAULT_TOL_RANK
 
-DEFAULT_TOL_RANK = 1e-8
 _RHO_FLOOR = 0.0  # stratum assignment needs rho > 0
 
 
@@ -134,7 +134,7 @@ def classify_strata(rho, eigenvalues, tol_rank=DEFAULT_TOL_RANK):
     return strata
 
 
-def levi_data(p, z, tol_rank=DEFAULT_TOL_RANK):
+def levi_data(p, z):
     """Full Levi bundle at a point: derivatives, determinant, spectrum, stratum."""
     rho, grad, hess = fields_at(p, z)
     det = complex(np.linalg.det(hess))
@@ -146,7 +146,7 @@ def levi_data(p, z, tol_rank=DEFAULT_TOL_RANK):
         hessian=hess,
         det_hessian=det,
         eigenvalues=eigvals,
-        stratum=classify_strata(rho, eigvals, tol_rank).item(),
+        stratum=classify_strata(rho, eigvals).item(),
     )
 
 

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .thresholds import RHO_FLOOR
+
 DEFAULT_BOX = 1.5
-DEFAULT_MIN_RHO = 1e-12
+MAX_SAMPLE_BATCHES = 1000  # sample_domain gives up after this many rejected-sample batches
 # 4x the largest grid the README, tests and benchmark use (8 per axis on C^3).
 # The grid is streamed (GRID_CHUNK_ROWS), so this bounds time, not memory: a
 # burns check of 2^20 points takes 1-5 s for n = 1..5 (6 s with --csv at
@@ -36,15 +38,7 @@ def sample_box(dim, count, radius=DEFAULT_BOX, rng=None):
     return complex_from_reals(rng.uniform(-radius, radius, size=(count, 2 * dim)))
 
 
-def sample_domain(
-    p,
-    count,
-    radius=DEFAULT_BOX,
-    rng=None,
-    min_rho=DEFAULT_MIN_RHO,
-    rho_max=None,
-    max_batches=1000,
-):
+def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR, rho_max=None):
     """Rejection-sample `count` points with rho > min_rho (and rho < rho_max).
 
     Deterministic for a given seed/generator state. Raises ValueError for
@@ -55,7 +49,7 @@ def sample_domain(
     rng = np.random.default_rng(rng)
     kept = []
     have = 0
-    for _ in range(max_batches):
+    for _ in range(MAX_SAMPLE_BATCHES):
         batch = sample_box(p.dim, max(count, 64), radius, rng)
         rho = p.evaluate_many(batch).real
         mask = rho > min_rho
@@ -69,7 +63,7 @@ def sample_domain(
             break
     else:
         raise ValueError(
-            f"could not collect {count} admissible samples in {max_batches} batches"
+            f"could not collect {count} admissible samples in {MAX_SAMPLE_BATCHES} batches"
         )
     return np.concatenate(kept, axis=0)[:count]
 

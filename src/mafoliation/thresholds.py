@@ -1,0 +1,59 @@
+"""Every numerical tolerance and floor of the package, each named once.
+
+Each comment says what the value is absolute or relative to, then argues it.
+The CLI sets only DEFAULT_TOL_RANK (--tol-rank), VERDICT_MA_TOL (--tol-ma) and
+DEFAULT_STEP (--step). Not here: the 1e-300 divide guard, cr_scan's
+finite-difference step, the domain rho > 0 (levi) and sampling's grid sizes.
+"""
+
+# -- Levi strata, Monge-Ampere and the Z solve ---------------------------------
+# relative to max(1, |eigenvalue|max) of H; eigvalsh roundoff (about 1e-16 |H|) stays 8 orders below
+DEFAULT_TOL_RANK = 1e-8
+# absolute, on the scaled |det U| = |det U| / max(1, ||U||_F)^n; MA inputs measure at most 1.4e-15 on the corpus
+VERDICT_MA_TOL = 1e-8
+# absolute, in units of rho; log rho and U = H/rho - g gbar^T/rho^2 lose every digit as rho -> 0
+RHO_FLOOR = 1e-12
+# relative to max(1, ||conj(grad)||), on ||H^T Z - conj(grad)||; a stable solve leaves about 1e-16 cond(H)
+Z_SOLVE_TOL = 1e-8
+# relative to the largest singular value of H; near machine scale, as a cutoff at 1e-8 would cut consistent directions near the degenerate set and make O(|z|) jumps in Z
+LSTSQ_RCOND = 1e-12
+
+# -- leaves and weights --------------------------------------------------------
+# absolute, in flow time (fixed RK4 step); a leaf's log-linearity error is about 1e-11, 5 orders below the 1e-6 gates
+DEFAULT_STEP = 1e-2
+# absolute, on |log rho(node) - log rho(base) - t|; the RK4 error at DEFAULT_STEP is about 1e-11
+TRACE_LOG_LIN_TOL = 1e-6
+# relative to the mean rho over s at fixed t; the Y flow preserves rho, so only the RK4 error remains
+TRACE_LEVEL_TOL = 1e-6
+# absolute, on max |A c - 1| of the weight equations; small-integer rows leave about 1e-15 when feasible
+FEASIBLE_TOL = 1e-9
+# absolute, on max |c - expected c| (suite weights_match); expected weights are exact, measured within 4.5e-16
+WEIGHTS_MATCH_TOL = 1e-9
+# relative to |rho(z)|, on the homogeneity identity at 8 scalings; measured within 1.2e-14 on the corpus
+WEIGHT_VERIFY_TOL = 1e-9
+# absolute, on max ||Z(z) - c z||; Z is exact up to the solve, measured within 1.5e-15 on the corpus
+WEIGHT_FIELD_TOL = 1e-8
+# relative to max(1, r), on |rho(s z) - r|; about 45 ulps of r, where bisection meets rho's roundoff
+LEVEL_BISECT_TOL = 1e-14
+# relative to r1, on |rho - r1| of flow_level_map_check's samples; rescale_to_level lands within 1e-14
+LEVEL_SET_TOL = 1e-8
+
+# -- burns ----------------------------------------------------------------------
+# absolute, on max ||Z - z/k|| over strictly psh grid points; Z = z/k exactly on a pass, measured within 5.7e-16
+RADIAL_TOL = 1e-8
+# absolute, in |z|; only the origin is this close, every other grid point is half a spacing away
+SPHERE_MIN_NORM = 1e-9
+
+# -- suite and analyze checks -----------------------------------------------------
+# absolute, on the Euler residual |Z(rho) - rho| and on |det U|; euler_ma_iff needs both below it together
+IFF_TOL = 1e-9
+# absolute, on the max scaled |det U| of a non-MA expectation; 5 orders above VERDICT_MA_TOL; non-MA inputs up to n = 4 measure 1.4e-2 or more
+NON_MA_FLOOR = 1e-3
+# relative to max(1, |rho|), on Im rho; a Hermitian term set leaves only roundoff (8e-17 on the corpus)
+HERMITIAN_EVAL_TOL = 1e-12
+# relative to max(1, max |H|), on max |H - H*|; exact symbolic derivatives leave only roundoff (1e-16)
+HESSIAN_SYMMETRY_TOL = 1e-12
+# relative to max(1, |det H|), on Im det H; LU of a Hermitian H leaves only roundoff (5.6e-16)
+DET_REAL_TOL = 1e-10
+# relative to max(1, |rho^(n+1) det U|), on rho det H - gbar^T adj(H) g - rho^(n+1) det U, an identity
+DET_LEMMA_TOL = 1e-9

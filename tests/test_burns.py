@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from mafoliation import PolyPotential, burns, burns_check, find_weights, log_growth_check, sampling
 from mafoliation.cli import bundled_corpus_dir, main
-from mafoliation.potential import parse_potential_file
+from mafoliation.potential import format_potential, parse_potential_file
 from mafoliation.sampling import real_grid
 
 
@@ -23,7 +24,6 @@ def test_square_norm_passes(square_norm, grid):
     assert set(report.bidegree_mass) == {(2, 2)}
     assert report.ma_max_scaled < 1e-8
     assert report.radial_field_residual < 1e-8
-    assert report.component_identity_residual < 1e-8
     assert report.reasons == []
 
 
@@ -175,15 +175,26 @@ def test_real_grid_chunks_follow_meshgrid_order(monkeypatch):
     np.testing.assert_array_equal(np.concatenate(chunks), flat[:, 0::2] + 1j * flat[:, 1::2])
 
 
-def test_identity_sample_is_the_first_kept_points(square_norm, monkeypatch):
-    seen = []
-    monkeypatch.setattr(burns, "_component_identity_residual", lambda p, k, points: seen.append(points) or 0.0)
-    monkeypatch.setattr(sampling, "GRID_CHUNK_ROWS", 999)
-    grid = real_grid(2, 11, 1.5)  # 14,641 points; rho vanishes only at the origin
-    burns_check(square_norm, grid)
-    pts = np.concatenate(list(grid))
-    kept = pts[np.any(pts != 0, axis=1)]
-    np.testing.assert_array_equal(seen[0], kept[: burns.IDENTITY_SAMPLE_CAP])
+def test_burns_and_suite_share_the_radial_invariant(square_norm, tmp_path, capsys, monkeypatch):
+    # no residual is below 0: the verdict passes, but the radial invariant fails
+    monkeypatch.setattr(burns, "RADIAL_TOL", 0.0)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "square_norm.pot").write_text(format_potential(square_norm))
+    (corpus / "expect.json").write_text('{"square_norm.pot": {"burns": "pass"}}')
+    report = burns_check(square_norm, real_grid(2, 6, 1.5))
+    assert report.verdict and report.internal_failure.startswith("verdict passes but radial residual")
+
+    rc = main(["burns", str(corpus / "square_norm.pot"), "--grid-n", "6", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "verdict           : pass" in out
+    assert "internal invariant FAIL: verdict passes but radial residual" in out
+
+    rc = main(["suite", str(corpus), "--samples", "100", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert re.search(r"square_norm\.pot\s+burns_verdict\s+FAIL", out)
 
 
 def test_burns_check_memory_is_bounded(ball3):

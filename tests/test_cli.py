@@ -213,6 +213,15 @@ def test_burns_pass_and_fail_both_exit0(corpus, tmp_path, capsys):
     assert max(float(r["ma_residual_scaled"]) for r in rows) > 1e-3
 
 
+def test_burns_prints_the_ma_threshold_it_applied(corpus, tmp_path, capsys):
+    rc = main(["burns", str(corpus / "quartic_mixed.pot"), "--grid-n", "4", "--tol-ma", "1e3", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "threshold 1e+03)" in out and "threshold 1e-08)" not in out
+    # under 1e3 only the bidegree gate fails
+    assert "verdict           : fail" in out and "Monge-Ampere residual" not in out
+
+
 def test_suite_bundled_corpus(corpus, tmp_path, capsys):
     rc = main(["suite", str(corpus), "--samples", "200", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -277,6 +286,18 @@ def test_suite_burns_on_c6_ball(tmp_path, capsys):
     assert rc == 0
     assert "burns_verdict" in out
     assert peak < 200 * 10**6  # 3^12 grid points, streamed in chunks
+
+
+def test_suite_weights_match_fails_beyond_its_threshold(tmp_path, capsys, ball2):
+    # off by 5e-6, inside numpy's default rtol but 5,000 times the printed threshold
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ball2.pot").write_text(format_potential(ball2))
+    (corpus / "expect.json").write_text('{"ball2.pot": {"weights": [1.000005, 1.0]}}')
+    rc = main(["suite", str(corpus), "--samples", "100", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "weights_match        FAIL measured=5.000e-06 threshold=1e-09" in out
 
 
 def test_suite_flags_wrong_expectation(tmp_path, capsys, nonma):
