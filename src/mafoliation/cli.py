@@ -216,7 +216,7 @@ def cmd_analyze(args):
     for name, count in sorted(census.items()):
         print(f"  {name:15} {count:6d}  ({100.0 * count / total:.1f}%)")
     print(f"max ma_residual        = {raw.max():.3e} (scaled {scaled.max():.3e}, threshold {cfg.tol_ma:g})")
-    print(f"max euler_residual     = {euler.max():.3e} (threshold {cfg.tol_ma:g})")
+    print(f"max euler_residual     = {euler.max():.3e} (threshold {IFF_TOL:g})")
     print(f"csv: {out_path}")
 
     failures = 0

@@ -33,7 +33,7 @@ WEIGHTS_MATCH_TOL = 1e-9
 WEIGHT_VERIFY_TOL = 1e-9
 # absolute, on max ||Z(z) - c z||; Z is exact up to the solve, measured within 1.5e-15 on the corpus
 WEIGHT_FIELD_TOL = 1e-8
-# relative to max(1, r), on |rho(s z) - r|; about 45 ulps of r, where bisection meets rho's roundoff
+# relative to max(1, r), on |rho(s z) - r|; about 45 ulps of r, where the search along the ray meets rho's roundoff
 LEVEL_BISECT_TOL = 1e-14
 # relative to r1, on |rho - r1| of flow_level_map_check's samples; rescale_to_level lands within 1e-14
 LEVEL_SET_TOL = 1e-8

@@ -5,6 +5,9 @@ kernel behind ``evaluate``, ``evaluate_many`` and the jet: a term-by-term
 Python loop that shares no code with it. The finite-difference Wirtinger
 oracles are the independent check for the symbolic derivative code: they
 difference values of ``evaluate`` and never read a derivative.
+``reference_theta_orbit`` is the per-step Theta-orbit loop that checks every
+RK4 end point as it goes, the oracle for the block-checked
+``theta_orbit_det_check``.
 """
 
 import csv
@@ -13,7 +16,11 @@ import io
 import numpy as np
 
 from mafoliation import PolyPotential
+from mafoliation.foliation import rk4_segment
+from mafoliation.gradient import RealFieldKind, ThetaOrbitResult
+from mafoliation.levi import Stratum, fields_at, levi_data
 from mafoliation.potential import PolyExpr
+from mafoliation.thresholds import LSTSQ_RCOND
 
 
 def reference_evaluate(expr, z):
@@ -95,3 +102,52 @@ def reference_csv_bytes(header, rows):
     for row in rows:
         writer.writerow([repr(float(c)) if isinstance(c, (float, np.floating)) else c for c in row])
     return buf.getvalue().encode("utf-8")
+
+
+def weighted_sum_potential(coeffs, degrees):
+    """sum_j a_j |z_j|^(2 d_j): weighted homogeneous with weights 1/d_j, so
+    Z = (z_j / d_j), and degenerate wherever some z_j with d_j >= 2 is 0."""
+    dim = len(degrees)
+    terms = {}
+    for j, (a, d) in enumerate(zip(coeffs, degrees)):
+        e = tuple(d if k == j else 0 for k in range(dim))
+        terms[(e, e)] = a
+    return PolyPotential(dim, terms)
+
+
+def reference_theta_orbit(p, z0, t_max=5.0, steps=5000):
+    """Theta orbit with the end-of-step check (jet, |det H|, rho drift,
+    domain) made right after each RK4 step, one point at a time."""
+    base = levi_data(p, z0)
+    if base.rho <= 0:
+        raise ValueError(f"rho(z0) = {base.rho} <= 0; outside the domain")
+    if base.stratum is Stratum.STRICTLY_PSH:
+        return ThetaOrbitResult(
+            skipped=True,
+            reason="starting point is in the full-rank stratum (det H not small)",
+            max_abs_det=abs(base.det_hessian),
+            max_rho_drift=0.0,
+        )
+    h = t_max / steps
+    z = np.asarray(z0, dtype=complex).ravel()
+    mult = RealFieldKind.THETA.multiplier
+
+    def vel(w):
+        _, grad, hess = fields_at(p, w)
+        return mult * np.linalg.lstsq(hess.T, grad.conj(), rcond=LSTSQ_RCOND)[0]
+
+    max_det = abs(base.det_hessian)
+    max_drift = 0.0
+    rho0 = base.rho
+    for _ in range(steps):
+        z = rk4_segment(vel, z, h, h)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("integrator step failure: non-finite state")
+        rho, _, hess = fields_at(p, z)
+        if rho <= 0:
+            raise ValueError("orbit exited the domain {rho > 0}")
+        max_det = max(max_det, abs(np.linalg.det(hess)))
+        max_drift = max(max_drift, abs(rho - rho0))
+    return ThetaOrbitResult(
+        skipped=False, reason="", max_abs_det=float(max_det), max_rho_drift=float(max_drift)
+    )

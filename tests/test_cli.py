@@ -44,6 +44,17 @@ def test_analyze_ball_clean(corpus, tmp_path, capsys):
     assert max(float(r["ma_residual"]) for r in rows) < 1e-10
 
 
+def test_analyze_euler_line_prints_the_threshold_applied(corpus, tmp_path, capsys):
+    # only euler_ma_iff cuts the Euler residual, at IFF_TOL; --tol-ma does not reach it
+    lines = []
+    for extra in ([], ["--tol-ma", "1e3"]):
+        assert main(["analyze", str(corpus / "ball2.pot"), "--samples", "50", "--out", str(tmp_path), *extra]) == 0
+        out = capsys.readouterr().out
+        lines.append(next(line for line in out.splitlines() if line.startswith("max euler_residual")))
+    assert lines[0].endswith("(threshold 1e-09)")
+    assert lines[1] == lines[0]
+
+
 def test_analyze_nonma_is_finding_not_failure(corpus, tmp_path, capsys):
     rc = main(
         ["analyze", str(corpus / "nonma.pot"), "--samples", "300", "--out", str(tmp_path)]

@@ -14,10 +14,18 @@ from mafoliation import (
     levi_data,
     theta_orbit_det_check,
 )
-from mafoliation.gradient import RealFieldKind
-from mafoliation.levi import fields_at
+from mafoliation import foliation
+from mafoliation.foliation import flow_points
+from mafoliation.gradient import ORBIT_CHECK_BLOCK, RealFieldKind, _solve_z
+from mafoliation.levi import Stratum, fields_at, fields_at_many
 from mafoliation.sampling import sample_domain
-from helpers import random_points
+from mafoliation.thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
+from helpers import random_points, reference_theta_orbit, weighted_sum_potential
+
+# sum_j a_j |z_j|^(2 d_j) on C^4: weights 1/d_j; degenerate where z_2, z_3 or z_4 is 0
+N4_DEGREES = (1, 2, 3, 2)
+WEIGHTED_N4 = weighted_sum_potential((1.0, 2.0, 0.5, 1.5), N4_DEGREES)
+N4_DEGENERATE = [0.8 + 0.1j, 0.0, 0.6 - 0.3j, 0.5j]
 
 
 # -- direct solve -------------------------------------------------------------
@@ -116,6 +124,18 @@ def test_gradient_field_batch_matches_pointwise(ma_examples):
             assert np.allclose(batch[i], extended_gradient(p, z).Z, atol=1e-9)
 
 
+def test_solve_z_falls_back_on_one_inconsistent_row_among_clean_rows(weighted24):
+    # a nonsingular H^T with condition 2e13: its direct solve misses conj(grad) by 4e-4
+    _, grad, hess = fields_at_many(weighted24, np.array([[0.6, 0.3], [0.2 + 0.5j, 0.9], [0.4, -0.7]]))
+    u, v = np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2)
+    bad_h = 2 * np.outer(u, u.conj()) + 1e-13 * np.outer(v, v.conj())
+    bad_gbar = np.array([0.3 + 0.1j, 0.7])
+    assert np.linalg.norm(bad_h.T @ np.linalg.solve(bad_h.T, bad_gbar) - bad_gbar) > 1e3 * Z_SOLVE_TOL
+    z = _solve_z(np.vstack([grad, bad_gbar.conj()]), np.concatenate([hess, bad_h[None]]))
+    assert np.array_equal(z[3], np.linalg.lstsq(bad_h.T, bad_gbar, rcond=LSTSQ_RCOND)[0])
+    assert np.array_equal(z[:3], np.linalg.solve(hess.transpose(0, 2, 1), grad.conj()[..., None])[..., 0])
+
+
 # -- Euler identity -------------------------------------------------------------
 
 
@@ -199,6 +219,65 @@ def test_theta_orbit_smaller_radius(weighted24):
     res = theta_orbit_det_check(weighted24, [0.5, 0], t_max=5.0, steps=5000)
     assert not res.skipped
     assert res.max_abs_det < 1e-8
+
+
+@pytest.mark.parametrize("steps", [5000, 7, ORBIT_CHECK_BLOCK + 1, 2 * ORBIT_CHECK_BLOCK])
+@pytest.mark.parametrize("start", ["weighted24 (1, 0)", "weighted24 (0.5, 0)", "weighted_n4"])
+def test_theta_orbit_matches_per_step_reference(weighted24, start, steps):
+    # the end-of-step checks run in blocks; every value must be the per-step loop's
+    p, z0 = {
+        "weighted24 (1, 0)": (weighted24, [1, 0]),
+        "weighted24 (0.5, 0)": (weighted24, [0.5, 0]),
+        "weighted_n4": (WEIGHTED_N4, N4_DEGENERATE),
+    }[start]
+    got = theta_orbit_det_check(p, z0, t_max=5.0, steps=steps)
+    assert not got.skipped
+    assert got == reference_theta_orbit(p, z0, t_max=5.0, steps=steps)
+
+
+def test_theta_orbit_first_failing_step_decides_the_error(monkeypatch):
+    # rho = |z1|^2 - |z2|^4 is degenerate on {z2 = 0}; scripted steps stand in for RK4
+    p = PolyPotential(2, {((1, 0), (1, 0)): 1, ((0, 2), (0, 2)): -1})
+
+    def scripted(*points):
+        steps = iter(np.array(points, dtype=complex))
+        return lambda vel, z, duration, step: next(steps)
+
+    # the step that leaves {rho > 0} comes first, so it decides, though the
+    # non-finite step after it fails before that step's block is checked
+    monkeypatch.setattr(foliation, "rk4_segment", scripted([1, 0], [0.5, 1.0], [np.nan, 0]))
+    with pytest.raises(ValueError, match="exited the domain"):
+        theta_orbit_det_check(p, [1, 0], steps=10)
+    monkeypatch.setattr(foliation, "rk4_segment", scripted([1, 0], [np.nan, 0], [0.5, 1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        theta_orbit_det_check(p, [1, 0], steps=10)
+
+
+def test_theta_orbit_default_step(weighted24):
+    # steps=None takes ceil(t_max / DEFAULT_STEP) steps of DEFAULT_STEP
+    res = theta_orbit_det_check(weighted24, [1, 0], t_max=1.0)
+    assert res == reference_theta_orbit(weighted24, [1, 0], t_max=1.0, steps=100)
+    assert res.max_abs_det < 1e-8
+    assert res.max_rho_drift < 1e-6
+
+
+@pytest.mark.parametrize("name", ["weighted24", "weighted_n4"])
+def test_theta_flow_follows_the_exact_orbit(weighted24, name):
+    # weighted homogeneous rho has Z = (c_j z_j), so the Theta orbit is
+    # exactly z_j(t) = e^{i c_j t} z_j(0); at DEFAULT_STEP over t = 5 RK4 stays within 4e-10
+    if name == "weighted24":
+        p, c = weighted24, np.array([1.0, 0.5])
+        z0 = np.array([[1, 0], [0.5, 0], [0.6, 0.3], [0.3 - 0.4j, 0.8j]])
+    else:
+        p, c = WEIGHTED_N4, 1.0 / np.array(N4_DEGREES)
+        z0 = np.array([N4_DEGENERATE, [0.8, 0, 0, 0.5j], [0.8 + 0.1j, 0.7, 0.6 - 0.3j, 0.5j]])
+    strata = {levi_data(p, z).stratum for z in z0}
+    assert Stratum.STRICTLY_PSH in strata and len(strata) >= 2
+    z, worst = z0, 0.0
+    for t in range(1, 6):
+        z = flow_points(p, z, 1.0, RealFieldKind.THETA, DEFAULT_STEP)
+        worst = max(worst, float(np.max(np.abs(z - np.exp(1j * c * t) * z0))))
+    assert worst < 1e-8
 
 
 def test_theta_orbit_skips_full_rank_point(ball2):

@@ -13,7 +13,9 @@ from mafoliation import (
     rescale_to_level,
     verify_weights,
 )
+from mafoliation.cli import bundled_corpus_dir
 from mafoliation.homogeneity import weight_equations
+from mafoliation.potential import parse_potential_file
 from mafoliation.sampling import sample_domain
 
 
@@ -148,6 +150,27 @@ def test_rescale_to_level(weighted24):
     samples = _level_samples(weighted24, 1.0, 20, 173)
     values = np.array([evaluate(weighted24, z) for z in samples])
     assert np.max(np.abs(values - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(f.stem for f in bundled_corpus_dir().glob("*.pot")))
+def test_rescale_to_level_lands_on_every_bundled_potential(name):
+    p = parse_potential_file(bundled_corpus_dir() / f"{name}.pot")
+    for k, r in enumerate((1e-3, 1.0, 1e3)):
+        pts = sample_domain(p, 50, 1.5, np.random.default_rng(197 + k), min_rho=1e-3)
+        values = p.evaluate_many(np.array([rescale_to_level(p, z, r) for z in pts])).real
+        assert np.max(np.abs(values - r)) <= 1e-13 * max(1.0, r)
+
+
+def test_rescale_to_level_refusals(ball2):
+    with pytest.raises(ValueError, match=r"need rho\(z\) > 0"):
+        rescale_to_level(ball2, [0, 0], 1.0)
+    # rho(2^80 z) is about 1e48 here, far below the level
+    with pytest.raises(ValueError, match="could not bracket the level set from above"):
+        rescale_to_level(ball2, [1, 0], 1e300)
+    # 1 + |z|^2 stays above 1/2 along every ray
+    shifted = PolyPotential(2, {((0, 0), (0, 0)): 1, ((1, 0), (1, 0)): 1, ((0, 1), (0, 1)): 1})
+    with pytest.raises(ValueError, match="could not bracket the level set from below"):
+        rescale_to_level(shifted, [1, 0], 0.5)
 
 
 def test_flow_level_map_ball(ball2):
