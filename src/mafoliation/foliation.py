@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradient import RealFieldKind, gradient_field
-from .levi import Stratum, classify_strata, fields_at_many
+from .levi import Stratum, classify_strata, levi_scan
 from .thresholds import DEFAULT_STEP, DEFAULT_TOL_RANK, RHO_FLOOR
 
 
@@ -37,8 +37,10 @@ def rk4_segment(vel, z, duration, step):
     """Advance z by `duration` with fixed-step RK4, landing exactly on target.
 
     The one RK4 loop of the package: z is one point or an (N, n) batch,
-    whatever `vel` maps.
+    whatever `vel` maps. The step must be finite and > 0.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"RK4 step must be finite and > 0 (--step), got {step}")
     if duration == 0.0:
         return np.array(z, dtype=complex)
     n_steps = max(1, math.ceil(abs(duration) / step))
@@ -146,21 +148,17 @@ def trace_leaf(p, z0, t_grid, s_grid, cfg=None):
         raise ValueError("no admissible nodes on the t sweep")
 
     nt, ns = len(t_vals), len(s_vals)
-    flat = points.reshape(-1, p.dim)
-    rho, _, hess = fields_at_many(p, flat)
-    det = np.linalg.det(hess)
-    eig = np.linalg.eigvalsh(hess)
-    strata = classify_strata(rho, eig, cfg.tol_rank)
+    scan = levi_scan(p, points.reshape(-1, p.dim), cfg.tol_rank)
     return LeafTrace(
         base=z0,
         base_rho=base_rho,
         t_values=t_vals,
         s_values=s_vals,
         points=points,
-        rho=rho.reshape(nt, ns),
-        det_hessian=det.reshape(nt, ns),
-        eigenvalues=eig.reshape(nt, ns, p.dim),
-        strata=strata.reshape(nt, ns),
+        rho=scan.rho.reshape(nt, ns),
+        det_hessian=scan.det_hessian.reshape(nt, ns),
+        eigenvalues=scan.eigenvalues.reshape(nt, ns, p.dim),
+        strata=scan.strata.reshape(nt, ns),
         truncated=s_trunc or t_trunc,
         config=cfg,
     )

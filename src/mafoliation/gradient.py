@@ -3,11 +3,13 @@
 Z solves sum_mu Z^mu rho_{mu nubar} = rho_nubar, i.e. H^T Z = conj(grad).
 On the full-rank stratum this is a direct solve; across degenerate points the
 minimum-norm least-squares solution is used, validated by the achieved system
-residual and by the Euler identity Z(rho) = rho. Every batched Z (gradient_field,
-the analyze scan, the radial gate of burns) comes from the one solve
-``_solve_z``. The Theta orbit runs on the degenerate stratum, so each of its
-RK4 stages takes the least-squares Z of its one point from a one-row jet; its
-end-of-step checks are batched, ORBIT_CHECK_BLOCK end points per jet.
+residual and by the Euler identity Z(rho) = rho. The least-squares Z is the
+one row solve ``_lstsq_z``. Every batched Z (gradient_field, the analyze scan,
+the radial gate of burns) comes from ``_solve_z``, whose failing rows fall back
+to the row solve. The Euler and CR scans are single batched passes: one jet
+over all their points, then the row solve per row. Each RK4 stage of the Theta
+orbit calls the row solve on a one-row jet; the orbit's end-of-step checks are
+batched, ORBIT_CHECK_BLOCK end points per jet.
 
 Real-field conventions (kappa = 1): the flows below use the standard
 identification of a (1,0)-field with a real field via zdot = V(z):
@@ -27,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .levi import Stratum, fields_at, fields_at_many, levi_data
+from .levi import Stratum, fields_at, fields_at_many, levi_data, levi_scan
 from .thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
 
 DIRECT_SOLVE = "direct-solve"
@@ -68,9 +70,9 @@ class GradientSample:
     consistent: bool = True
 
 
-def _sample(z, z_field, method, rho, grad, hess, tol=np.inf):
+def _sample(z, z_field, method, rho, grad, hess):
     """GradientSample for z_field, flagged inconsistent when the system
-    residual exceeds tol * max(1, ||conj(grad)||)."""
+    residual exceeds Z_SOLVE_TOL * max(1, ||conj(grad)||)."""
     gbar = grad.conj()
     sys_res = float(np.linalg.norm(hess.T @ z_field - gbar))
     return GradientSample(
@@ -79,16 +81,33 @@ def _sample(z, z_field, method, rho, grad, hess, tol=np.inf):
         method=method,
         euler_residual=float(abs(z_field @ grad - rho)),
         system_residual=sys_res,
-        consistent=sys_res <= tol * max(1.0, float(np.linalg.norm(gbar))),
+        consistent=sys_res <= Z_SOLVE_TOL * max(1.0, float(np.linalg.norm(gbar))),
     )
+
+
+def _lstsq_z(grad, hess):
+    """Minimum-norm least-squares Z of one point: the solve behind every Z
+    off the full-rank stratum."""
+    return np.linalg.lstsq(hess.T, grad.conj(), rcond=LSTSQ_RCOND)[0]
+
+
+def _lstsq_rows(grad, hess):
+    """The row solve over every row of (N, n) gradients and (N, n, n) Hessians."""
+    return np.array([_lstsq_z(g, h) for g, h in zip(grad, hess)]).reshape(grad.shape)
+
+
+def _check_inside(rho):
+    """Raise for the first rho <= 0 of a scalar or an array."""
+    outside = np.flatnonzero(np.asarray(rho) <= 0)
+    if outside.size:
+        raise ValueError(f"rho(z) = {float(np.ravel(rho)[outside[0]])} <= 0; outside the domain")
 
 
 def complex_gradient(p, z):
     """Direct solve of H^T Z = conj(grad); requires the point to be in the
     full-rank stratum under DEFAULT_TOL_RANK."""
     ld = levi_data(p, z)
-    if ld.stratum is Stratum.OUTSIDE_DOMAIN:
-        raise ValueError(f"rho(z) = {ld.rho} <= 0; outside the domain")
+    _check_inside(ld.rho)
     if ld.stratum is not Stratum.STRICTLY_PSH:
         raise SingularHessianError(
             "Hessian is singular under the rank tolerance; use extended_gradient"
@@ -104,10 +123,8 @@ def extended_gradient(p, z):
     exceeds Z_SOLVE_TOL * max(1, ||conj(grad)||).
     """
     rho, grad, hess = fields_at(p, z)
-    if rho <= 0:
-        raise ValueError(f"rho(z) = {rho} <= 0; outside the domain")
-    z_field = np.linalg.lstsq(hess.T, grad.conj(), rcond=LSTSQ_RCOND)[0]
-    return _sample(z, z_field, LEAST_SQUARES, rho, grad, hess, Z_SOLVE_TOL)
+    _check_inside(rho)
+    return _sample(z, _lstsq_z(grad, hess), LEAST_SQUARES, rho, grad, hess)
 
 
 def _solve_z(grad, hess):
@@ -138,8 +155,7 @@ def _solve_z(grad, hess):
         return out
     res = np.linalg.norm(resid, axis=1)
     bad |= ~(res <= Z_SOLVE_TOL * np.maximum(1.0, np.linalg.norm(gbar, axis=1)))
-    for i in np.flatnonzero(bad):
-        out[i] = np.linalg.lstsq(ht[i], gbar[i], rcond=LSTSQ_RCOND)[0]
+    out[bad] = _lstsq_rows(grad[bad], hess[bad])
     return out
 
 
@@ -151,14 +167,17 @@ def gradient_field(p, points):
 
 
 def euler_residual_scan(p, samples):
-    """Max |Z(rho) - rho| of the extended gradient over the samples."""
+    """Max |Z(rho) - rho| of the extended gradient over the samples, from one
+    jet over all of them; every sample must have rho > 0."""
     samples = np.asarray(samples, dtype=complex)
     if samples.size == 0:
         raise ValueError("empty sample set")
-    worst = 0.0
-    for z in samples:
-        worst = max(worst, extended_gradient(p, z).euler_residual)
-    return worst
+    rho, grad, hess = fields_at_many(p, samples)
+    _check_inside(rho)
+    z_field = _lstsq_rows(grad, hess)
+    # stacked (1, n) @ (n, 1) products sum as extended_gradient's 1-D dot does
+    z_rho = (z_field[:, None, :] @ grad[:, :, None])[:, 0, 0]
+    return float(np.max(np.abs(z_rho - rho)))
 
 
 @dataclass
@@ -175,37 +194,31 @@ def cr_scan(p, samples):
 
     Stencil points are always evaluated with the extended gradient; samples
     whose stencil crosses into a different stratum are recorded (flagged, not
-    fatal). Stencil points must stay inside {rho > 0}.
+    fatal). Stencil points must stay inside {rho > 0}. One ``levi_scan`` covers
+    the samples and their 4n stencil points each.
     """
     h = 1e-4  # central-difference step
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim == 1:
         samples = samples[None, :]
-    n = p.dim
-    report = CrReport(max_residual=0.0, worst_point=None)
-    for zpt in samples:
-        base_stratum = levi_data(p, zpt).stratum
-        mixed = False
-        worst_here = 0.0
-        for nu in range(n):
-            e_nu = np.zeros(n, dtype=complex)
-            e_nu[nu] = 1.0
-            vals = {}
-            for tag, delta in (("xp", h), ("xm", -h), ("yp", 1j * h), ("ym", -1j * h)):
-                w = zpt + delta * e_nu
-                vals[tag] = extended_gradient(p, w).Z
-                if levi_data(p, w).stratum is not base_stratum:
-                    mixed = True
-            dx = (vals["xp"] - vals["xm"]) / (2 * h)
-            dy = (vals["yp"] - vals["ym"]) / (2 * h)
-            dzbar = 0.5 * (dx + 1j * dy)
-            worst_here = max(worst_here, float(np.max(np.abs(dzbar))))
-        if mixed:
-            report.mixed_stratum_points.append(np.array(zpt))
-        if worst_here > report.max_residual:
-            report.max_residual = worst_here
-            report.worst_point = np.array(zpt)
-    return report
+    count, n = samples.shape
+    # stencil[i, nu, k] = samples[i] + delta_k e_nu for delta = h, -h, ih, -ih
+    deltas = np.array([d * np.eye(n, dtype=complex) for d in (h, -h, 1j * h, -1j * h)])
+    stencil = (samples[:, None, None, :] + deltas.transpose(1, 0, 2)).reshape(-1, n)
+    scan = levi_scan(p, np.concatenate([samples, stencil]))
+    _check_inside(scan.rho[count:])
+    z_field = _lstsq_rows(scan.grad[count:], scan.hessian[count:]).reshape(count, n, 4, n)
+    dx = (z_field[:, :, 0] - z_field[:, :, 1]) / (2 * h)
+    dy = (z_field[:, :, 2] - z_field[:, :, 3]) / (2 * h)
+    # entry 0 is the report's initial 0.0; argmax takes the first sample at the max
+    worst = np.concatenate([[0.0], np.max(np.abs(0.5 * (dx + 1j * dy)), axis=(1, 2))])
+    first = int(np.argmax(worst))
+    mixed = np.any(scan.strata[count:].reshape(count, 4 * n) != scan.strata[:count, None], axis=1)
+    return CrReport(
+        max_residual=float(worst[first]),
+        worst_point=np.array(samples[first - 1]) if first else None,
+        mixed_stratum_points=[np.array(samples[i]) for i in np.flatnonzero(mixed)],
+    )
 
 
 def cr_residual(p, samples):
@@ -234,6 +247,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     degenerate stratum, where H is singular and has no direct solve.
 
     ``steps`` RK4 steps cover [0, t_max]; None means ceil(t_max / DEFAULT_STEP).
+    t_max must be finite and > 0, and steps at least 1.
     For weighted homogeneous rho the orbit is exactly z_j(t) = e^{i c_j t}
     z_j(0). On weighted24 over t = 5 the error against it is 2.6e-7 at 100
     steps, 4e-10 at DEFAULT_STEP (500 steps) and 4e-14 at 5,000 steps; at
@@ -248,9 +262,10 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     pending end points are checked, so the first failing step decides which
     error is raised.
     """
+    if not (math.isfinite(t_max) and t_max > 0) or (steps is not None and steps < 1):
+        raise ValueError(f"need a finite t_max > 0 and steps >= 1, got t_max = {t_max}, steps = {steps}")
     base = levi_data(p, z0)
-    if base.rho <= 0:
-        raise ValueError(f"rho(z0) = {base.rho} <= 0; outside the domain")
+    _check_inside(base.rho)
     if base.stratum is Stratum.STRICTLY_PSH:
         return ThetaOrbitResult(
             skipped=True,
@@ -268,7 +283,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
 
     def vel(w):
         _, grad, hess = fields_at_many(p, w[None, :])
-        return mult * np.linalg.lstsq(hess[0].T, grad[0].conj(), rcond=LSTSQ_RCOND)[0]
+        return mult * _lstsq_z(grad[0], hess[0])
 
     max_det = abs(base.det_hessian)
     max_drift = 0.0

@@ -28,14 +28,6 @@ LEVEL_ROUNDS = 40
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Positive homogeneity weights plus a uniqueness flag."""
-
-    weights: np.ndarray
-    unique: bool
-
-
-@dataclass(frozen=True)
 class Equation:
     """One feasibility row: sum_j coeffs[j] * c_j = 1."""
 
@@ -117,10 +109,8 @@ def analyze_weights(p):
             equations=equations,
             inconsistent_subset=equations,
         )
-    a = np.array([eq.coeffs for eq in equations], dtype=float)
-    rhs = np.ones(a.shape[0])
-    sol = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    residual = float(np.max(np.abs(a @ sol - rhs)))
+    rows = [eq.coeffs for eq in equations]
+    sol, residual = _lstsq_residual(rows)
     if residual > FEASIBLE_TOL:
         return WeightAnalysis(
             status="infeasible",
@@ -130,7 +120,7 @@ def analyze_weights(p):
             equations=equations,
             inconsistent_subset=_minimal_inconsistent_subset(equations, p.dim),
         )
-    unique = int(np.linalg.matrix_rank(a)) == p.dim
+    unique = int(np.linalg.matrix_rank(rows)) == p.dim
     status = "ok" if bool(np.all(sol > 0)) else "not_positive"
     return WeightAnalysis(
         status=status,
@@ -143,11 +133,10 @@ def analyze_weights(p):
 
 
 def find_weights(p):
-    """Positive weight vector when the feasibility system admits one, else None."""
+    """The WeightAnalysis (``.weights``, ``.unique``) when the feasibility
+    system admits a positive weight vector, else None."""
     analysis = analyze_weights(p)
-    if analysis.status != "ok":
-        return None
-    return WeightVector(weights=analysis.weights, unique=analysis.unique)
+    return analysis if analysis.status == "ok" else None
 
 
 def _weights_array(c):

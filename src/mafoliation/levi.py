@@ -88,8 +88,8 @@ class _BatchJet:
         n = self.dim
         pts = np.asarray(points, dtype=complex)
         # numpy hands a one-row product to BLAS gemv, whose sums can differ in
-        # the last bit from gemm's; a doubled row stays on gemm, so no row
-        # depends on the size of the batch it is evaluated in
+        # the last bit from gemm's; a doubled row stays on gemm (a threaded
+        # gemm can still sum a large product differently for a large batch)
         table = self.monomials(np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts)
         out = (table.T @ self.coeffs)[: len(pts)]
         return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
@@ -100,13 +100,18 @@ def _batch_jet(p):
     return _BatchJet(p)
 
 
-def fields_at(p, z):
-    """(rho, grad, hessian) at a single point (``fields_at_many`` on one row);
-    every Hessian entry comes from its own symbolic expression."""
+def _one_row(p, z):
+    """z as a (1, n) point array, checked against the dimension of p."""
     z = np.asarray(z, dtype=complex).ravel()
     if z.size != p.dim:
         raise ValueError(f"point has length {z.size}, expected {p.dim}")
-    rho, grad, hess = fields_at_many(p, z[None, :])
+    return z[None, :]
+
+
+def fields_at(p, z):
+    """(rho, grad, hessian) at a single point (``fields_at_many`` on one row);
+    every Hessian entry comes from its own symbolic expression."""
+    rho, grad, hess = fields_at_many(p, _one_row(p, z))
     return float(rho[0]), grad[0], hess[0]
 
 
@@ -135,18 +140,16 @@ def classify_strata(rho, eigenvalues, tol_rank=DEFAULT_TOL_RANK):
 
 
 def levi_data(p, z):
-    """Full Levi bundle at a point: derivatives, determinant, spectrum, stratum."""
-    rho, grad, hess = fields_at(p, z)
-    det = complex(np.linalg.det(hess))
-    eigvals = np.linalg.eigvalsh(hess)
+    """Full Levi bundle at a point: row 0 of a one-row ``levi_scan``."""
+    scan = levi_scan(p, _one_row(p, z))
     return LeviData(
-        point=np.asarray(z, dtype=complex).ravel(),
-        rho=rho,
-        grad=grad,
-        hessian=hess,
-        det_hessian=det,
-        eigenvalues=eigvals,
-        stratum=classify_strata(rho, eigvals).item(),
+        point=scan.points[0],
+        rho=float(scan.rho[0]),
+        grad=scan.grad[0],
+        hessian=scan.hessian[0],
+        det_hessian=complex(scan.det_hessian[0]),
+        eigenvalues=scan.eigenvalues[0],
+        stratum=scan.strata[0],
     )
 
 

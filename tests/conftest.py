@@ -6,6 +6,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mafoliation import PolyPotential
+from mafoliation.cli import bundled_corpus_dir
+from mafoliation.potential import parse_potential_file
+from helpers import generated_potentials
 
 
 @pytest.fixture(scope="session")
@@ -85,4 +88,12 @@ def all_examples(ma_examples, quartic_mixed, nonma):
     out = dict(ma_examples)
     out["quartic_mixed"] = quartic_mixed
     out["nonma"] = nonma
+    return out
+
+
+@pytest.fixture(scope="session")
+def bundled_and_generated():
+    """The 7 bundled potentials and the 6 generated kinds of the benchmark."""
+    out = {f.stem: parse_potential_file(f) for f in sorted(bundled_corpus_dir().glob("*.pot"))}
+    out.update(generated_potentials(7))
     return out

@@ -7,7 +7,10 @@ oracles are the independent check for the symbolic derivative code: they
 difference values of ``evaluate`` and never read a derivative.
 ``reference_theta_orbit`` is the per-step Theta-orbit loop that checks every
 RK4 end point as it goes, the oracle for the block-checked
-``theta_orbit_det_check``.
+``theta_orbit_det_check``. ``reference_cr_scan`` is the per-point CR loop, one
+extended_gradient and one levi_data per stencil point, the oracle for the
+batched ``cr_scan``; ``reference_levi_data`` is the scalar Levi bundle (one
+jet row, its determinant, spectrum and stratum), the oracle for ``levi_data``.
 """
 
 import csv
@@ -17,8 +20,8 @@ import numpy as np
 
 from mafoliation import PolyPotential
 from mafoliation.foliation import rk4_segment
-from mafoliation.gradient import RealFieldKind, ThetaOrbitResult
-from mafoliation.levi import Stratum, fields_at, levi_data
+from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, extended_gradient
+from mafoliation.levi import LeviData, Stratum, classify_strata, fields_at, levi_data
 from mafoliation.potential import PolyExpr
 from mafoliation.thresholds import LSTSQ_RCOND
 
@@ -151,3 +154,79 @@ def reference_theta_orbit(p, z0, t_max=5.0, steps=5000):
     return ThetaOrbitResult(
         skipped=False, reason="", max_abs_det=float(max_det), max_rho_drift=float(max_drift)
     )
+
+
+def generated_potentials(seed):
+    """The six kinds of potential the benchmark generates, at n = 4 and 8:
+    (sum_j a_j |z_j|^2)^2, sum_j a_j |z_j|^(2 d_j) and the non-Monge-Ampere
+    chain sum_j a_j |z_j|^2 + sum_j b_j |z_j z_(j+1)|^2, with seeded a_j, b_j."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for dim, degrees in ((4, (1, 2, 1, 2)), (8, (1, 2, 3, 1, 2, 3, 1, 2))):
+        a = rng.uniform(0.5, 1.5, dim)
+        square = {}
+        for j in range(dim):
+            for k in range(dim):
+                e = tuple(int(i in (j, k)) + int(i == j == k) for i in range(dim))
+                square[(e, e)] = square.get((e, e), 0) + a[j] * a[k]
+        out[f"normsq_n{dim}"] = PolyPotential(dim, square)
+        out[f"weighted_n{dim}"] = weighted_sum_potential(a, rng.permutation(degrees))
+        b = rng.uniform(0.5, 1.5, dim - 1)
+        chain = {}
+        for j in range(dim):
+            e = tuple(int(i == j) for i in range(dim))
+            chain[(e, e)] = a[j]
+            if j + 1 < dim:
+                e = tuple(int(i in (j, j + 1)) for i in range(dim))
+                chain[(e, e)] = b[j]
+        out[f"chain_n{dim}"] = PolyPotential(dim, chain)
+    return out
+
+
+def reference_levi_data(p, z):
+    """Levi bundle at one point from the one-row jet, one determinant and
+    one eigvalsh."""
+    rho, grad, hess = fields_at(p, z)
+    eigvals = np.linalg.eigvalsh(hess)
+    return LeviData(
+        point=np.asarray(z, dtype=complex).ravel(),
+        rho=rho,
+        grad=grad,
+        hessian=hess,
+        det_hessian=complex(np.linalg.det(hess)),
+        eigenvalues=eigvals,
+        stratum=classify_strata(rho, eigvals).item(),
+    )
+
+
+def reference_cr_scan(p, samples):
+    """Central-difference CR scan, one sample and one stencil point at a time."""
+    h = 1e-4  # central-difference step
+    samples = np.asarray(samples, dtype=complex)
+    if samples.ndim == 1:
+        samples = samples[None, :]
+    n = p.dim
+    report = CrReport(max_residual=0.0, worst_point=None)
+    for zpt in samples:
+        base_stratum = levi_data(p, zpt).stratum
+        mixed = False
+        worst_here = 0.0
+        for nu in range(n):
+            e_nu = np.zeros(n, dtype=complex)
+            e_nu[nu] = 1.0
+            vals = {}
+            for tag, delta in (("xp", h), ("xm", -h), ("yp", 1j * h), ("ym", -1j * h)):
+                w = zpt + delta * e_nu
+                vals[tag] = extended_gradient(p, w).Z
+                if levi_data(p, w).stratum is not base_stratum:
+                    mixed = True
+            dx = (vals["xp"] - vals["xm"]) / (2 * h)
+            dy = (vals["yp"] - vals["ym"]) / (2 * h)
+            dzbar = 0.5 * (dx + 1j * dy)
+            worst_here = max(worst_here, float(np.max(np.abs(dzbar))))
+        if mixed:
+            report.mixed_stratum_points.append(np.array(zpt))
+        if worst_here > report.max_residual:
+            report.max_residual = worst_here
+            report.worst_point = np.array(zpt)
+    return report

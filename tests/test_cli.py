@@ -127,6 +127,14 @@ def test_trace_from_origin_exit2(corpus, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("step", ["0", "-0.01", "inf", "nan"])
+def test_trace_step_not_finite_and_positive_exit2(corpus, tmp_path, capsys, step):
+    rc = main(["trace", str(corpus / "weighted24.pot"), "--base", "1+0i,1+0i", f"--step={step}",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--step" in capsys.readouterr().err
+
+
 def test_trace_failing_diagnostic_exit1(corpus, tmp_path, capsys):
     # the growth law rho = e^t rho0 only holds for Monge-Ampere potentials, so
     # log-linearity fails on the counterexample

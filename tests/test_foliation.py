@@ -13,7 +13,7 @@ from mafoliation import (
     rescale_to_level,
     trace_leaf,
 )
-from mafoliation.foliation import DEFAULT_STEP
+from mafoliation.foliation import DEFAULT_STEP, rk4_segment
 from mafoliation.gradient import RealFieldKind
 from mafoliation.sampling import sample_domain
 
@@ -194,3 +194,11 @@ def test_stratum_invariance_all_ma_examples(square_norm, quartic_diag):
         report = leaf_stratum_invariance(trace)
         assert report.passed
         assert leaf_log_linearity(trace) < 1e-6
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, np.inf, -np.inf, np.nan])
+def test_rk4_rejects_a_step_that_is_not_finite_and_positive(ball2, step):
+    with pytest.raises(ValueError, match="--step"):
+        flow_point(ball2, [1, 0], 0.5, step=step)
+    with pytest.raises(ValueError, match="--step"):
+        rk4_segment(lambda z: z, np.ones(2), 0.0, step)

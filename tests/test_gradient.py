@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,16 @@ from mafoliation import (
 )
 from mafoliation import foliation
 from mafoliation.foliation import flow_points
-from mafoliation.gradient import ORBIT_CHECK_BLOCK, RealFieldKind, _solve_z
+from mafoliation.gradient import ORBIT_CHECK_BLOCK, RealFieldKind, _lstsq_z, _solve_z
 from mafoliation.levi import Stratum, fields_at, fields_at_many
 from mafoliation.sampling import sample_domain
 from mafoliation.thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
-from helpers import random_points, reference_theta_orbit, weighted_sum_potential
+from helpers import (
+    random_points,
+    reference_cr_scan,
+    reference_theta_orbit,
+    weighted_sum_potential,
+)
 
 # sum_j a_j |z_j|^(2 d_j) on C^4: weights 1/d_j; degenerate where z_2, z_3 or z_4 is 0
 N4_DEGREES = (1, 2, 3, 2)
@@ -167,6 +174,29 @@ def test_euler_scan_empty_error(ball2):
         euler_residual_scan(ball2, np.zeros((0, 2), dtype=complex))
 
 
+def test_euler_scan_equals_pointwise_max(bundled_and_generated):
+    # from the same jet rows the batched scan gives extended_gradient's
+    # per-point maximum bit for bit. The rows of one batched jet equal the
+    # one-row jet's except where multithreaded BLAS sums a large product in
+    # another order (normsq_n8 on two threads); there only the first holds.
+    rng = np.random.default_rng(151)
+    for name, p in bundled_and_generated.items():
+        pts = sample_domain(p, 80, 1.5, rng)
+        scan = euler_residual_scan(p, pts)
+        rho, grad, hess = fields_at_many(p, pts)
+        assert scan == max(abs(_lstsq_z(g, h) @ g - r) for r, g, h in zip(rho, grad, hess)), name
+        rows = [fields_at(p, z) for z in pts]
+        if all(r == rho[i] and np.array_equal(g, grad[i]) and np.array_equal(h, hess[i])
+               for i, (r, g, h) in enumerate(rows)):
+            assert scan == max(extended_gradient(p, z).euler_residual for z in pts), name
+
+
+def test_euler_scan_outside_domain_names_the_first_point(nonma):
+    pts = np.array([[1, 1], [0, 0], [0.5, 0]], dtype=complex)
+    with pytest.raises(ValueError, match=r"rho\(z\) = 0.0 <= 0; outside the domain"):
+        euler_residual_scan(nonma, pts)
+
+
 def test_euler_iff_ma(all_examples):
     from mafoliation import ma_residual
 
@@ -203,6 +233,62 @@ def test_cr_residual_nonma_detects_antiholomorphy(nonma):
     rng = np.random.default_rng(131)
     pts = sample_domain(nonma, 60, 1.5, rng, min_rho=1e-2)
     assert cr_residual(nonma, pts) > 1e-2
+
+
+# stencils of these points cross the degenerate set {z2 = 0} of weighted24
+STRADDLE = np.array([[1, 0], [0.7, 5e-5], [1.2, 5e-5j], [0.5, 1e-4], [1, -5e-5]], dtype=complex)
+
+
+def _criterion_5_inputs(ball2, weighted24, nonma):
+    # the sampling sequence of test_acceptance.test_criterion_05_holomorphy
+    rng = np.random.default_rng(2026)
+    pts_ball = sample_domain(ball2, 200, 1.5, rng, min_rho=1e-2)
+    pts_w = sample_domain(weighted24, 195, 1.5, rng, min_rho=1e-2)
+    pts_bad = sample_domain(nonma, 200, 1.5, rng, min_rho=1e-2)
+    return {
+        "ball2": (ball2, pts_ball),
+        "weighted24": (weighted24, np.concatenate([pts_w, STRADDLE])),
+        "nonma": (nonma, pts_bad),
+        "straddle": (weighted24, STRADDLE),
+        "empty": (weighted24, np.zeros((0, 2), dtype=complex)),
+        "one 1-D sample": (nonma, np.array([1, 0.5j])),
+    }
+
+
+def _same_report(got, want):
+    assert got.max_residual == want.max_residual
+    assert type(got.max_residual) is type(want.max_residual)
+    if want.worst_point is None:
+        assert got.worst_point is None
+    else:
+        assert np.array_equal(got.worst_point, want.worst_point)
+    assert len(got.mixed_stratum_points) == len(want.mixed_stratum_points)
+    for a, b in zip(got.mixed_stratum_points, want.mixed_stratum_points):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["ball2", "weighted24", "nonma", "straddle", "empty", "one 1-D sample"])
+def test_cr_scan_matches_per_point_reference(ball2, weighted24, nonma, case):
+    p, samples = _criterion_5_inputs(ball2, weighted24, nonma)[case]
+    got = cr_scan(p, samples)
+    _same_report(got, reference_cr_scan(p, samples))
+    if case == "straddle":
+        assert len(got.mixed_stratum_points) == 5
+    if case == "empty":
+        assert got.max_residual == 0.0 and got.worst_point is None
+
+
+def test_cr_scan_outside_stencil_raises_the_reference_message():
+    # rho = |z1|^2 - |z2|^2: the second sample's first stencil point outside
+    # the domain is (0, 5e-5) (rho = -2.5e-9); later ones have other values
+    p = PolyPotential(2, {((1, 0), (1, 0)): 1, ((0, 1), (0, 1)): -1})
+    samples = np.array([[1, 0.5], [1e-4, 5e-5]], dtype=complex)
+    with pytest.raises(ValueError) as want:
+        reference_cr_scan(p, samples)
+    with pytest.raises(ValueError) as got:
+        cr_scan(p, samples)
+    assert str(got.value) == str(want.value)
+    assert "outside the domain" in str(got.value)
 
 
 # -- theta orbit ----------------------------------------------------------------
@@ -278,6 +364,14 @@ def test_theta_flow_follows_the_exact_orbit(weighted24, name):
         z = flow_points(p, z, 1.0, RealFieldKind.THETA, DEFAULT_STEP)
         worst = max(worst, float(np.max(np.abs(z - np.exp(1j * c * t) * z0))))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize(
+    "t_max, steps", [(0.0, None), (-1.0, None), (math.inf, 10), (math.nan, 10), (5.0, 0), (5.0, -3)]
+)
+def test_theta_orbit_rejects_an_empty_or_invalid_interval(weighted24, t_max, steps):
+    with pytest.raises(ValueError, match="t_max > 0 and steps >= 1"):
+        theta_orbit_det_check(weighted24, [1, 0], t_max=t_max, steps=steps)
 
 
 def test_theta_orbit_skips_full_rank_point(ball2):

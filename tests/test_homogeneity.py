@@ -14,7 +14,8 @@ from mafoliation import (
     verify_weights,
 )
 from mafoliation.cli import bundled_corpus_dir
-from mafoliation.homogeneity import weight_equations
+from mafoliation import homogeneity
+from mafoliation.homogeneity import WeightAnalysis, _lstsq_residual, weight_equations
 from mafoliation.potential import parse_potential_file
 from mafoliation.sampling import sample_domain
 
@@ -30,6 +31,23 @@ def test_find_weights_square_norm(square_norm):
     wv = find_weights(square_norm)
     assert np.allclose(wv.weights, [0.5, 0.5], atol=1e-12)
     assert wv.unique
+
+
+def test_find_weights_returns_the_analysis(weighted24):
+    # one record: find_weights hands back analyze_weights' own result
+    wv = find_weights(weighted24)
+    assert isinstance(wv, WeightAnalysis) and wv.status == "ok"
+    assert np.array_equal(wv.weights, analyze_weights(weighted24).weights)
+    assert not hasattr(homogeneity, "WeightVector")
+
+
+def test_analyze_weights_residual_is_the_lstsq_residual(bundled_and_generated):
+    for name, p in bundled_and_generated.items():
+        analysis = analyze_weights(p)
+        sol, residual = _lstsq_residual([eq.coeffs for eq in analysis.equations])
+        assert analysis.residual == residual, name
+        if analysis.weights is not None:
+            assert np.array_equal(analysis.weights, sol), name
 
 
 def test_find_weights_nonma_infeasible(nonma):

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from mafoliation.levi import adjugate, fields_at, fields_at_many, jet, ma_matrix, rank_identity
 from mafoliation.sampling import real_grid, sample_domain
-from helpers import hessian_fd, random_hermitian_potential, random_points, reference_evaluate, term_scale
+from helpers import (
+    hessian_fd,
+    random_hermitian_potential,
+    random_points,
+    reference_evaluate,
+    reference_levi_data,
+    term_scale,
+)
 
 
 def test_levi_data_weighted_at_11(weighted24):
@@ -40,6 +47,26 @@ def test_levi_data_nonma_at_11(nonma):
     assert np.allclose(ld.hessian, [[2, 1], [1, 2]])
     assert ld.det_hessian == pytest.approx(3.0)
     assert ld.stratum is Stratum.STRICTLY_PSH
+
+
+def test_levi_data_matches_scalar_reference(bundled_and_generated):
+    # levi_data is row 0 of a one-row levi_scan; every field must be the
+    # scalar bundle's, bit for bit, on every stratum and outside the domain
+    rng = np.random.default_rng(163)
+    for name, p in bundled_and_generated.items():
+        pts = np.concatenate([random_points(rng, p.dim, 40), np.zeros((1, p.dim))])
+        for z in pts:
+            got, want = levi_data(p, z), reference_levi_data(p, z)
+            assert type(got.rho) is float and type(got.det_hessian) is complex
+            assert got.rho == want.rho and got.det_hessian == want.det_hessian, name
+            assert got.stratum is want.stratum, name
+            for field in ("point", "grad", "hessian", "eigenvalues"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
+
+
+def test_levi_data_rejects_a_point_of_the_wrong_length(ball2):
+    with pytest.raises(ValueError, match="point has length 3, expected 2"):
+        levi_data(ball2, [1, 0, 0])
 
 
 def test_levi_data_outside_domain(nonma):
