@@ -4,11 +4,29 @@ For a positive homogeneous polynomial rho of degree 2k whose log is
 plurisubharmonic and Monge-Ampere, the bidegree decomposition must be
 supported on the single component (k, k), and the gradient field is radial
 (Z = w/k). burns_check passes rho iff it is homogeneous of even degree 2k,
-has no bidegree mass outside (k, k) and its max scaled |det U| on the grid
-is at most tol; counterexamples fail with the offending evidence located.
+has no bidegree mass outside (k, k), is certified positive on the unit sphere
+and its max scaled |det U| on the grid is at most tol; counterexamples fail
+with the offending evidence located.
+
+Positivity: on a pure-(k,k) rho, Re rho = v(z)* C v(z) with v the degree-k
+monomials present in rho and every pure power z_j^k. If C is positive definite,
+rho >= lambda_min(C) sum_j |z_j|^(2k) > 0 on the sphere (Quillen 1968;
+D'Angelo 2002); an absent pure power leaves a zero row in C, and rho(e_j) = 0.
+
 A pass must also have max ||Z - w/k|| < RADIAL_TOL on the strictly psh grid
 points; if not, the report's internal_failure names a code bug, which burns
-and suite both report. Min rho on the unit sphere is reported, not gated.
+and suite both report. With no strictly psh point the invariant is not
+applicable. Only the rows that can decide the max are classified: Z comes from
+one direct solve (gradient._direct_z) on every kept row; the rows it cannot
+settle are classified by eigvalsh, and the strict ones get the least-squares
+row solve. The settled rows are ordered by ||Z - w/k||, NaN first, and only the
+first RADIAL_CANDIDATE_ROWS are classified, or every settled row when none of
+those is strict. The max is exactly the eager one (eigvalsh on every row, Z on
+the strict ones): a row's Z, spectrum and distance do not depend on the other
+rows, and a strict row outside the block lies no farther than the block's
+strict max. The worst case is a grid of degenerate rows: on |z1|^4, whose
+Hessians are all exactly singular, the direct solve fails and every row is
+classified anyway.
 """
 
 from __future__ import annotations
@@ -17,11 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import _solve_z
+from .gradient import _direct_z, _lstsq_rows
 from .homogeneity import verify_weights
-from .levi import Stratum, levi_scan, ma_from_fields
+from .levi import fields_at_many, levi_rank, ma_from_fields
 from .potential import bidegree_decompose, homogeneous_degree
-from .thresholds import DEFAULT_TOL_RANK, RADIAL_TOL, RHO_FLOOR, SPHERE_MIN_NORM, VERDICT_MA_TOL
+from .thresholds import DEFAULT_TOL_RANK, RADIAL_TOL, RHO_FLOOR, SPHERE_POSITIVITY_TOL, VERDICT_MA_TOL
+
+# settled rows classified first for the radial max, farthest from w/k first
+RADIAL_CANDIDATE_ROWS = 64
 
 
 @dataclass
@@ -34,13 +55,16 @@ class GridResiduals:
     scaled: np.ndarray
 
 
-def grid_residuals(p, grid_points, tol_rank=DEFAULT_TOL_RANK):
-    """Levi scan of an (M, n) grid chunk, its rho > RHO_FLOOR mask, and the
-    Monge-Ampere residuals of log rho on the masked points."""
-    scan = levi_scan(p, grid_points, tol_rank)
-    inside = scan.rho > RHO_FLOOR
-    raw, scaled = ma_from_fields(scan.rho[inside], scan.grad[inside], scan.hessian[inside], p.dim)
-    return scan, inside, GridResiduals(scan.points[inside], scan.rho[inside], raw, scaled)
+def grid_residuals(p, grid_points):
+    """The rows of an (M, n) grid chunk with rho > RHO_FLOOR: their gradients,
+    Hessians and GridResiduals (the Monge-Ampere residuals of log rho)."""
+    rho, grad, hess = fields_at_many(p, grid_points)
+    points = grid_points
+    inside = rho > RHO_FLOOR
+    if not inside.all():
+        points, rho, grad, hess = points[inside], rho[inside], grad[inside], hess[inside]
+    raw, scaled = ma_from_fields(rho, grad, hess, p.dim)
+    return grad, hess, GridResiduals(points, rho, raw, scaled)
 
 
 @dataclass
@@ -54,8 +78,8 @@ class BurnsReport:
     ma_tol: float  # the threshold the Monge-Ampere gate applied
     worst_ma_point: np.ndarray | None
     bidegree_mass: dict
-    radial_field_residual: float
-    min_rho_on_sphere: float
+    radial_field_residual: float | None  # None: no strictly psh grid point, not applicable
+    positivity_margin: float | None  # min / max |eigenvalue| of C; None off pure (k,k)
     verdict: bool
     reasons: list
     internal_failure: str | None  # a passing verdict whose radial invariant fails
@@ -81,11 +105,18 @@ class BurnsReport:
         if self.worst_ma_point is not None:
             coords = ", ".join(f"{c:.6g}" for c in self.worst_ma_point)
             lines.append(f"worst grid point  : ({coords})")
-        lines.append(
-            f"radial residual   : {self.radial_field_residual:.3e} "
-            f"(max ||Z - w/k||, threshold {RADIAL_TOL:.0e} on pass)"
-        )
-        lines.append(f"min rho on sphere : {self.min_rho_on_sphere:.6g} (threshold > 0)")
+        if self.radial_field_residual is None:
+            lines.append("radial residual   : not applicable (no strictly psh grid point)")
+        else:
+            lines.append(
+                f"radial residual   : {self.radial_field_residual:.3e} "
+                f"(max ||Z - w/k||, threshold {RADIAL_TOL:.0e} on pass)"
+            )
+        if self.positivity_margin is not None:
+            lines.append(
+                f"positivity margin : {self.positivity_margin:.6g} "
+                f"(min/max eigenvalue of C in rho = v* C v, threshold > {SPHERE_POSITIVITY_TOL:g})"
+            )
         if self.kept_points is not None:
             lines.append(f"skipped points    : {self.skipped_points} of {self.grid_size} (rho <= {RHO_FLOOR:g})")
         lines.append(f"verdict           : {'pass' if self.verdict else 'fail'}")
@@ -102,40 +133,73 @@ def log_growth_check(p, k, z_samples, lam_samples):
 
 
 def _fold(op, acc, value):
-    """Running np.maximum/np.minimum from None; a NaN sticks, as in ndarray.max."""
+    """Running np.maximum from None; a NaN sticks, as in ndarray.max."""
     return value if acc is None else op(acc, value)
+
+
+def _strict(hess, tol_rank):
+    """Mask of the (M, n, n) Hessians of full numerical rank (the strictly psh
+    stratum on rows with rho > 0)."""
+    return levi_rank(np.linalg.eigvalsh(hess), tol_rank) == hess.shape[-1]
+
+
+def _radial_max(points, grad, hess, k, tol_rank):
+    """Max ||Z - points/k|| over the strictly psh rows of (M, n) points with
+    rho > 0, their gradients and Hessians (a NaN counts as the max); None
+    without a strict row. Classifies only the rows that can decide the max
+    (see the module docstring)."""
+    z_field, unsettled = _direct_z(grad, hess)
+    dist = np.linalg.norm(z_field - points / k, axis=1)
+    rows = unsettled[_strict(hess[unsettled], tol_rank)]
+    fallback = np.linalg.norm(_lstsq_rows(grad[rows], hess[rows]) - points[rows] / k, axis=1)
+    settled = np.delete(np.arange(len(dist)), unsettled)
+    block = settled[np.argsort(dist[settled])[::-1][:RADIAL_CANDIDATE_ROWS]]  # NaN sorts last: first here
+    strict = block[_strict(hess[block], tol_rank)]
+    if not strict.size:
+        strict = settled[_strict(hess[settled], tol_rank)]
+    found = np.concatenate([fallback, dist[strict]])
+    return np.max(found) if found.size else None
 
 
 def _scan_grid(p, grid, k, tol_rank, rows):
     """One pass over the grid chunks. Each chunk's residual rows go to rows
     (if given); with k set they also fold into the gates' running reductions:
     max raw |det U|, the first point of max scaled |det U| (a NaN counts as
-    the max, as in np.argmax), the radial max over strictly psh rows, min rho
-    on the sphere and the kept count. Reductions over no rows stay None."""
-    raw_max = scaled_max = worst = radial = sphere_min = None
+    the max, as in np.argmax), the radial max over strictly psh rows and the
+    kept count. Reductions over no rows stay None."""
+    raw_max = scaled_max = worst = radial = None
     kept = 0
     for chunk in grid:
-        scan, inside, res = grid_residuals(p, chunk, tol_rank)
+        grad, hess, res = grid_residuals(p, chunk)
         if rows is not None:
             rows(res)
-        if k is None:
+        if k is None or not len(res.rho):
             continue
         kept += len(res.rho)
-        if len(res.rho):
-            raw_max = _fold(np.maximum, raw_max, res.raw.max())
-            i = int(np.argmax(res.scaled))
-            value = res.scaled[i]
-            if scaled_max is None or value > scaled_max or (np.isnan(value) and not np.isnan(scaled_max)):
-                scaled_max, worst = value, np.array(res.points[i])
-        p_mask = (scan.strata == Stratum.STRICTLY_PSH) & inside
-        if np.any(p_mask):
-            z_field = _solve_z(scan.grad[p_mask], scan.hessian[p_mask])
-            radial = _fold(np.maximum, radial, np.max(np.linalg.norm(z_field - chunk[p_mask] / k, axis=1)))
-        norms = np.linalg.norm(chunk, axis=1)
-        away = norms > SPHERE_MIN_NORM
-        if np.any(away):  # rho(z / |z|) = rho(z) / |z|^(2k) on a homogeneous rho
-            sphere_min = _fold(np.minimum, sphere_min, np.min(scan.rho[away] / norms[away] ** (2 * k)))
-    return raw_max, scaled_max, worst, radial, sphere_min, kept
+        raw_max = _fold(np.maximum, raw_max, res.raw.max())
+        i = int(np.argmax(res.scaled))
+        value = res.scaled[i]
+        if scaled_max is None or value > scaled_max or (np.isnan(value) and not np.isnan(scaled_max)):
+            scaled_max, worst = value, np.array(res.points[i])
+        chunk_radial = _radial_max(res.points, grad, hess, k, tol_rank)
+        if chunk_radial is not None:
+            radial = _fold(np.maximum, radial, chunk_radial)
+    return raw_max, scaled_max, worst, radial, kept
+
+
+def _positivity_margin(p, k):
+    """min / max |eigenvalue| of the Hermitian C with Re rho = v(z)* C v(z),
+    for a rho of pure bidegree (k, k); v holds the degree-k monomials present
+    in rho and every pure power z_j^k. rho > 0 on the unit sphere is certified
+    when the margin exceeds SPHERE_POSITIVITY_TOL."""
+    keys = [tuple(k * (i == j) for i in range(p.dim)) for j in range(p.dim)]
+    keys += [e for term in p.terms for e in term]
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    c = np.zeros((len(index), len(index)), dtype=complex)
+    for (alpha, beta), coeff in p.terms.items():  # coeff z^alpha zbar^beta = conj(v_beta) C v_alpha
+        c[index[beta], index[alpha]] = coeff
+    eig = np.linalg.eigvalsh((c + c.conj().T) / 2)
+    return float(eig[0] / np.max(np.abs(eig)))
 
 
 def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=None):
@@ -154,8 +218,8 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
     }
     degree = homogeneous_degree(p)
     nan = float("nan")
-    degree2k = k = worst_point = kept = internal = None
-    ma_max_raw = ma_max_scaled = radial = min_sphere = nan
+    degree2k = k = worst_point = kept = internal = margin = None
+    ma_max_raw = ma_max_scaled = radial = nan
     reasons = []
     if degree is None:
         reasons.append("not homogeneous: mixed total degrees")
@@ -166,22 +230,27 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
     if k is not None or rows is not None:
         folded = _scan_grid(p, grid, k, tol_rank, rows)
     if k is not None:
-        raw_max, scaled_max, worst_point, radial_max, sphere_min, kept = folded
+        raw_max, scaled_max, worst_point, radial, kept = folded
         ma_max_raw = 0.0 if raw_max is None else float(raw_max)
         ma_max_scaled = 0.0 if scaled_max is None else float(scaled_max)
-        radial = nan if radial_max is None else float(radial_max)
-        min_sphere = nan if sphere_min is None else float(sphere_min)
+        radial = None if radial is None else float(radial)
 
         nonkk = {key: v for key, v in masses.items() if key != (k, k)}
         if nonkk:
             listing = ", ".join(f"({l},{m}): {v:.6g}" for (l, m), v in sorted(nonkk.items()))
             reasons.append(f"bidegree mass outside ({k},{k}): {listing}")
+        else:
+            margin = _positivity_margin(p, k)
+            if not margin > SPHERE_POSITIVITY_TOL:
+                reasons.append(
+                    f"rho > 0 on the unit sphere not certified: positivity margin {margin:.6g} <= {SPHERE_POSITIVITY_TOL:g}"
+                )
         if ma_max_scaled > tol:
             coords = ", ".join(f"{c:.6g}" for c in worst_point)
             reasons.append(
                 f"scaled Monge-Ampere residual {ma_max_scaled:.3e} > {tol:.0e} at ({coords})"
             )
-        if not reasons and not radial < RADIAL_TOL:
+        if not reasons and radial is not None and not radial < RADIAL_TOL:
             internal = f"verdict passes but radial residual {radial:.3e} >= {RADIAL_TOL:g}"
     return BurnsReport(
         degree2k=degree2k,
@@ -192,7 +261,7 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
         worst_ma_point=worst_point,
         bidegree_mass=masses,
         radial_field_residual=radial,
-        min_rho_on_sphere=min_sphere,
+        positivity_margin=margin,
         verdict=not reasons,
         reasons=reasons,
         internal_failure=internal,

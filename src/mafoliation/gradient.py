@@ -4,9 +4,10 @@ Z solves sum_mu Z^mu rho_{mu nubar} = rho_nubar, i.e. H^T Z = conj(grad).
 On the full-rank stratum this is a direct solve; across degenerate points the
 minimum-norm least-squares solution is used, validated by the achieved system
 residual and by the Euler identity Z(rho) = rho. The least-squares Z is the
-one row solve ``_lstsq_z``. Every batched Z (gradient_field, the analyze scan,
-the radial gate of burns) comes from ``_solve_z``, whose failing rows fall back
-to the row solve. The Euler and CR scans are single batched passes: one jet
+one row solve ``_lstsq_z``. Every batched Z comes from the one direct solve
+``_direct_z``: ``_solve_z`` (gradient_field, the analyze scan) sends the rows it
+did not settle to the row solve, and the radial gate of burns sends only the
+strictly psh ones among them. The Euler and CR scans are single batched passes: one jet
 over all their points, then the row solve per row. Each RK4 stage of the Theta
 orbit calls the row solve on a one-row jet; the orbit's end-of-step checks are
 batched, ORBIT_CHECK_BLOCK end points per jet.
@@ -127,15 +128,18 @@ def extended_gradient(p, z):
     return _sample(z, _lstsq_z(grad, hess), LEAST_SQUARES, rho, grad, hess)
 
 
-def _solve_z(grad, hess):
-    """Batched Z from (N, n) gradients and (N, n, n) Hessians: one direct
-    solve of H^T Z = conj(grad) for all rows, then a per-row least-squares
-    fallback on singular, inconsistent or non-finite rows.
+def _direct_z(grad, hess):
+    """One batched direct solve of H^T Z = conj(grad) over (N, n) gradients and
+    (N, n, n) Hessians. Returns Z and the ascending indices of the rows it
+    did not settle: exactly singular, non-finite or inconsistent ones.
 
     A row is inconsistent when ||H^T Z - conj(grad)|| exceeds Z_SOLVE_TOL *
     max(1, ||conj(grad)||). When the squared residual of the whole batch is
     at most (Z_SOLVE_TOL / 2)^2, every row's residual is below Z_SOLVE_TOL, so
-    one dot product settles the test and the per-row norms are skipped.
+    one dot product settles the test and the per-row norms are skipped. A
+    row's Z and whether it is settled do not depend on the other rows: LAPACK
+    solves each matrix on its own, and the shortcut skips only tests that
+    would pass.
     """
     gbar = grad.conj()
     ht = hess.transpose(0, 2, 1)
@@ -152,10 +156,18 @@ def _solve_z(grad, hess):
             bad[:] = True
     resid = np.einsum("nji,nj->ni", hess, out) - gbar
     if bad is False and np.vdot(resid, resid).real <= _CLEAN_BATCH_SQ:
-        return out
+        return out, np.zeros(0, dtype=np.intp)
     res = np.linalg.norm(resid, axis=1)
     bad |= ~(res <= Z_SOLVE_TOL * np.maximum(1.0, np.linalg.norm(gbar, axis=1)))
-    out[bad] = _lstsq_rows(grad[bad], hess[bad])
+    return out, np.flatnonzero(bad)
+
+
+def _solve_z(grad, hess):
+    """Batched Z from (N, n) gradients and (N, n, n) Hessians: ``_direct_z``,
+    then the least-squares row solve on the rows it did not settle."""
+    out, rows = _direct_z(grad, hess)
+    if rows.size:
+        out[rows] = _lstsq_rows(grad[rows], hess[rows])
     return out
 
 

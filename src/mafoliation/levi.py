@@ -120,18 +120,22 @@ def fields_at_many(p, points):
     return _batch_jet(p)(points)
 
 
-def classify_strata(rho, eigenvalues, tol_rank=DEFAULT_TOL_RANK):
-    """Rank rule over rho (...) and spectra (..., n), for one point or many.
-
-    An eigenvalue counts as zero iff |l| <= tol_rank times max(1, |l|_max);
-    points with rho <= 0 are outside the domain. Returns an object array of
-    Stratum with rho's shape (0-d for one point: take ``.item()``).
-    """
-    rho = np.asarray(rho, dtype=float)
+def levi_rank(eigenvalues, tol_rank=DEFAULT_TOL_RANK):
+    """Numerical rank of spectra (..., n): the count of eigenvalues l with
+    |l| > tol_rank times max(1, |l|_max)."""
     eig = np.abs(np.asarray(eigenvalues, dtype=float))
     scale = np.maximum(1.0, np.max(eig, axis=-1))
-    rank = np.count_nonzero(eig > tol_rank * scale[..., None], axis=-1)
-    n = eig.shape[-1]
+    return np.count_nonzero(eig > tol_rank * scale[..., None], axis=-1)
+
+
+def classify_strata(rho, eigenvalues, tol_rank=DEFAULT_TOL_RANK):
+    """Rank rule (``levi_rank``) over rho (...) and spectra (..., n), for one
+    point or many; points with rho <= 0 are outside the domain. Returns an
+    object array of Stratum with rho's shape (0-d for one point: take ``.item()``).
+    """
+    rho = np.asarray(rho, dtype=float)
+    rank = levi_rank(eigenvalues, tol_rank)
+    n = np.shape(eigenvalues)[-1]
     strata = np.full(rho.shape, Stratum.WEAK, dtype=object)
     strata[rank == n - 1] = Stratum.LOW_DEGENERACY
     strata[rank == n] = Stratum.STRICTLY_PSH
@@ -163,12 +167,17 @@ def log_levi_form(rho, grad, hess):
     return hess / rho - grad[..., :, None] * grad.conj()[..., None, :] / rho**2
 
 
-def ma_matrix(p, z):
-    """The Levi form of log rho at z. Requires rho > 0."""
+def _log_levi_at(p, z):
+    """The gradient and the Levi form of log rho at one point z. Requires rho > 0."""
     rho, grad, hess = fields_at(p, z)
     if rho <= 0:
         raise ValueError(f"rho(z) = {rho} <= 0; log rho undefined")
-    return log_levi_form(rho, grad, hess)
+    return grad, log_levi_form(rho, grad, hess)
+
+
+def ma_matrix(p, z):
+    """The Levi form of log rho at z. Requires rho > 0."""
+    return _log_levi_at(p, z)[1]
 
 
 def ma_residual(p, z):
@@ -245,12 +254,9 @@ def restricted_levi_eigen(p, z):
     Ker d rho = {v : sum_mu rho_mu v^mu = 0}, the Hermitian orthogonal
     complement of conj(grad). Requires a nonzero gradient.
     """
-    rho, grad, hess = fields_at(p, z)
-    if rho <= 0:
-        raise ValueError(f"rho(z) = {rho} <= 0; log rho undefined")
+    grad, u = _log_levi_at(p, z)
     if np.linalg.norm(grad) == 0:
         raise ValueError("zero gradient: Ker d rho is not a hyperplane here")
-    u = log_levi_form(rho, grad, hess)
     basis = _kernel_basis(grad.conj())
     # the Hermitian form sum U[m,n] v^m conj(v^n) is the quadratic form of conj(U)
     restricted = basis.conj().T @ u.conj() @ basis
@@ -270,7 +276,7 @@ class LeviScan:
 
     @cached_property
     def det_hessian(self):
-        """(N,) complex det H, computed on first use (the burns grid never reads it)."""
+        """(N,) complex det H, computed on first use."""
         return np.linalg.det(self.hessian)
 
 

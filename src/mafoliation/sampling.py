@@ -15,6 +15,11 @@ from .thresholds import RHO_FLOOR
 
 DEFAULT_BOX = 1.5
 MAX_SAMPLE_BATCHES = 1000  # sample_domain gives up after this many rejected-sample batches
+# 65 times the default --samples. analyze and suite hold every sample's jet,
+# spectrum and strata at once: about 1.3 KB per sample on ball3 (n = 3) and
+# 6.6 KB on the generated normsq_n8 (n = 8), so 2^16 samples peak near 130 MiB
+# and 470 MiB RSS, where --samples 200,000 reached 305 MiB at n = 3
+MAX_SAMPLES = 2**16
 # 4x the largest grid the README, tests and benchmark use (8 per axis on C^3).
 # The grid is streamed (GRID_CHUNK_ROWS), so this bounds time, not memory: a
 # burns check of 2^20 points takes 1-5 s for n = 1..5 (6 s with --csv at
@@ -42,10 +47,14 @@ def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR, rho
     """Rejection-sample `count` points with rho > min_rho (and rho < rho_max).
 
     Deterministic for a given seed/generator state. Raises ValueError for
-    count < 1.
+    count < 1 or count > MAX_SAMPLES.
     """
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count} (--samples)")
+    if count > MAX_SAMPLES:
+        raise ValueError(
+            f"sample count {count} exceeds the limit of {MAX_SAMPLES} samples; use fewer samples (--samples)"
+        )
     rng = np.random.default_rng(rng)
     kept = []
     have = 0

@@ -11,6 +11,8 @@ RK4 end point as it goes, the oracle for the block-checked
 extended_gradient and one levi_data per stencil point, the oracle for the
 batched ``cr_scan``; ``reference_levi_data`` is the scalar Levi bundle (one
 jet row, its determinant, spectrum and stratum), the oracle for ``levi_data``.
+``reference_radial`` is the eager radial rule (the stratum of every row, Z on
+the strictly psh ones), the oracle for the lazy radial gate of ``burns_check``.
 """
 
 import csv
@@ -20,10 +22,10 @@ import numpy as np
 
 from mafoliation import PolyPotential
 from mafoliation.foliation import rk4_segment
-from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, extended_gradient
+from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, _solve_z, extended_gradient
 from mafoliation.levi import LeviData, Stratum, classify_strata, fields_at, levi_data
 from mafoliation.potential import PolyExpr
-from mafoliation.thresholds import LSTSQ_RCOND
+from mafoliation.thresholds import DEFAULT_TOL_RANK, LSTSQ_RCOND
 
 
 def reference_evaluate(expr, z):
@@ -230,3 +232,18 @@ def reference_cr_scan(p, samples):
             report.max_residual = worst_here
             report.worst_point = np.array(zpt)
     return report
+
+
+def reference_radial(chunks, k, tol_rank=DEFAULT_TOL_RANK):
+    """Max ||Z - z/k|| over the strictly psh rows, by the eager rule: eigvalsh
+    and the stratum of every row, then _solve_z on the strict rows of each
+    chunk, folded with np.maximum (a NaN sticks). chunks yields (points, grad,
+    hess) triples of rows with rho > 0. None without a strict row."""
+    radial = None
+    for points, grad, hess in chunks:
+        strata = classify_strata(np.ones(len(points)), np.linalg.eigvalsh(hess), tol_rank)
+        strict = strata == Stratum.STRICTLY_PSH
+        if np.any(strict):
+            dist = np.max(np.linalg.norm(_solve_z(grad[strict], hess[strict]) - points[strict] / k, axis=1))
+            radial = dist if radial is None else np.maximum(radial, dist)
+    return radial

@@ -8,8 +8,12 @@ import pytest
 
 from mafoliation import PolyPotential, burns, burns_check, find_weights, log_growth_check, sampling
 from mafoliation.cli import bundled_corpus_dir, main
-from mafoliation.potential import format_potential, parse_potential_file
+from mafoliation.levi import fields_at_many
+from mafoliation.potential import format_potential, homogeneous_degree, parse_potential_file
 from mafoliation.sampling import real_grid
+from mafoliation.thresholds import DEFAULT_TOL_RANK, RHO_FLOOR
+
+from helpers import reference_radial
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +72,45 @@ def test_ball_passes_with_k1(ball2, grid):
 
 
 def test_positivity_margin_reported(square_norm, quartic_mixed, grid):
-    assert burns_check(square_norm, grid).min_rho_on_sphere > 0
-    # the mixed example is still positive on the sphere (|mixed| <= 2|z1|^3|z2|)
-    assert burns_check(quartic_mixed, grid).min_rho_on_sphere > 0
+    # rho = v* C v with v = (z1^2, z2^2, z1 z2) and C = diag(1, 1, 2)
+    report = burns_check(square_norm, grid)
+    assert report.positivity_margin == 0.5
+    assert "positivity margin : 0.5 (" in report.format()
+    # mass outside (2,2): no (k,k) form to certify, and the bidegree gate fails
+    assert burns_check(quartic_mixed, grid).positivity_margin is None
+
+
+Q1, Q2, Q12 = ((2, 0), (2, 0)), ((0, 2), (0, 2)), ((1, 1), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "terms, margin",
+    [
+        ({Q1: 1, Q2: 1, Q12: -3}, -1.0),  # C = diag(1, 1, -3); rho < 0 at (1, 1)/sqrt(2)
+        ({Q1: 1}, 0.0),  # no |z2|^4 term: rho(e2) = 0
+        ({Q1: 1, Q2: 1, ((2, 0), (0, 2)): 0.5, ((0, 2), (2, 0)): 0.5}, 0.5 / 1.5),  # C = [[1, .5], [.5, 1]]
+        ({Q1: 2, Q2: 1, Q12: 2}, 0.5),  # C = diag(2, 1, 2)
+    ],
+)
+def test_positivity_gate(terms, margin, grid):
+    report = burns_check(PolyPotential(2, terms), grid)
+    assert report.positivity_margin == pytest.approx(margin, abs=1e-15)
+    gated = [r for r in report.reasons if r.startswith("rho > 0 on the unit sphere not certified")]
+    assert len(gated) == (margin <= 0)
+
+
+def test_uncertified_rho_without_strict_points_is_a_finding(tmp_path, capsys):
+    # |z1|^4: every Hessian is singular, so the radial invariant has no point
+    # to run on, and rho = 0 on {z1 = 0} of the sphere, which the grid misses
+    pot = tmp_path / "z1_quartic.pot"
+    pot.write_text(format_potential(PolyPotential(2, {Q1: 1})))
+    rc = main(["burns", str(pot), "--grid-n", "6", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "radial residual   : not applicable (no strictly psh grid point)" in out
+    assert "verdict           : fail" in out
+    assert "  - rho > 0 on the unit sphere not certified: positivity margin 0 <= 1e-12" in out
+    assert "nan" not in out
 
 
 def test_equal_weights_iff_pass(square_norm, quartic_diag, grid):
@@ -208,3 +248,108 @@ def test_burns_check_memory_is_bounded(ball3):
         tracemalloc.stop()
     assert report.verdict and report.kept_points == len(grid)
     assert peak < 64 * 2**20
+
+
+# -- the lazy radial gate -----------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class _PointGrid:
+    """Fixed points read in chunks of sampling.GRID_CHUNK_ROWS, as burns_check reads a RealGrid."""
+
+    points: np.ndarray
+
+    def __len__(self):
+        return len(self.points)
+
+    def __iter__(self):
+        step = sampling.GRID_CHUNK_ROWS
+        return (self.points[i : i + step] for i in range(0, len(self.points), step))
+
+
+def _inside_chunks(p, grid):
+    for chunk in grid:
+        rho, grad, hess = fields_at_many(p, chunk)
+        inside = rho > RHO_FLOOR
+        yield chunk[inside], grad[inside], hess[inside]
+
+
+def _same(a, b):
+    """Equal, or both None, or both NaN."""
+    return (a is None) == (b is None) and (a is None or np.array_equal(a, b, equal_nan=True))
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_lazy_radial_equals_the_eager_rule(bundled_and_generated, size, monkeypatch):
+    monkeypatch.setattr(sampling, "GRID_CHUNK_ROWS", size)
+    rng = np.random.default_rng(11)
+    axis = np.linspace(-1.5, 1.5, 5)  # holds 0, where the diagonal potentials degenerate
+    checked = []
+    for name, p in bundled_and_generated.items():
+        x = axis[rng.integers(0, len(axis), (300, 2 * p.dim))]
+        grid = _PointGrid(x[:, 0::2] + 1j * x[:, 1::2])
+        got = burns_check(p, grid).radial_field_residual
+        degree = homogeneous_degree(p)
+        if degree is None or degree % 2:
+            assert np.isnan(got), name  # a degree gate stops the check before the grid
+            continue
+        assert _same(got, reference_radial(_inside_chunks(p, grid), degree // 2)), name
+        checked.append(name)
+    assert len(checked) == 7
+
+
+def _rows(rng, count, hess):
+    """count rows at random points and gradients, every Hessian equal to hess."""
+    points = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    grad = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    return points, grad, np.repeat(np.asarray(hess, dtype=complex)[None], count, axis=0)
+
+
+def _stack(*blocks, seed):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(sum(len(b[0]) for b in blocks))
+    return tuple(np.concatenate([b[i] for b in blocks])[order] for i in range(3))
+
+
+EYE = np.eye(2)
+NEAR_SINGULAR = np.diag([1.0, 1e-10])  # rank 1 under DEFAULT_TOL_RANK, yet solvable
+SINGULAR = np.diag([1.0, 0.0])  # exactly singular: the batched solve raises
+# eigvalsh reads the lower triangle (the identity), so the row is strict, but
+# the 1e20 entry leaves the direct solve inconsistent: the row takes the lstsq fallback
+SKEW = np.array([[1.0, 1e20], [0.0, 1.0]])
+
+
+FAR_STRICT = 1e-6 * EYE  # strict (1e-6 > 1e-8), and Z = 1e6 conj(g) lies far from z/k
+
+
+def _nan_row(rng, field):
+    """One strict row whose point (field 0) or gradient (field 1) holds a NaN."""
+    row = _rows(rng, 1, EYE)
+    row[field][0, 1] = np.nan
+    return row
+
+
+@pytest.mark.parametrize(
+    "case, blocks, expect",
+    [
+        # 100 settled non-strict rows farther from z/k than any strict one
+        # fill the first block: every settled row is classified
+        ("classify_all", lambda r: [_rows(r, 100, NEAR_SINGULAR), _rows(r, 10, EYE)], "small"),
+        ("singular_and_fallback", lambda r: [_rows(r, 5, SINGULAR), _rows(r, 10, EYE), _rows(r, 3, SKEW)], "finite"),
+        # a settled row at distance NaN comes before 70 strict rows
+        ("nan_point", lambda r: [_rows(r, 70, FAR_STRICT), _nan_row(r, 0)], "nan"),
+        ("nan_gradient", lambda r: [_rows(r, 10, EYE), _nan_row(r, 1)], "nan"),
+        ("no_strict_row", lambda r: [_rows(r, 5, SINGULAR), _rows(r, 80, NEAR_SINGULAR)], "none"),
+    ],
+)
+def test_lazy_radial_on_hand_built_rows(case, blocks, expect):
+    rng = np.random.default_rng(3)
+    points, grad, hess = _stack(*blocks(rng), seed=4)
+    got = burns._radial_max(points, grad, hess, 2, DEFAULT_TOL_RANK)
+    assert _same(got, reference_radial([(points, grad, hess)], 2))
+    if expect == "none":
+        assert got is None
+    elif expect == "nan":
+        assert np.isnan(got)
+    else:
+        assert np.isfinite(got) and (expect != "small" or got < 1e3)

@@ -9,7 +9,7 @@ from mafoliation.cli import _suite_grid_axis, bundled_corpus_dir, main
 from mafoliation.gradient import gradient_field
 from mafoliation.levi import fields_at_many, ma_scan
 from mafoliation.potential import PolyPotential, format_potential, parse_potential_file
-from mafoliation.sampling import MAX_GRID_POINTS
+from mafoliation.sampling import MAX_GRID_POINTS, MAX_SAMPLES
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +416,17 @@ def test_analyze_samples_below_one_exit2(corpus, tmp_path, capsys, samples):
     assert rc == 2
     assert "--samples" in err
     assert not (tmp_path / "ball2_analyze.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "suite"])
+def test_samples_above_the_limit_exit2(corpus, tmp_path, capsys, command):
+    # memory grows with --samples (every sample is held at once)
+    target = corpus / "ball2.pot" if command == "analyze" else corpus
+    rc = main([command, str(target), "--samples", str(MAX_SAMPLES + 1), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"exceeds the limit of {MAX_SAMPLES} samples" in err and "--samples" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("extra", [[], ["--csv"]])
