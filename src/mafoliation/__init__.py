@@ -64,47 +64,15 @@ from .potential import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "burns_check",
-    "log_growth_check",
-    "IntegratorConfig",
-    "flow_point",
-    "flow_points",
-    "leaf_log_linearity",
-    "leaf_stratum_invariance",
-    "level_set_invariance",
-    "trace_leaf",
-    "RealFieldKind",
-    "SingularHessianError",
-    "complex_gradient",
-    "cr_residual",
-    "cr_scan",
-    "euler_residual_scan",
-    "extended_gradient",
-    "gradient_field",
-    "theta_orbit_det_check",
-    "analyze_weights",
-    "default_lambda_samples",
-    "find_weights",
-    "flow_level_map_check",
-    "linear_field_agreement",
-    "rescale_to_level",
-    "verify_weights",
-    "Stratum",
-    "levi_data",
-    "levi_scan",
-    "ma_residual",
-    "ma_scan",
-    "rank_identity_residual",
+    "burns_check", "log_growth_check",
+    "IntegratorConfig", "flow_point", "flow_points", "leaf_log_linearity", "leaf_stratum_invariance",
+    "level_set_invariance", "trace_leaf",
+    "RealFieldKind", "SingularHessianError", "complex_gradient", "cr_residual", "cr_scan", "euler_residual_scan",
+    "extended_gradient", "gradient_field", "theta_orbit_det_check",
+    "analyze_weights", "default_lambda_samples", "find_weights", "flow_level_map_check", "linear_field_agreement",
+    "rescale_to_level", "verify_weights",
+    "Stratum", "levi_data", "levi_scan", "ma_residual", "ma_scan", "rank_identity_residual",
     "restricted_levi_eigen",
-    "PolyExpr",
-    "PolyPotential",
-    "PotentialFormatError",
-    "bidegree_decompose",
-    "evaluate",
-    "format_potential",
-    "homogeneous_degree",
-    "parse_potential",
-    "parse_potential_file",
-    "wirtinger_z",
-    "wirtinger_zbar",
+    "PolyExpr", "PolyPotential", "PotentialFormatError", "bidegree_decompose", "evaluate", "format_potential",
+    "homogeneous_degree", "parse_potential", "parse_potential_file", "wirtinger_z", "wirtinger_zbar",
 ]

@@ -13,24 +13,27 @@ monomials present in rho and every pure power z_j^k. If C is positive definite,
 rho >= lambda_min(C) sum_j |z_j|^(2k) > 0 on the sphere (Quillen 1968;
 D'Angelo 2002); an absent pure power leaves a zero row in C, and rho(e_j) = 0.
 
-A pass must also have max ||Z - w/k|| < RADIAL_TOL on the strictly psh grid
-points; if not, the report's internal_failure names a code bug, which burns
-and suite both report. With no strictly psh point the invariant is not
-applicable. Only the rows that can decide the max are classified: Z comes from
-one direct solve (gradient._direct_z) on every kept row; the rows it cannot
-settle are classified by eigvalsh, and the strict ones get the least-squares
-row solve. The settled rows are ordered by ||Z - w/k||, NaN first, and only the
-first RADIAL_CANDIDATE_ROWS are classified, or every settled row when none of
-those is strict. The max is exactly the eager one (eigvalsh on every row, Z on
-the strict ones): a row's Z, spectrum and distance do not depend on the other
-rows, and a strict row outside the block lies no farther than the block's
-strict max. The worst case is a grid of degenerate rows: on |z1|^4, whose
-Hessians are all exactly singular, the direct solve fails and every row is
-classified anyway.
+The positivity and Monge-Ampere gates are records of the check table in
+thresholds.py, which burns and suite share; they are findings, and a gate that
+did not run has no record. A pass must also have max ||Z - w/k|| < RADIAL_TOL
+on the strictly psh grid points; if not, the report's internal_failure names a
+code bug, which burns and suite both report. With no strictly psh point the
+invariant is not applicable. Only the rows that can decide the max are
+classified: Z comes from one direct solve (gradient._direct_z) on every kept
+row; the rows it cannot settle are classified by eigvalsh, and the strict ones
+get the least-squares row solve. The settled rows are ordered by ||Z - w/k||,
+NaN first, and only the first RADIAL_CANDIDATE_ROWS are classified, or every
+settled row when none of those is strict. The max is exactly the eager one
+(eigvalsh on every row, Z on the strict ones): a row's Z, spectrum and
+distance do not depend on the other rows, and a strict row outside the block
+lies no farther than the block's strict max. The worst case is a grid of
+degenerate rows: on |z1|^4, whose Hessians are all exactly singular, the
+direct solve fails and every row is classified anyway.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +42,7 @@ from .gradient import _direct_z, _lstsq_rows
 from .homogeneity import verify_weights
 from .levi import fields_at_many, levi_rank, ma_from_fields
 from .potential import bidegree_decompose, homogeneous_degree
-from .thresholds import DEFAULT_TOL_RANK, RADIAL_TOL, RHO_FLOOR, SPHERE_POSITIVITY_TOL, VERDICT_MA_TOL
+from .thresholds import DEFAULT_TOL_RANK, RHO_FLOOR, VERDICT_MA_TOL, outcome, threshold
 
 # settled rows classified first for the radial max, farthest from w/k first
 RADIAL_CANDIDATE_ROWS = 64
@@ -73,56 +76,73 @@ class BurnsReport:
 
     degree2k: int | None
     is_homogeneous: bool
-    ma_max_residual: float
-    ma_max_scaled: float
-    ma_tol: float  # the threshold the Monge-Ampere gate applied
+    ma_max_residual: float  # max raw |det U|; NaN when a degree gate stops the check
     worst_ma_point: np.ndarray | None
     bidegree_mass: dict
-    radial_field_residual: float | None  # None: no strictly psh grid point, not applicable
-    positivity_margin: float | None  # min / max |eigenvalue| of C; None off pure (k,k)
-    verdict: bool
+    radial_field_residual: float | None  # None: no strictly psh grid point; NaN as ma_max_residual
     reasons: list
-    internal_failure: str | None  # a passing verdict whose radial invariant fails
+    gates: list  # CheckOutcome of each gate that ran, and of the radial invariant on a pass
     kept_points: int | None  # points with rho > RHO_FLOOR; None when a degree gate stops the check
     grid_size: int  # grid points given to burns_check, skipped ones included
+
+    def gate(self, name):
+        """The record of gate `name`, None if it did not run."""
+        return next((oc for oc in self.gates if oc.name == name), None)
+
+    @property
+    def verdict(self):
+        return not self.reasons
+
+    @property
+    def ma_max_scaled(self):  # NaN as ma_max_residual
+        ma = self.gate("ma_residual_scaled")
+        return float("nan") if ma is None else ma.measured
+
+    @property
+    def positivity_margin(self):  # min / max |eigenvalue| of C; None off pure (k,k)
+        positivity = self.gate("positivity_margin")
+        return None if positivity is None else positivity.measured
+
+    @property
+    def internal_failure(self):  # a passing verdict whose radial invariant fails
+        radial = self.gate("radial_field_residual")
+        if radial is not None and radial.status == "fail":
+            return f"verdict passes but radial residual {radial.measured:.3e} >= {radial.threshold:g}"
+        return None
 
     @property
     def skipped_points(self):
         return None if self.kept_points is None else self.grid_size - self.kept_points
 
     def format(self):
-        lines = []
         deg = self.degree2k if self.degree2k is not None else "-"
-        lines.append(f"homogeneous       : {self.is_homogeneous} (degree {deg})")
-        mass = ", ".join(
-            f"({l},{m}): {v:.6g}" for (l, m), v in sorted(self.bidegree_mass.items())
-        )
-        lines.append(f"bidegree mass     : {mass}")
-        lines.append(
-            f"max |det U|       : {self.ma_max_residual:.3e} "
-            f"(scaled {self.ma_max_scaled:.3e}, threshold {self.ma_tol:.0e})"
-        )
+        mass = ", ".join(f"({l},{m}): {v:.6g}" for (l, m), v in sorted(self.bidegree_mass.items()))
+        lines = [f"homogeneous       : {self.is_homogeneous} (degree {deg})", f"bidegree mass     : {mass}"]
+        if (ma := self.gate("ma_residual_scaled")) is None:
+            lines.append("max |det U|       : not applicable (a degree gate failed)")
+        else:
+            lines.append(f"max |det U|       : {self.ma_max_residual:.3e} "
+                         f"(scaled {ma.measured:.3e}, threshold {ma.threshold:.0e})")
         if self.worst_ma_point is not None:
             coords = ", ".join(f"{c:.6g}" for c in self.worst_ma_point)
             lines.append(f"worst grid point  : ({coords})")
-        if self.radial_field_residual is None:
-            lines.append("radial residual   : not applicable (no strictly psh grid point)")
+        if ma is None:
+            radial = "not applicable (a degree gate failed)"
+        elif self.radial_field_residual is None:
+            radial = "not applicable (no strictly psh grid point)"
         else:
+            tol = threshold("radial_field_residual")
+            radial = f"{self.radial_field_residual:.3e} (max ||Z - w/k||, threshold {tol:.0e} on pass)"
+        lines.append(f"radial residual   : {radial}")
+        if (positivity := self.gate("positivity_margin")) is not None:
             lines.append(
-                f"radial residual   : {self.radial_field_residual:.3e} "
-                f"(max ||Z - w/k||, threshold {RADIAL_TOL:.0e} on pass)"
-            )
-        if self.positivity_margin is not None:
-            lines.append(
-                f"positivity margin : {self.positivity_margin:.6g} "
-                f"(min/max eigenvalue of C in rho = v* C v, threshold > {SPHERE_POSITIVITY_TOL:g})"
+                f"positivity margin : {positivity.measured:.6g} "
+                f"(min/max eigenvalue of C in rho = v* C v, threshold > {positivity.threshold:g})"
             )
         if self.kept_points is not None:
             lines.append(f"skipped points    : {self.skipped_points} of {self.grid_size} (rho <= {RHO_FLOOR:g})")
         lines.append(f"verdict           : {'pass' if self.verdict else 'fail'}")
-        for reason in self.reasons:
-            lines.append(f"  - {reason}")
-        return "\n".join(lines)
+        return "\n".join(lines + [f"  - {reason}" for reason in self.reasons])
 
 
 def log_growth_check(p, k, z_samples, lam_samples):
@@ -191,7 +211,7 @@ def _positivity_margin(p, k):
     """min / max |eigenvalue| of the Hermitian C with Re rho = v(z)* C v(z),
     for a rho of pure bidegree (k, k); v holds the degree-k monomials present
     in rho and every pure power z_j^k. rho > 0 on the unit sphere is certified
-    when the margin exceeds SPHERE_POSITIVITY_TOL."""
+    when the margin exceeds SPHERE_POSITIVITY_TOL (the positivity_margin gate)."""
     keys = [tuple(k * (i == j) for i in range(p.dim)) for j in range(p.dim)]
     keys += [e for term in p.terms for e in term]
     index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
@@ -212,15 +232,12 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
     (the rows of burns --csv), also when a degree gate fails. Failures are
     verdicts with reasons, not errors.
     """
-    masses = {
-        key: float(sum(abs(c) for c in comp.terms.values()))
-        for key, comp in bidegree_decompose(p).items()
-    }
+    t0 = time.perf_counter()
+    masses = {key: float(sum(abs(c) for c in comp.terms.values())) for key, comp in bidegree_decompose(p).items()}
     degree = homogeneous_degree(p)
-    nan = float("nan")
-    degree2k = k = worst_point = kept = internal = margin = None
-    ma_max_raw = ma_max_scaled = radial = nan
-    reasons = []
+    degree2k = k = worst_point = kept = None
+    ma_max_raw = radial = float("nan")
+    reasons, gates = [], []
     if degree is None:
         reasons.append("not homogeneous: mixed total degrees")
     elif degree % 2 != 0:
@@ -232,7 +249,6 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
     if k is not None:
         raw_max, scaled_max, worst_point, radial, kept = folded
         ma_max_raw = 0.0 if raw_max is None else float(raw_max)
-        ma_max_scaled = 0.0 if scaled_max is None else float(scaled_max)
         radial = None if radial is None else float(radial)
 
         nonkk = {key: v for key, v in masses.items() if key != (k, k)}
@@ -240,31 +256,18 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
             listing = ", ".join(f"({l},{m}): {v:.6g}" for (l, m), v in sorted(nonkk.items()))
             reasons.append(f"bidegree mass outside ({k},{k}): {listing}")
         else:
-            margin = _positivity_margin(p, k)
-            if not margin > SPHERE_POSITIVITY_TOL:
+            gates.append(positivity := outcome("positivity_margin", _positivity_margin(p, k), t0))
+            if positivity.status != "pass":
                 reasons.append(
-                    f"rho > 0 on the unit sphere not certified: positivity margin {margin:.6g} <= {SPHERE_POSITIVITY_TOL:g}"
+                    "rho > 0 on the unit sphere not certified: "
+                    f"positivity margin {positivity.measured:.6g} <= {positivity.threshold:g}"
                 )
-        if ma_max_scaled > tol:
+        gates.append(ma := outcome("ma_residual_scaled", 0.0 if scaled_max is None else float(scaled_max), t0, tol))
+        if ma.status != "pass":
             coords = ", ".join(f"{c:.6g}" for c in worst_point)
-            reasons.append(
-                f"scaled Monge-Ampere residual {ma_max_scaled:.3e} > {tol:.0e} at ({coords})"
-            )
-        if not reasons and radial is not None and not radial < RADIAL_TOL:
-            internal = f"verdict passes but radial residual {radial:.3e} >= {RADIAL_TOL:g}"
-    return BurnsReport(
-        degree2k=degree2k,
-        is_homogeneous=degree is not None,
-        ma_max_residual=ma_max_raw,
-        ma_max_scaled=ma_max_scaled,
-        ma_tol=tol,
-        worst_ma_point=worst_point,
-        bidegree_mass=masses,
-        radial_field_residual=radial,
-        positivity_margin=margin,
-        verdict=not reasons,
-        reasons=reasons,
-        internal_failure=internal,
-        kept_points=kept,
-        grid_size=len(grid),
-    )
+            reasons.append(f"scaled Monge-Ampere residual {ma.measured:.3e} > {ma.threshold:.0e} at ({coords})")
+        if not reasons and radial is not None:
+            gates.append(outcome("radial_field_residual", radial, t0))
+    return BurnsReport(degree2k=degree2k, is_homogeneous=degree is not None, ma_max_residual=ma_max_raw,
+                       worst_ma_point=worst_point, bidegree_mass=masses, radial_field_residual=radial,
+                       reasons=reasons, gates=gates, kept_points=kept, grid_size=len(grid))

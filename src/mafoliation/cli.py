@@ -8,8 +8,12 @@ weights   homogeneity weight recovery with residual verification
 burns     bidegree-(k,k) verdict on a real grid
 suite     run the invariant suite over a directory of potential files
 
-Exit codes: 0 clean, 1 failed check or internal invariant, 2 input/usage
-error. CSV columns are fixed (see --help of each command); identical seeds
+Every check line prints one record of the check table in thresholds.py. Exit
+codes: 1 if any record of the command failed (a check or an internal
+invariant), else 0; 2 for an input or usage error. Findings about the input
+exit 0: the max residual lines of analyze on a non-Monge-Ampere potential,
+the gates of a burns fail verdict, and an infeasible or non-positive weights
+result. CSV columns are fixed (see --help of each command); identical seeds
 and configs give byte-identical CSVs.
 """
 
@@ -24,6 +28,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -42,10 +47,7 @@ from .homogeneity import (
 from .levi import levi_scan, log_levi_form, ma_from_fields, rank_identity
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
 from .sampling import MAX_GRID_POINTS, real_grid, sample_domain
-from .thresholds import (
-    DEFAULT_STEP, DEFAULT_TOL_RANK, DET_LEMMA_TOL, DET_REAL_TOL, HERMITIAN_EVAL_TOL, HESSIAN_SYMMETRY_TOL, IFF_TOL,
-    NON_MA_FLOOR, TRACE_LEVEL_TOL, TRACE_LOG_LIN_TOL, VERDICT_MA_TOL, WEIGHT_FIELD_TOL, WEIGHT_VERIFY_TOL, WEIGHTS_MATCH_TOL,
-)
+from .thresholds import DEFAULT_STEP, DEFAULT_TOL_RANK, IFF_TOL, VERDICT_MA_TOL, CheckOutcome, outcome
 
 _CSV_BLOCK_ROWS = 16_384  # rows joined per write, to bound the memory of one write
 
@@ -61,18 +63,20 @@ class ScanConfig:
     out_dir: Path = Path(".")
 
 
-@dataclass
-class CheckOutcome:
-    name: str
-    status: str          # pass | fail | skip
-    measured: float
-    threshold: float
-    wall: float
+def _timed(name, measure, tol_ma=VERDICT_MA_TOL):
+    """The record of check `name` on measure(), timed."""
+    t0 = time.perf_counter()
+    return outcome(name, float(measure()), t0, tol_ma)
 
 
-def _outcome(name, ok, measured, threshold, t0):
-    """Pass/fail outcome of a check that started at perf_counter() == t0."""
-    return CheckOutcome(name, "pass" if ok else "fail", measured, threshold, time.perf_counter() - t0)
+def _check_text(oc):
+    measured = "n/a" if oc.measured is None else f"{oc.measured:.3e}"
+    return f"{'ok ' if oc.status == 'pass' else 'FAIL'} measured={measured} threshold={oc.threshold:g}"
+
+
+def _exit_code(records):
+    """The one exit rule (see the module docstring): findings do not fail."""
+    return int(any(oc.status == "fail" for oc in records))
 
 
 def _csv_field(text):
@@ -126,15 +130,8 @@ def _coord_columns(points):
 
 
 def _config_from(args):
-    return ScanConfig(
-        box_radius=args.box,
-        samples=args.samples,
-        rng_seed=args.seed,
-        tol_rank=args.tol_rank,
-        tol_ma=args.tol_ma,
-        step=args.step,
-        out_dir=Path(args.out),
-    )
+    return ScanConfig(box_radius=args.box, samples=args.samples, rng_seed=args.seed, tol_rank=args.tol_rank,
+                      tol_ma=args.tol_ma, step=args.step, out_dir=Path(args.out))
 
 
 def _print_header(title, cfg):
@@ -147,37 +144,27 @@ def _print_header(title, cfg):
 
 def _internal_invariants(p, scan, raw_ma, euler_res):
     """Invariants that must hold for any potential; failures mean a code bug."""
-    outcomes = []
-
-    t0 = time.perf_counter()
-    vals = p.evaluate_many(scan.points)
-    herm = float(np.max(np.abs(vals.imag) / np.maximum(1.0, np.abs(vals))))
-    outcomes.append(_outcome("hermitian_eval", herm < HERMITIAN_EVAL_TOL, herm, HERMITIAN_EVAL_TOL, t0))
-
-    t0 = time.perf_counter()
-    h = scan.hessian
-    asym = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
-    scale = max(1.0, float(np.max(np.abs(h))))
-    hsym = float(asym / scale)
-    outcomes.append(_outcome("hessian_symmetry", hsym < HESSIAN_SYMMETRY_TOL, hsym, HESSIAN_SYMMETRY_TOL, t0))
-
-    t0 = time.perf_counter()
-    det_imag = float(
-        np.max(np.abs(scan.det_hessian.imag) / np.maximum(1.0, np.abs(scan.det_hessian)))
-    )
-    outcomes.append(_outcome("det_real", det_imag < DET_REAL_TOL, det_imag, DET_REAL_TOL, t0))
-
-    t0 = time.perf_counter()
+    h, det = scan.hessian, scan.det_hessian
     rho, grad, hess = scan.rho[:200], scan.grad[:200], scan.hessian[:200]
-    lhs = rank_identity(rho, grad, hess)
-    rhs = rho ** (p.dim + 1) * np.linalg.det(log_levi_form(rho, grad, hess)).real
-    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)), initial=0.0))
-    outcomes.append(_outcome("det_lemma", worst < DET_LEMMA_TOL, worst, DET_LEMMA_TOL, t0))
 
-    t0 = time.perf_counter()
-    mismatch = int(np.count_nonzero((euler_res < IFF_TOL) != (raw_ma < IFF_TOL)))
-    outcomes.append(_outcome("euler_ma_iff", mismatch == 0, float(mismatch), 0.0, t0))
-    return outcomes
+    def hermitian_eval():
+        vals = p.evaluate_many(scan.points)
+        return np.max(np.abs(vals.imag) / np.maximum(1.0, np.abs(vals)))
+
+    def hessian_symmetry():
+        return np.max(np.abs(h - h.conj().transpose(0, 2, 1))) / max(1.0, float(np.max(np.abs(h))))
+
+    def det_lemma():
+        rhs = rho ** (p.dim + 1) * np.linalg.det(log_levi_form(rho, grad, hess)).real
+        return np.max(np.abs(rank_identity(rho, grad, hess) - rhs) / np.maximum(1.0, np.abs(rhs)), initial=0.0)
+
+    return [
+        _timed("hermitian_eval", hermitian_eval),
+        _timed("hessian_symmetry", hessian_symmetry),
+        _timed("det_real", lambda: np.max(np.abs(det.imag) / np.maximum(1.0, np.abs(det)))),
+        _timed("det_lemma", det_lemma),
+        _timed("euler_ma_iff", lambda: np.count_nonzero((euler_res < IFF_TOL) != (raw_ma < IFF_TOL))),
+    ]
 
 
 def _analyze_scan(p, cfg):
@@ -196,35 +183,25 @@ def cmd_analyze(args):
     _print_header(f"analyze {args.potential}", cfg)
     pts, scan, raw, scaled, euler = _analyze_scan(p, cfg)
 
-    census = {}
-    for s in scan.strata:
-        census[str(s)] = census.get(str(s), 0) + 1
-
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / (Path(args.potential).stem + "_analyze.csv")
-    header = (
-        ["sample"]
-        + _coord_header(p.dim)
-        + ["rho", "re_detH", "im_detH", "stratum", "ma_residual", "ma_residual_scaled", "euler_residual"]
-    )
+    header = ["sample", *_coord_header(p.dim), "rho", "re_detH", "im_detH", "stratum", "ma_residual",
+              "ma_residual_scaled", "euler_residual"]
     det = scan.det_hessian
     _write_csv(out_path, header, range(len(pts)), *_coord_columns(pts), scan.rho, det.real, det.imag, scan.strata,
                raw, scaled, euler)
 
-    total = len(pts)
     print("stratum census:")
-    for name, count in sorted(census.items()):
-        print(f"  {name:15} {count:6d}  ({100.0 * count / total:.1f}%)")
-    print(f"max ma_residual        = {raw.max():.3e} (scaled {scaled.max():.3e}, threshold {cfg.tol_ma:g})")
-    print(f"max euler_residual     = {euler.max():.3e} (threshold {IFF_TOL:g})")
+    for name, count in sorted(Counter(map(str, scan.strata)).items()):
+        print(f"  {name:15} {count:6d}  ({100.0 * count / len(pts):.1f}%)")
+    ma, eu = _timed("ma_residual_scaled", scaled.max, cfg.tol_ma), _timed("euler_residual", euler.max)
+    print(f"max ma_residual        = {raw.max():.3e} (scaled {ma.measured:.3e}, threshold {ma.threshold:g})")
+    print(f"max euler_residual     = {eu.measured:.3e} (threshold {eu.threshold:g})")
     print(f"csv: {out_path}")
-
-    failures = 0
-    for oc in _internal_invariants(p, scan, raw, euler):
-        mark = "ok " if oc.status == "pass" else "FAIL"
-        print(f"invariant {oc.name:18} {mark} measured={oc.measured:.3e} threshold={oc.threshold:g}")
-        failures += oc.status == "fail"
-    return 1 if failures else 0
+    invariants = _internal_invariants(p, scan, raw, euler)
+    for oc in invariants:
+        print(f"invariant {oc.name:18} {_check_text(oc)}")
+    return _exit_code([ma, eu, *invariants])
 
 
 def cmd_trace(args):
@@ -250,21 +227,23 @@ def cmd_trace(args):
     if trace.truncated:
         print("note: trace truncated at the domain/box boundary")
 
-    log_lin = leaf_log_linearity(trace)
-    level = level_set_invariance(trace)
-    strat = leaf_stratum_invariance(trace)
-    checks = [
-        ("log_linearity", log_lin, TRACE_LOG_LIN_TOL, log_lin < TRACE_LOG_LIN_TOL),
-        ("level_set_invariance", level, TRACE_LEVEL_TOL, level < TRACE_LEVEL_TOL),
-        ("stratum_invariance", float(len(strat.violations)), 0.0, strat.passed),
+    records = [
+        _timed("log_linearity", lambda: leaf_log_linearity(trace)),
+        _timed("level_set_invariance", lambda: level_set_invariance(trace)),
+        _timed("stratum_invariance", lambda: len(leaf_stratum_invariance(trace).violations)),
     ]
-    failed = 0
-    for name, measured, threshold, ok in checks:
-        mark = "ok " if ok else "FAIL"
-        print(f"{name:22} {mark} measured={measured:.3e} threshold={threshold:g}")
-        failed += not ok
+    for oc in records:
+        print(f"{oc.name:22} {_check_text(oc)}")
     print(f"final rho at (t_max, s=0): {float(trace.rho[-1, 0])!r}")
-    return 1 if failed else 0
+    return _exit_code(records)
+
+
+def _weight_checks(p, weights, pts):
+    """The homogeneity identity and Z = c z at pts (weights and suite)."""
+    return [
+        _timed("weights_verify", lambda: verify_weights(p, weights, pts, default_lambda_samples())),
+        _timed("weights_field", lambda: linear_field_agreement(p, weights, pts)),
+    ]
 
 
 def cmd_weights(args):
@@ -284,13 +263,10 @@ def cmd_weights(args):
     print(f"c = ({weights}), {tag}, system residual {analysis.residual:.3e}")
     rng = np.random.default_rng(cfg.rng_seed)
     pts = sample_domain(p, min(cfg.samples, 100), cfg.box_radius, rng)
-    ver = verify_weights(p, analysis.weights, pts, default_lambda_samples())
-    lin = linear_field_agreement(p, analysis.weights, pts)
-    ok_ver = ver < WEIGHT_VERIFY_TOL
-    ok_lin = lin < WEIGHT_FIELD_TOL
-    print(f"homogeneity residual   = {ver:.3e} (threshold {WEIGHT_VERIFY_TOL:g}) {'ok' if ok_ver else 'FAIL'}")
-    print(f"linear field residual  = {lin:.3e} (threshold {WEIGHT_FIELD_TOL:g}) {'ok' if ok_lin else 'FAIL'}")
-    return 0 if (ok_ver and ok_lin) else 1
+    records = _weight_checks(p, analysis.weights, pts)
+    for label, oc in zip(("homogeneity residual", "linear field residual"), records):
+        print(f"{label:22} = {oc.measured:.3e} (threshold {oc.threshold:g}) {'ok' if oc.status == 'pass' else 'FAIL'}")
+    return _exit_code(records)
 
 
 def cmd_burns(args):
@@ -317,8 +293,7 @@ def cmd_burns(args):
         print(f"csv: {out_path}")
     if report.internal_failure:
         print(f"internal invariant FAIL: {report.internal_failure}")
-        return 1
-    return 0
+    return _exit_code(report.gates)
 
 
 SUITE_GRID_BUDGET = 20_000  # total burns grid points per potential in the suite
@@ -335,49 +310,34 @@ def _suite_grid_axis(dim):
 
 
 def _suite_checks(p, expect, cfg):
-    outcomes = []
     pts, scan, raw, scaled, euler = _analyze_scan(p, cfg)
-    outcomes.extend(_internal_invariants(p, scan, raw, euler))
-
-    exp_ma = expect.get("ma")
-    if exp_ma is not None:
-        t0 = time.perf_counter()
-        worst = float(scaled.max())
-        if exp_ma:
-            outcomes.append(_outcome("ma_holds", worst < cfg.tol_ma, worst, cfg.tol_ma, t0))
-        else:
-            outcomes.append(_outcome("ma_fails", worst > NON_MA_FLOOR, worst, NON_MA_FLOOR, t0))
+    outcomes = _internal_invariants(p, scan, raw, euler)
+    if expect.get("ma") is not None:
+        outcomes.append(_timed("ma_holds" if expect["ma"] else "ma_fails", scaled.max, cfg.tol_ma))
 
     if "weights" in expect:
         t0 = time.perf_counter()
-        exp_w = expect["weights"]
         analysis = analyze_weights(p)
-        if exp_w is None:
-            ok = analysis.status == "infeasible"
-            outcomes.append(_outcome("weights_infeasible", ok, analysis.residual, 0.0, t0))
+        if expect["weights"] is None:
+            outcomes.append(outcome("weights_infeasible", analysis.residual, t0))
         else:
-            measured = float(
-                np.max(np.abs(analysis.weights - np.asarray(exp_w)))
-                if analysis.status == "ok"
-                else math.inf
-            )
-            outcomes.append(_outcome("weights_match", measured <= WEIGHTS_MATCH_TOL, measured, WEIGHTS_MATCH_TOL, t0))
-            if analysis.status == "ok":
-                t0 = time.perf_counter()
-                ver = verify_weights(p, analysis.weights, pts[:100], default_lambda_samples())
-                outcomes.append(_outcome("weights_verify", ver < WEIGHT_VERIFY_TOL, ver, WEIGHT_VERIFY_TOL, t0))
-                t0 = time.perf_counter()
-                lin = linear_field_agreement(p, analysis.weights, pts[:100])
-                outcomes.append(_outcome("weights_field", lin < WEIGHT_FIELD_TOL, lin, WEIGHT_FIELD_TOL, t0))
+            ok = analysis.status == "ok"
+            measured = float(np.max(np.abs(analysis.weights - np.asarray(expect["weights"])))) if ok else math.inf
+            outcomes.append(outcome("weights_match", measured, t0))
+            if ok:
+                outcomes += _weight_checks(p, analysis.weights, pts[:100])
 
     exp_burns = expect.get("burns")
     if exp_burns is not None:
         t0 = time.perf_counter()
         grid = real_grid(p.dim, _suite_grid_axis(p.dim), cfg.box_radius)
         report = burns_check(p, grid, tol=cfg.tol_ma, tol_rank=cfg.tol_rank)
-        ok = ("pass" if report.verdict else "fail") == exp_burns and not report.internal_failure
-        measured = report.ma_max_scaled if math.isfinite(report.ma_max_scaled) else math.inf
-        outcomes.append(_outcome("burns_verdict", ok, measured, cfg.tol_ma, t0))
+        # the one record not decided by its printed value: it passes when the
+        # verdict is the expected one and no burns invariant failed
+        matches = report.verdict == (exp_burns == "pass") and not report.internal_failure
+        ma = report.gate("ma_residual_scaled")
+        outcomes.append(CheckOutcome("burns_verdict", "pass" if matches else "fail", ma and ma.measured,
+                                     "VERDICT_MA_TOL", cfg.tol_ma, time.perf_counter() - t0))
     return outcomes
 
 
@@ -391,38 +351,32 @@ def cmd_suite(args):
         print(f"error: no .pot files in {directory}", file=sys.stderr)
         return 2
     expect_path = directory / "expect.json"
-    expectations = {}
-    if expect_path.exists():
-        expectations = json.loads(expect_path.read_text(encoding="utf-8"))
+    expectations = json.loads(expect_path.read_text(encoding="utf-8")) if expect_path.exists() else {}
 
     _print_header(f"suite {directory}", cfg)
     names, results = [], []
-    failed = 0
     for pot_path in pot_files:
+        t0 = time.perf_counter()
         try:
             p = parse_potential_file(pot_path)
             outcomes = _suite_checks(p, expectations.get(pot_path.name, {}), cfg)
         except PotentialFormatError as exc:
-            outcomes = [CheckOutcome("parse", "fail", math.inf, 0.0, 0.0)]
+            outcomes = [outcome("parse", None, t0)]
             print(f"{pot_path.name}: parse error: {exc}")
         for oc in outcomes:
-            mark = "ok " if oc.status == "pass" else ("--  " if oc.status == "skip" else "FAIL")
-            print(
-                f"{pot_path.name:20} {oc.name:20} {mark} measured={oc.measured:.3e} "
-                f"threshold={oc.threshold:g} [{oc.wall:.2f}s]"
-            )
-            failed += oc.status == "fail"
+            print(f"{pot_path.name:20} {oc.name:20} {_check_text(oc)} [{oc.wall:.2f}s]")
             names.append(pot_path.name)
             results.append(oc)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "suite_summary.csv"
     _write_csv(out_path, ["potential", "check", "status", "measured", "threshold"], names,
                [oc.name for oc in results], [oc.status for oc in results],
-               np.array([oc.measured for oc in results], dtype=float),
+               ["" if oc.measured is None else repr(float(oc.measured)) for oc in results],
                np.array([oc.threshold for oc in results], dtype=float))
+    failed = sum(oc.status == "fail" for oc in results)
     print(f"csv: {out_path}")
     print(f"{'FAILED' if failed else 'OK'}: {failed} failing checks")
-    return 1 if failed else 0
+    return _exit_code(results)
 
 
 def bundled_corpus_dir():
@@ -448,50 +402,30 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser(
-        "analyze",
-        help="per-sample Levi/gradient scan",
-        description="CSV columns: sample, re_z*/im_z*, rho, re_detH, im_detH, "
-        "stratum, ma_residual, ma_residual_scaled, euler_residual.",
-    )
-    pa.add_argument("potential")
-    _add_common(pa)
-    pa.set_defaults(func=cmd_analyze)
+    def command(func, target, help, description=None):
+        cmd = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help, description=description)
+        cmd.add_argument(target)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    pt = sub.add_parser(
-        "trace",
-        help="integrate one foliation leaf",
-        description="CSV columns: t, s, re_z*/im_z*, rho, abs_detH, stratum.",
-    )
-    pt.add_argument("potential")
+    command(cmd_analyze, "potential", "per-sample Levi/gradient scan",
+            "CSV columns: sample, re_z*/im_z*, rho, re_detH, im_detH, "
+            "stratum, ma_residual, ma_residual_scaled, euler_residual.")
+    pt = command(cmd_trace, "potential", "integrate one foliation leaf",
+                 "CSV columns: t, s, re_z*/im_z*, rho, abs_detH, stratum.")
     pt.add_argument("--base", required=True, help="comma-separated complex coordinates, e.g. '1+0i,0.5-0.5i'")
     pt.add_argument("--t-max", dest="t_max", type=float, default=2.0)
     pt.add_argument("--t-nodes", dest="t_nodes", type=int, default=9)
     pt.add_argument("--s-max", dest="s_max", type=float, default=2 * math.pi)
     pt.add_argument("--s-nodes", dest="s_nodes", type=int, default=13)
-    _add_common(pt)
-    pt.set_defaults(func=cmd_trace)
-
-    pw = sub.add_parser("weights", help="homogeneity weight recovery")
-    pw.add_argument("potential")
-    _add_common(pw)
-    pw.set_defaults(func=cmd_weights)
-
-    pb = sub.add_parser(
-        "burns",
-        help="bidegree-(k,k) verdict on a real grid",
-        description="Optional CSV columns: re_z*/im_z*, rho, ma_residual, ma_residual_scaled.",
-    )
-    pb.add_argument("potential")
+    command(cmd_weights, "potential", "homogeneity weight recovery")
+    pb = command(cmd_burns, "potential", "bidegree-(k,k) verdict on a real grid",
+                 "Optional CSV columns: re_z*/im_z*, rho, ma_residual, ma_residual_scaled.")
     pb.add_argument("--grid-n", dest="grid_n", type=int, default=20, help="grid points per real axis")
     pb.add_argument("--csv", action="store_true", help="also write per-grid-point residuals")
-    _add_common(pb)
-    pb.set_defaults(func=cmd_burns)
-
-    ps = sub.add_parser("suite", help="invariant suite over a directory of .pot files")
-    ps.add_argument("directory")
-    _add_common(ps)
-    ps.set_defaults(func=cmd_suite)
+    command(cmd_suite, "directory", "invariant suite over a directory of .pot files")
+    for cmd in sub.choices.values():
+        _add_common(cmd)
     return parser
 
 

@@ -4,10 +4,11 @@ Z solves sum_mu Z^mu rho_{mu nubar} = rho_nubar, i.e. H^T Z = conj(grad).
 On the full-rank stratum this is a direct solve; across degenerate points the
 minimum-norm least-squares solution is used, validated by the achieved system
 residual and by the Euler identity Z(rho) = rho. The least-squares Z is the
-one row solve ``_lstsq_z``. Every batched Z comes from the one direct solve
-``_direct_z``: ``_solve_z`` (gradient_field, the analyze scan) sends the rows it
-did not settle to the row solve, and the radial gate of burns sends only the
-strictly psh ones among them. The Euler and CR scans are single batched passes: one jet
+one row solve ``_lstsq_z``. Every direct Z comes from the one direct solve
+``_direct_z`` (complex_gradient's from a one-row batch): ``_solve_z``
+(gradient_field, the analyze scan) sends the rows it did not settle to the
+row solve, and the radial gate of burns sends only the strictly psh ones
+among them. The Euler and CR scans are single batched passes: one jet
 over all their points, then the row solve per row. Each RK4 stage of the Theta
 orbit calls the row solve on a one-row jet; the orbit's end-of-step checks are
 batched, ORBIT_CHECK_BLOCK end points per jet.
@@ -113,7 +114,7 @@ def complex_gradient(p, z):
         raise SingularHessianError(
             "Hessian is singular under the rank tolerance; use extended_gradient"
         )
-    z_field = np.linalg.solve(ld.hessian.T, ld.grad.conj())
+    z_field = _direct_z(ld.grad[None], ld.hessian[None])[0][0]
     return _sample(z, z_field, DIRECT_SOLVE, ld.rho, ld.grad, ld.hessian)
 
 

@@ -1,10 +1,16 @@
-"""Every numerical tolerance and floor of the package, each named once.
+"""Every numerical tolerance and floor of the package, each named once, and
+the one table of checks that compare a measured value with them.
 
 Each comment says what the value is absolute or relative to, then argues it.
 The CLI sets only DEFAULT_TOL_RANK (--tol-rank), VERDICT_MA_TOL (--tol-ma) and
 DEFAULT_STEP (--step). Not here: the 1e-300 divide guard, cr_scan's
 finite-difference step, the domain rho > 0 (levi) and sampling's grid sizes.
 """
+
+import operator
+import time
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # -- Levi strata, Monge-Ampere and the Z solve ---------------------------------
 # relative to max(1, |eigenvalue|max) of H; eigvalsh roundoff (about 1e-16 |H|) stays 8 orders below
@@ -57,3 +63,73 @@ HESSIAN_SYMMETRY_TOL = 1e-12
 DET_REAL_TOL = 1e-10
 # relative to max(1, |rho^(n+1) det U|), on rho det H - gbar^T adj(H) g - rho^(n+1) det U, an identity
 DET_LEMMA_TOL = 1e-9
+# exact, on a count of mismatches or violations (and a parse error); a count carries no roundoff
+ZERO_COUNT = 0.0
+
+# -- the check table --------------------------------------------------------------
+
+
+class Check(NamedTuple):
+    name: str
+    threshold: str  # the constant above it compares with; --tol-ma overrides VERDICT_MA_TOL
+    op: str  # measured <op> threshold passes; a measured value of None (nothing ran) fails
+    finding: bool = False  # a failure is a finding about the input (exit 0), not a failed check (exit 1)
+
+
+CHECKS = {check.name: check for check in (
+    # analyze, suite: invariants of the scan, which hold for any potential
+    Check("hermitian_eval", "HERMITIAN_EVAL_TOL", "<"),
+    Check("hessian_symmetry", "HESSIAN_SYMMETRY_TOL", "<"),
+    Check("det_real", "DET_REAL_TOL", "<"),
+    Check("det_lemma", "DET_LEMMA_TOL", "<"),
+    Check("euler_ma_iff", "ZERO_COUNT", "=="),  # samples where exactly one of Euler, raw |det U| is below IFF_TOL
+    # analyze: max over samples; burns: the Monge-Ampere gate, max over the grid
+    Check("ma_residual_scaled", "VERDICT_MA_TOL", "<=", finding=True),
+    Check("euler_residual", "IFF_TOL", "<", finding=True),
+    # suite: the expectations of expect.json
+    Check("ma_holds", "VERDICT_MA_TOL", "<"),
+    Check("ma_fails", "NON_MA_FLOOR", ">"),
+    Check("weights_infeasible", "FEASIBLE_TOL", ">"),  # the weight system's residual
+    Check("weights_match", "WEIGHTS_MATCH_TOL", "<="),
+    Check("parse", "ZERO_COUNT", "=="),
+    # weights, suite
+    Check("weights_verify", "WEIGHT_VERIFY_TOL", "<"),
+    Check("weights_field", "WEIGHT_FIELD_TOL", "<"),
+    # trace
+    Check("log_linearity", "TRACE_LOG_LIN_TOL", "<"),
+    Check("level_set_invariance", "TRACE_LEVEL_TOL", "<"),
+    Check("stratum_invariance", "ZERO_COUNT", "=="),
+    # burns (and suite's burns_verdict, which passes when the verdict matches the expectation)
+    Check("positivity_margin", "SPHERE_POSITIVITY_TOL", ">", finding=True),
+    Check("radial_field_residual", "RADIAL_TOL", "<"),  # evaluated only on a passing verdict
+)}
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}
+
+
+@dataclass
+class CheckOutcome:
+    name: str
+    status: str  # pass | fail | finding (a failed check whose entry is a finding)
+    measured: float | None  # None: the check did not run
+    threshold_name: str  # the constant of the entry; its value below may come from --tol-ma
+    threshold: float
+    wall: float = field(repr=False, compare=False)  # seconds; timing, not part of the result
+
+
+def threshold(name, tol_ma=VERDICT_MA_TOL):
+    """The value check `name` compares with, under --tol-ma = tol_ma."""
+    constant = CHECKS[name].threshold
+    return float(tol_ma if constant == "VERDICT_MA_TOL" else globals()[constant])
+
+
+def outcome(name, measured, t0, tol_ma=VERDICT_MA_TOL):
+    """The record of check `name` on its measured value, for a check that
+    started at perf_counter() == t0."""
+    check = CHECKS[name]
+    value = threshold(name, tol_ma)
+    if measured is not None and _COMPARE[check.op](measured, value):
+        status = "pass"
+    else:
+        status = "finding" if check.finding else "fail"
+    return CheckOutcome(name, status, measured, check.threshold, value, time.perf_counter() - t0)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mafoliation import PolyPotential, burns, burns_check, find_weights, log_growth_check, sampling
+from mafoliation import PolyPotential, burns, burns_check, find_weights, log_growth_check, sampling, thresholds
 from mafoliation.cli import bundled_corpus_dir, main
 from mafoliation.levi import fields_at_many
 from mafoliation.potential import format_potential, homogeneous_degree, parse_potential_file
@@ -217,7 +217,7 @@ def test_real_grid_chunks_follow_meshgrid_order(monkeypatch):
 
 def test_burns_and_suite_share_the_radial_invariant(square_norm, tmp_path, capsys, monkeypatch):
     # no residual is below 0: the verdict passes, but the radial invariant fails
-    monkeypatch.setattr(burns, "RADIAL_TOL", 0.0)
+    monkeypatch.setattr(thresholds, "RADIAL_TOL", 0.0)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "square_norm.pot").write_text(format_potential(square_norm))

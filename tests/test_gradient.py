@@ -18,7 +18,7 @@ from mafoliation import (
 )
 from mafoliation import foliation
 from mafoliation.foliation import flow_points
-from mafoliation.gradient import ORBIT_CHECK_BLOCK, RealFieldKind, _lstsq_z, _solve_z
+from mafoliation.gradient import ORBIT_CHECK_BLOCK, RealFieldKind, _direct_z, _lstsq_z, _solve_z
 from mafoliation.levi import Stratum, fields_at, fields_at_many
 from mafoliation.sampling import sample_domain
 from mafoliation.thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
@@ -65,6 +65,20 @@ def test_complex_gradient_outside_domain_raises(nonma):
     with pytest.raises(ValueError, match="outside the domain") as info:
         complex_gradient(nonma, [0, 0])
     assert not isinstance(info.value, SingularHessianError)
+
+
+def test_complex_gradient_is_the_one_row_direct_solve(bundled_and_generated):
+    # complex_gradient takes its Z from _direct_z on a one-row batch; on every
+    # strictly psh sample it equals the plain solve of H^T Z = conj(grad) bit for bit
+    rng = np.random.default_rng(2100)
+    for name, p in bundled_and_generated.items():
+        for z in sample_domain(p, 300, 1.5, rng):
+            ld = levi_data(p, z)
+            if ld.stratum is not Stratum.STRICTLY_PSH:
+                continue
+            got = complex_gradient(p, z).Z
+            assert np.array_equal(got, np.linalg.solve(ld.hessian.T, ld.grad.conj())), name
+            assert np.array_equal(got, _direct_z(ld.grad[None], ld.hessian[None])[0][0]), name
 
 
 def test_solve_correctness(ma_examples):
