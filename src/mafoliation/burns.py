@@ -265,7 +265,7 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
         gates.append(ma := outcome("ma_residual_scaled", 0.0 if scaled_max is None else float(scaled_max), t0, tol))
         if ma.status != "pass":
             coords = ", ".join(f"{c:.6g}" for c in worst_point)
-            reasons.append(f"scaled Monge-Ampere residual {ma.measured:.3e} > {ma.threshold:.0e} at ({coords})")
+            reasons.append(f"scaled Monge-Ampere residual {ma.measured:.3e} >= {ma.threshold:.0e} at ({coords})")
         if not reasons and radial is not None:
             gates.append(outcome("radial_field_residual", radial, t0))
     return BurnsReport(degree2k=degree2k, is_homogeneous=degree is not None, ma_max_residual=ma_max_raw,

@@ -7,6 +7,8 @@ vanishing and positivity statements are unaffected by that choice.
 Fields: rho, its gradient and the Hessian come from one batched jet over the
 deduplicated monomials of all three (``fields_at_many``); ``fields_at`` is
 that jet on one row, so every scalar and batched check reads the same numbers.
+A one-row jet gathers every monomial factor at once (``Monomials.doubled_row``)
+and keeps the bits of the factor loop on the doubled row.
 """
 
 from __future__ import annotations
@@ -89,8 +91,9 @@ class _BatchJet:
         pts = np.asarray(points, dtype=complex)
         # numpy hands a one-row product to BLAS gemv, whose sums can differ in
         # the last bit from gemm's; a doubled row stays on gemm (a threaded
-        # gemm can still sum a large product differently for a large batch)
-        table = self.monomials(np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts)
+        # gemm can still sum a large product differently for a large batch).
+        # One point's table is one gather (Monomials.doubled_row).
+        table = self.monomials.doubled_row(pts[0]) if pts.shape == (1, n) else self.monomials(pts)
         out = (table.T @ self.coeffs)[: len(pts)]
         return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
 

@@ -57,33 +57,52 @@ class Monomials:
     multiplication. A monomial is the product of its factors z1^a1, zbar1^b1,
     z2^a2, ..., taken left to right, so it is the same number whichever list
     it sits in.
+
+    ``doubled_row`` evaluates one point with one gather of every factor and
+    one ``multiply.reduce``: the same products in the same order. On many rows
+    that gather would hold 2n times the table, and the factor loop is faster.
     """
 
-    __slots__ = ("dim", "keys", "_max_e", "_factors")
+    __slots__ = ("dim", "keys", "_max_e", "_factors", "_row_index")
 
     def __init__(self, dim, keys):
         self.dim = dim
         self.keys = tuple(keys)
         exps = np.array([(*a, *b) for a, b in self.keys], dtype=np.intp).reshape(-1, 2 * dim)
         self._max_e = int(exps.max(initial=0))
-        # (power-table column, exponents) of z1, zbar1, z2, zbar2, ...
-        self._factors = [(c, np.ascontiguousarray(exps[:, c])) for j in range(dim) for c in (j, dim + j)]
+        # power-table columns of the factors z1, zbar1, z2, zbar2, ..., in order
+        order = np.arange(2 * dim).reshape(2, dim).T.ravel()
+        self._factors = [(c, np.ascontiguousarray(exps[:, c])) for c in order.tolist()]
+        # [f, k, r]: flat index of factor f of monomial k, for both columns r
+        # of the doubled row, into the (max_e + 1, 2n) power table of one point
+        self._row_index = np.repeat((exps[:, order] * 2 * dim + order).T[:, :, None], 2, axis=2)
+
+    def _powers(self, base):
+        """Rows base**0, ..., base**max_e, each one multiplication of the row before."""
+        powers = np.empty((self._max_e + 1, *base.shape), dtype=complex)
+        powers[0] = 1.0
+        for e in range(1, self._max_e + 1):
+            np.multiply(powers[e - 1], base, out=powers[e])
+        return powers
 
     def __call__(self, pts):
         """(len(keys), N) complex table of the monomials at an (N, n) point array."""
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected an (N, {self.dim}) array, got {pts.shape}")
-        base = np.concatenate((pts, pts.conj()), axis=1)
-        powers = np.empty((self._max_e + 1, *base.shape), dtype=complex)
-        powers[0] = 1.0
-        for e in range(1, self._max_e + 1):
-            np.multiply(powers[e - 1], base, out=powers[e])
-        powers = powers.transpose(2, 0, 1)
+        powers = self._powers(np.concatenate((pts, pts.conj()), axis=1)).transpose(2, 0, 1)
         (c, exps), *rest = self._factors
         acc = powers[c].take(exps, axis=0)
         for c, exps in rest:
             acc *= powers[c].take(exps, axis=0)
         return acc
+
+    def doubled_row(self, z):
+        """(len(keys), 2) complex table of the monomials at the one point z,
+        in both columns: ``__call__`` on the two rows (z, z), bit for bit."""
+        powers = self._powers(np.concatenate((z, z.conj())))
+        # initial=None starts from the first factor, as the loop does; the
+        # default starts from 1, whose product flips the sign of some zeros
+        return np.multiply.reduce(powers.take(self._row_index), axis=0, initial=None)
 
 
 class PolyExpr:

@@ -84,7 +84,7 @@ CHECKS = {check.name: check for check in (
     Check("det_lemma", "DET_LEMMA_TOL", "<"),
     Check("euler_ma_iff", "ZERO_COUNT", "=="),  # samples where exactly one of Euler, raw |det U| is below IFF_TOL
     # analyze: max over samples; burns: the Monge-Ampere gate, max over the grid
-    Check("ma_residual_scaled", "VERDICT_MA_TOL", "<=", finding=True),
+    Check("ma_residual_scaled", "VERDICT_MA_TOL", "<", finding=True),
     Check("euler_residual", "IFF_TOL", "<", finding=True),
     # suite: the expectations of expect.json
     Check("ma_holds", "VERDICT_MA_TOL", "<"),

@@ -13,6 +13,9 @@ batched ``cr_scan``; ``reference_levi_data`` is the scalar Levi bundle (one
 jet row, its determinant, spectrum and stratum), the oracle for ``levi_data``.
 ``reference_radial`` is the eager radial rule (the stratum of every row, Z on
 the strictly psh ones), the oracle for the lazy radial gate of ``burns_check``.
+``reference_one_row_jet`` is the doubled-row jet, the factor loop of
+``Monomials`` on the two rows (z, z), the oracle for the one-gather row of
+``fields_at_many``.
 """
 
 import csv
@@ -23,7 +26,7 @@ import numpy as np
 from mafoliation import PolyPotential
 from mafoliation.foliation import rk4_segment
 from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, _solve_z, extended_gradient
-from mafoliation.levi import LeviData, Stratum, classify_strata, fields_at, levi_data
+from mafoliation.levi import LeviData, Stratum, _batch_jet, classify_strata, fields_at, levi_data
 from mafoliation.potential import PolyExpr
 from mafoliation.thresholds import DEFAULT_TOL_RANK, LSTSQ_RCOND
 
@@ -247,3 +250,15 @@ def reference_radial(chunks, k, tol_rank=DEFAULT_TOL_RANK):
             dist = np.max(np.linalg.norm(_solve_z(grad[strict], hess[strict]) - points[strict] / k, axis=1))
             radial = dist if radial is None else np.maximum(radial, dist)
     return radial
+
+
+def reference_one_row_jet(p, points):
+    """(rho, grad, hessian) of a (1, n) point array by the doubled-row path:
+    the factor loop of Monomials on the two rows (z, z), then the 2-row
+    coefficient product, so that the product stays on gemm."""
+    batch = _batch_jet(p)
+    n = batch.dim
+    pts = np.asarray(points, dtype=complex)
+    table = batch.monomials(np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts)
+    out = (table.T @ batch.coeffs)[: len(pts)]
+    return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)

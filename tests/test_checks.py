@@ -15,7 +15,7 @@ import pytest
 from mafoliation import cli, thresholds
 from mafoliation.burns import burns_check
 from mafoliation.cli import _suite_grid_axis, bundled_corpus_dir, main
-from mafoliation.potential import parse_potential_file
+from mafoliation.potential import format_potential, parse_potential_file
 from mafoliation.sampling import real_grid
 from mafoliation.thresholds import CHECKS
 
@@ -183,3 +183,29 @@ def test_suite_parse_error_is_a_failed_record_without_a_value(tmp_path, capsys, 
     assert _check_lines(lines, records) == len(records) == 1
     assert rc == _exit_rule(records) == 1
     assert (tmp_path / "suite_summary.csv").read_text().splitlines()[1] == "bad.pot,parse,fail,,0.0"
+
+
+def test_suite_weights_match_without_weights_is_a_failed_record_without_a_value(tmp_path, capsys, recorded, nonma):
+    # nonma has no weight vector, so the expected one is never compared
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "nonma.pot").write_text(format_potential(nonma))
+    (corpus / "expect.json").write_text('{"nonma.pot": {"weights": [1.0, 1.0]}}')
+    rc, lines, records = recorded(["suite", str(corpus), "--samples", "50", "--out", str(tmp_path)], capsys)
+    match = [line for line in lines if " weights_match " in line]
+    assert len(match) == 1 and re.fullmatch(
+        r"nonma\.pot +weights_match +FAIL measured=n/a threshold=1e-09 \[\d+\.\d+s\]", match[0])
+    assert _check_lines(lines, records) == len(records)
+    assert rc == _exit_rule(records) == 1
+    assert "nonma.pot,weights_match,fail,,1e-09" in (tmp_path / "suite_summary.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("name", ["ma_residual_scaled", "ma_holds"])
+def test_a_ma_residual_at_the_threshold_fails(name):
+    # one comparison for the Monge-Ampere check: below the threshold passes, at it does not
+    at = thresholds.outcome(name, thresholds.VERDICT_MA_TOL, 0.0)
+    below = thresholds.outcome(name, thresholds.VERDICT_MA_TOL * (1 - 1e-15), 0.0)
+    nan = thresholds.outcome(name, float("nan"), 0.0)
+    assert below.status == "pass"
+    assert at.status == nan.status == ("finding" if name == "ma_residual_scaled" else "fail")
+    assert CHECKS[name].op == "<"

@@ -135,6 +135,23 @@ def test_trace_step_not_finite_and_positive_exit2(corpus, tmp_path, capsys, step
     assert "--step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step, extra", [("1e9", []), ("0.26", []), ("0.6", ["--t-nodes", "2", "--s-nodes", "13"])])
+def test_trace_step_longer_than_a_node_interval_exit2(corpus, tmp_path, capsys, step, extra):
+    # the smallest node interval is 0.25 in t by default (0.524 in s)
+    rc = main(["trace", str(corpus / "weighted24.pot"), "--base", "1+0i,1+0i", f"--step={step}", *extra,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--step" in capsys.readouterr().err
+    assert not (tmp_path / "weighted24_trace.csv").exists()
+
+
+def test_trace_step_equal_to_the_node_interval_runs(corpus, tmp_path, capsys):
+    rc = main(["trace", str(corpus / "weighted24.pot"), "--base", "1+0i,1+0i", "--step=0.25", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc != 2  # accepted; the diagnostics then judge the one step per interval
+    assert (tmp_path / "weighted24_trace.csv").exists()
+
+
 def test_trace_failing_diagnostic_exit1(corpus, tmp_path, capsys):
     # the growth law rho = e^t rho0 only holds for Monge-Ampere potentials, so
     # log-linearity fails on the counterexample

@@ -23,6 +23,7 @@ from helpers import (
     random_points,
     reference_evaluate,
     reference_levi_data,
+    reference_one_row_jet,
     term_scale,
 )
 
@@ -293,3 +294,32 @@ def test_jet_row_does_not_depend_on_batch_size(quartic_mixed):
             part = fields_at_many(quartic_mixed, pts[start : start + size])
             for got, want in zip(part, batch):
                 assert got.tobytes() == want[start : start + size].tobytes()
+
+
+def _zero_coordinate_points(rng, dim):
+    """The origin (with either sign of zero) and, for each coordinate, points
+    where it is exactly 0 or -0."""
+    out = [np.zeros(dim, dtype=complex), np.full(dim, complex(-0.0, -0.0))]
+    for j in range(dim):
+        for zero in (0j, complex(-0.0, 0.0), complex(0.0, -0.0)):
+            z = random_points(rng, dim, 1)[0]
+            z[j] = zero
+            out.append(z)
+    return np.array(out)
+
+
+def test_one_row_jet_is_the_doubled_row_reference(bundled_and_generated):
+    # the one-gather row against the factor loop on the doubled row, both on
+    # one row: the rows of a large batch can differ under a threaded BLAS
+    rng = np.random.default_rng(1212)
+    degenerate = random_points(rng, 2, 100)
+    degenerate[:, 1] = 0  # weighted24's degenerate set {z2 = 0}
+    for name, p in bundled_and_generated.items():
+        pts = [random_points(rng, p.dim, 300), _zero_coordinate_points(rng, p.dim)]
+        if name == "weighted24":
+            pts.append(degenerate)
+        for z in np.concatenate(pts):
+            got = fields_at_many(p, z[None])
+            want = reference_one_row_jet(p, z[None])
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (name, z)

@@ -13,6 +13,7 @@ from mafoliation import (
     wirtinger_z,
     wirtinger_zbar,
 )
+from mafoliation.potential import Monomials
 from helpers import random_hermitian_potential, random_points, reference_evaluate, wirtinger_fd
 
 
@@ -93,6 +94,22 @@ def test_evaluate_many_matches_single(quartic_mixed):
     oracle = np.array([reference_evaluate(quartic_mixed, z) for z in pts])
     assert np.max(np.abs(batch - oracle)) < 1e-12
     assert np.max(np.abs(singles - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("keys", [
+    [],  # no monomial
+    [((0, 0), (0, 0))],  # the constant: no power of z above 0
+    [((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 1), (1, 1))],  # powers up to 1
+    [((3, 0), (0, 1)), ((0, 2), (2, 0)), ((1, 1), (1, 1))],
+])
+def test_doubled_row_is_the_factor_loop_on_two_equal_rows(keys):
+    monomials = Monomials(2, keys)
+    rng = np.random.default_rng(21)
+    for z in [*random_points(rng, 2, 20), np.array([0j, complex(-0.0, -0.0)])]:
+        got = monomials.doubled_row(z)
+        want = monomials(np.repeat(z[None], 2, axis=0))
+        assert got.shape == want.shape == (len(keys), 2)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_hermitian_evaluation_is_real(all_examples):
