@@ -66,7 +66,7 @@ def grid_residuals(p, grid_points):
     inside = rho > RHO_FLOOR
     if not inside.all():
         points, rho, grad, hess = points[inside], rho[inside], grad[inside], hess[inside]
-    raw, scaled = ma_from_fields(rho, grad, hess, p.dim)
+    _, raw, scaled = ma_from_fields(rho, grad, hess, p.dim)
     return grad, hess, GridResiduals(points, rho, raw, scaled)
 
 

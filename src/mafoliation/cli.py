@@ -37,14 +37,14 @@ import numpy as np
 
 from .burns import burns_check
 from .foliation import IntegratorConfig, leaf_log_linearity, leaf_stratum_invariance, level_set_invariance, trace_leaf
-from .gradient import _solve_z
+from .gradient import _euler_residual, _solve_z
 from .homogeneity import (
     analyze_weights,
     default_lambda_samples,
     linear_field_agreement,
     verify_weights,
 )
-from .levi import levi_scan, log_levi_form, ma_from_fields, rank_identity
+from .levi import levi_scan, rank_identity
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
 from .sampling import MAX_GRID_POINTS, real_grid, sample_domain
 from .thresholds import DEFAULT_STEP, DEFAULT_TOL_RANK, IFF_TOL, VERDICT_MA_TOL, CheckOutcome, outcome
@@ -142,9 +142,10 @@ def _print_header(title, cfg):
     )
 
 
-def _internal_invariants(p, scan, raw_ma, euler_res):
+def _internal_invariants(p, scan, euler_res):
     """Invariants that must hold for any potential; failures mean a code bug."""
     h, det = scan.hessian, scan.det_hessian
+    det_u, raw_ma, _ = scan.ma
     rho, grad, hess = scan.rho[:200], scan.grad[:200], scan.hessian[:200]
 
     def hermitian_eval():
@@ -155,7 +156,7 @@ def _internal_invariants(p, scan, raw_ma, euler_res):
         return np.max(np.abs(h - h.conj().transpose(0, 2, 1))) / max(1.0, float(np.max(np.abs(h))))
 
     def det_lemma():
-        rhs = rho ** (p.dim + 1) * np.linalg.det(log_levi_form(rho, grad, hess)).real
+        rhs = rho ** (p.dim + 1) * det_u[:200].real
         return np.max(np.abs(rank_identity(rho, grad, hess) - rhs) / np.maximum(1.0, np.abs(rhs)), initial=0.0)
 
     return [
@@ -171,9 +172,8 @@ def _analyze_scan(p, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
     pts = sample_domain(p, cfg.samples, cfg.box_radius, rng)
     scan = levi_scan(p, pts, cfg.tol_rank)
-    raw, scaled = ma_from_fields(scan.rho, scan.grad, scan.hessian, p.dim)
-    z_field = _solve_z(scan.grad, scan.hessian)
-    euler = np.abs(np.einsum("ni,ni->n", z_field, scan.grad) - scan.rho)
+    _, raw, scaled = scan.ma
+    euler = _euler_residual(_solve_z(scan.grad, scan.hessian), scan.grad, scan.rho)
     return pts, scan, raw, scaled, euler
 
 
@@ -198,7 +198,7 @@ def cmd_analyze(args):
     print(f"max ma_residual        = {raw.max():.3e} (scaled {ma.measured:.3e}, threshold {ma.threshold:g})")
     print(f"max euler_residual     = {eu.measured:.3e} (threshold {eu.threshold:g})")
     print(f"csv: {out_path}")
-    invariants = _internal_invariants(p, scan, raw, euler)
+    invariants = _internal_invariants(p, scan, euler)
     for oc in invariants:
         print(f"invariant {oc.name:18} {_check_text(oc)}")
     return _exit_code([ma, eu, *invariants])
@@ -313,8 +313,8 @@ def _suite_grid_axis(dim):
 
 
 def _suite_checks(p, expect, cfg):
-    pts, scan, raw, scaled, euler = _analyze_scan(p, cfg)
-    outcomes = _internal_invariants(p, scan, raw, euler)
+    pts, scan, _, scaled, euler = _analyze_scan(p, cfg)
+    outcomes = _internal_invariants(p, scan, euler)
     if expect.get("ma") is not None:
         outcomes.append(_timed("ma_holds" if expect["ma"] else "ma_fails", scaled.max, cfg.tol_ma))
 

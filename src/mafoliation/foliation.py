@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradient import RealFieldKind, gradient_field
-from .levi import Stratum, classify_strata, levi_scan
+from .levi import Stratum, _check_inside, levi_scan
 from .thresholds import DEFAULT_STEP, DEFAULT_TOL_RANK, RHO_FLOOR
 
 
@@ -86,10 +86,8 @@ class LeafTrace:
     points: np.ndarray        # (nt, ns, n) complex
     rho: np.ndarray           # (nt, ns)
     det_hessian: np.ndarray   # (nt, ns) complex
-    eigenvalues: np.ndarray   # (nt, ns, n) real
     strata: np.ndarray        # (nt, ns) object (Stratum)
     truncated: bool
-    config: IntegratorConfig
 
 
 def _node_ok(z, rho, cfg):
@@ -137,8 +135,7 @@ def trace_leaf(p, z0, t_grid, s_grid, cfg=None):
     cfg = cfg or IntegratorConfig()
     z0 = np.asarray(z0, dtype=complex).ravel()
     base_rho = p.evaluate(z0).real
-    if base_rho <= 0:
-        raise ValueError(f"rho(z0) = {base_rho} <= 0; outside the domain")
+    _check_inside(base_rho)
 
     s_vals, s_points, s_trunc = _sweep(p, z0[None, :], s_grid, RealFieldKind.Y, cfg)
     if len(s_vals) == 0:
@@ -157,10 +154,8 @@ def trace_leaf(p, z0, t_grid, s_grid, cfg=None):
         points=points,
         rho=scan.rho.reshape(nt, ns),
         det_hessian=scan.det_hessian.reshape(nt, ns),
-        eigenvalues=scan.eigenvalues.reshape(nt, ns, p.dim),
         strata=scan.strata.reshape(nt, ns),
         truncated=s_trunc or t_trunc,
-        config=cfg,
     )
 
 
@@ -192,17 +187,13 @@ class StratumInvarianceReport:
 
 
 def leaf_stratum_invariance(trace):
-    """Check that every node shares the base node's stratum.
-
-    Strata are re-derived from the stored eigenvalue spectra with the trace's
-    own rank tolerance.
-    """
+    """Check that every node shares the base node's stratum, as classified
+    when the trace was made."""
     it0 = int(np.argmin(np.abs(trace.t_values)))
     is0 = int(np.argmin(np.abs(trace.s_values)))
-    strata = classify_strata(trace.rho, trace.eigenvalues, trace.config.tol_rank)
-    base = strata[it0, is0]
+    base = trace.strata[it0, is0]
     violations = [
-        (int(it), int(isx), strata[it, isx], float(abs(trace.det_hessian[it, isx])))
-        for it, isx in np.argwhere(strata != base)
+        (int(it), int(isx), trace.strata[it, isx], float(abs(trace.det_hessian[it, isx])))
+        for it, isx in np.argwhere(trace.strata != base)
     ]
     return StratumInvarianceReport(passed=not violations, base_stratum=base, violations=violations)

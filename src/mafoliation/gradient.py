@@ -11,7 +11,9 @@ row solve, and the radial gate of burns sends only the strictly psh ones
 among them. The Euler and CR scans are single batched passes: one jet
 over all their points, then the row solve per row. Each RK4 stage of the Theta
 orbit calls the row solve on a one-row jet; the orbit's end-of-step checks are
-batched, ORBIT_CHECK_BLOCK end points per jet.
+batched, ORBIT_CHECK_BLOCK end points per jet. The Euler residual
+(``_euler_residual``) and the Z-system test (``_consistent``) are batched
+kernels too; a GradientSample holds their row 0 on a one-row batch.
 
 Real-field conventions (kappa = 1): the flows below use the standard
 identification of a (1,0)-field with a real field via zdot = V(z):
@@ -31,7 +33,8 @@ from enum import Enum
 
 import numpy as np
 
-from .levi import Stratum, fields_at, fields_at_many, levi_data, levi_scan
+from .levi import Stratum, _check_inside, fields_at_many, levi_data, levi_scan
+from .potential import _one_row
 from .thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
 
 DIRECT_SOLVE = "direct-solve"
@@ -72,18 +75,34 @@ class GradientSample:
     consistent: bool = True
 
 
+def _euler_residual(z_field, grad, rho):
+    """Rows |sum_mu Z^mu rho_mu - rho| of (N, n) Z and gradients and (N,) rho."""
+    return np.abs(np.einsum("ni,ni->n", z_field, grad) - rho)
+
+
+def _system_residual(z_field, grad, hess):
+    """Rows H^T Z - conj(grad) of (N, n) Z and gradients and (N, n, n) Hessians."""
+    return np.einsum("nji,nj->ni", hess, z_field) - grad.conj()
+
+
+def _consistent(resid, grad):
+    """Norms of the system residual rows, and the Z-system test: a row passes
+    when its norm is at most Z_SOLVE_TOL * max(1, ||conj(grad)||)."""
+    res = np.linalg.norm(resid, axis=1)
+    return res, res <= Z_SOLVE_TOL * np.maximum(1.0, np.linalg.norm(grad.conj(), axis=1))
+
+
 def _sample(z, z_field, method, rho, grad, hess):
-    """GradientSample for z_field, flagged inconsistent when the system
-    residual exceeds Z_SOLVE_TOL * max(1, ||conj(grad)||)."""
-    gbar = grad.conj()
-    sys_res = float(np.linalg.norm(hess.T @ z_field - gbar))
+    """GradientSample of one point from the one-row arrays z_field (1, n),
+    rho (1,), grad (1, n) and hess (1, n, n): row 0 of the batched kernels."""
+    system, consistent = _consistent(_system_residual(z_field, grad, hess), grad)
     return GradientSample(
         point=np.asarray(z, dtype=complex).ravel(),
-        Z=z_field,
+        Z=z_field[0],
         method=method,
-        euler_residual=float(abs(z_field @ grad - rho)),
-        system_residual=sys_res,
-        consistent=sys_res <= Z_SOLVE_TOL * max(1.0, float(np.linalg.norm(gbar))),
+        euler_residual=float(_euler_residual(z_field, grad, rho)[0]),
+        system_residual=float(system[0]),
+        consistent=bool(consistent[0]),
     )
 
 
@@ -98,35 +117,25 @@ def _lstsq_rows(grad, hess):
     return np.array([_lstsq_z(g, h) for g, h in zip(grad, hess)]).reshape(grad.shape)
 
 
-def _check_inside(rho):
-    """Raise for the first rho <= 0 of a scalar or an array."""
-    outside = np.flatnonzero(np.asarray(rho) <= 0)
-    if outside.size:
-        raise ValueError(f"rho(z) = {float(np.ravel(rho)[outside[0]])} <= 0; outside the domain")
-
-
 def complex_gradient(p, z):
     """Direct solve of H^T Z = conj(grad); requires the point to be in the
     full-rank stratum under DEFAULT_TOL_RANK."""
-    ld = levi_data(p, z)
-    _check_inside(ld.rho)
-    if ld.stratum is not Stratum.STRICTLY_PSH:
+    scan = levi_scan(p, _one_row(p, z))
+    _check_inside(scan.rho)
+    if scan.strata[0] is not Stratum.STRICTLY_PSH:
         raise SingularHessianError(
             "Hessian is singular under the rank tolerance; use extended_gradient"
         )
-    z_field = _direct_z(ld.grad[None], ld.hessian[None])[0][0]
-    return _sample(z, z_field, DIRECT_SOLVE, ld.rho, ld.grad, ld.hessian)
+    z_field = _direct_z(scan.grad, scan.hessian)[0]
+    return _sample(z, z_field, DIRECT_SOLVE, scan.rho, scan.grad, scan.hessian)
 
 
 def extended_gradient(p, z):
-    """Minimum-norm least-squares Z across the degenerate set. Requires rho > 0.
-
-    The sample is flagged inconsistent when the achieved system residual
-    exceeds Z_SOLVE_TOL * max(1, ||conj(grad)||).
-    """
-    rho, grad, hess = fields_at(p, z)
+    """Minimum-norm least-squares Z across the degenerate set. Requires rho > 0;
+    the sample is flagged inconsistent when it fails the Z-system test."""
+    rho, grad, hess = fields_at_many(p, _one_row(p, z))
     _check_inside(rho)
-    return _sample(z, _lstsq_z(grad, hess), LEAST_SQUARES, rho, grad, hess)
+    return _sample(z, _lstsq_rows(grad, hess), LEAST_SQUARES, rho, grad, hess)
 
 
 def _direct_z(grad, hess):
@@ -134,13 +143,12 @@ def _direct_z(grad, hess):
     (N, n, n) Hessians. Returns Z and the ascending indices of the rows it
     did not settle: exactly singular, non-finite or inconsistent ones.
 
-    A row is inconsistent when ||H^T Z - conj(grad)|| exceeds Z_SOLVE_TOL *
-    max(1, ||conj(grad)||). When the squared residual of the whole batch is
-    at most (Z_SOLVE_TOL / 2)^2, every row's residual is below Z_SOLVE_TOL, so
-    one dot product settles the test and the per-row norms are skipped. A
-    row's Z and whether it is settled do not depend on the other rows: LAPACK
-    solves each matrix on its own, and the shortcut skips only tests that
-    would pass.
+    A row is inconsistent when it fails the Z-system test (``_consistent``).
+    When the squared residual of the whole batch is at most (Z_SOLVE_TOL /
+    2)^2, every row's residual is below Z_SOLVE_TOL, so one dot product
+    settles the test and the per-row norms are skipped. A row's Z and whether
+    it is settled do not depend on the other rows: LAPACK solves each matrix
+    on its own, and the shortcut skips only tests that would pass.
     """
     gbar = grad.conj()
     ht = hess.transpose(0, 2, 1)
@@ -155,11 +163,10 @@ def _direct_z(grad, hess):
             out[~bad] = np.linalg.solve(ht[~bad], gbar[~bad][..., None])[..., 0]
         except np.linalg.LinAlgError:
             bad[:] = True
-    resid = np.einsum("nji,nj->ni", hess, out) - gbar
+    resid = _system_residual(out, grad, hess)
     if bad is False and np.vdot(resid, resid).real <= _CLEAN_BATCH_SQ:
         return out, np.zeros(0, dtype=np.intp)
-    res = np.linalg.norm(resid, axis=1)
-    bad |= ~(res <= Z_SOLVE_TOL * np.maximum(1.0, np.linalg.norm(gbar, axis=1)))
+    bad |= ~_consistent(resid, grad)[1]
     return out, np.flatnonzero(bad)
 
 
@@ -182,15 +189,12 @@ def gradient_field(p, points):
 def euler_residual_scan(p, samples):
     """Max |Z(rho) - rho| of the extended gradient over the samples, from one
     jet over all of them; every sample must have rho > 0."""
-    samples = np.asarray(samples, dtype=complex)
-    if samples.size == 0:
+    if np.size(samples) == 0:
         raise ValueError("empty sample set")
     rho, grad, hess = fields_at_many(p, samples)
     _check_inside(rho)
-    z_field = _lstsq_rows(grad, hess)
-    # stacked (1, n) @ (n, 1) products sum as extended_gradient's 1-D dot does
-    z_rho = (z_field[:, None, :] @ grad[:, :, None])[:, 0, 0]
-    return float(np.max(np.abs(z_rho - rho)))
+    # the kernel of extended_gradient's residual, whose rows are this max's terms
+    return float(np.max(_euler_residual(_lstsq_rows(grad, hess), grad, rho)))
 
 
 @dataclass

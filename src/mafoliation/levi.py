@@ -8,7 +8,9 @@ Fields: rho, its gradient and the Hessian come from one batched jet over the
 deduplicated monomials of all three (``fields_at_many``); ``fields_at`` is
 that jet on one row, so every scalar and batched check reads the same numbers.
 A one-row jet gathers every monomial factor at once (``Monomials.doubled_row``)
-and keeps the bits of the factor loop on the doubled row.
+and keeps the bits of the factor loop on the doubled row. Likewise
+``ma_residual`` is ``ma_scan`` on one row: det U is formed only in
+``ma_from_fields``, and every rho > 0 precondition raises in ``_check_inside``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .potential import Monomials
+from .potential import Monomials, _one_row
 from .thresholds import DEFAULT_TOL_RANK
 
 _RHO_FLOOR = 0.0  # stratum assignment needs rho > 0
@@ -50,22 +52,12 @@ class LeviData:
     stratum: Stratum
 
 
-@dataclass(frozen=True)
-class _Jet:
-    """Symbolic derivative table of a potential (cached per potential)."""
-
-    rho: object
-    grad: tuple
-    hessian: tuple
-
-
 @lru_cache(maxsize=64)
 def jet(p):
-    grad = tuple(p.diff_z(mu) for mu in range(p.dim))
-    hess = tuple(
-        tuple(grad[mu].diff_zbar(nu) for nu in range(p.dim)) for mu in range(p.dim)
-    )
-    return _Jet(rho=p, grad=grad, hessian=hess)
+    """The 1 + n + n^2 polynomials rho, rho_mu and rho_{mu nubar} (row-major),
+    in the column order of the batched jet; cached per potential."""
+    grad = [p.diff_z(mu) for mu in range(p.dim)]
+    return (p, *grad, *(g.diff_zbar(nu) for g in grad for nu in range(p.dim)))
 
 
 class _BatchJet:
@@ -77,8 +69,7 @@ class _BatchJet:
     """
 
     def __init__(self, p):
-        j = jet(p)
-        packs = [e._pack() for e in (j.rho, *j.grad, *(h for row in j.hessian for h in row))]
+        packs = [e._pack() for e in jet(p)]
         self.dim = p.dim
         self.monomials = Monomials(p.dim, sorted(set().union(*(m.keys for m, _ in packs))))
         row = {key: i for i, key in enumerate(self.monomials.keys)}
@@ -103,12 +94,11 @@ def _batch_jet(p):
     return _BatchJet(p)
 
 
-def _one_row(p, z):
-    """z as a (1, n) point array, checked against the dimension of p."""
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size != p.dim:
-        raise ValueError(f"point has length {z.size}, expected {p.dim}")
-    return z[None, :]
+def _check_inside(rho):
+    """Raise for the first rho <= 0 of a scalar or an array."""
+    outside = np.flatnonzero(np.asarray(rho) <= 0)
+    if outside.size:
+        raise ValueError(f"rho(z) = {float(np.ravel(rho)[outside[0]])} <= 0; outside the domain")
 
 
 def fields_at(p, z):
@@ -173,8 +163,7 @@ def log_levi_form(rho, grad, hess):
 def _log_levi_at(p, z):
     """The gradient and the Levi form of log rho at one point z. Requires rho > 0."""
     rho, grad, hess = fields_at(p, z)
-    if rho <= 0:
-        raise ValueError(f"rho(z) = {rho} <= 0; log rho undefined")
+    _check_inside(rho)
     return grad, log_levi_form(rho, grad, hess)
 
 
@@ -184,30 +173,29 @@ def ma_matrix(p, z):
 
 
 def ma_residual(p, z):
-    """|det U| with U the Levi form of log rho; zero exactly at Monge-Ampere points."""
-    return float(abs(np.linalg.det(ma_matrix(p, z))))
+    """|det U|, U the Levi form of log rho (``ma_scan`` on one row); zero exactly at Monge-Ampere points."""
+    return float(ma_scan(p, _one_row(p, z))[0][0])
 
 
 def ma_from_fields(rho, grad, hess, dim):
-    """Raw and scaled |det U| from batched field arrays (rho must be > 0).
+    """det U, |det U| and the scaled |det U| from batched field arrays (rho must be > 0).
 
     Scaled residual divides by max(1, ||U||_F)^n for cross-potential
     comparability.
     """
-    if np.any(rho <= 0):
-        raise ValueError("Monge-Ampere residual requires rho > 0 at every point")
+    _check_inside(rho)
     u = log_levi_form(rho, grad, hess)
-    raw = np.abs(np.linalg.det(u))
     fro = np.linalg.norm(u, axis=(1, 2))
+    det = np.linalg.det(u)
+    raw = np.abs(det)
     scaled = raw / np.maximum(1.0, fro) ** dim
-    return raw, scaled
+    return det, raw, scaled
 
 
 def ma_scan(p, points):
     """Batched raw and scaled |det U| over an (N, n) array with rho > 0 rows."""
-    pts = np.asarray(points, dtype=complex)
-    rho, grad, hess = fields_at_many(p, pts)
-    return ma_from_fields(rho, grad, hess, p.dim)
+    rho, grad, hess = fields_at_many(p, points)
+    return ma_from_fields(rho, grad, hess, p.dim)[1:]
 
 
 def adjugate(h):
@@ -281,6 +269,11 @@ class LeviScan:
     def det_hessian(self):
         """(N,) complex det H, computed on first use."""
         return np.linalg.det(self.hessian)
+
+    @cached_property
+    def ma(self):
+        """(det U, |det U|, scaled |det U|) per row, ``ma_from_fields`` on first use."""
+        return ma_from_fields(self.rho, self.grad, self.hessian, self.points.shape[1])
 
 
 def levi_scan(p, points, tol_rank=DEFAULT_TOL_RANK):

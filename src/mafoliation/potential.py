@@ -31,6 +31,14 @@ class PotentialFormatError(ValueError):
         self.line = line
 
 
+def _one_row(p, z):
+    """z as a (1, n) point array, checked against the dimension of p."""
+    z = np.asarray(z, dtype=complex).ravel()
+    if z.size != p.dim:
+        raise ValueError(f"point has length {z.size}, expected {p.dim}")
+    return z[None, :]
+
+
 def _normalize_terms(dim, terms):
     out = {}
     for (alpha, beta), coeff in terms.items():
@@ -73,9 +81,7 @@ class Monomials:
         # power-table columns of the factors z1, zbar1, z2, zbar2, ..., in order
         order = np.arange(2 * dim).reshape(2, dim).T.ravel()
         self._factors = [(c, np.ascontiguousarray(exps[:, c])) for c in order.tolist()]
-        # [f, k, r]: flat index of factor f of monomial k, for both columns r
-        # of the doubled row, into the (max_e + 1, 2n) power table of one point
-        self._row_index = np.repeat((exps[:, order] * 2 * dim + order).T[:, :, None], 2, axis=2)
+        self._row_index = None  # built by the first doubled_row
 
     def _powers(self, base):
         """Rows base**0, ..., base**max_e, each one multiplication of the row before."""
@@ -99,6 +105,10 @@ class Monomials:
     def doubled_row(self, z):
         """(len(keys), 2) complex table of the monomials at the one point z,
         in both columns: ``__call__`` on the two rows (z, z), bit for bit."""
+        if self._row_index is None:
+            # [f, k, r]: flat index of factor f of monomial k, for both columns
+            # r of the doubled row, into the (max_e + 1, 2n) power table of one point
+            self._row_index = np.repeat(np.array([e * 2 * self.dim + c for c, e in self._factors])[:, :, None], 2, axis=2)
         powers = self._powers(np.concatenate((z, z.conj())))
         # initial=None starts from the first factor, as the loop does; the
         # default starts from 1, whose product flips the sign of some zeros
@@ -133,22 +143,6 @@ class PolyExpr:
     def is_zero(self):
         return not self.terms
 
-    def conjugate(self):
-        """Complex conjugate polynomial: swaps alpha/beta, conjugates coefficients."""
-        return PolyExpr(
-            self.dim, {(b, a): c.conjugate() for (a, b), c in self.terms.items()}
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, PolyExpr):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0j) + c
-        return PolyExpr(self.dim, merged)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyExpr)
@@ -169,10 +163,7 @@ class PolyExpr:
     def evaluate(self, z):
         """Evaluate at a single point, returning a complex number
         (``evaluate_many`` on one row)."""
-        z = np.asarray(z, dtype=complex).ravel()
-        if z.size != self.dim:
-            raise ValueError(f"point has length {z.size}, expected {self.dim}")
-        return complex(self.evaluate_many(z[None, :])[0])
+        return complex(self.evaluate_many(_one_row(self, z))[0])
 
     def _pack(self):
         """(Monomials over the sorted term keys, their coefficients), cached."""
@@ -189,31 +180,27 @@ class PolyExpr:
 
     # -- Wirtinger derivatives ----------------------------------------------
 
+    def _diff(self, side, index):
+        """Formal derivative with respect to z^index (side 0, the alpha
+        exponents) or zbar^index (side 1, the beta exponents)."""
+        if not 0 <= index < self.dim:
+            raise IndexError(f"index {index} out of range for dimension {self.dim}")
+        out = {}
+        for key, coeff in self.terms.items():
+            e = key[side][index]
+            if e:
+                lowered = key[side][:index] + (e - 1,) + key[side][index + 1 :]
+                new = (lowered, key[1]) if side == 0 else (key[0], lowered)
+                out[new] = out.get(new, 0j) + coeff * e
+        return PolyExpr(self.dim, out)
+
     def diff_z(self, mu):
         """Formal derivative with respect to z^mu (0-based index)."""
-        if not 0 <= mu < self.dim:
-            raise IndexError(f"index {mu} out of range for dimension {self.dim}")
-        out = {}
-        for (alpha, beta), coeff in self.terms.items():
-            e = alpha[mu]
-            if e:
-                na = alpha[:mu] + (e - 1,) + alpha[mu + 1 :]
-                key = (na, beta)
-                out[key] = out.get(key, 0j) + coeff * e
-        return PolyExpr(self.dim, out)
+        return self._diff(0, mu)
 
     def diff_zbar(self, nu):
         """Formal derivative with respect to zbar^nu (0-based index)."""
-        if not 0 <= nu < self.dim:
-            raise IndexError(f"index {nu} out of range for dimension {self.dim}")
-        out = {}
-        for (alpha, beta), coeff in self.terms.items():
-            e = beta[nu]
-            if e:
-                nb = beta[:nu] + (e - 1,) + beta[nu + 1 :]
-                key = (alpha, nb)
-                out[key] = out.get(key, 0j) + coeff * e
-        return PolyExpr(self.dim, out)
+        return self._diff(1, nu)
 
 
 class PolyPotential(PolyExpr):

@@ -15,7 +15,9 @@ jet row, its determinant, spectrum and stratum), the oracle for ``levi_data``.
 the strictly psh ones), the oracle for the lazy radial gate of ``burns_check``.
 ``reference_one_row_jet`` is the doubled-row jet, the factor loop of
 ``Monomials`` on the two rows (z, z), the oracle for the one-gather row of
-``fields_at_many``.
+``fields_at_many``. ``one_row_jet_agrees`` marks the rows of a batched jet
+that equal the one-row jet's, where a scalar entry point must give its
+batched row bit for bit.
 """
 
 import csv
@@ -26,7 +28,7 @@ import numpy as np
 from mafoliation import PolyPotential
 from mafoliation.foliation import rk4_segment
 from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, _solve_z, extended_gradient
-from mafoliation.levi import LeviData, Stratum, _batch_jet, classify_strata, fields_at, levi_data
+from mafoliation.levi import LeviData, Stratum, _batch_jet, classify_strata, fields_at, fields_at_many, levi_data
 from mafoliation.potential import PolyExpr
 from mafoliation.thresholds import DEFAULT_TOL_RANK, LSTSQ_RCOND
 
@@ -262,3 +264,13 @@ def reference_one_row_jet(p, points):
     table = batch.monomials(np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts)
     out = (table.T @ batch.coeffs)[: len(pts)]
     return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
+
+
+def one_row_jet_agrees(p, points):
+    """Row mask of an (N, n) point array: the rows of the batched jet that
+    equal the one-row jet's. All of them under one BLAS thread; a threaded
+    BLAS can sum a large batch's product in another order."""
+    rho, grad, hess = fields_at_many(p, points)
+    rows = [fields_at(p, z) for z in points]
+    return np.array([r == rho[i] and np.array_equal(g, grad[i]) and np.array_equal(h, hess[i])
+                     for i, (r, g, h) in enumerate(rows)], dtype=bool)

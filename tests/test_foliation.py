@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,17 @@ def test_stratum_invariance_degenerate_leaf(weighted24):
     report = leaf_stratum_invariance(trace)
     assert report.passed
     assert report.base_stratum is Stratum.LOW_DEGENERACY
+
+
+def test_stratum_invariance_reports_the_node_off_the_base_stratum(weighted_trace):
+    # the check reads the strata stored with the trace: one node moved to
+    # another stratum is the one violation, with that node's |det H|
+    strata = weighted_trace.strata.copy()
+    strata[2, 5] = Stratum.LOW_DEGENERACY
+    report = leaf_stratum_invariance(dataclasses.replace(weighted_trace, strata=strata))
+    assert not report.passed
+    assert report.base_stratum is Stratum.STRICTLY_PSH
+    assert report.violations == [(2, 5, Stratum.LOW_DEGENERACY, float(abs(weighted_trace.det_hessian[2, 5])))]
 
 
 def test_stratum_invariance_ball(ball_trace):

@@ -18,11 +18,23 @@ from mafoliation import (
 )
 from mafoliation import foliation
 from mafoliation.foliation import flow_points
-from mafoliation.gradient import ORBIT_CHECK_BLOCK, RealFieldKind, _direct_z, _lstsq_z, _solve_z
+from mafoliation.cli import ScanConfig, _analyze_scan
+from mafoliation.gradient import (
+    ORBIT_CHECK_BLOCK,
+    RealFieldKind,
+    _consistent,
+    _direct_z,
+    _euler_residual,
+    _lstsq_rows,
+    _lstsq_z,
+    _solve_z,
+    _system_residual,
+)
 from mafoliation.levi import Stratum, fields_at, fields_at_many
 from mafoliation.sampling import sample_domain
 from mafoliation.thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
 from helpers import (
+    one_row_jet_agrees,
     random_points,
     reference_cr_scan,
     reference_theta_orbit,
@@ -189,20 +201,46 @@ def test_euler_scan_empty_error(ball2):
 
 
 def test_euler_scan_equals_pointwise_max(bundled_and_generated):
-    # from the same jet rows the batched scan gives extended_gradient's
-    # per-point maximum bit for bit. The rows of one batched jet equal the
-    # one-row jet's except where multithreaded BLAS sums a large product in
-    # another order (normsq_n8 on two threads); there only the first holds.
+    # the scan is the max of the Euler kernel over the row solves of its own
+    # jet rows, and so extended_gradient's per-point maximum bit for bit. The
+    # rows of one batched jet equal the one-row jet's except where
+    # multithreaded BLAS sums a large product in another order (normsq_n8 on
+    # two threads); there only the first holds.
     rng = np.random.default_rng(151)
     for name, p in bundled_and_generated.items():
         pts = sample_domain(p, 80, 1.5, rng)
         scan = euler_residual_scan(p, pts)
         rho, grad, hess = fields_at_many(p, pts)
-        assert scan == max(abs(_lstsq_z(g, h) @ g - r) for r, g, h in zip(rho, grad, hess)), name
-        rows = [fields_at(p, z) for z in pts]
-        if all(r == rho[i] and np.array_equal(g, grad[i]) and np.array_equal(h, hess[i])
-               for i, (r, g, h) in enumerate(rows)):
+        z_field = np.array([_lstsq_z(g, h) for g, h in zip(grad, hess)])
+        assert scan == np.max(_euler_residual(z_field, grad, rho)), name
+        if one_row_jet_agrees(p, pts).all():
             assert scan == max(extended_gradient(p, z).euler_residual for z in pts), name
+
+
+def test_scalar_samples_are_their_batched_rows(bundled_and_generated):
+    # a GradientSample carries the row of the batched kernels on its jet row:
+    # extended_gradient's of the row solves, complex_gradient's of the analyze
+    # scan's Euler column on the rows that _direct_z settled. Compared where
+    # the jet rows agree (every row under one BLAS thread).
+    rng = np.random.default_rng(1717)
+    for seed, (name, p) in enumerate(bundled_and_generated.items()):
+        pts = sample_domain(p, 300, 1.5, rng)
+        rho, grad, hess = fields_at_many(p, pts)
+        z_field = _lstsq_rows(grad, hess)
+        euler = _euler_residual(z_field, grad, rho)
+        system, consistent = _consistent(_system_residual(z_field, grad, hess), grad)
+        for i in np.flatnonzero(one_row_jet_agrees(p, pts)):
+            got = extended_gradient(p, pts[i])
+            assert got.euler_residual == euler[i], name
+            assert got.system_residual == system[i], name
+            assert got.consistent == consistent[i], name
+
+        pts, scan, _, _, euler = _analyze_scan(p, ScanConfig(samples=300, rng_seed=seed))
+        settled = np.ones(len(pts), dtype=bool)
+        settled[_direct_z(scan.grad, scan.hessian)[1]] = False
+        settled &= (scan.strata == Stratum.STRICTLY_PSH) & one_row_jet_agrees(p, pts)
+        for i in np.flatnonzero(settled):
+            assert complex_gradient(p, pts[i]).euler_residual == euler[i], name
 
 
 def test_euler_scan_outside_domain_names_the_first_point(nonma):

@@ -19,6 +19,7 @@ from mafoliation.levi import adjugate, fields_at, fields_at_many, jet, ma_matrix
 from mafoliation.sampling import real_grid, sample_domain
 from helpers import (
     hessian_fd,
+    one_row_jet_agrees,
     random_hermitian_potential,
     random_points,
     reference_evaluate,
@@ -126,6 +127,18 @@ def test_ma_residual_nonma_value(nonma):
 def test_ma_residual_requires_positive_rho(nonma):
     with pytest.raises(ValueError, match="rho"):
         ma_residual(nonma, [0, 0])
+
+
+def test_ma_residual_is_the_one_row_ma_scan(bundled_and_generated):
+    # the scalar residual is its batched row bit for bit wherever the jet
+    # rows agree (every row under one BLAS thread)
+    rng = np.random.default_rng(1313)
+    for name, p in bundled_and_generated.items():
+        pts = sample_domain(p, 300, 1.5, rng)
+        raw, _ = ma_scan(p, pts)
+        agrees = one_row_jet_agrees(p, pts)
+        for z, want in zip(pts[agrees], raw[agrees]):
+            assert ma_residual(p, z) == want, name
 
 
 def test_ma_examples_satisfy_equation(ma_examples):
@@ -271,8 +284,7 @@ def test_jet_matches_term_by_term_oracle(dim, pairs, count, seed):
     rng = np.random.default_rng(seed)
     p = random_hermitian_potential(rng, dim=dim, pairs=pairs, max_exp=2)
     pts = random_points(rng, dim, count, radius=1.0)
-    j = jet(p)
-    comps = [j.rho, *j.grad, *(h for row in j.hessian for h in row)]
+    comps = jet(p)
     rho, grad, hess = fields_at_many(p, pts)
     assert rho.shape == (count,) and grad.shape == (count, dim) and hess.shape == (count, dim, dim)
     for k, z in enumerate(pts):
