@@ -5,8 +5,8 @@ plurisubharmonic and Monge-Ampere, the bidegree decomposition must be
 supported on the single component (k, k), and the gradient field is radial
 (Z = w/k). burns_check passes rho iff it is homogeneous of even degree 2k,
 has no bidegree mass outside (k, k), is certified positive on the unit sphere
-and its max scaled |det U| on the grid is at most tol; counterexamples fail
-with the offending evidence located.
+and its max scaled |det U| on the grid is below VERDICT_MA_TOL; counterexamples
+fail with the offending evidence located.
 
 Positivity: on a pure-(k,k) rho, Re rho = v(z)* C v(z) with v the degree-k
 monomials present in rho and every pure power z_j^k. If C is positive definite,
@@ -40,34 +40,12 @@ import numpy as np
 
 from .gradient import _direct_z, _lstsq_rows
 from .homogeneity import verify_weights
-from .levi import fields_at_many, levi_rank, ma_from_fields
+from .levi import LeviScan, levi_rank, levi_scan
 from .potential import bidegree_decompose, homogeneous_degree
-from .thresholds import DEFAULT_TOL_RANK, RHO_FLOOR, VERDICT_MA_TOL, outcome, threshold
+from .thresholds import RHO_FLOOR, outcome, threshold
 
 # settled rows classified first for the radial max, farthest from w/k first
 RADIAL_CANDIDATE_ROWS = 64
-
-
-@dataclass
-class GridResiduals:
-    """|det U| at the points of one grid chunk with rho > RHO_FLOOR (rows of burns --csv)."""
-
-    points: np.ndarray
-    rho: np.ndarray
-    raw: np.ndarray
-    scaled: np.ndarray
-
-
-def grid_residuals(p, grid_points):
-    """The rows of an (M, n) grid chunk with rho > RHO_FLOOR: their gradients,
-    Hessians and GridResiduals (the Monge-Ampere residuals of log rho)."""
-    rho, grad, hess = fields_at_many(p, grid_points)
-    points = grid_points
-    inside = rho > RHO_FLOOR
-    if not inside.all():
-        points, rho, grad, hess = points[inside], rho[inside], grad[inside], hess[inside]
-    _, raw, scaled = ma_from_fields(rho, grad, hess, p.dim)
-    return grad, hess, GridResiduals(points, rho, raw, scaled)
 
 
 @dataclass
@@ -157,51 +135,56 @@ def _fold(op, acc, value):
     return value if acc is None else op(acc, value)
 
 
-def _strict(hess, tol_rank):
+def _strict(hess):
     """Mask of the (M, n, n) Hessians of full numerical rank (the strictly psh
     stratum on rows with rho > 0)."""
-    return levi_rank(np.linalg.eigvalsh(hess), tol_rank) == hess.shape[-1]
+    return levi_rank(np.linalg.eigvalsh(hess)) == hess.shape[-1]
 
 
-def _radial_max(points, grad, hess, k, tol_rank):
+def _radial_max(points, grad, hess, k):
     """Max ||Z - points/k|| over the strictly psh rows of (M, n) points with
     rho > 0, their gradients and Hessians (a NaN counts as the max); None
     without a strict row. Classifies only the rows that can decide the max
     (see the module docstring)."""
     z_field, unsettled = _direct_z(grad, hess)
     dist = np.linalg.norm(z_field - points / k, axis=1)
-    rows = unsettled[_strict(hess[unsettled], tol_rank)]
+    rows = unsettled[_strict(hess[unsettled])]
     fallback = np.linalg.norm(_lstsq_rows(grad[rows], hess[rows]) - points[rows] / k, axis=1)
     settled = np.delete(np.arange(len(dist)), unsettled)
     block = settled[np.argsort(dist[settled])[::-1][:RADIAL_CANDIDATE_ROWS]]  # NaN sorts last: first here
-    strict = block[_strict(hess[block], tol_rank)]
+    strict = block[_strict(hess[block])]
     if not strict.size:
-        strict = settled[_strict(hess[settled], tol_rank)]
+        strict = settled[_strict(hess[settled])]
     found = np.concatenate([fallback, dist[strict]])
     return np.max(found) if found.size else None
 
 
-def _scan_grid(p, grid, k, tol_rank, rows):
-    """One pass over the grid chunks. Each chunk's residual rows go to rows
-    (if given); with k set they also fold into the gates' running reductions:
-    max raw |det U|, the first point of max scaled |det U| (a NaN counts as
-    the max, as in np.argmax), the radial max over strictly psh rows and the
-    kept count. Reductions over no rows stay None."""
+def _scan_grid(p, grid, k, rows):
+    """One pass over the grid chunks, each read as the LeviScan of its rows
+    with rho > RHO_FLOOR. Each chunk's scan goes to rows (if given); with k
+    set it also folds into the gates' running reductions: max raw |det U|,
+    the first point of max scaled |det U| (a NaN counts as the max, as in
+    np.argmax), the radial max over strictly psh rows and the kept count.
+    Reductions over no rows stay None."""
     raw_max = scaled_max = worst = radial = None
     kept = 0
     for chunk in grid:
-        grad, hess, res = grid_residuals(p, chunk)
+        scan = levi_scan(p, chunk)
+        inside = scan.rho > RHO_FLOOR
+        if not inside.all():
+            scan = LeviScan(scan.points[inside], scan.rho[inside], scan.grad[inside], scan.hessian[inside])
         if rows is not None:
-            rows(res)
-        if k is None or not len(res.rho):
+            rows(scan)
+        if k is None or not len(scan.rho):
             continue
-        kept += len(res.rho)
-        raw_max = _fold(np.maximum, raw_max, res.raw.max())
-        i = int(np.argmax(res.scaled))
-        value = res.scaled[i]
+        kept += len(scan.rho)
+        _, raw, scaled = scan.ma
+        raw_max = _fold(np.maximum, raw_max, raw.max())
+        i = int(np.argmax(scaled))
+        value = scaled[i]
         if scaled_max is None or value > scaled_max or (np.isnan(value) and not np.isnan(scaled_max)):
-            scaled_max, worst = value, np.array(res.points[i])
-        chunk_radial = _radial_max(res.points, grad, hess, k, tol_rank)
+            scaled_max, worst = value, np.array(scan.points[i])
+        chunk_radial = _radial_max(scan.points, scan.grad, scan.hessian, k)
         if chunk_radial is not None:
             radial = _fold(np.maximum, radial, chunk_radial)
     return raw_max, scaled_max, worst, radial, kept
@@ -222,15 +205,15 @@ def _positivity_margin(p, k):
     return float(eig[0] / np.max(np.abs(eig)))
 
 
-def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=None):
+def burns_check(p, grid, rows=None):
     """Run every gate on the grid and assemble the verdict.
 
     grid: a RealGrid (sampling.real_grid), read one chunk at a time in a
     single pass; points with rho <= RHO_FLOOR are skipped for the
     Monge-Ampere gate and the radial invariant (log rho needs rho > 0).
-    rows: optional callable given each chunk's GridResiduals in grid order
-    (the rows of burns --csv), also when a degree gate fails. Failures are
-    verdicts with reasons, not errors.
+    rows: optional callable given the LeviScan of each chunk's kept points in
+    grid order (the rows of burns --csv, whose residuals are its ``ma``), also
+    when a degree gate fails. Failures are verdicts with reasons, not errors.
     """
     t0 = time.perf_counter()
     masses = {key: float(sum(abs(c) for c in comp.terms.values())) for key, comp in bidegree_decompose(p).items()}
@@ -245,7 +228,7 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
     else:
         degree2k, k = degree, degree // 2
     if k is not None or rows is not None:
-        folded = _scan_grid(p, grid, k, tol_rank, rows)
+        folded = _scan_grid(p, grid, k, rows)
     if k is not None:
         raw_max, scaled_max, worst_point, radial, kept = folded
         ma_max_raw = 0.0 if raw_max is None else float(raw_max)
@@ -262,7 +245,7 @@ def burns_check(p, grid, tol=VERDICT_MA_TOL, tol_rank=DEFAULT_TOL_RANK, rows=Non
                     "rho > 0 on the unit sphere not certified: "
                     f"positivity margin {positivity.measured:.6g} <= {positivity.threshold:g}"
                 )
-        gates.append(ma := outcome("ma_residual_scaled", 0.0 if scaled_max is None else float(scaled_max), t0, tol))
+        gates.append(ma := outcome("ma_residual_scaled", 0.0 if scaled_max is None else float(scaled_max), t0))
         if ma.status != "pass":
             coords = ", ".join(f"{c:.6g}" for c in worst_point)
             reasons.append(f"scaled Monge-Ampere residual {ma.measured:.3e} >= {ma.threshold:.0e} at ({coords})")

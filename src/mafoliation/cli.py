@@ -14,7 +14,8 @@ invariant), else 0; 2 for an input or usage error. Findings about the input
 exit 0: the max residual lines of analyze on a non-Monge-Ampere potential,
 the gates of a burns fail verdict, and an infeasible or non-positive weights
 result. CSV columns are fixed (see --help of each command); identical seeds
-and configs give byte-identical CSVs.
+and configs give byte-identical CSVs. Each command takes only the options it
+reads, plus --seed and --out; every tolerance is a constant of thresholds.py.
 """
 
 from __future__ import annotations
@@ -47,26 +48,24 @@ from .homogeneity import (
 from .levi import levi_scan, rank_identity
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
 from .sampling import MAX_GRID_POINTS, real_grid, sample_domain
-from .thresholds import DEFAULT_STEP, DEFAULT_TOL_RANK, IFF_TOL, VERDICT_MA_TOL, CheckOutcome, outcome
+from .thresholds import DEFAULT_STEP, IFF_TOL, VERDICT_MA_TOL, CheckOutcome, outcome
 
 _CSV_BLOCK_ROWS = 16_384  # rows joined per write, to bound the memory of one write
 
 
 @dataclass
-class ScanConfig:
+class ScanConfig:  # the settings of the sampled scan of analyze, weights and suite
     box_radius: float = 1.5
     samples: int = 1000
     rng_seed: int = 1234
-    tol_rank: float = DEFAULT_TOL_RANK
-    tol_ma: float = VERDICT_MA_TOL
-    step: float = DEFAULT_STEP
     out_dir: Path = Path(".")
+    tol_ma = VERDICT_MA_TOL  # not a setting: the ma_holds threshold a scan is judged by
 
 
-def _timed(name, measure, tol_ma=VERDICT_MA_TOL):
+def _timed(name, measure):
     """The record of check `name` on measure(), timed."""
     t0 = time.perf_counter()
-    return outcome(name, float(measure()), t0, tol_ma)
+    return outcome(name, float(measure()), t0)
 
 
 def _check_text(oc):
@@ -130,16 +129,14 @@ def _coord_columns(points):
 
 
 def _config_from(args):
-    return ScanConfig(box_radius=args.box, samples=args.samples, rng_seed=args.seed, tol_rank=args.tol_rank,
-                      tol_ma=args.tol_ma, step=args.step, out_dir=Path(args.out))
+    return ScanConfig(box_radius=args.box, samples=args.samples, rng_seed=args.seed, out_dir=Path(args.out))
 
 
-def _print_header(title, cfg):
+def _print_header(title, args):
+    """The title and the settings the command takes, in the order seed, samples, box, step."""
     print(f"== {title}")
-    print(
-        f"seed = {cfg.rng_seed}; samples = {cfg.samples}; box = {cfg.box_radius}; "
-        f"tol_rank = {cfg.tol_rank:g}; tol_ma = {cfg.tol_ma:g}; step = {cfg.step:g}"
-    )
+    specs = {"seed": "", "samples": "", "box": "", "step": "g"}
+    print("; ".join(f"{key} = {getattr(args, key):{spec}}" for key, spec in specs.items() if hasattr(args, key)))
 
 
 def _internal_invariants(p, scan, euler_res):
@@ -171,7 +168,7 @@ def _internal_invariants(p, scan, euler_res):
 def _analyze_scan(p, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
     pts = sample_domain(p, cfg.samples, cfg.box_radius, rng)
-    scan = levi_scan(p, pts, cfg.tol_rank)
+    scan = levi_scan(p, pts)
     _, raw, scaled = scan.ma
     euler = _euler_residual(_solve_z(scan.grad, scan.hessian), scan.grad, scan.rho)
     return pts, scan, raw, scaled, euler
@@ -180,7 +177,7 @@ def _analyze_scan(p, cfg):
 def cmd_analyze(args):
     cfg = _config_from(args)
     p = parse_potential_file(args.potential)
-    _print_header(f"analyze {args.potential}", cfg)
+    _print_header(f"analyze {args.potential}", args)
     pts, scan, raw, scaled, euler = _analyze_scan(p, cfg)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,7 +191,7 @@ def cmd_analyze(args):
     print("stratum census:")
     for name, count in sorted(Counter(map(str, scan.strata)).items()):
         print(f"  {name:15} {count:6d}  ({100.0 * count / len(pts):.1f}%)")
-    ma, eu = _timed("ma_residual_scaled", scaled.max, cfg.tol_ma), _timed("euler_residual", euler.max)
+    ma, eu = _timed("ma_residual_scaled", scaled.max), _timed("euler_residual", euler.max)
     print(f"max ma_residual        = {raw.max():.3e} (scaled {ma.measured:.3e}, threshold {ma.threshold:g})")
     print(f"max euler_residual     = {eu.measured:.3e} (threshold {eu.threshold:g})")
     print(f"csv: {out_path}")
@@ -205,7 +202,6 @@ def cmd_analyze(args):
 
 
 def cmd_trace(args):
-    cfg = _config_from(args)
     p = parse_potential_file(args.potential)
     base = np.array([parse_complex(tok) for tok in args.base.split(",")], dtype=complex)
     if base.size != p.dim:
@@ -213,14 +209,13 @@ def cmd_trace(args):
     t_grid = np.linspace(0.0, args.t_max, args.t_nodes)
     s_grid = np.linspace(0.0, args.s_max, args.s_nodes)
     gaps = np.abs(np.concatenate([np.diff(t_grid), np.diff(s_grid)]))
-    if cfg.step > (gap := gaps[gaps > 0].min(initial=math.inf)):  # RK4 would silently cut it to the interval
-        raise ValueError(f"--step {cfg.step:g} is larger than the smallest node interval {gap:g}")
-    _print_header(f"trace {args.potential}", cfg)
-    icfg = IntegratorConfig(step=cfg.step, tol_rank=cfg.tol_rank)
-    trace = trace_leaf(p, base, t_grid, s_grid, icfg)
+    if args.step > (gap := gaps[gaps > 0].min(initial=math.inf)):  # RK4 would silently cut it to the interval
+        raise ValueError(f"--step {args.step:g} is larger than the smallest node interval {gap:g}")
+    _print_header(f"trace {args.potential}", args)
+    trace = trace_leaf(p, base, t_grid, s_grid, IntegratorConfig(step=args.step))
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = cfg.out_dir / (Path(args.potential).stem + "_trace.csv")
+    out_path = Path(args.out) / (Path(args.potential).stem + "_trace.csv")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     header = ["t", "s"] + _coord_header(p.dim) + ["rho", "abs_detH", "stratum"]
     nt, ns = trace.rho.shape
     _write_csv(out_path, header, np.repeat(trace.t_values, ns), np.tile(trace.s_values, nt),
@@ -237,7 +232,8 @@ def cmd_trace(args):
     ]
     for oc in records:
         print(f"{oc.name:22} {_check_text(oc)}")
-    print(f"final rho at (t_max, s=0): {float(trace.rho[-1, 0])!r}")
+    t, s = float(trace.t_values[-1]), float(trace.s_values[0])  # the largest kept t, the smallest kept s
+    print(f"final rho at (t = {t!r}, s = {s!r}): {float(trace.rho[-1, 0])!r}")
     return _exit_code(records)
 
 
@@ -252,7 +248,7 @@ def _weight_checks(p, weights, pts):
 def cmd_weights(args):
     cfg = _config_from(args)
     p = parse_potential_file(args.potential)
-    _print_header(f"weights {args.potential}", cfg)
+    _print_header(f"weights {args.potential}", args)
     analysis = analyze_weights(p)
     if analysis.status == "infeasible":
         eqs = ", ".join(eq.label for eq in analysis.inconsistent_subset)
@@ -273,24 +269,23 @@ def cmd_weights(args):
 
 
 def cmd_burns(args):
-    cfg = _config_from(args)
     p = parse_potential_file(args.potential)
-    _print_header(f"burns {args.potential}", cfg)
-    grid = real_grid(p.dim, args.grid_n, cfg.box_radius)
+    _print_header(f"burns {args.potential}", args)
+    grid = real_grid(p.dim, args.grid_n, args.box)
     if not args.csv:
-        report = burns_check(p, grid, tol=cfg.tol_ma, tol_rank=cfg.tol_rank)
+        report = burns_check(p, grid)
     else:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        out_path = cfg.out_dir / (Path(args.potential).stem + "_burns.csv")
+        out_path = Path(args.out) / (Path(args.potential).stem + "_burns.csv")
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         header = _coord_header(p.dim) + ["rho", "ma_residual", "ma_residual_scaled"]
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
 
-            def write_rows(res):  # the header goes out with the first chunk
+            def write_rows(scan):  # the header goes out with the first chunk
                 nonlocal header
-                _write_csv(fh, header, *_coord_columns(res.points), res.rho, res.raw, res.scaled)
+                _write_csv(fh, header, *_coord_columns(scan.points), scan.rho, *scan.ma[1:])
                 header = None
 
-            report = burns_check(p, grid, tol=cfg.tol_ma, tol_rank=cfg.tol_rank, rows=write_rows)
+            report = burns_check(p, grid, rows=write_rows)
     print(report.format())
     if args.csv:
         print(f"csv: {out_path}")
@@ -316,7 +311,7 @@ def _suite_checks(p, expect, cfg):
     pts, scan, _, scaled, euler = _analyze_scan(p, cfg)
     outcomes = _internal_invariants(p, scan, euler)
     if expect.get("ma") is not None:
-        outcomes.append(_timed("ma_holds" if expect["ma"] else "ma_fails", scaled.max, cfg.tol_ma))
+        outcomes.append(_timed("ma_holds" if expect["ma"] else "ma_fails", scaled.max))
 
     if "weights" in expect:
         t0 = time.perf_counter()
@@ -334,13 +329,13 @@ def _suite_checks(p, expect, cfg):
     if exp_burns is not None:
         t0 = time.perf_counter()
         grid = real_grid(p.dim, _suite_grid_axis(p.dim), cfg.box_radius)
-        report = burns_check(p, grid, tol=cfg.tol_ma, tol_rank=cfg.tol_rank)
+        report = burns_check(p, grid)
         # the one record not decided by its printed value: it passes when the
         # verdict is the expected one and no burns invariant failed
         matches = report.verdict == (exp_burns == "pass") and not report.internal_failure
         ma = report.gate("ma_residual_scaled")
         outcomes.append(CheckOutcome("burns_verdict", "pass" if matches else "fail", ma and ma.measured,
-                                     "VERDICT_MA_TOL", cfg.tol_ma, time.perf_counter() - t0))
+                                     "VERDICT_MA_TOL", VERDICT_MA_TOL, time.perf_counter() - t0))
     return outcomes
 
 
@@ -356,7 +351,7 @@ def cmd_suite(args):
     expect_path = directory / "expect.json"
     expectations = json.loads(expect_path.read_text(encoding="utf-8")) if expect_path.exists() else {}
 
-    _print_header(f"suite {directory}", cfg)
+    _print_header(f"suite {directory}", args)
     names, results = [], []
     for pot_path in pot_files:
         t0 = time.perf_counter()
@@ -387,14 +382,14 @@ def bundled_corpus_dir():
     return Path(str(files("mafoliation").joinpath("data")))
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=1234, help="RNG seed (printed in the report header)")
-    sub.add_argument("--samples", type=int, default=1000, help="number of random samples")
-    sub.add_argument("--box", type=float, default=1.5, help="half-width of the real sampling cube")
-    sub.add_argument("--tol-rank", dest="tol_rank", type=float, default=DEFAULT_TOL_RANK, help="rank tolerance for strata")
-    sub.add_argument("--tol-ma", dest="tol_ma", type=float, default=VERDICT_MA_TOL, help="Monge-Ampere residual threshold")
-    sub.add_argument("--step", type=float, default=DEFAULT_STEP, help="RK4 step size (read by trace only)")
-    sub.add_argument("--out", default=".", help="output directory for CSV artifacts")
+# the options a command may take: every command takes --seed and --out, and the others only where it reads them
+_OPTIONS = {
+    "seed": dict(type=int, default=1234, help="RNG seed (printed in the report header)"),
+    "samples": dict(type=int, default=1000, help="number of random samples"),
+    "box": dict(type=float, default=1.5, help="half-width of the real sampling cube"),
+    "step": dict(type=float, default=DEFAULT_STEP, help="fixed RK4 step size"),
+    "out": dict(default=".", help="output directory for CSV artifacts"),
+}
 
 
 def build_parser():
@@ -405,30 +400,30 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(func, target, help, description=None):
+    def command(func, target, options, help, description=None):
         cmd = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help, description=description)
         cmd.add_argument(target)
+        for name in ("seed", *options, "out"):
+            cmd.add_argument(f"--{name}", **_OPTIONS[name])
         cmd.set_defaults(func=func)
         return cmd
 
-    command(cmd_analyze, "potential", "per-sample Levi/gradient scan",
+    command(cmd_analyze, "potential", ("samples", "box"), "per-sample Levi/gradient scan",
             "CSV columns: sample, re_z*/im_z*, rho, re_detH, im_detH, "
             "stratum, ma_residual, ma_residual_scaled, euler_residual.")
-    pt = command(cmd_trace, "potential", "integrate one foliation leaf",
+    pt = command(cmd_trace, "potential", ("step",), "integrate one foliation leaf",
                  "CSV columns: t, s, re_z*/im_z*, rho, abs_detH, stratum.")
     pt.add_argument("--base", required=True, help="comma-separated complex coordinates, e.g. '1+0i,0.5-0.5i'")
     pt.add_argument("--t-max", dest="t_max", type=float, default=2.0)
     pt.add_argument("--t-nodes", dest="t_nodes", type=int, default=9)
     pt.add_argument("--s-max", dest="s_max", type=float, default=2 * math.pi)
     pt.add_argument("--s-nodes", dest="s_nodes", type=int, default=13)
-    command(cmd_weights, "potential", "homogeneity weight recovery")
-    pb = command(cmd_burns, "potential", "bidegree-(k,k) verdict on a real grid",
+    command(cmd_weights, "potential", ("samples", "box"), "homogeneity weight recovery")
+    pb = command(cmd_burns, "potential", ("box",), "bidegree-(k,k) verdict on a real grid",
                  "Optional CSV columns: re_z*/im_z*, rho, ma_residual, ma_residual_scaled.")
     pb.add_argument("--grid-n", dest="grid_n", type=int, default=20, help="grid points per real axis")
     pb.add_argument("--csv", action="store_true", help="also write per-grid-point residuals")
-    command(cmd_suite, "directory", "invariant suite over a directory of .pot files")
-    for cmd in sub.choices.values():
-        _add_common(cmd)
+    command(cmd_suite, "directory", ("samples", "box"), "invariant suite over a directory of .pot files")
     return parser
 
 

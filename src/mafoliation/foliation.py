@@ -23,13 +23,12 @@ import numpy as np
 
 from .gradient import RealFieldKind, gradient_field
 from .levi import Stratum, _check_inside, levi_scan
-from .thresholds import DEFAULT_STEP, DEFAULT_TOL_RANK, RHO_FLOOR
+from .thresholds import DEFAULT_STEP, RHO_FLOOR
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     step: float = DEFAULT_STEP
-    tol_rank: float = DEFAULT_TOL_RANK
     box_radius: float = math.inf   # truncate when any |Re|, |Im| exceeds this
 
 
@@ -145,7 +144,7 @@ def trace_leaf(p, z0, t_grid, s_grid, cfg=None):
         raise ValueError("no admissible nodes on the t sweep")
 
     nt, ns = len(t_vals), len(s_vals)
-    scan = levi_scan(p, points.reshape(-1, p.dim), cfg.tol_rank)
+    scan = levi_scan(p, points.reshape(-1, p.dim))
     return LeafTrace(
         base=z0,
         base_rho=base_rho,
@@ -188,12 +187,13 @@ class StratumInvarianceReport:
 
 def leaf_stratum_invariance(trace):
     """Check that every node shares the base node's stratum, as classified
-    when the trace was made."""
+    when the trace was made. |det H| is the trace CSV's abs_detH (np.abs)."""
     it0 = int(np.argmin(np.abs(trace.t_values)))
     is0 = int(np.argmin(np.abs(trace.s_values)))
     base = trace.strata[it0, is0]
+    abs_det = np.abs(trace.det_hessian)
     violations = [
-        (int(it), int(isx), trace.strata[it, isx], float(abs(trace.det_hessian[it, isx])))
+        (int(it), int(isx), trace.strata[it, isx], float(abs_det[it, isx]))
         for it, isx in np.argwhere(trace.strata != base)
     ]
     return StratumInvarianceReport(passed=not violations, base_stratum=base, violations=violations)

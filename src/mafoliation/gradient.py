@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .levi import Stratum, _check_inside, fields_at_many, levi_data, levi_scan
+from .levi import Stratum, _check_inside, fields_at_many, levi_scan
 from .potential import _one_row
 from .thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
 
@@ -281,13 +281,14 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     """
     if not (math.isfinite(t_max) and t_max > 0) or (steps is not None and steps < 1):
         raise ValueError(f"need a finite t_max > 0 and steps >= 1, got t_max = {t_max}, steps = {steps}")
-    base = levi_data(p, z0)
+    base = levi_scan(p, _one_row(p, z0))
     _check_inside(base.rho)
-    if base.stratum is Stratum.STRICTLY_PSH:
+    max_det = float(np.abs(base.det_hessian)[0])  # np.abs, as the end points' below
+    if base.strata[0] is Stratum.STRICTLY_PSH:
         return ThetaOrbitResult(
             skipped=True,
             reason="starting point is in the full-rank stratum (det H not small)",
-            max_abs_det=abs(base.det_hessian),
+            max_abs_det=max_det,
             max_rho_drift=0.0,
         )
     from .foliation import rk4_segment  # foliation imports this module
@@ -302,9 +303,8 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
         _, grad, hess = fields_at_many(p, w[None, :])
         return mult * _lstsq_z(grad[0], hess[0])
 
-    max_det = abs(base.det_hessian)
     max_drift = 0.0
-    rho0 = base.rho
+    rho0 = float(base.rho[0])
     pending = []
 
     def check_pending():

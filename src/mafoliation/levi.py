@@ -11,6 +11,8 @@ A one-row jet gathers every monomial factor at once (``Monomials.doubled_row``)
 and keeps the bits of the factor loop on the doubled row. Likewise
 ``ma_residual`` is ``ma_scan`` on one row: det U is formed only in
 ``ma_from_fields``, and every rho > 0 precondition raises in ``_check_inside``.
+A ``LeviScan`` holds the jet of its points and computes its spectra, strata,
+det H and Monge-Ampere residuals on first use: a reader pays for what it reads.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import numpy as np
 
 from .potential import Monomials, _one_row
 from .thresholds import DEFAULT_TOL_RANK
-
-_RHO_FLOOR = 0.0  # stratum assignment needs rho > 0
 
 
 class Stratum(Enum):
@@ -94,9 +94,13 @@ def _batch_jet(p):
     return _BatchJet(p)
 
 
+def _outside(rho):  # the domain rule, for a scalar or an array: the domain is {rho > 0}
+    return np.asarray(rho) <= 0
+
+
 def _check_inside(rho):
-    """Raise for the first rho <= 0 of a scalar or an array."""
-    outside = np.flatnonzero(np.asarray(rho) <= 0)
+    """Raise for the first rho outside the domain, of a scalar or an array."""
+    outside = np.flatnonzero(_outside(rho))
     if outside.size:
         raise ValueError(f"rho(z) = {float(np.ravel(rho)[outside[0]])} <= 0; outside the domain")
 
@@ -113,26 +117,26 @@ def fields_at_many(p, points):
     return _batch_jet(p)(points)
 
 
-def levi_rank(eigenvalues, tol_rank=DEFAULT_TOL_RANK):
+def levi_rank(eigenvalues):
     """Numerical rank of spectra (..., n): the count of eigenvalues l with
-    |l| > tol_rank times max(1, |l|_max)."""
+    |l| > DEFAULT_TOL_RANK times max(1, |l|_max)."""
     eig = np.abs(np.asarray(eigenvalues, dtype=float))
     scale = np.maximum(1.0, np.max(eig, axis=-1))
-    return np.count_nonzero(eig > tol_rank * scale[..., None], axis=-1)
+    return np.count_nonzero(eig > DEFAULT_TOL_RANK * scale[..., None], axis=-1)
 
 
-def classify_strata(rho, eigenvalues, tol_rank=DEFAULT_TOL_RANK):
+def classify_strata(rho, eigenvalues):
     """Rank rule (``levi_rank``) over rho (...) and spectra (..., n), for one
     point or many; points with rho <= 0 are outside the domain. Returns an
     object array of Stratum with rho's shape (0-d for one point: take ``.item()``).
     """
     rho = np.asarray(rho, dtype=float)
-    rank = levi_rank(eigenvalues, tol_rank)
+    rank = levi_rank(eigenvalues)
     n = np.shape(eigenvalues)[-1]
     strata = np.full(rho.shape, Stratum.WEAK, dtype=object)
     strata[rank == n - 1] = Stratum.LOW_DEGENERACY
     strata[rank == n] = Stratum.STRICTLY_PSH
-    strata[rho <= _RHO_FLOOR] = Stratum.OUTSIDE_DOMAIN
+    strata[_outside(rho)] = Stratum.OUTSIDE_DOMAIN
     return strata
 
 
@@ -256,14 +260,22 @@ def restricted_levi_eigen(p, z):
 
 @dataclass
 class LeviScan:
-    """Batched Levi data over a point set (CLI and grid-scan workhorse)."""
+    """Batched Levi data over a point set: the jet, and what derives from it on first use."""
 
     points: np.ndarray
     rho: np.ndarray
     grad: np.ndarray
     hessian: np.ndarray
-    eigenvalues: np.ndarray
-    strata: np.ndarray  # (N,) object array of Stratum
+
+    @cached_property
+    def eigenvalues(self):
+        """(N, n) real spectra of H, ascending, computed on first use."""
+        return np.linalg.eigvalsh(self.hessian)
+
+    @cached_property
+    def strata(self):
+        """(N,) object array of Stratum (``classify_strata``), computed on first use."""
+        return classify_strata(self.rho, self.eigenvalues)
 
     @cached_property
     def det_hessian(self):
@@ -276,15 +288,6 @@ class LeviScan:
         return ma_from_fields(self.rho, self.grad, self.hessian, self.points.shape[1])
 
 
-def levi_scan(p, points, tol_rank=DEFAULT_TOL_RANK):
+def levi_scan(p, points):
     pts = np.asarray(points, dtype=complex)
-    rho, grad, hess = fields_at_many(p, pts)
-    eig = np.linalg.eigvalsh(hess)
-    return LeviScan(
-        points=pts,
-        rho=rho,
-        grad=grad,
-        hessian=hess,
-        eigenvalues=eig,
-        strata=classify_strata(rho, eig, tol_rank),
-    )
+    return LeviScan(pts, *fields_at_many(p, pts))

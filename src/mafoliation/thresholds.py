@@ -2,9 +2,9 @@
 the one table of checks that compare a measured value with them.
 
 Each comment says what the value is absolute or relative to, then argues it.
-The CLI sets only DEFAULT_TOL_RANK (--tol-rank), VERDICT_MA_TOL (--tol-ma) and
-DEFAULT_STEP (--step). Not here: the 1e-300 divide guard, cr_scan's
-finite-difference step, the domain rho > 0 (levi) and sampling's grid sizes.
+The CLI sets only DEFAULT_STEP (trace --step), and no tolerance. Not here: the
+1e-300 divide guard, cr_scan's finite-difference step, the domain rho > 0
+(levi) and sampling's grid sizes.
 """
 
 import operator
@@ -71,7 +71,7 @@ ZERO_COUNT = 0.0
 
 class Check(NamedTuple):
     name: str
-    threshold: str  # the constant above it compares with; --tol-ma overrides VERDICT_MA_TOL
+    threshold: str  # the constant above it compares with
     op: str  # measured <op> threshold passes; a measured value of None (nothing ran) fails
     finding: bool = False  # a failure is a finding about the input (exit 0), not a failed check (exit 1)
 
@@ -112,22 +112,21 @@ class CheckOutcome:
     name: str
     status: str  # pass | fail | finding (a failed check whose entry is a finding)
     measured: float | None  # None: the check did not run
-    threshold_name: str  # the constant of the entry; its value below may come from --tol-ma
-    threshold: float
+    threshold_name: str  # the constant of the entry
+    threshold: float  # its value
     wall: float = field(repr=False, compare=False)  # seconds; timing, not part of the result
 
 
-def threshold(name, tol_ma=VERDICT_MA_TOL):
-    """The value check `name` compares with, under --tol-ma = tol_ma."""
-    constant = CHECKS[name].threshold
-    return float(tol_ma if constant == "VERDICT_MA_TOL" else globals()[constant])
+def threshold(name):
+    """The value check `name` compares with."""
+    return float(globals()[CHECKS[name].threshold])
 
 
-def outcome(name, measured, t0, tol_ma=VERDICT_MA_TOL):
+def outcome(name, measured, t0):
     """The record of check `name` on its measured value, for a check that
     started at perf_counter() == t0."""
     check = CHECKS[name]
-    value = threshold(name, tol_ma)
+    value = threshold(name)
     if measured is not None and _COMPARE[check.op](measured, value):
         status = "pass"
     else:

@@ -30,7 +30,7 @@ from mafoliation.foliation import rk4_segment
 from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, _solve_z, extended_gradient
 from mafoliation.levi import LeviData, Stratum, _batch_jet, classify_strata, fields_at, fields_at_many, levi_data
 from mafoliation.potential import PolyExpr
-from mafoliation.thresholds import DEFAULT_TOL_RANK, LSTSQ_RCOND
+from mafoliation.thresholds import LSTSQ_RCOND
 
 
 def reference_evaluate(expr, z):
@@ -125,6 +125,12 @@ def weighted_sum_potential(coeffs, degrees):
     return PolyPotential(dim, terms)
 
 
+def _np_abs(value):
+    """|value| as np.abs of an array rounds it (Python's abs() of a complex
+    scalar can differ in the last bit)."""
+    return float(np.abs(np.array([value]))[0])
+
+
 def reference_theta_orbit(p, z0, t_max=5.0, steps=5000):
     """Theta orbit with the end-of-step check (jet, |det H|, rho drift,
     domain) made right after each RK4 step, one point at a time."""
@@ -135,7 +141,7 @@ def reference_theta_orbit(p, z0, t_max=5.0, steps=5000):
         return ThetaOrbitResult(
             skipped=True,
             reason="starting point is in the full-rank stratum (det H not small)",
-            max_abs_det=abs(base.det_hessian),
+            max_abs_det=_np_abs(base.det_hessian),
             max_rho_drift=0.0,
         )
     h = t_max / steps
@@ -146,7 +152,7 @@ def reference_theta_orbit(p, z0, t_max=5.0, steps=5000):
         _, grad, hess = fields_at(p, w)
         return mult * np.linalg.lstsq(hess.T, grad.conj(), rcond=LSTSQ_RCOND)[0]
 
-    max_det = abs(base.det_hessian)
+    max_det = _np_abs(base.det_hessian)
     max_drift = 0.0
     rho0 = base.rho
     for _ in range(steps):
@@ -156,7 +162,7 @@ def reference_theta_orbit(p, z0, t_max=5.0, steps=5000):
         rho, _, hess = fields_at(p, z)
         if rho <= 0:
             raise ValueError("orbit exited the domain {rho > 0}")
-        max_det = max(max_det, abs(np.linalg.det(hess)))
+        max_det = max(max_det, _np_abs(np.linalg.det(hess)))
         max_drift = max(max_drift, abs(rho - rho0))
     return ThetaOrbitResult(
         skipped=False, reason="", max_abs_det=float(max_det), max_rho_drift=float(max_drift)
@@ -239,14 +245,14 @@ def reference_cr_scan(p, samples):
     return report
 
 
-def reference_radial(chunks, k, tol_rank=DEFAULT_TOL_RANK):
+def reference_radial(chunks, k):
     """Max ||Z - z/k|| over the strictly psh rows, by the eager rule: eigvalsh
     and the stratum of every row, then _solve_z on the strict rows of each
     chunk, folded with np.maximum (a NaN sticks). chunks yields (points, grad,
     hess) triples of rows with rho > 0. None without a strict row."""
     radial = None
     for points, grad, hess in chunks:
-        strata = classify_strata(np.ones(len(points)), np.linalg.eigvalsh(hess), tol_rank)
+        strata = classify_strata(np.ones(len(points)), np.linalg.eigvalsh(hess))
         strict = strata == Stratum.STRICTLY_PSH
         if np.any(strict):
             dist = np.max(np.linalg.norm(_solve_z(grad[strict], hess[strict]) - points[strict] / k, axis=1))

@@ -11,7 +11,7 @@ from mafoliation.cli import bundled_corpus_dir, main
 from mafoliation.levi import fields_at_many
 from mafoliation.potential import format_potential, homogeneous_degree, parse_potential_file
 from mafoliation.sampling import real_grid
-from mafoliation.thresholds import DEFAULT_TOL_RANK, RHO_FLOOR
+from mafoliation.thresholds import RHO_FLOOR
 
 from helpers import reference_radial
 
@@ -345,7 +345,7 @@ def _nan_row(rng, field):
 def test_lazy_radial_on_hand_built_rows(case, blocks, expect):
     rng = np.random.default_rng(3)
     points, grad, hess = _stack(*blocks(rng), seed=4)
-    got = burns._radial_max(points, grad, hess, 2, DEFAULT_TOL_RANK)
+    got = burns._radial_max(points, grad, hess, 2)
     assert _same(got, reference_radial([(points, grad, hess)], 2))
     if expect == "none":
         assert got is None

@@ -83,7 +83,7 @@ def _burns_verdict_ok(pot):
     return report.verdict == (expected == "pass") and report.internal_failure is None, report
 
 
-def _check_lines(lines, records, tol_ma=thresholds.VERDICT_MA_TOL):
+def _check_lines(lines, records):
     """Match every check line to its record and re-derive its outcome; returns the records matched."""
     unused = list(records)
     matched = 0
@@ -104,13 +104,12 @@ def _check_lines(lines, records, tol_ma=thresholds.VERDICT_MA_TOL):
         if name == "burns_verdict":
             ok, report = _burns_verdict_ok(line.split()[0])
             gate = report.gate("ma_residual_scaled")
-            assert rec.measured == (gate and gate.measured) and rec.threshold == tol_ma, line
+            assert rec.measured == (gate and gate.measured) and rec.threshold == thresholds.VERDICT_MA_TOL, line
             assert rec.status == ("pass" if ok else "fail"), line
         else:
             entry = CHECKS[name]
             assert rec.threshold_name == entry.threshold, line
-            constant = tol_ma if entry.threshold == "VERDICT_MA_TOL" else getattr(thresholds, entry.threshold)
-            assert rec.threshold == constant, line
+            assert rec.threshold == getattr(thresholds, entry.threshold), line
             ok = rec.measured is not None and OPS[entry.op](rec.measured, rec.threshold)
             assert rec.status == ("pass" if ok else "finding" if entry.finding else "fail"), line
         if mark is not None:
@@ -127,14 +126,6 @@ def test_analyze_lines_are_records(name, tmp_path, capsys, recorded):
     rc, lines, records = recorded(["analyze", str(CORPUS / f"{name}.pot"), "--out", str(tmp_path)], capsys)
     assert _check_lines(lines, records) == 7
     assert rc == _exit_rule(records) == 0
-
-
-def test_analyze_tol_ma_overrides_the_constant(tmp_path, capsys, recorded):
-    argv = ["analyze", str(CORPUS / "nonma.pot"), "--samples", "100", "--tol-ma", "10", "--out", str(tmp_path)]
-    rc, lines, records = recorded(argv, capsys)
-    assert _check_lines(lines, records, tol_ma=10.0) == 7
-    assert [r.status for r in records if r.name == "ma_residual_scaled"] == ["pass"]
-    assert rc == 0
 
 
 def test_trace_lines_are_records(tmp_path, capsys, recorded):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mafoliation.cli import _suite_grid_axis, bundled_corpus_dir, main
+from mafoliation.cli import _suite_grid_axis, build_parser, bundled_corpus_dir, main
 from mafoliation.gradient import gradient_field
 from mafoliation.levi import fields_at_many, ma_scan
 from mafoliation.potential import PolyPotential, format_potential, parse_potential_file
@@ -45,14 +46,56 @@ def test_analyze_ball_clean(corpus, tmp_path, capsys):
 
 
 def test_analyze_euler_line_prints_the_threshold_applied(corpus, tmp_path, capsys):
-    # only euler_ma_iff cuts the Euler residual, at IFF_TOL; --tol-ma does not reach it
-    lines = []
-    for extra in ([], ["--tol-ma", "1e3"]):
-        assert main(["analyze", str(corpus / "ball2.pot"), "--samples", "50", "--out", str(tmp_path), *extra]) == 0
-        out = capsys.readouterr().out
-        lines.append(next(line for line in out.splitlines() if line.startswith("max euler_residual")))
-    assert lines[0].endswith("(threshold 1e-09)")
-    assert lines[1] == lines[0]
+    # only euler_ma_iff cuts the Euler residual, at IFF_TOL
+    assert main(["analyze", str(corpus / "ball2.pot"), "--samples", "50", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if line.startswith("max euler_residual"))
+    assert line.endswith("(threshold 1e-09)")
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {a.dest for a in cmd._actions if a.option_strings and a.dest != "help"}
+               for name, cmd in subparsers.choices.items()}
+    assert options == {
+        "analyze": {"seed", "samples", "box", "out"},
+        "trace": {"seed", "step", "out", "base", "t_max", "t_nodes", "s_max", "s_nodes"},
+        "weights": {"seed", "samples", "box", "out"},
+        "burns": {"seed", "box", "out", "grid_n", "csv"},
+        "suite": {"seed", "samples", "box", "out"},
+    }
+    assert sum(map(len, options.values())) == 25
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--tol-rank", "1e-6"],
+    ["analyze", "--tol-ma", "1e3"],
+    ["burns", "--tol-ma", "1e3"],
+    ["analyze", "--step", "0.1"],
+    ["burns", "--samples", "10"],
+    ["trace", "--base", "1+0i,0+0i", "--box", "1"],
+])
+def test_an_option_the_subcommand_does_not_read_exits_2(corpus, tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(corpus / "ball2.pot"), *argv[1:], "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, settings", [
+    (["analyze", "ball2.pot", "--samples", "20"], "seed = 1234; samples = 20; box = 1.5"),
+    (["weights", "ball2.pot", "--seed", "7"], "seed = 7; samples = 1000; box = 1.5"),
+    (["burns", "ball2.pot", "--grid-n", "4", "--box", "2"], "seed = 1234; box = 2.0"),
+    (["trace", "ball2.pot", "--base", "1+0i,0+0i", "--t-nodes", "3", "--s-nodes", "2"], "seed = 1234; step = 0.01"),
+    (["suite", ".", "--samples", "20"], "seed = 1234; samples = 20; box = 1.5"),
+])
+def test_the_header_prints_the_settings_the_subcommand_takes(corpus, tmp_path, capsys, argv, settings):
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    (directory / "ball2.pot").write_text((corpus / "ball2.pot").read_text())
+    assert main([argv[0], str(directory / argv[1]), *argv[2:], "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == settings
 
 
 def test_analyze_nonma_is_finding_not_failure(corpus, tmp_path, capsys):
@@ -120,6 +163,25 @@ def test_trace_csv_deterministic(corpus, tmp_path, capsys):
         csvs.append((tmp_path / run / "weighted24_trace.csv").read_bytes())
     capsys.readouterr()
     assert csvs[0] == csvs[1]
+
+
+def test_trace_base_of_another_dimension_exit2(corpus, tmp_path, capsys):
+    rc = main(["trace", str(corpus / "ball2.pot"), "--base", "1+0i", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "base point has 1 coordinates, potential has n = 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_trace_truncation_names_the_node_of_the_final_rho(corpus, tmp_path, capsys):
+    # rho = e^t along the ball's leaf, so t = -30 lies below RHO_FLOOR and the
+    # backward t sweep stops at -26.25; the largest kept t is the base's 0
+    rc = main(["trace", str(corpus / "ball2.pot"), "--base", "1+0i,0+0i", "--t-max", "-30", "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert "note: trace truncated at the domain/box boundary" in lines
+    t_values = {float(row["t"]) for row in _read_csv(tmp_path / "ball2_trace.csv")}
+    assert (min(t_values), max(t_values)) == (-26.25, 0.0)
+    assert lines[-1] == "final rho at (t = 0.0, s = 0.0): 1.0"
 
 
 def test_trace_from_origin_exit2(corpus, capsys):
@@ -195,7 +257,7 @@ def test_trace_ball_exponential_growth(corpus, tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0
-    final = float(out.split("final rho at (t_max, s=0):")[1].strip())
+    final = float(out.split("final rho at (t = 2.0, s = 0.0):")[1].strip())
     assert final == pytest.approx(math.e**2, abs=1e-6)
 
 
@@ -213,6 +275,16 @@ def test_weights_nonma_certificate(corpus, capsys):
     assert rc == 0
     assert "infeasible" in out
     assert "{c1 = 1, c2 = 1, c1 + c2 = 1}" in out
+
+
+def test_weights_not_positive_is_a_finding(tmp_path, capsys):
+    # |z1|^2 + |z1^2 z2|^2: c1 = 1 and 2 c1 + c2 = 1 give the unique c = (1, -1)
+    pot = tmp_path / "negative.pot"
+    pot.write_text(format_potential(PolyPotential(2, {((1, 0), (1, 0)): 1, ((2, 1), (2, 1)): 1})))
+    rc = main(["weights", str(pot), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "weights exist but not positive: c = (1, -1), unique" in out.splitlines()
 
 
 def test_weights_ball(corpus, capsys):
@@ -249,15 +321,6 @@ def test_burns_pass_and_fail_both_exit0(corpus, tmp_path, capsys):
     assert max(float(r["ma_residual_scaled"]) for r in rows) > 1e-3
 
 
-def test_burns_prints_the_ma_threshold_it_applied(corpus, tmp_path, capsys):
-    rc = main(["burns", str(corpus / "quartic_mixed.pot"), "--grid-n", "4", "--tol-ma", "1e3", "--out", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "threshold 1e+03)" in out and "threshold 1e-08)" not in out
-    # under 1e3 only the bidegree gate fails
-    assert "verdict           : fail" in out and "Monge-Ampere residual" not in out
-
-
 def test_suite_bundled_corpus(corpus, tmp_path, capsys):
     rc = main(["suite", str(corpus), "--samples", "200", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -271,6 +334,13 @@ def test_suite_empty_directory_exit2(tmp_path, capsys):
     empty.mkdir()
     rc = main(["suite", str(empty)])
     assert rc == 2
+
+
+def test_suite_on_a_file_exit2(corpus, tmp_path, capsys):
+    rc = main(["suite", str(corpus / "ball2.pot"), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_suite_determinism(corpus, tmp_path, capsys):

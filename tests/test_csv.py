@@ -11,11 +11,12 @@ from helpers import reference_csv_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mafoliation.burns import grid_residuals
 from mafoliation.cli import ScanConfig, _analyze_scan, _cells, _write_csv, bundled_corpus_dir, main
-from mafoliation.foliation import IntegratorConfig, trace_leaf
+from mafoliation.foliation import trace_leaf
+from mafoliation.levi import levi_scan, ma_from_fields
 from mafoliation.potential import parse_potential_file
 from mafoliation.sampling import real_grid
+from mafoliation.thresholds import RHO_FLOOR
 
 # values whose repr a float-keyed dedup would get wrong, plus subnormals
 _SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.2250738585072014e-308]
@@ -68,8 +69,10 @@ def test_burns_csv_bytes_match_row_writer(corpus, tmp_path, capsys, name):
     assert main(["burns", str(pot), "--grid-n", "10", "--csv", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     grid = np.concatenate(list(real_grid(2, 10, 1.5)))
-    _, _, res = grid_residuals(parse_potential_file(pot), grid)
-    rows = [_coords(z) + [rho, raw, scaled] for z, rho, raw, scaled in zip(res.points, res.rho, res.raw, res.scaled)]
+    scan = levi_scan(parse_potential_file(pot), grid)
+    inside = scan.rho > RHO_FLOOR
+    _, raw, scaled = ma_from_fields(scan.rho[inside], scan.grad[inside], scan.hessian[inside], 2)
+    rows = [_coords(z) + [rho, r, sc] for z, rho, r, sc in zip(grid[inside], scan.rho[inside], raw, scaled)]
     header = COORDS2 + ["rho", "ma_residual", "ma_residual_scaled"]
     assert (tmp_path / f"{name}_burns.csv").read_bytes() == reference_csv_bytes(header, rows)
 
@@ -97,12 +100,12 @@ def test_trace_csv_bytes_match_row_writer(corpus, tmp_path, capsys):
     assert main(["trace", str(pot), "--base", "1+0i,0+0i", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     trace = trace_leaf(
-        parse_potential_file(pot), [1, 0], np.linspace(0.0, 2.0, 9), np.linspace(0.0, 2 * math.pi, 13),
-        IntegratorConfig(tol_rank=1e-8),
+        parse_potential_file(pot), [1, 0], np.linspace(0.0, 2.0, 9), np.linspace(0.0, 2 * math.pi, 13)
     )
+    abs_det = np.abs(trace.det_hessian)
     rows = [
         [t, s] + _coords(trace.points[it, isx])
-        + [trace.rho[it, isx], abs(trace.det_hessian[it, isx]), trace.strata[it, isx]]
+        + [trace.rho[it, isx], abs_det[it, isx], trace.strata[it, isx]]
         for it, t in enumerate(trace.t_values)
         for isx, s in enumerate(trace.s_values)
     ]

@@ -113,7 +113,21 @@ def test_stratum_invariance_reports_the_node_off_the_base_stratum(weighted_trace
     report = leaf_stratum_invariance(dataclasses.replace(weighted_trace, strata=strata))
     assert not report.passed
     assert report.base_stratum is Stratum.STRICTLY_PSH
-    assert report.violations == [(2, 5, Stratum.LOW_DEGENERACY, float(abs(weighted_trace.det_hessian[2, 5])))]
+    assert report.violations == [(2, 5, Stratum.LOW_DEGENERACY, float(np.abs(weighted_trace.det_hessian)[2, 5]))]
+
+
+def test_stratum_invariance_reports_the_abs_det_of_the_trace_csv(weighted_trace):
+    # numpy's vectorized abs and Python's abs() of a complex scalar can round
+    # |x| differently in the last bit when both parts are nonzero (they do on
+    # this value with numpy's SIMD loop); the violation reports the trace
+    # CSV's abs_detH, which is np.abs of the det H array
+    strata, det = weighted_trace.strata.copy(), weighted_trace.det_hessian.copy()
+    strata[2, 5] = Stratum.LOW_DEGENERACY
+    det[2, 5] = 0.6404226504432821 + 0.19205435028986062j
+    report = leaf_stratum_invariance(dataclasses.replace(weighted_trace, strata=strata, det_hessian=det))
+    (violation,) = report.violations
+    assert violation[:3] == (2, 5, Stratum.LOW_DEGENERACY)
+    assert violation[3] == np.abs(det)[2, 5] == np.abs(det.ravel())[2 * det.shape[1] + 5]
 
 
 def test_stratum_invariance_ball(ball_trace):

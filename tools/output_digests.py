@@ -4,6 +4,7 @@ The outputs, each at the default seed and settings:
 
 * the ``analyze`` CSV and stdout of the 7 bundled potentials and of the 6
   that ``perfbench/gen_inputs.py --seed 7`` generates;
+* the ``weights`` stdout of the same 13 potentials (weights writes no CSV);
 * the ``trace`` CSV and stdout of weighted24, ball3 and square_norm;
 * the ``burns --csv`` CSV and stdout of square_norm at ``--grid-n 20``;
 * ``suite_summary.csv`` and the stdout of ``suite`` on both corpora.
@@ -48,14 +49,19 @@ def _sha(data):
 
 
 def _run(label, argv, out_dir, csv_name):
-    """Run one command in-process; yield the digest lines of its CSV and stdout."""
+    """Run one command in-process; yield the digest lines of its CSV (None:
+    it writes none) and stdout. The first line shows the exit code."""
     text = io.StringIO()
     with redirect_stdout(text), redirect_stderr(text):
         code = cli.main([*argv, "--out", out_dir])
+    stdout = f"{_sha(_WALL.sub('', text.getvalue()).encode())}  {label}.stdout"
+    if csv_name is None:
+        yield f"{stdout} (exit {code})"
+        return
     csv_path = Path(out_dir) / csv_name
     csv_digest = _sha(csv_path.read_bytes()) if csv_path.exists() else "missing"
     yield f"{csv_digest}  {label}.csv (exit {code})"
-    yield f"{_sha(_WALL.sub('', text.getvalue()).encode())}  {label}.stdout"
+    yield stdout
 
 
 def digests():
@@ -68,8 +74,12 @@ def digests():
             shutil.copytree(cli.bundled_corpus_dir(), "bundled")
             subprocess.run([sys.executable, str(ROOT / "perfbench" / "gen_inputs.py"), "--seed", "7",
                             "--out", "generated"], check=True, capture_output=True)
+            inputs = [(corpus, name) for corpus, names in (("bundled", BUNDLED), ("generated", GENERATED))
+                      for name in names]
             runs = [(f"analyze/{name}", ["analyze", f"{corpus}/{name}.pot"], "analyze", f"{name}_analyze.csv")
-                    for corpus, names in (("bundled", BUNDLED), ("generated", GENERATED)) for name in names]
+                    for corpus, name in inputs]
+            runs += [(f"weights/{name}", ["weights", f"{corpus}/{name}.pot"], "weights", None)
+                     for corpus, name in inputs]
             runs += [(f"trace/{name}", ["trace", f"bundled/{name}.pot", f"--base={base}"], "trace",
                       f"{name}_trace.csv") for name, base in TRACES.items()]
             runs.append(("burns/square_norm", ["burns", "bundled/square_norm.pot", "--grid-n", "20", "--csv"],
