@@ -28,7 +28,7 @@ settled row when none of those is strict. The max is exactly the eager one
 distance do not depend on the other rows, and a strict row outside the block
 lies no farther than the block's strict max. The worst case is a grid of
 degenerate rows: on |z1|^4, whose Hessians are all exactly singular, the
-direct solve fails and every row is classified anyway.
+direct solve returns NaN on every row and every row is classified anyway.
 """
 
 from __future__ import annotations

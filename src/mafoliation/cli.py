@@ -237,6 +237,9 @@ def cmd_trace(args):
     return _exit_code(records)
 
 
+WEIGHT_CHECK_SAMPLES = 100  # the weight checks of weights and suite use at most this many samples
+
+
 def _weight_checks(p, weights, pts):
     """The homogeneity identity and Z = c z at pts (weights and suite)."""
     return [
@@ -261,7 +264,8 @@ def cmd_weights(args):
         return 0
     print(f"c = ({weights}), {tag}, system residual {analysis.residual:.3e}")
     rng = np.random.default_rng(cfg.rng_seed)
-    pts = sample_domain(p, min(cfg.samples, 100), cfg.box_radius, rng)
+    pts = sample_domain(p, min(cfg.samples, WEIGHT_CHECK_SAMPLES), cfg.box_radius, rng)
+    print(f"weight checks on {len(pts)} samples (at most {WEIGHT_CHECK_SAMPLES})")
     records = _weight_checks(p, analysis.weights, pts)
     for label, oc in zip(("homogeneity residual", "linear field residual"), records):
         print(f"{label:22} = {oc.measured:.3e} (threshold {oc.threshold:g}) {'ok' if oc.status == 'pass' else 'FAIL'}")
@@ -323,7 +327,7 @@ def _suite_checks(p, expect, cfg):
             measured = float(np.max(np.abs(analysis.weights - np.asarray(expect["weights"])))) if ok else None
             outcomes.append(outcome("weights_match", measured, t0))
             if ok:
-                outcomes += _weight_checks(p, analysis.weights, pts[:100])
+                outcomes += _weight_checks(p, analysis.weights, pts[:WEIGHT_CHECK_SAMPLES])
 
     exp_burns = expect.get("burns")
     if exp_burns is not None:

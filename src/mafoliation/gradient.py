@@ -3,14 +3,15 @@
 Z solves sum_mu Z^mu rho_{mu nubar} = rho_nubar, i.e. H^T Z = conj(grad).
 On the full-rank stratum this is a direct solve; across degenerate points the
 minimum-norm least-squares solution is used, validated by the achieved system
-residual and by the Euler identity Z(rho) = rho. The least-squares Z is the
-one row solve ``_lstsq_z``. Every direct Z comes from the one direct solve
-``_direct_z`` (complex_gradient's from a one-row batch): ``_solve_z``
-(gradient_field, the analyze scan) sends the rows it did not settle to the
-row solve, and the radial gate of burns sends only the strictly psh ones
-among them. The Euler and CR scans are single batched passes: one jet
-over all their points, then the row solve per row. Each RK4 stage of the Theta
-orbit calls the row solve on a one-row jet; the orbit's end-of-step checks are
+residual and by the Euler identity Z(rho) = rho. Each solve is one call of
+numpy's LAPACK gufunc on a whole stack, without the public wrappers' per-call
+checks and copies. The least-squares Z is the one kernel ``_lstsq_rows``.
+Every direct Z comes from the one direct solve ``_direct_z`` (complex_gradient's
+from a one-row batch); ``_solve_z`` (gradient_field, the analyze scan) sends
+the rows it did not settle to the kernel, and the radial gate of burns sends
+only the strictly psh ones among them. The Euler and CR scans are one jet over
+all their points, then one kernel call. Each RK4 stage of the Theta orbit
+calls the kernel on its one-row jet; the orbit's end-of-step checks are
 batched, ORBIT_CHECK_BLOCK end points per jet. The Euler residual
 (``_euler_residual``) and the Z-system test (``_consistent``) are batched
 kernels too; a GradientSample holds their row 0 on a one-row batch.
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .levi import Stratum, _check_inside, fields_at_many, levi_scan
 from .potential import _one_row
@@ -106,15 +108,20 @@ def _sample(z, z_field, method, rho, grad, hess):
     )
 
 
-def _lstsq_z(grad, hess):
-    """Minimum-norm least-squares Z of one point: the solve behind every Z
-    off the full-rank stratum."""
-    return np.linalg.lstsq(hess.T, grad.conj(), rcond=LSTSQ_RCOND)[0]
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _lstsq_rows(grad, hess):
-    """The row solve over every row of (N, n) gradients and (N, n, n) Hessians."""
-    return np.array([_lstsq_z(g, h) for g, h in zip(grad, hess)]).reshape(grad.shape)
+    """Minimum-norm least-squares Z, lstsq(H^T, conj(grad)) with rcond LSTSQ_RCOND,
+    of every row of (N, n) gradients and (N, n, n) Hessians. One LAPACK call
+    under the public lstsq's error state: every row is that function's answer
+    bit for bit, and a failed SVD (a NaN or inf row) raises its LinAlgError."""
+    if not hasattr(_umath_linalg, "lstsq"):  # numpy < 2.0, which pyproject.toml excludes
+        raise ImportError(f"numpy {np.__version__} lacks _umath_linalg.lstsq; mafoliation needs numpy >= 2.0")
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        z = _umath_linalg.lstsq(hess.transpose(0, 2, 1), grad.conj()[..., None], LSTSQ_RCOND, signature="DDd->Ddid")[0]
+    return z[..., 0]
 
 
 def complex_gradient(p, z):
@@ -141,33 +148,21 @@ def extended_gradient(p, z):
 def _direct_z(grad, hess):
     """One batched direct solve of H^T Z = conj(grad) over (N, n) gradients and
     (N, n, n) Hessians. Returns Z and the ascending indices of the rows it
-    did not settle: exactly singular, non-finite or inconsistent ones.
+    did not settle: those that fail the Z-system test (``_consistent``), which
+    an exactly singular or non-finite row fails, as LAPACK returns it NaN.
 
-    A row is inconsistent when it fails the Z-system test (``_consistent``).
     When the squared residual of the whole batch is at most (Z_SOLVE_TOL /
     2)^2, every row's residual is below Z_SOLVE_TOL, so one dot product
     settles the test and the per-row norms are skipped. A row's Z and whether
     it is settled do not depend on the other rows: LAPACK solves each matrix
     on its own, and the shortcut skips only tests that would pass.
     """
-    gbar = grad.conj()
-    ht = hess.transpose(0, 2, 1)
-    try:
-        out = np.linalg.solve(ht, gbar[..., None])[..., 0]
-        bad = False
-    except np.linalg.LinAlgError:
-        # some row is exactly singular: solve the others on their own
-        bad = np.linalg.det(ht) == 0
-        out = np.zeros_like(gbar)
-        try:
-            out[~bad] = np.linalg.solve(ht[~bad], gbar[~bad][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            bad[:] = True
+    with np.errstate(all="ignore"):  # an exactly singular row comes back NaN
+        out = _umath_linalg.solve(hess.transpose(0, 2, 1), grad.conj()[..., None], signature="DD->D")[..., 0]
     resid = _system_residual(out, grad, hess)
-    if bad is False and np.vdot(resid, resid).real <= _CLEAN_BATCH_SQ:
+    if np.vdot(resid, resid).real <= _CLEAN_BATCH_SQ:
         return out, np.zeros(0, dtype=np.intp)
-    bad |= ~_consistent(resid, grad)[1]
-    return out, np.flatnonzero(bad)
+    return out, np.flatnonzero(~_consistent(resid, grad)[1])
 
 
 def _solve_z(grad, hess):
@@ -301,7 +296,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
 
     def vel(w):
         _, grad, hess = fields_at_many(p, w[None, :])
-        return mult * _lstsq_z(grad[0], hess[0])
+        return mult * _lstsq_rows(grad, hess)[0]
 
     max_drift = 0.0
     rho0 = float(base.rho[0])

@@ -313,7 +313,7 @@ def _stack(*blocks, seed):
 
 EYE = np.eye(2)
 NEAR_SINGULAR = np.diag([1.0, 1e-10])  # rank 1 under DEFAULT_TOL_RANK, yet solvable
-SINGULAR = np.diag([1.0, 0.0])  # exactly singular: the batched solve raises
+SINGULAR = np.diag([1.0, 0.0])  # exactly singular: the direct solve returns NaN
 # eigvalsh reads the lower triangle (the identity), so the row is strict, but
 # the 1e20 entry leaves the direct solve inconsistent: the row takes the lstsq fallback
 SKEW = np.array([[1.0, 1e20], [0.0, 1.0]])

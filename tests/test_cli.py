@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mafoliation import cli
 from mafoliation.cli import _suite_grid_axis, build_parser, bundled_corpus_dir, main
 from mafoliation.gradient import gradient_field
 from mafoliation.levi import fields_at_many, ma_scan
@@ -292,6 +293,23 @@ def test_weights_ball(corpus, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "c = (1, 1)" in out
+
+
+@pytest.mark.parametrize("samples, applied", [(5000, 100), (50, 50)])
+def test_weights_prints_the_sample_count_it_checks(corpus, capsys, monkeypatch, samples, applied):
+    # the weight checks run on at most WEIGHT_CHECK_SAMPLES of --samples, and say so
+    seen, checks = [], cli._weight_checks
+
+    def counted(p, weights, pts):
+        seen.append(len(pts))
+        return checks(p, weights, pts)
+
+    monkeypatch.setattr(cli, "_weight_checks", counted)
+    rc = main(["weights", str(corpus / "ball2.pot"), "--samples", str(samples)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0 and seen == [applied]
+    assert f"weight checks on {applied} samples (at most {cli.WEIGHT_CHECK_SAMPLES})" in lines
+    assert f"seed = 1234; samples = {samples}; box = 1.5" in lines  # the settings as given
 
 
 def test_burns_pass_and_fail_both_exit0(corpus, tmp_path, capsys):

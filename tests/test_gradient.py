@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mafoliation import (
     levi_data,
     theta_orbit_det_check,
 )
-from mafoliation import foliation
+from mafoliation import foliation, gradient
 from mafoliation.foliation import flow_points
 from mafoliation.cli import ScanConfig, _analyze_scan
 from mafoliation.gradient import (
@@ -26,7 +27,6 @@ from mafoliation.gradient import (
     _direct_z,
     _euler_residual,
     _lstsq_rows,
-    _lstsq_z,
     _solve_z,
     _system_residual,
 )
@@ -169,6 +169,65 @@ def test_solve_z_falls_back_on_one_inconsistent_row_among_clean_rows(weighted24)
     assert np.array_equal(z[:3], np.linalg.solve(hess.transpose(0, 2, 1), grad.conj()[..., None])[..., 0])
 
 
+def _hessian_stack(rng, n, rank, scale, count):
+    """count complex (n, n) matrices of the given rank, entries near scale:
+    Hermitian positive semidefinite ones (Levi forms) and general ones."""
+    a = rng.normal(size=(count, n, rank)) + 1j * rng.normal(size=(count, n, rank))
+    b = rng.normal(size=(count, rank, n)) + 1j * rng.normal(size=(count, rank, n))
+    herm = a @ a.conj().transpose(0, 2, 1)
+    return scale * np.concatenate([herm, a @ b])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lstsq_rows_is_the_public_lstsq_bit_for_bit(n):
+    # one stacked LAPACK call equals the public lstsq row by row, on full,
+    # deficient and zero rank and at extreme scales of H and of conj(grad)
+    rng = np.random.default_rng(1500 + n)
+    for rank in range(n + 1):
+        for h_scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+            for g_scale in (1e-150, 1.0, 1e150):
+                hess = _hessian_stack(rng, n, rank, h_scale, 3)
+                grad = g_scale * (rng.normal(size=(len(hess), n)) + 1j * rng.normal(size=(len(hess), n)))
+                got = _lstsq_rows(grad, hess)
+                want = np.array([np.linalg.lstsq(h.T, g.conj(), rcond=LSTSQ_RCOND)[0] for g, h in zip(grad, hess)])
+                assert got.shape == grad.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (rank, h_scale, g_scale)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lstsq_rows_raises_on_a_non_finite_hessian(bad):
+    hess = np.repeat(np.eye(2, dtype=complex)[None], 3, axis=0)
+    hess[1, 0, 1] = bad
+    grad = np.ones((3, 2), dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        np.linalg.lstsq(hess[1].T, grad[1].conj(), rcond=LSTSQ_RCOND)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _lstsq_rows(grad, hess)
+
+
+def test_lstsq_rows_of_an_empty_stack():
+    assert _lstsq_rows(np.zeros((0, 3), dtype=complex), np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3)
+
+
+def test_lstsq_rows_names_the_numpy_it_needs(monkeypatch):
+    monkeypatch.setattr(gradient, "_umath_linalg", types.SimpleNamespace())  # numpy < 2.0 has no lstsq
+    with pytest.raises(ImportError, match=r"numpy >= 2\.0"):
+        _lstsq_rows(np.ones((1, 2), dtype=complex), np.eye(2, dtype=complex)[None])
+
+
+def test_direct_z_leaves_an_exactly_singular_row_unsettled():
+    # the singular rows come back NaN and fail the Z-system test; every other
+    # row is the plain solve's, bit for bit
+    rng = np.random.default_rng(1600)
+    hess = _hessian_stack(rng, 3, 3, 1.0, 4)
+    hess[1], hess[6] = np.diag([1.0, 0.0, 2.0]), 0.0
+    grad = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    z, unsettled = _direct_z(grad, hess)
+    assert unsettled.tolist() == [1, 6] and np.isnan(z[unsettled]).all()
+    for i in (0, 2, 3, 4, 5, 7):
+        assert np.array_equal(z[i], np.linalg.solve(hess[i].T, grad[i].conj()))
+
+
 # -- Euler identity -------------------------------------------------------------
 
 
@@ -201,7 +260,7 @@ def test_euler_scan_empty_error(ball2):
 
 
 def test_euler_scan_equals_pointwise_max(bundled_and_generated):
-    # the scan is the max of the Euler kernel over the row solves of its own
+    # the scan is the max of the Euler kernel over the public lstsq of its own
     # jet rows, and so extended_gradient's per-point maximum bit for bit. The
     # rows of one batched jet equal the one-row jet's except where
     # multithreaded BLAS sums a large product in another order (normsq_n8 on
@@ -211,7 +270,7 @@ def test_euler_scan_equals_pointwise_max(bundled_and_generated):
         pts = sample_domain(p, 80, 1.5, rng)
         scan = euler_residual_scan(p, pts)
         rho, grad, hess = fields_at_many(p, pts)
-        z_field = np.array([_lstsq_z(g, h) for g, h in zip(grad, hess)])
+        z_field = np.array([np.linalg.lstsq(h.T, g.conj(), rcond=LSTSQ_RCOND)[0] for g, h in zip(grad, hess)])
         assert scan == np.max(_euler_residual(z_field, grad, rho)), name
         if one_row_jet_agrees(p, pts).all():
             assert scan == max(extended_gradient(p, z).euler_residual for z in pts), name
