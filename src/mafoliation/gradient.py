@@ -116,9 +116,12 @@ def _lstsq_rows(grad, hess):
     """Minimum-norm least-squares Z, lstsq(H^T, conj(grad)) with rcond LSTSQ_RCOND,
     of every row of (N, n) gradients and (N, n, n) Hessians. One LAPACK call
     under the public lstsq's error state: every row is that function's answer
-    bit for bit, and a failed SVD (a NaN or inf row) raises its LinAlgError."""
+    bit for bit, and a failed SVD raises its LinAlgError. A NaN or inf Hessian
+    raises LinAlgError before LAPACK, which would print text on stdout, sees it."""
     if not hasattr(_umath_linalg, "lstsq"):  # numpy < 2.0, which pyproject.toml excludes
         raise ImportError(f"numpy {np.__version__} lacks _umath_linalg.lstsq; mafoliation needs numpy >= 2.0")
+    if not np.isfinite(hess).all():
+        raise LinAlgError(f"non-finite Hessian in row {np.argmin(np.isfinite(hess).all(axis=(1, 2)))} of the least-squares Z")
     with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
         z = _umath_linalg.lstsq(hess.transpose(0, 2, 1), grad.conj()[..., None], LSTSQ_RCOND, signature="DDd->Ddid")[0]
     return z[..., 0]

@@ -6,20 +6,24 @@ Because L ranges over all complex numbers, every stored monomial (alpha, beta)
 must satisfy both sum_j c_j alpha_j = 1 and sum_j c_j beta_j = 1 - two
 equations, not their sum; collapsing them would wrongly accept mixed-bidegree
 terms.
+
+The exponents are integers, so the system A c = 1 is solved by exact rational
+elimination, with no tolerance; the certificate of an infeasible system is an
+irreducible subset of <= n + 1 equations.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .foliation import flow_points
 from .gradient import RealFieldKind, gradient_field
 from .potential import evaluate
-from .thresholds import DEFAULT_STEP, FEASIBLE_TOL, LEVEL_BISECT_TOL, LEVEL_SET_TOL
+from .thresholds import DEFAULT_STEP, LEVEL_BISECT_TOL, LEVEL_SET_TOL
 
 # rescale_to_level: points per multisection round (32 cells, 5 bits of s per
 # round) and the round cap, 32^40 = 2^200 as for 200 bisection steps
@@ -66,70 +70,60 @@ def weight_equations(p):
     return tuple(Equation(coeffs=r) for r in ordered)
 
 
-def _lstsq_residual(rows):
-    a = np.array(rows, dtype=float)
-    rhs = np.ones(a.shape[0])
-    sol = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    return sol, float(np.max(np.abs(a @ sol - rhs)))
-
-
-def _minimal_inconsistent_subset(equations, dim):
-    """Smallest inconsistent equation subset by brute force (desk scale).
-
-    An inconsistent system has an irreducible inconsistent subsystem of at
-    most rank+1 <= n+1 equations; fall back to the full set if enumeration
-    would blow up.
+def _eliminate(rows):
+    """Gauss-Jordan over the rationals on the augmented rows [row | 1], one
+    row at a time: the one solver of the weight system. Returns (basis,
+    pivots, bad, r): the indices of the rows that raised the rank; each pivot
+    column's reduced row (right-hand side last); the index of the first row
+    that reduces to 0 = r != 0, where elimination stops (else None, r = 0).
     """
-    m = len(equations)
-    if m > 14:
-        return equations
-    rows = [eq.coeffs for eq in equations]
-    for size in range(2, min(m, dim + 1) + 1):
-        for combo in itertools.combinations(range(m), size):
-            _, res = _lstsq_residual([rows[i] for i in combo])
-            if res > FEASIBLE_TOL:
-                return tuple(equations[i] for i in combo)
-    return equations
+    basis, pivots = [], {}
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row] + [Fraction(1)]
+        for col, piv in pivots.items():
+            if v[col]:
+                v = [a - v[col] * b for a, b in zip(v, piv)]
+        col = next((j for j, x in enumerate(v[:-1]) if x), None)
+        if col is None:
+            if v[-1]:
+                return basis, pivots, i, v[-1]
+            continue
+        v = [x / v[col] for x in v]
+        for k, piv in pivots.items():
+            if piv[col]:
+                pivots[k] = [a - piv[col] * b for a, b in zip(piv, v)]
+        pivots[col] = v
+        basis.append(i)
+    return basis, pivots, None, Fraction(0)
 
 
 def analyze_weights(p):
-    """Solve the weight feasibility system and report the full diagnosis.
+    """Solve the weight feasibility system exactly and report the full diagnosis.
 
-    Feasible underdetermined systems return the minimum-norm solution with
-    unique=False. Feasible solutions with a non-positive entry are reported
-    as "not_positive" rather than discarded.
+    A feasible system gives its minimum-norm solution c = B^T y, with B its
+    independent rows and B B^T y = 1, unique when the rank is n; one with a
+    non-positive entry is reported as "not_positive", not discarded. An
+    infeasible one gives an irreducible inconsistent subset of <= rank + 1
+    equations, by a deletion filter on B and the first row it contradicts,
+    and the residual |r|: the constant left when the subset's equations,
+    the last with coefficient 1, are combined to cancel every c_j.
     """
     equations = weight_equations(p)
-    if not equations:
-        return WeightAnalysis(
-            status="infeasible",
-            weights=None,
-            unique=False,
-            residual=math.inf,
-            equations=equations,
-            inconsistent_subset=equations,
-        )
     rows = [eq.coeffs for eq in equations]
-    sol, residual = _lstsq_residual(rows)
-    if residual > FEASIBLE_TOL:
-        return WeightAnalysis(
-            status="infeasible",
-            weights=None,
-            unique=False,
-            residual=residual,
-            equations=equations,
-            inconsistent_subset=_minimal_inconsistent_subset(equations, p.dim),
-        )
-    unique = int(np.linalg.matrix_rank(rows)) == p.dim
-    status = "ok" if bool(np.all(sol > 0)) else "not_positive"
-    return WeightAnalysis(
-        status=status,
-        weights=sol,
-        unique=unique,
-        residual=residual,
-        equations=equations,
-        inconsistent_subset=None,
-    )
+    basis, _, bad, _ = _eliminate(rows)
+    if bad is None:
+        b = [rows[k] for k in basis]
+        gram = _eliminate([[sum(x * y for x, y in zip(u, w)) for w in b] for u in b])[1]
+        c = [sum(gram[i][-1] * u[j] for i, u in enumerate(b)) for j in range(p.dim)]
+        status = "ok" if all(x > 0 for x in c) else "not_positive"
+        return WeightAnalysis(status, np.array(c, dtype=float), len(basis) == p.dim, 0.0, equations, None)
+    subset = basis + [bad]
+    for k in basis + [bad]:
+        trial = [i for i in subset if i != k]
+        if _eliminate([rows[i] for i in trial])[2] is not None:
+            subset = trial
+    r = _eliminate([rows[i] for i in subset])[3]
+    return WeightAnalysis("infeasible", None, False, float(abs(r)), equations, tuple(equations[i] for i in subset))
 
 
 def find_weights(p):

@@ -318,7 +318,8 @@ def parse_potential(text):
         monomial: a=[1,0] b=[1,0] c=1+0i
 
     The ``monomial:`` prefix is optional. Repeated keys accumulate. The
-    Hermitian-symmetry requirement is enforced, not silently repaired.
+    Hermitian-symmetry requirement is enforced, not silently repaired, and a
+    text whose monomials are absent or cancel to none is refused.
     """
     dim = None
     acc = {}
@@ -355,9 +356,12 @@ def parse_potential(text):
     if dim is None:
         raise PotentialFormatError("missing dimension line 'n = <int>'")
     try:
-        return PolyPotential(dim, acc)
+        p = PolyPotential(dim, acc)
     except ValueError as exc:
         raise PotentialFormatError(str(exc)) from None
+    if p.is_zero():
+        raise PotentialFormatError("no monomials: every coefficient is absent or cancels")
+    return p
 
 
 def parse_potential_file(path):

@@ -31,8 +31,6 @@ DEFAULT_STEP = 1e-2
 TRACE_LOG_LIN_TOL = 1e-6
 # relative to the mean rho over s at fixed t; the Y flow preserves rho, so only the RK4 error remains
 TRACE_LEVEL_TOL = 1e-6
-# absolute, on max |A c - 1| of the weight equations; small-integer rows leave about 1e-15 when feasible
-FEASIBLE_TOL = 1e-9
 # absolute, on max |c - expected c| (suite weights_match); expected weights are exact, measured within 4.5e-16
 WEIGHTS_MATCH_TOL = 1e-9
 # relative to |rho(z)|, on the homogeneity identity at 8 scalings; measured within 1.2e-14 on the corpus
@@ -63,7 +61,7 @@ HESSIAN_SYMMETRY_TOL = 1e-12
 DET_REAL_TOL = 1e-10
 # relative to max(1, |rho^(n+1) det U|), on rho det H - gbar^T adj(H) g - rho^(n+1) det U, an identity
 DET_LEMMA_TOL = 1e-9
-# exact, on a count of mismatches or violations (and a parse error); a count carries no roundoff
+# exact, on a count of mismatches or violations (and a parse error) or the weight certificate's rational |r|
 ZERO_COUNT = 0.0
 
 # -- the check table --------------------------------------------------------------
@@ -89,7 +87,7 @@ CHECKS = {check.name: check for check in (
     # suite: the expectations of expect.json
     Check("ma_holds", "VERDICT_MA_TOL", "<"),
     Check("ma_fails", "NON_MA_FLOOR", ">"),
-    Check("weights_infeasible", "FEASIBLE_TOL", ">"),  # the weight system's residual
+    Check("weights_infeasible", "ZERO_COUNT", ">"),  # |r| of the inconsistent subset, 0 when feasible
     Check("weights_match", "WEIGHTS_MATCH_TOL", "<="),
     Check("parse", "ZERO_COUNT", "=="),
     # weights, suite

@@ -12,6 +12,7 @@ from mafoliation.gradient import gradient_field
 from mafoliation.levi import fields_at_many, ma_scan
 from mafoliation.potential import PolyPotential, format_potential, parse_potential_file
 from mafoliation.sampling import MAX_GRID_POINTS, MAX_SAMPLES
+from helpers import generated_potentials
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +277,31 @@ def test_weights_nonma_certificate(corpus, capsys):
     assert rc == 0
     assert "infeasible" in out
     assert "{c1 = 1, c2 = 1, c1 + c2 = 1}" in out
+
+
+def test_weights_chain_n8_certificate_is_three_equations(tmp_path, capsys):
+    # 15 equations in 8 unknowns; an irreducible certificate has at most n + 1 = 9
+    pot = tmp_path / "chain_n8.pot"
+    pot.write_text(format_potential(generated_potentials(7)["chain_n8"]))
+    rc = main(["weights", str(pot), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "infeasible: equations {c1 = 1, c2 = 1, c1 + c2 = 1}" in out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["analyze", "weights", "burns"])
+@pytest.mark.parametrize("body", ["", "monomial: a=[1,0] b=[1,0] c=1+0i\nmonomial: a=[1,0] b=[1,0] c=-1+0i\n"])
+def test_potential_without_monomials_exit2(tmp_path, capsys, command, body):
+    # weights used to print the empty certificate "equations {}", burns a
+    # degree finding and analyze to sample 1000 batches of points with rho = 0
+    pot = tmp_path / "empty.pot"
+    pot.write_text("n = 2\n" + body)
+    extra = {"analyze": ["--samples", "10"], "weights": [], "burns": ["--grid-n", "4"]}[command]
+    rc = main([command, str(pot), "--out", str(tmp_path), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "no monomials" in captured.err
+    assert captured.out == ""
 
 
 def test_weights_not_positive_is_a_finding(tmp_path, capsys):

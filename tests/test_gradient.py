@@ -201,8 +201,20 @@ def test_lstsq_rows_raises_on_a_non_finite_hessian(bad):
     grad = np.ones((3, 2), dtype=complex)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         np.linalg.lstsq(hess[1].T, grad[1].conj(), rcond=LSTSQ_RCOND)
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite Hessian in row 1 "):
         _lstsq_rows(grad, hess)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lstsq_rows_keeps_lapack_text_off_stdout(bad, capfd):
+    # LAPACK's xerbla prints "** On entry to ZLASCL ..." on fd 1 for a
+    # non-finite matrix; the kernel refuses the stack before LAPACK sees it
+    hess = np.repeat(np.eye(2, dtype=complex)[None], 3, axis=0)
+    hess[2, 1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite Hessian in row 2 "):
+        _lstsq_rows(np.ones((3, 2), dtype=complex), hess)
+    out, err = capfd.readouterr()
+    assert "On entry to" not in out + err
 
 
 def test_lstsq_rows_of_an_empty_stack():

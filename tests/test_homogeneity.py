@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mafoliation import (
     PolyPotential,
@@ -15,9 +17,10 @@ from mafoliation import (
 )
 from mafoliation.cli import bundled_corpus_dir
 from mafoliation import homogeneity
-from mafoliation.homogeneity import WeightAnalysis, _lstsq_residual, weight_equations
+from mafoliation.homogeneity import WeightAnalysis, weight_equations
 from mafoliation.potential import parse_potential_file
 from mafoliation.sampling import sample_domain
+from helpers import generated_potentials
 
 
 def test_find_weights_weighted(weighted24):
@@ -41,13 +44,103 @@ def test_find_weights_returns_the_analysis(weighted24):
     assert not hasattr(homogeneity, "WeightVector")
 
 
-def test_analyze_weights_residual_is_the_lstsq_residual(bundled_and_generated):
+def test_analyze_weights_residual_is_exact(bundled_and_generated):
+    # 0 when feasible; |r| > 0, with r the constant of the certificate's
+    # combination that cancels every c_j, when infeasible
     for name, p in bundled_and_generated.items():
         analysis = analyze_weights(p)
-        sol, residual = _lstsq_residual([eq.coeffs for eq in analysis.equations])
-        assert analysis.residual == residual, name
-        if analysis.weights is not None:
-            assert np.array_equal(analysis.weights, sol), name
+        if analysis.status == "infeasible":
+            assert analysis.residual > 0, name
+            assert analysis.residual == _certificate_constant(analysis.inconsistent_subset), name
+        else:
+            assert analysis.residual == 0.0, name
+
+
+# -- exact elimination against a float reference ------------------------------
+#
+# On small integer matrices the float least-squares residual and matrix_rank
+# are reliable, so they serve as an independent reference.
+
+_REF_TOL = 1e-9
+
+
+def _float_feasible(rows):
+    if not rows:  # the empty system
+        return True, None
+    a = np.array(rows, dtype=float)
+    sol = np.linalg.lstsq(a, np.ones(len(rows)), rcond=None)[0]
+    return float(np.max(np.abs(a @ sol - 1), initial=0.0)) <= _REF_TOL, sol
+
+
+def _certificate_constant(subset):
+    """|r| of the combination of the equations that cancels every c_j, with
+    the last equation's coefficient 1, solved in floats."""
+    m = np.array([eq.coeffs for eq in subset], dtype=float)
+    lam = np.linalg.lstsq(m[:-1].T, -m[-1], rcond=None)[0]
+    assert np.allclose(m[-1] + lam @ m[:-1], 0, atol=_REF_TOL)
+    return pytest.approx(abs(1 + lam.sum()), rel=1e-9)
+
+
+def _diagonal_potential(dim, rows):
+    """sum of |z^a|^2 over the rows a: its weight equations are the distinct rows."""
+    return PolyPotential(dim, {(tuple(a), tuple(a)): 1 for a in rows})
+
+
+@st.composite
+def _exponent_systems(draw):
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim), min_size=1, max_size=8))
+    return dim, rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(_exponent_systems())
+def test_exact_weights_match_the_float_reference(system):
+    dim, rows = system
+    analysis = analyze_weights(_diagonal_potential(dim, rows))
+    eq_rows = [eq.coeffs for eq in analysis.equations]
+    feasible, sol = _float_feasible(eq_rows)
+    assert (analysis.status != "infeasible") == feasible
+    if feasible:
+        assert analysis.unique == (np.linalg.matrix_rank(np.array(eq_rows)) == dim)
+        assert np.allclose(analysis.weights, sol, atol=_REF_TOL)
+        assert analysis.residual == 0.0
+        return
+    subset = [eq.coeffs for eq in analysis.inconsistent_subset]
+    assert set(subset) <= set(eq_rows)
+    assert len(subset) <= np.linalg.matrix_rank(np.array(eq_rows)) + 1
+    assert not _float_feasible(subset)[0]
+    # irreducible: every proper subset is consistent
+    for k in range(len(subset)):
+        assert _float_feasible(subset[:k] + subset[k + 1:])[0]
+    assert analysis.residual == _certificate_constant(analysis.inconsistent_subset)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_exponent_systems(), st.data())
+def test_weights_permute_with_the_coordinates(system, data):
+    dim, rows = system
+    perm = data.draw(st.permutations(range(dim)))
+    analysis = analyze_weights(_diagonal_potential(dim, rows))
+    moved = analyze_weights(_diagonal_potential(dim, [[a[perm[j]] for j in range(dim)] for a in rows]))
+    assert (moved.status, moved.unique) == (analysis.status, analysis.unique)
+    if analysis.weights is not None:
+        assert np.array_equal(moved.weights, analysis.weights[perm])
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_generated_weights_are_exact(seed):
+    for name, p in generated_potentials(seed).items():
+        analysis = analyze_weights(p)
+        if name.startswith("chain"):
+            assert analysis.status == "infeasible"
+            assert len(analysis.inconsistent_subset) <= p.dim + 1
+            continue
+        # weighted: one term |z_j|^(2 d_j) per j, weight 1/d_j; normsq: 1/2
+        degree = {a.index(max(a)): max(a) for a, _ in p.terms}
+        expected = [1 / degree[j] for j in range(p.dim)] if name.startswith("weighted") else [0.5] * p.dim
+        assert analysis.status == "ok" and analysis.unique, name
+        assert analysis.weights.tolist() == expected, name
 
 
 def test_find_weights_nonma_infeasible(nonma):

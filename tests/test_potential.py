@@ -43,6 +43,12 @@ def test_parse_non_hermitian_rejected():
         parse_potential("n=2\nmonomial: a=[1,0] b=[0,1] c=1+0i")
 
 
+@pytest.mark.parametrize("body", ["", "# no terms\n", "monomial: a=[0,1] b=[0,1] c=2\nmonomial: a=[0,1] b=[0,1] c=-2\n"])
+def test_parse_refuses_a_potential_without_monomials(body):
+    with pytest.raises(PotentialFormatError, match="no monomials"):
+        parse_potential("n = 2\n" + body)
+
+
 def test_parse_syntax_error_reports_line():
     text = "n = 2\nmonomial: a=[1,0] b=[1,0] c=1+0i\nmonomial: a=[1,0 b=[1,0] c=1\n"
     with pytest.raises(PotentialFormatError, match="line 3"):
