@@ -37,7 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from .burns import burns_check
-from .foliation import IntegratorConfig, leaf_log_linearity, leaf_stratum_invariance, level_set_invariance, trace_leaf
+from .foliation import (
+    MAX_TRACE_NODES,
+    IntegratorConfig,
+    leaf_log_linearity,
+    leaf_stratum_invariance,
+    level_set_invariance,
+    trace_leaf,
+)
 from .gradient import _euler_residual, _solve_z
 from .homogeneity import (
     analyze_weights,
@@ -85,22 +92,29 @@ def _csv_field(text):
     return buf.getvalue()[:-2]
 
 
-def _cells(col):
-    """The cell strings of one column, each distinct value formatted once.
+def _cells(columns):
+    """The cell strings of each of the columns of one write.
 
-    A float ndarray gives repr(float(x)), Python's shortest round-trip form,
-    keyed on the bit pattern because np.unique on floats merges -0.0 with 0.0
-    and collapses NaNs. Any other sequence gives str(x), quoted as csv.writer
-    quotes it.
+    The float ndarray columns are formatted together, each distinct value
+    once: repr(float(x)), Python's shortest round-trip form, keyed on the bit
+    pattern because np.unique on floats merges -0.0 with 0.0 and collapses
+    NaNs. Any other sequence gives str(x), quoted as csv.writer quotes it.
     """
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
-        keys, inverse = np.unique(bits, return_inverse=True)
+    cells = list(columns)
+    floats = [i for i, col in enumerate(cells) if isinstance(col, np.ndarray) and col.dtype.kind == "f"]
+    if floats:
+        parts = [np.asarray(cells[i], dtype=np.float64).ravel() for i in floats]
+        keys, inverse = np.unique(np.concatenate(parts).view(np.int64), return_inverse=True)
         text = np.empty(len(keys), dtype=object)
         text[:] = list(map(repr, keys.view(np.float64).tolist()))
-        return text[inverse]
-    quoted = {v: _csv_field(str(v)) for v in set(col)}
-    return [quoted[v] for v in col]
+        splits = np.cumsum([len(part) for part in parts])[:-1]
+        for i, part in zip(floats, np.split(text[inverse], splits)):
+            cells[i] = part
+    for i, col in enumerate(cells):
+        if i not in floats:
+            quoted = {v: _csv_field(str(v)) for v in set(col)}
+            cells[i] = [quoted[v] for v in col]
+    return cells
 
 
 def _write_csv(out, header, *columns):
@@ -114,7 +128,7 @@ def _write_csv(out, header, *columns):
     with opened as fh:
         if header is not None:
             fh.write(",".join(map(_csv_field, header)) + "\n")
-        lines = map(",".join, zip(*map(_cells, columns)))
+        lines = map(",".join, zip(*_cells(columns)))
         while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
             fh.write("\n".join(block) + "\n")
 
@@ -206,6 +220,11 @@ def cmd_trace(args):
     base = np.array([parse_complex(tok) for tok in args.base.split(",")], dtype=complex)
     if base.size != p.dim:
         raise ValueError(f"base point has {base.size} coordinates, potential has n = {p.dim}")
+    for option, end, count in (("t", args.t_max, args.t_nodes), ("s", args.s_max, args.s_nodes)):
+        if not math.isfinite(end):  # refused before np.linspace warns about it
+            raise ValueError(f"--{option}-max must be finite, got {end}")
+        if count > MAX_TRACE_NODES:
+            raise ValueError(f"--{option}-nodes {count} exceeds the limit of {MAX_TRACE_NODES} nodes")
     t_grid = np.linspace(0.0, args.t_max, args.t_nodes)
     s_grid = np.linspace(0.0, args.s_max, args.s_nodes)
     gaps = np.abs(np.concatenate([np.diff(t_grid), np.diff(s_grid)]))

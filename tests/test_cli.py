@@ -8,6 +8,7 @@ import pytest
 
 from mafoliation import cli
 from mafoliation.cli import _suite_grid_axis, build_parser, bundled_corpus_dir, main
+from mafoliation.foliation import MAX_RK4_STEPS
 from mafoliation.gradient import gradient_field
 from mafoliation.levi import fields_at_many, ma_scan
 from mafoliation.potential import PolyPotential, format_potential, parse_potential_file
@@ -573,3 +574,32 @@ def test_burns_grid_below_two_per_axis_exit2(tmp_path, capsys, grid_n, extra):
     assert rc == 2
     assert "burns --grid-n" in captured.err
     assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--t-max", "inf"], "--t-max must be finite, got inf"),
+        (["--s-max=-inf"], "--s-max must be finite, got -inf"),
+        (["--t-max", "nan"], "--t-max must be finite, got nan"),
+        # 0.524 / 1e-300 and (1e7 / 12) / 0.01 RK4 steps in one segment
+        (["--step", "1e-300"], f"exceeds the limit of {MAX_RK4_STEPS} steps; use a larger --step"),
+        (["--s-max", "1e7"], f"exceeds the limit of {MAX_RK4_STEPS} steps; use a larger --step"),
+    ],
+)
+def test_trace_refuses_what_it_cannot_finish_exit2(corpus, tmp_path, capsys, extra, message):
+    rc = main(["trace", str(corpus / "ball2.pot"), "--base", "1+0i,0+0i", *extra, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "ball2_trace.csv").exists()
+
+
+@pytest.mark.parametrize("option", ["--t-nodes", "--s-nodes"])
+def test_trace_node_count_limit_exit2(corpus, tmp_path, capsys, monkeypatch, option):
+    monkeypatch.setattr(cli, "MAX_TRACE_NODES", 13)  # the default --s-nodes
+    base = ["trace", str(corpus / "ball2.pot"), "--base", "1+0i,0+0i", "--out", str(tmp_path)]
+    assert main([*base, option, "14"]) == 2
+    err = capsys.readouterr().err
+    assert f"{option} 14 exceeds the limit of 13 nodes" in err and "Traceback" not in err
+    assert main([*base, "--t-nodes", "13", "--s-nodes", "13"]) == 0

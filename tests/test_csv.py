@@ -37,8 +37,40 @@ def _column(pool, picks):
 @given(pool=st.lists(_FLOATS, min_size=1, max_size=8), picks=st.lists(st.integers(0, 7), max_size=60))
 def test_cells_are_repr_of_each_value(pool, picks):
     col = _column(pool, picks)
-    assert list(_cells(col)) == [repr(float(x)) for x in col]
-    assert list(_cells(col[::-2])) == [repr(float(x)) for x in col[::-2]]
+    cells = _cells([col, col[::-2]])  # one write's columns may be strided views, of any length
+    assert [list(c) for c in cells] == [[repr(float(x)) for x in c] for c in (col, col[::-2])]
+
+
+@settings(deadline=None)
+@given(
+    drawn=st.lists(_FLOATS, max_size=4),
+    picks=st.lists(st.lists(st.integers(0, len(_SPECIAL) + 3), min_size=4, max_size=4), max_size=40),
+    texts=st.lists(st.sampled_from(["a", 'b,"c', "0.0"]), min_size=40, max_size=40),
+)
+def test_write_csv_shares_values_across_columns(drawn, picks, texts):
+    # every float column draws from one pool, so 0.0 and -0.0, NaN payloads,
+    # infinities and subnormals repeat across the columns of one write
+    pool = _SPECIAL + drawn
+    columns = [_column(pool, [row[j] for row in picks]) for j in range(4)]
+    texts = texts[: len(picks)]
+    header = ["x", "name", "y", "z", "w"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        _write_csv(path, header, columns[0], texts, *columns[1:])
+        written = path.read_bytes()
+    rows = zip(columns[0], texts, *columns[1:])
+    assert written == reference_csv_bytes(header, rows)
+
+
+def test_write_csv_of_no_rows(tmp_path):
+    # a burns chunk whose every row has rho <= RHO_FLOOR writes no row
+    path = tmp_path / "out.csv"
+    empty = np.zeros(0)
+    _write_csv(path, ["re_z1", "rho", "stratum"], empty, empty, [])
+    assert path.read_bytes() == reference_csv_bytes(["re_z1", "rho", "stratum"], [])
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        _write_csv(fh, None, empty, empty, [])
+    assert path.read_bytes() == b"re_z1,rho,stratum\n"
 
 
 @settings(deadline=None)
