@@ -31,38 +31,25 @@ degenerate rows: on |z1|^4, whose Hessians are all exactly singular, the
 direct solve returns NaN on every row and every row is classified anyway.
 
 The grid scan is a map and a fold: _scan_chunk does the work of one chunk
-alone, and _scan_grid folds the results in grid order in the calling thread,
-where the rows callback runs. Large grids are mapped on worker threads
-(_chunk_results), so the fold and burns --csv's formatting overlap the scan;
-the fold sees the same chunks in the same order on either map.
+alone, and _scan_grid folds the results in grid order, where the rows
+callback runs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gradient import _direct_z, _lstsq_rows
 from .homogeneity import verify_weights
-from .levi import LeviScan, _batch_jet, levi_rank, levi_scan
+from .levi import LeviScan, levi_rank, levi_scan
 from .potential import bidegree_decompose, homogeneous_degree
 from .thresholds import RHO_FLOOR, outcome, threshold
 
 # settled rows classified first for the radial max, farthest from w/k first
 RADIAL_CANDIDATE_ROWS = 64
-# grids of at most this many points (8 chunks) are scanned in the calling
-# thread: the power of two between the largest grid the benchmark's suite
-# scans (15,625 points; SUITE_GRID_BUDGET = 20,000) and its smallest burns
-# grid (65,536). Each worker adds about 2 MB of RSS (its allocator arena and
-# its chunk's temporaries): threaded, that suite ran slower (0.139 -> 0.165 s)
-# and larger (45.0 -> 49.0 MiB peak), while the burns grids ran faster (grid
-# pass 2.14 -> 1.90 s; 1.76 s with cli._cells' CSV union) on a 2-core x86-64 box
-SERIAL_GRID_POINTS = 2**15
 
 
 @dataclass
@@ -177,72 +164,41 @@ def _radial_max(points, grad, hess, k):
 
 
 def _scan_chunk(p, chunk, k):
-    """The LeviScan of the chunk's rows with rho > RHO_FLOOR, its ``ma``
-    computed (the gate and burns --csv read it), and its radial max (None
-    without k or without a strict row)."""
+    """The LeviScan of the chunk's rows with rho > RHO_FLOOR and their radial
+    max (None without k or without a strict row): the work of one chunk,
+    which depends on no other chunk."""
     scan = levi_scan(p, chunk)
     inside = scan.rho > RHO_FLOOR
     if not inside.all():
         scan = LeviScan(scan.points[inside], scan.rho[inside], scan.grad[inside], scan.hessian[inside])
-    scan.ma  # a cached_property: filled here, so that the folding thread only reads it
     radial = None if k is None or not len(scan.rho) else _radial_max(scan.points, scan.grad, scan.hessian, k)
     return scan, radial
 
 
-def _cpus():
-    """The CPUs this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _chunk_results(p, grid, k):
-    """_scan_chunk of every grid chunk, yielded in grid order: on min(2, CPUs)
-    worker threads with at most two chunks in flight for a grid of more than
-    SERIAL_GRID_POINTS points, else in the calling thread. An exception
-    leaves from the first failing chunk in grid order, and closing the
-    generator joins every worker."""
-    workers = min(2, _cpus())
-    if len(grid) <= SERIAL_GRID_POINTS or workers < 2:
-        yield from (_scan_chunk(p, chunk, k) for chunk in grid)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    _batch_jet(p)  # its lru_cache and the PolyExpr packs fill lazily: fill them before any worker runs
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for chunk in grid:
-            pending.append(pool.submit(_scan_chunk, p, chunk, k))
-            if len(pending) == 2:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def _scan_grid(p, grid, k, rows):
-    """One in-order fold over the chunk results of _chunk_results. Each
-    chunk's scan goes to rows (if given); with k set it also folds into the
-    gates' running reductions: max raw |det U|, the first point of max scaled
-    |det U| (a NaN counts as the max, as in np.argmax), the radial max over
-    strictly psh rows and the kept count. Reductions over no rows stay None."""
+    """One pass over the grid chunks: _scan_chunk of each, folded in grid
+    order. Each chunk's scan goes to rows (if given); with k set it also
+    folds into the gates' running reductions: max raw |det U|, the first
+    point of max scaled |det U| (a NaN counts as the max, as in np.argmax),
+    the radial max over strictly psh rows and the kept count. Reductions over
+    no rows stay None."""
     raw_max = scaled_max = worst = radial = None
     kept = 0
-    with contextlib.closing(_chunk_results(p, grid, k)) as results:
-        for scan, chunk_radial in results:
-            if rows is not None:
-                rows(scan)
-            if k is None or not len(scan.rho):
-                continue
-            kept += len(scan.rho)
-            _, raw, scaled = scan.ma
-            raw_max = _fold(np.maximum, raw_max, raw.max())
-            i = int(np.argmax(scaled))
-            value = scaled[i]
-            if scaled_max is None or value > scaled_max or (np.isnan(value) and not np.isnan(scaled_max)):
-                scaled_max, worst = value, np.array(scan.points[i])
-            if chunk_radial is not None:
-                radial = _fold(np.maximum, radial, chunk_radial)
+    for chunk in grid:
+        scan, chunk_radial = _scan_chunk(p, chunk, k)
+        if rows is not None:
+            rows(scan)
+        if k is None or not len(scan.rho):
+            continue
+        kept += len(scan.rho)
+        _, raw, scaled = scan.ma
+        raw_max = _fold(np.maximum, raw_max, raw.max())
+        i = int(np.argmax(scaled))
+        value = scaled[i]
+        if scaled_max is None or value > scaled_max or (np.isnan(value) and not np.isnan(scaled_max)):
+            scaled_max, worst = value, np.array(scan.points[i])
+        if chunk_radial is not None:
+            radial = _fold(np.maximum, radial, chunk_radial)
     return raw_max, scaled_max, worst, radial, kept
 
 

@@ -39,6 +39,7 @@ import numpy as np
 from .burns import burns_check
 from .foliation import (
     MAX_TRACE_NODES,
+    MAX_TRACE_STEPS,
     IntegratorConfig,
     leaf_log_linearity,
     leaf_stratum_invariance,
@@ -225,6 +226,12 @@ def cmd_trace(args):
             raise ValueError(f"--{option}-max must be finite, got {end}")
         if count > MAX_TRACE_NODES:
             raise ValueError(f"--{option}-nodes {count} exceeds the limit of {MAX_TRACE_NODES} nodes")
+    # a step that is not > 0 is refused by rk4_segment
+    if args.step > 0 and (steps := (abs(args.t_max) + abs(args.s_max)) / args.step) > MAX_TRACE_STEPS:
+        raise ValueError(
+            f"--t-max {args.t_max:g} and --s-max {args.s_max:g} at --step {args.step:g} take {steps:.3g} RK4 steps, "
+            f"above the limit of {MAX_TRACE_STEPS}; use a larger --step or a smaller --t-max, --s-max"
+        )
     t_grid = np.linspace(0.0, args.t_max, args.t_nodes)
     s_grid = np.linspace(0.0, args.s_max, args.s_nodes)
     gaps = np.abs(np.concatenate([np.diff(t_grid), np.diff(s_grid)]))

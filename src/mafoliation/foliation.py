@@ -32,10 +32,15 @@ class IntegratorConfig:
     box_radius: float = math.inf   # truncate when any |Re|, |Im| exceeds this
 
 
-# RK4 steps in one segment. A step costs 150-360 us on one row for n = 2..8 (a
-# 2-core x86-64 box), so a segment at the limit takes 2.5-6 s there; the longest
-# segment the tests take is 629 steps (2 pi at DEFAULT_STEP), the benchmark's 79
-MAX_RK4_STEPS = 2**14
+# RK4 steps of one trace, (|t_max| + |s_max|) / step over both sweeps, whatever
+# the node count (each node adds at most one step). A step advances the
+# s-sweep's one row or the t-sweep's s-columns: 0.1-0.26 ms on one row, 0.14-0.86
+# ms on the default 13 columns and 0.5-11.6 ms on 256 columns for n = 2..8 (a
+# 2-core x86-64 box), so a trace at the limit takes 5-30 s with the default
+# columns and at most about 6 minutes. The longest trace the tests take is
+# 3,629 steps (--t-max -30), the benchmark's 829; an s-sweep of 1e7 at the
+# default step would take 1e9
+MAX_TRACE_STEPS = 2**15
 # t or s nodes of one trace: a trace holds at most MAX_TRACE_NODES**2 = 2**16
 # nodes, sampling.MAX_SAMPLES, each with its jet, as analyze holds its samples
 MAX_TRACE_NODES = 2**8
@@ -45,18 +50,15 @@ def rk4_segment(vel, z, duration, step):
     """Advance z by `duration` with fixed-step RK4, landing exactly on target.
 
     The one RK4 loop of the package: z is one point or an (N, n) batch,
-    whatever `vel` maps. The step must be finite and > 0, and |duration| /
-    step at most MAX_RK4_STEPS (so the duration is finite).
+    whatever `vel` maps. The step must be finite and > 0, and the duration
+    finite.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"RK4 step must be finite and > 0 (--step), got {step}")
+    if not math.isfinite(duration):
+        raise ValueError(f"RK4 duration must be finite (--t-max, --s-max), got {duration}")
     if duration == 0.0:
         return np.array(z, dtype=complex)
-    if not abs(duration) / step <= MAX_RK4_STEPS:  # also refuses an inf or NaN duration
-        raise ValueError(
-            f"an RK4 segment of {abs(duration):g} at step {step:g} exceeds the limit of {MAX_RK4_STEPS} "
-            "steps; use a larger --step, more nodes (--t-nodes, --s-nodes) or a smaller --t-max, --s-max"
-        )
     n_steps = max(1, math.ceil(abs(duration) / step))
     h = duration / n_steps
     z = np.array(z, dtype=complex)

@@ -161,7 +161,12 @@ def log_levi_form(rho, grad, hess):
     carry the same leading batch axes.
     """
     rho = np.asarray(rho)[..., None, None]
-    return hess / rho - grad[..., :, None] * grad.conj()[..., None, :] / rho**2
+    # in place: two (..., n, n) temporaries where the one expression makes four
+    outer = grad[..., :, None] * grad.conj()[..., None, :]
+    outer /= rho**2
+    u = hess / rho
+    u -= outer
+    return u
 
 
 def _log_levi_at(p, z):

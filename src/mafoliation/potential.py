@@ -56,6 +56,14 @@ def _normalize_terms(dim, terms):
     return {k: c for k, c in out.items() if c != 0}
 
 
+# entries of one block of a monomial table (Monomials.__call__): 512 KiB of
+# complex128. On 4,096-row grid chunks (a 2-core x86-64 box) the table of
+# normsq_n4 (42 monomials) took 6.6 ms whole and 1.8 ms in blocks, normsq_n8
+# (164) 30 and 16 ms, chain_n8 (52) 8.2 and 4.2 ms. A chunk of at most 8
+# monomials is one block, as before
+TABLE_BLOCK_ENTRIES = 2**15
+
+
 class Monomials:
     """The monomials z**alpha * zbar**beta of a fixed, ordered list of
     exponent pairs ``keys``: the one monomial evaluator of the package, behind
@@ -84,7 +92,8 @@ class Monomials:
         self._row_index = None  # built by the first doubled_row
 
     def _powers(self, base):
-        """Rows base**0, ..., base**max_e, each one multiplication of the row before."""
+        """base**0, ..., base**max_e stacked on a new first axis, each one
+        multiplication of the one before."""
         powers = np.empty((self._max_e + 1, *base.shape), dtype=complex)
         powers[0] = 1.0
         for e in range(1, self._max_e + 1):
@@ -92,14 +101,28 @@ class Monomials:
         return powers
 
     def __call__(self, pts):
-        """(len(keys), N) complex table of the monomials at an (N, n) point array."""
+        """(len(keys), N) complex table of the monomials at an (N, n) point
+        array, filled a block of TABLE_BLOCK_ENTRIES entries at a time: a
+        block stays in cache while its 2n factors are gathered and multiplied
+        in, where the whole table would stream through memory 2n times."""
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected an (N, {self.dim}) array, got {pts.shape}")
-        powers = self._powers(np.concatenate((pts, pts.conj()), axis=1)).transpose(2, 0, 1)
+        rows = max(1, TABLE_BLOCK_ENTRIES // max(1, len(self.keys)))
+        if len(pts) <= rows:
+            return self._block(pts)
+        table = np.empty((len(self.keys), len(pts)), dtype=complex)
+        for start in range(0, len(pts), rows):
+            table[:, start : start + rows] = self._block(pts[start : start + rows])
+        return table
+
+    def _block(self, pts):
+        """The monomial table of the (M, n) point array pts."""
+        # (max_e + 1, 2n, M) powers: each gathered power of a factor is a contiguous row
+        powers = self._powers(np.concatenate((pts.T, pts.T.conj())))
         (c, exps), *rest = self._factors
-        acc = powers[c].take(exps, axis=0)
+        acc = powers[:, c].take(exps, axis=0)
         for c, exps in rest:
-            acc *= powers[c].take(exps, axis=0)
+            acc *= powers[:, c].take(exps, axis=0)
         return acc
 
     def doubled_row(self, z):

@@ -8,7 +8,7 @@ import pytest
 
 from mafoliation import cli
 from mafoliation.cli import _suite_grid_axis, build_parser, bundled_corpus_dir, main
-from mafoliation.foliation import MAX_RK4_STEPS
+from mafoliation.foliation import MAX_TRACE_STEPS
 from mafoliation.gradient import gradient_field
 from mafoliation.levi import fields_at_many, ma_scan
 from mafoliation.potential import PolyPotential, format_potential, parse_potential_file
@@ -582,9 +582,11 @@ def test_burns_grid_below_two_per_axis_exit2(tmp_path, capsys, grid_n, extra):
         (["--t-max", "inf"], "--t-max must be finite, got inf"),
         (["--s-max=-inf"], "--s-max must be finite, got -inf"),
         (["--t-max", "nan"], "--t-max must be finite, got nan"),
-        # 0.524 / 1e-300 and (1e7 / 12) / 0.01 RK4 steps in one segment
-        (["--step", "1e-300"], f"exceeds the limit of {MAX_RK4_STEPS} steps; use a larger --step"),
-        (["--s-max", "1e7"], f"exceeds the limit of {MAX_RK4_STEPS} steps; use a larger --step"),
+        # (2 + 2 pi) / 1e-300 and (2 + 1e7) / 0.01 RK4 steps
+        (["--step", "1e-300"], "--t-max 2 and --s-max 6.28319 at --step 1e-300 take 8.28e+300 RK4 steps"),
+        (["--s-max", "1e7"], f"take 1e+09 RK4 steps, above the limit of {MAX_TRACE_STEPS}; use a larger --step"),
+        # many nodes do not lift the limit: 4e4 / 0.01 steps in 255 segments of 1,569
+        (["--t-max", "4e4", "--t-nodes", "256"], f"take 4e+06 RK4 steps, above the limit of {MAX_TRACE_STEPS}"),
     ],
 )
 def test_trace_refuses_what_it_cannot_finish_exit2(corpus, tmp_path, capsys, extra, message):
@@ -603,3 +605,12 @@ def test_trace_node_count_limit_exit2(corpus, tmp_path, capsys, monkeypatch, opt
     err = capsys.readouterr().err
     assert f"{option} 14 exceeds the limit of 13 nodes" in err and "Traceback" not in err
     assert main([*base, "--t-nodes", "13", "--s-nodes", "13"]) == 0
+
+
+def test_trace_step_limit_is_on_the_whole_trace(corpus, tmp_path, monkeypatch):
+    # (|t_max| + |s_max|) / step against the limit, whatever the node counts
+    monkeypatch.setattr(cli, "MAX_TRACE_STEPS", 828)  # the default trace: (2 + 2 pi) / 0.01 = 828.3 steps
+    base = ["trace", str(corpus / "ball2.pot"), "--base", "1+0i,0+0i", "--out", str(tmp_path)]
+    assert main(base) == 2
+    assert main([*base, "--t-nodes", "256", "--s-nodes", "256"]) == 2
+    assert main([*base, "--t-max", "1.9", "--t-nodes", "2", "--s-nodes", "2"]) == 0

@@ -15,7 +15,6 @@ from mafoliation import (
     rescale_to_level,
     trace_leaf,
 )
-from mafoliation import foliation
 from mafoliation.foliation import DEFAULT_STEP, rk4_segment
 from mafoliation.gradient import RealFieldKind
 from mafoliation.sampling import sample_domain
@@ -236,18 +235,3 @@ def test_rk4_rejects_a_step_that_is_not_finite_and_positive(ball2, step):
 def test_rk4_rejects_a_duration_that_is_not_finite(ball2, duration):
     with pytest.raises(ValueError, match="--t-max, --s-max"):
         flow_point(ball2, [1, 0], duration)
-
-
-def test_rk4_step_count_limit(monkeypatch):
-    monkeypatch.setattr(foliation, "MAX_RK4_STEPS", 4)
-    calls = []
-
-    def vel(z):
-        calls.append(1)
-        return z
-
-    rk4_segment(vel, np.ones(2), -1.0, 0.25)  # 4 steps: at the limit
-    assert len(calls) == 16
-    with pytest.raises(ValueError, match="exceeds the limit of 4 steps; use a larger --step"):
-        rk4_segment(vel, np.ones(2), 1.0, 0.2499)
-    assert len(calls) == 16

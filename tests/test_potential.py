@@ -13,6 +13,7 @@ from mafoliation import (
     wirtinger_z,
     wirtinger_zbar,
 )
+from mafoliation import potential
 from mafoliation.potential import Monomials
 from helpers import random_hermitian_potential, random_points, reference_evaluate, wirtinger_fd
 
@@ -116,6 +117,25 @@ def test_doubled_row_is_the_factor_loop_on_two_equal_rows(keys):
         want = monomials(np.repeat(z[None], 2, axis=0))
         assert got.shape == want.shape == (len(keys), 2)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("keys", [
+    [],
+    [((0, 0), (0, 0))],
+    [((3, 0), (0, 1)), ((0, 2), (2, 0)), ((1, 1), (1, 1))],
+    [((a, b), (c, d)) for a in range(3) for b in range(2) for c in range(2) for d in range(3)],  # 36 monomials
+])
+def test_monomial_table_does_not_depend_on_its_block_size(keys, monkeypatch):
+    rng = np.random.default_rng(22)
+    pts = np.concatenate([random_points(rng, 2, 50), [[0j, complex(-0.0, -0.0)], [complex(np.inf, 1), -1j]]])
+    monomials = Monomials(2, keys)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the row with an infinite coordinate
+        tables = []
+        for entries in (2**40, 1, 7, 36 * 5):  # one block; one row per block; 7 or 5 rows per block
+            monkeypatch.setattr(potential, "TABLE_BLOCK_ENTRIES", entries)
+            tables.append(monomials(pts))
+    assert all(t.shape == (len(keys), len(pts)) for t in tables)
+    assert all(t.tobytes() == tables[0].tobytes() for t in tables[1:])
 
 
 def test_hermitian_evaluation_is_real(all_examples):
