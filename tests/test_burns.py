@@ -392,23 +392,3 @@ def test_burns_does_not_depend_on_the_chunk_size(bundled_and_generated, tmp_path
             stdout = capsys.readouterr().out.replace(str(out), "<out>")
             by_size.append((_fields(burns_check(p, grid)), rc, stdout, (out / f"{name}_burns.csv").read_bytes()))
         assert by_size[1] == by_size[0] and by_size[2] == by_size[0], name
-
-
-def test_a_failing_chunk_stops_the_scan_at_that_chunk(ball2, monkeypatch):
-    monkeypatch.setattr(sampling, "GRID_CHUNK_ROWS", 16)
-    grid = real_grid(2, 6, 1.5)  # 1,296 points: 81 chunks
-    first = {chunk[0].tobytes(): j for j, chunk in enumerate(grid)}
-    real_radial = burns._radial_max
-    scanned = []
-
-    def radial(points, grad, hess, k):  # every chunk from 20 on fails, naming itself
-        j = first[points[0].tobytes()]
-        scanned.append(j)
-        if j >= 20:
-            raise ZeroDivisionError(f"chunk {j}")
-        return real_radial(points, grad, hess, k)
-
-    monkeypatch.setattr(burns, "_radial_max", radial)
-    with pytest.raises(ZeroDivisionError, match=r"^chunk 20$"):
-        burns_check(ball2, grid)
-    assert scanned == list(range(21))
