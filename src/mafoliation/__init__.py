@@ -8,10 +8,9 @@ homogeneous potentials. Ships a CLI (``mafoliation``) for file-driven scans
 with seeded, reproducible output.
 """
 
-from .burns import burns_check, log_growth_check
+from .burns import burns_check
 from .foliation import (
     IntegratorConfig,
-    flow_point,
     flow_points,
     leaf_log_linearity,
     leaf_stratum_invariance,
@@ -22,7 +21,6 @@ from .gradient import (
     RealFieldKind,
     SingularHessianError,
     complex_gradient,
-    cr_residual,
     cr_scan,
     euler_residual_scan,
     extended_gradient,
@@ -32,7 +30,6 @@ from .gradient import (
 from .homogeneity import (
     analyze_weights,
     default_lambda_samples,
-    find_weights,
     flow_level_map_check,
     linear_field_agreement,
     rescale_to_level,
@@ -43,8 +40,6 @@ from .levi import (
     levi_data,
     levi_scan,
     ma_residual,
-    ma_scan,
-    rank_identity_residual,
     restricted_levi_eigen,
 )
 from .potential import (
@@ -52,27 +47,23 @@ from .potential import (
     PolyPotential,
     PotentialFormatError,
     bidegree_decompose,
-    evaluate,
     format_potential,
     homogeneous_degree,
     parse_potential,
     parse_potential_file,
-    wirtinger_z,
-    wirtinger_zbar,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "burns_check", "log_growth_check",
-    "IntegratorConfig", "flow_point", "flow_points", "leaf_log_linearity", "leaf_stratum_invariance",
+    "burns_check",
+    "IntegratorConfig", "flow_points", "leaf_log_linearity", "leaf_stratum_invariance",
     "level_set_invariance", "trace_leaf",
-    "RealFieldKind", "SingularHessianError", "complex_gradient", "cr_residual", "cr_scan", "euler_residual_scan",
+    "RealFieldKind", "SingularHessianError", "complex_gradient", "cr_scan", "euler_residual_scan",
     "extended_gradient", "gradient_field", "theta_orbit_det_check",
-    "analyze_weights", "default_lambda_samples", "find_weights", "flow_level_map_check", "linear_field_agreement",
+    "analyze_weights", "default_lambda_samples", "flow_level_map_check", "linear_field_agreement",
     "rescale_to_level", "verify_weights",
-    "Stratum", "levi_data", "levi_scan", "ma_residual", "ma_scan", "rank_identity_residual",
-    "restricted_levi_eigen",
-    "PolyExpr", "PolyPotential", "PotentialFormatError", "bidegree_decompose", "evaluate", "format_potential",
-    "homogeneous_degree", "parse_potential", "parse_potential_file", "wirtinger_z", "wirtinger_zbar",
+    "Stratum", "levi_data", "levi_scan", "ma_residual", "restricted_levi_eigen",
+    "PolyExpr", "PolyPotential", "PotentialFormatError", "bidegree_decompose", "format_potential",
+    "homogeneous_degree", "parse_potential", "parse_potential_file",
 ]

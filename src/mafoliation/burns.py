@@ -5,8 +5,9 @@ plurisubharmonic and Monge-Ampere, the bidegree decomposition must be
 supported on the single component (k, k), and the gradient field is radial
 (Z = w/k). burns_check passes rho iff it is homogeneous of even degree 2k,
 has no bidegree mass outside (k, k), is certified positive on the unit sphere
-and its max scaled |det U| on the grid is below VERDICT_MA_TOL; counterexamples
-fail with the offending evidence located.
+and its max scaled |det U| over the grid points with rho > RHO_FLOOR, of which
+there must be one, is below VERDICT_MA_TOL; counterexamples fail with the
+offending evidence located.
 
 Positivity: on a pure-(k,k) rho, Re rho = v(z)* C v(z) with v the degree-k
 monomials present in rho and every pure power z_j^k. If C is positive definite,
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient import _direct_z, _lstsq_rows
-from .homogeneity import verify_weights
 from .levi import LeviScan, levi_rank, levi_scan
 from .potential import bidegree_decompose, homogeneous_degree
 from .thresholds import RHO_FLOOR, outcome, threshold
@@ -58,7 +58,7 @@ class BurnsReport:
 
     degree2k: int | None
     is_homogeneous: bool
-    ma_max_residual: float  # max raw |det U|; NaN when a degree gate stops the check
+    ma_max_residual: float  # max raw |det U|; NaN when a degree gate stops the check or no point is kept
     worst_ma_point: np.ndarray | None
     bidegree_mass: dict
     radial_field_residual: float | None  # None: no strictly psh grid point; NaN as ma_max_residual
@@ -78,7 +78,7 @@ class BurnsReport:
     @property
     def ma_max_scaled(self):  # NaN as ma_max_residual
         ma = self.gate("ma_residual_scaled")
-        return float("nan") if ma is None else ma.measured
+        return float("nan") if ma is None or ma.measured is None else ma.measured
 
     @property
     def positivity_margin(self):  # min / max |eigenvalue| of C; None off pure (k,k)
@@ -102,6 +102,8 @@ class BurnsReport:
         lines = [f"homogeneous       : {self.is_homogeneous} (degree {deg})", f"bidegree mass     : {mass}"]
         if (ma := self.gate("ma_residual_scaled")) is None:
             lines.append("max |det U|       : not applicable (a degree gate failed)")
+        elif ma.measured is None:
+            lines.append(f"max |det U|       : not applicable (no grid point with rho > {RHO_FLOOR:g})")
         else:
             lines.append(f"max |det U|       : {self.ma_max_residual:.3e} "
                          f"(scaled {ma.measured:.3e}, threshold {ma.threshold:.0e})")
@@ -125,13 +127,6 @@ class BurnsReport:
             lines.append(f"skipped points    : {self.skipped_points} of {self.grid_size} (rho <= {RHO_FLOOR:g})")
         lines.append(f"verdict           : {'pass' if self.verdict else 'fail'}")
         return "\n".join(lines + [f"  - {reason}" for reason in self.reasons])
-
-
-def log_growth_check(p, k, z_samples, lam_samples):
-    """Max relative residual of rho(lam z) = |lam|^{2k} rho(z) over samples:
-    the homogeneity identity with weights 1/k at L = k log lam."""
-    weights = np.full(p.dim, 1.0 / k)
-    return verify_weights(p, weights, z_samples, [k * np.log(complex(lam)) for lam in lam_samples])
 
 
 def _fold(op, acc, value):
@@ -243,7 +238,8 @@ def burns_check(p, grid, rows=None):
         folded = _scan_grid(p, grid, k, rows)
     if k is not None:
         raw_max, scaled_max, worst_point, radial, kept = folded
-        ma_max_raw = 0.0 if raw_max is None else float(raw_max)
+        if raw_max is not None:
+            ma_max_raw = float(raw_max)
         radial = None if radial is None else float(radial)
 
         nonkk = {key: v for key, v in masses.items() if key != (k, k)}
@@ -257,8 +253,11 @@ def burns_check(p, grid, rows=None):
                     "rho > 0 on the unit sphere not certified: "
                     f"positivity margin {positivity.measured:.6g} <= {positivity.threshold:g}"
                 )
-        gates.append(ma := outcome("ma_residual_scaled", 0.0 if scaled_max is None else float(scaled_max), t0))
-        if ma.status != "pass":
+        # no kept point: the gate measured nothing, a finding (the domain missed the grid)
+        gates.append(ma := outcome("ma_residual_scaled", None if scaled_max is None else float(scaled_max), t0))
+        if scaled_max is None:
+            reasons.append(f"no grid point with rho > RHO_FLOOR = {RHO_FLOOR:g}: the Monge-Ampere gate measured nothing")
+        elif ma.status != "pass":
             coords = ", ".join(f"{c:.6g}" for c in worst_point)
             reasons.append(f"scaled Monge-Ampere residual {ma.measured:.3e} >= {ma.threshold:.0e} at ({coords})")
         if not reasons and radial is not None:

@@ -412,11 +412,22 @@ def bundled_corpus_dir():
     return Path(str(files("mafoliation").joinpath("data")))
 
 
+def _positive_finite(text):
+    """An option's float, refused by argparse (exit 2) unless finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 # the options a command may take: every command takes --seed and --out, and the others only where it reads them
 _OPTIONS = {
     "seed": dict(type=int, default=1234, help="RNG seed (printed in the report header)"),
     "samples": dict(type=int, default=1000, help="number of random samples"),
-    "box": dict(type=float, default=1.5, help="half-width of the real sampling cube"),
+    "box": dict(type=_positive_finite, default=1.5, help="half-width of the real sampling cube"),
     "step": dict(type=float, default=DEFAULT_STEP, help="fixed RK4 step size"),
     "out": dict(default=".", help="output directory for CSV artifacts"),
 }

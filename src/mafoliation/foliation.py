@@ -71,11 +71,6 @@ def rk4_segment(vel, z, duration, step):
     return z
 
 
-def flow_point(p, z, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
-    """Flow a single point for `time` along the given real field."""
-    return flow_points(p, np.asarray(z, dtype=complex).reshape(1, -1), time, kind, step)[0]
-
-
 def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
     """Flow an (N, n) batch of points simultaneously (one solve per RK4 stage)."""
     mult = kind.multiplier

@@ -236,11 +236,6 @@ def cr_scan(p, samples):
     )
 
 
-def cr_residual(p, samples):
-    """Max over samples, components and directions of the estimated d Z / d zbar."""
-    return cr_scan(p, samples).max_residual
-
-
 @dataclass
 class ThetaOrbitResult:
     """Drift of det(H) and rho along a level-set orbit of the Theta field."""

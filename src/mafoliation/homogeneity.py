@@ -22,7 +22,6 @@ import numpy as np
 
 from .foliation import flow_points
 from .gradient import RealFieldKind, gradient_field
-from .potential import evaluate
 from .thresholds import DEFAULT_STEP, LEVEL_BISECT_TOL, LEVEL_SET_TOL
 
 # rescale_to_level: points per multisection round (32 cells, 5 bits of s per
@@ -126,24 +125,13 @@ def analyze_weights(p):
     return WeightAnalysis("infeasible", None, False, float(abs(r)), equations, tuple(equations[i] for i in subset))
 
 
-def find_weights(p):
-    """The WeightAnalysis (``.weights``, ``.unique``) when the feasibility
-    system admits a positive weight vector, else None."""
-    analysis = analyze_weights(p)
-    return analysis if analysis.status == "ok" else None
-
-
-def _weights_array(c):
-    return np.asarray(getattr(c, "weights", c), dtype=float)
-
-
 def verify_weights(p, c, z_samples, lam_samples):
     """Max relative residual of the homogeneity identity over samples.
 
     lam_samples should include values with nonzero imaginary part; purely
     real scalings cannot detect alpha/beta asymmetry.
     """
-    weights = _weights_array(c)
+    weights = np.asarray(c, dtype=float)
     pts = np.asarray(z_samples, dtype=complex)
     base = p.evaluate_many(pts).real
     worst = 0.0
@@ -170,7 +158,7 @@ def default_lambda_samples():
 
 def linear_field_agreement(p, c, z_samples):
     """Max ||Z(z) - c * z|| over the samples (the linear orbit field)."""
-    weights = _weights_array(c)
+    weights = np.asarray(c, dtype=float)
     pts = np.asarray(z_samples, dtype=complex)
     z_field = gradient_field(p, pts)
     return float(np.max(np.linalg.norm(z_field - weights * pts, axis=1)))
@@ -187,11 +175,11 @@ def rescale_to_level(p, z, r):
     would; after them the midpoint is returned.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    if evaluate(p, z) <= 0:
+    if p.evaluate(z).real <= 0:
         raise ValueError("need rho(z) > 0 to rescale onto a level set")
 
     def val(s):
-        return evaluate(p, s * z) - r
+        return p.evaluate(s * z).real - r
 
     lo = hi = 1.0
     for _ in range(80):

@@ -9,7 +9,7 @@ deduplicated monomials of all three (``fields_at_many``); ``fields_at`` is
 that jet on one row, so every scalar and batched check reads the same numbers.
 A one-row jet gathers every monomial factor at once (``Monomials.doubled_row``)
 and keeps the bits of the factor loop on the doubled row. Likewise
-``ma_residual`` is ``ma_scan`` on one row: det U is formed only in
+``ma_residual`` is row 0 of a one-row ``levi_scan``: det U is formed only in
 ``ma_from_fields``, and every rho > 0 precondition raises in ``_check_inside``.
 A ``LeviScan`` holds the jet of its points and computes its spectra, strata,
 det H and Monge-Ampere residuals on first use: a reader pays for what it reads.
@@ -169,21 +169,10 @@ def log_levi_form(rho, grad, hess):
     return u
 
 
-def _log_levi_at(p, z):
-    """The gradient and the Levi form of log rho at one point z. Requires rho > 0."""
-    rho, grad, hess = fields_at(p, z)
-    _check_inside(rho)
-    return grad, log_levi_form(rho, grad, hess)
-
-
-def ma_matrix(p, z):
-    """The Levi form of log rho at z. Requires rho > 0."""
-    return _log_levi_at(p, z)[1]
-
-
 def ma_residual(p, z):
-    """|det U|, U the Levi form of log rho (``ma_scan`` on one row); zero exactly at Monge-Ampere points."""
-    return float(ma_scan(p, _one_row(p, z))[0][0])
+    """|det U|, U the Levi form of log rho (row 0 of a one-row ``levi_scan``);
+    zero exactly at Monge-Ampere points."""
+    return float(levi_scan(p, _one_row(p, z)).ma[1][0])
 
 
 def ma_from_fields(rho, grad, hess, dim):
@@ -199,12 +188,6 @@ def ma_from_fields(rho, grad, hess, dim):
     raw = np.abs(det)
     scaled = raw / np.maximum(1.0, fro) ** dim
     return det, raw, scaled
-
-
-def ma_scan(p, points):
-    """Batched raw and scaled |det U| over an (N, n) array with rho > 0 rows."""
-    rho, grad, hess = fields_at_many(p, points)
-    return ma_from_fields(rho, grad, hess, p.dim)[1:]
 
 
 def adjugate(h):
@@ -235,11 +218,6 @@ def rank_identity(rho, grad, hess):
     return (rho * np.linalg.det(hess) - quad[..., 0, 0]).real
 
 
-def rank_identity_residual(p, z):
-    """``rank_identity`` at one point z."""
-    return float(rank_identity(*fields_at(p, z)))
-
-
 def _kernel_basis(v):
     """Orthonormal basis of the Hermitian orthogonal complement of v (n x (n-1))."""
     v = np.asarray(v, dtype=complex).ravel()
@@ -254,12 +232,13 @@ def restricted_levi_eigen(p, z):
     Ker d rho = {v : sum_mu rho_mu v^mu = 0}, the Hermitian orthogonal
     complement of conj(grad). Requires a nonzero gradient.
     """
-    grad, u = _log_levi_at(p, z)
+    rho, grad, hess = fields_at(p, z)
+    _check_inside(rho)
     if np.linalg.norm(grad) == 0:
         raise ValueError("zero gradient: Ker d rho is not a hyperplane here")
     basis = _kernel_basis(grad.conj())
     # the Hermitian form sum U[m,n] v^m conj(v^n) is the quadratic form of conj(U)
-    restricted = basis.conj().T @ u.conj() @ basis
+    restricted = basis.conj().T @ log_levi_form(rho, grad, hess).conj() @ basis
     return np.linalg.eigvalsh(restricted)
 
 

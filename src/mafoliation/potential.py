@@ -254,25 +254,6 @@ class PolyPotential(PolyExpr):
 # -- module-level operations -------------------------------------------------
 
 
-def evaluate(p, z):
-    """Value of a potential at z as a real number.
-
-    Hermitian symmetry makes the accumulated imaginary part roundoff-small
-    (below 1e-12 of the magnitude); it is discarded here.
-    """
-    return p.evaluate(z).real
-
-
-def wirtinger_z(p, mu):
-    """Exact coefficient-level d/dz^mu. Term c z^a zbar^b maps to c*a_mu z^(a-e_mu) zbar^b."""
-    return p.diff_z(mu)
-
-
-def wirtinger_zbar(p, nu):
-    """Exact coefficient-level d/dzbar^nu, acting on the beta exponents."""
-    return p.diff_zbar(nu)
-
-
 def bidegree_decompose(p):
     """Split into homogeneous bidegree components.
 

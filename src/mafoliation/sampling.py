@@ -43,8 +43,8 @@ def sample_box(dim, count, radius=DEFAULT_BOX, rng=None):
     return complex_from_reals(rng.uniform(-radius, radius, size=(count, 2 * dim)))
 
 
-def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR, rho_max=None):
-    """Rejection-sample `count` points with rho > min_rho (and rho < rho_max).
+def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR):
+    """Rejection-sample `count` points with rho > min_rho.
 
     Deterministic for a given seed/generator state. Raises ValueError for
     count < 1 or count > MAX_SAMPLES.
@@ -60,11 +60,7 @@ def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR, rho
     have = 0
     for _ in range(MAX_SAMPLE_BATCHES):
         batch = sample_box(p.dim, max(count, 64), radius, rng)
-        rho = p.evaluate_many(batch).real
-        mask = rho > min_rho
-        if rho_max is not None:
-            mask &= rho < rho_max
-        good = batch[mask]
+        good = batch[p.evaluate_many(batch).real > min_rho]
         if len(good):
             kept.append(good)
             have += len(good)

@@ -13,10 +13,8 @@ from mafoliation import (
     Stratum,
     analyze_weights,
     burns_check,
-    cr_residual,
     cr_scan,
     extended_gradient,
-    find_weights,
     flow_level_map_check,
     gradient_field,
     leaf_log_linearity,
@@ -24,14 +22,12 @@ from mafoliation import (
     levi_data,
     linear_field_agreement,
     ma_residual,
-    ma_scan,
-    rank_identity_residual,
     rescale_to_level,
     theta_orbit_det_check,
     trace_leaf,
 )
 from mafoliation.cli import main
-from mafoliation.levi import levi_scan, ma_matrix
+from mafoliation.levi import fields_at, levi_scan, log_levi_form, rank_identity
 from mafoliation.sampling import real_grid, sample_domain
 from helpers import hessian_fd
 
@@ -47,8 +43,8 @@ def test_criterion_01_ball_identity(ball2, ball3):
     worst_z = 0.0
     for p in (ball2, ball3):
         rng = np.random.default_rng(2024)
-        pts = sample_domain(p, 1000, 1.5, rng, min_rho=0.1, rho_max=10.0)
-        raw, _ = ma_scan(p, pts)
+        pts = sample_domain(p, 1000, 1.5, rng, min_rho=0.1)
+        raw, _ = levi_scan(p, pts).ma[1:]
         worst_ma = max(worst_ma, float(raw.max()))
         z_field = gradient_field(p, pts)
         worst_z = max(worst_z, float(np.max(np.linalg.norm(z_field - pts, axis=1))))
@@ -64,19 +60,20 @@ def test_criterion_01_ball_identity(ball2, ball3):
 
 def test_criterion_02_weighted_example(weighted24):
     t0 = time.perf_counter()
-    wv = find_weights(weighted24)
-    weight_err = float(np.max(np.abs(wv.weights - np.array([1.0, 0.5]))))
+    analysis = analyze_weights(weighted24)
+    assert analysis.status == "ok"
+    weight_err = float(np.max(np.abs(analysis.weights - np.array([1.0, 0.5]))))
 
     rng = np.random.default_rng(2025)
     pts = sample_domain(weighted24, 1500, 1.5, rng)
     scan = levi_scan(weighted24, pts)
     p_points = pts[scan.strata == Stratum.STRICTLY_PSH][:1000]
     assert len(p_points) == 1000
-    raw, _ = ma_scan(weighted24, p_points)
+    raw, _ = levi_scan(weighted24, p_points).ma[1:]
 
     ext = extended_gradient(weighted24, [1, 0])
     ext_err = float(np.max(np.abs(ext.Z - np.array([1.0, 0.0]))))
-    lin = linear_field_agreement(weighted24, wv, p_points)
+    lin = linear_field_agreement(weighted24, analysis.weights, p_points)
     elapsed = time.perf_counter() - t0
     ok = (
         weight_err < 1e-12
@@ -136,7 +133,7 @@ def test_criterion_04_flow_laws(ball2, weighted24):
 def test_criterion_05_holomorphy(ball2, weighted24, nonma):
     rng = np.random.default_rng(2026)
     pts_ball = sample_domain(ball2, 200, 1.5, rng, min_rho=1e-2)
-    res_ball = cr_residual(ball2, pts_ball)
+    res_ball = cr_scan(ball2, pts_ball).max_residual
 
     pts_w = sample_domain(weighted24, 195, 1.5, rng, min_rho=1e-2)
     straddle = np.array(
@@ -146,7 +143,7 @@ def test_criterion_05_holomorphy(ball2, weighted24, nonma):
     res_w = scan.max_residual
 
     pts_bad = sample_domain(nonma, 200, 1.5, rng, min_rho=1e-2)
-    res_bad = cr_residual(nonma, pts_bad)
+    res_bad = cr_scan(nonma, pts_bad).max_residual
 
     ok = res_ball < 1e-6 and res_w < 1e-6 and res_bad > 1e-2
     report(
@@ -160,7 +157,7 @@ def test_criterion_05_holomorphy(ball2, weighted24, nonma):
 
 def test_criterion_06_non_ma_detection(nonma):
     ma = ma_residual(nonma, [1, 1])
-    rid = rank_identity_residual(nonma, [1, 1])
+    rid = float(rank_identity(*fields_at(nonma, [1, 1])))
     analysis = analyze_weights(nonma)
     labels = (
         [eq.label for eq in analysis.inconsistent_subset]
@@ -232,8 +229,8 @@ def test_criterion_08_derivative_oracles(all_examples):
         pts = sample_domain(p, 1000, 1.5, rng, min_rho=1e-6)
         for z in pts:
             rho = p.evaluate(z).real
-            lhs = rank_identity_residual(p, z)
-            rhs = rho ** (p.dim + 1) * np.linalg.det(ma_matrix(p, z)).real
+            lhs = float(rank_identity(*fields_at(p, z)))
+            rhs = rho ** (p.dim + 1) * np.linalg.det(log_levi_form(*fields_at(p, z))).real
             worst_lemma = max(worst_lemma, abs(lhs - rhs) / max(1.0, abs(rhs)))
     ok = worst_fd < 1e-5 and worst_lemma < 1e-9
     report(

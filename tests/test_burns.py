@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mafoliation import PolyPotential, burns, burns_check, find_weights, log_growth_check, sampling, thresholds
+from mafoliation import PolyPotential, analyze_weights, burns, burns_check, cli, sampling, thresholds, verify_weights
 from mafoliation.cli import bundled_corpus_dir, main
 from mafoliation.levi import fields_at_many
 from mafoliation.potential import format_potential, homogeneous_degree, parse_potential_file
@@ -119,40 +119,41 @@ def test_equal_weights_iff_pass(square_norm, quartic_diag, grid):
     for p in (square_norm, quartic_diag):
         report = burns_check(p, grid)
         k = report.degree2k // 2
-        wv = find_weights(p)
+        analysis = analyze_weights(p)
         assert report.verdict
-        assert wv is not None
-        assert np.allclose(wv.weights, np.full(p.dim, 1.0 / k), atol=1e-12)
+        assert analysis.status == "ok"
+        assert np.allclose(analysis.weights, np.full(p.dim, 1.0 / k), atol=1e-12)
 
 
 def test_mixed_quartic_has_no_weights(quartic_mixed):
-    assert find_weights(quartic_mixed) is None
+    assert analyze_weights(quartic_mixed).status != "ok"
 
 
 # -- log growth -----------------------------------------------------------------
+# rho(lam z) = |lam|^{2k} rho(z): the homogeneity identity with weights 1/k at L = k log lam
 
 
 def test_log_growth_square_norm(square_norm):
     z = np.array([[1, 0]], dtype=complex)
-    assert log_growth_check(square_norm, 2, z, [2.0]) == pytest.approx(0.0, abs=1e-12)
+    assert verify_weights(square_norm, np.full(2, 0.5), z, [2 * np.log(2.0)]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_growth_identity_at_lambda_one(quartic_diag):
     rng = np.random.default_rng(193)
     z = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-    assert log_growth_check(quartic_diag, 2, z, [1.0]) == 0.0
+    assert verify_weights(quartic_diag, np.full(2, 0.5), z, [0.0]) == 0.0
 
 
 def test_log_growth_phase_invariance(square_norm):
     z = np.array([[1, 1]], dtype=complex)
-    assert log_growth_check(square_norm, 2, z, [1j]) < 1e-12
+    assert verify_weights(square_norm, np.full(2, 0.5), z, [2 * np.log(1j)]) < 1e-12
 
 
 def test_log_growth_random_scalings(square_norm):
     rng = np.random.default_rng(197)
     z = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
     lams = [0.5 + 0.3j, 2.0 - 1.0j, 0.1j, 3.0]
-    assert log_growth_check(square_norm, 2, z, lams) < 1e-10
+    assert verify_weights(square_norm, np.full(2, 0.5), z, [2 * np.log(lam) for lam in lams]) < 1e-10
 
 
 def test_skipped_points_reported(square_norm):
@@ -160,6 +161,40 @@ def test_skipped_points_reported(square_norm):
     report = burns_check(square_norm, real_grid(2, 5, 1.5))
     assert (report.kept_points, report.skipped_points) == (624, 1)
     assert "skipped points    : 1 of 625 (rho <= 1e-12)" in report.format()
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-7, 1e200])  # rho = 0, below RHO_FLOOR, NaN (overflow)
+def test_a_grid_without_a_kept_point_fails(ball2, radius):
+    # the Monge-Ampere gate measured nothing; it used to pass with max 0
+    with np.errstate(all="ignore"):
+        report = burns_check(ball2, real_grid(2, 3, radius))
+    assert (report.kept_points, report.skipped_points) == (0, 81)
+    assert not report.verdict
+    assert report.reasons == ["no grid point with rho > RHO_FLOOR = 1e-12: the Monge-Ampere gate measured nothing"]
+    ma = report.gate("ma_residual_scaled")
+    assert ma.measured is None and ma.status == "finding"
+    assert np.isnan(report.ma_max_residual) and np.isnan(report.ma_max_scaled)
+    assert report.worst_ma_point is None and report.radial_field_residual is None
+    assert "max |det U|       : not applicable (no grid point with rho > 1e-12)" in report.format()
+
+
+def test_burns_and_suite_without_a_kept_point(ball2, tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ball2.pot").write_text(format_potential(ball2))
+    (corpus / "expect.json").write_text('{"ball2.pot": {"burns": "pass"}}')
+    rc = main(["burns", str(corpus / "ball2.pot"), "--box", "1e-7", "--grid-n", "3", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0  # a finding about the input
+    assert "max |det U|       : not applicable (no grid point with rho > 1e-12)" in out
+    assert "verdict           : fail" in out
+
+    # the suite samples its scan at --box; only its burns grid misses the domain
+    monkeypatch.setattr(cli, "real_grid", lambda dim, per_axis, radius: real_grid(dim, per_axis, 1e-7))
+    rc = main(["suite", str(corpus), "--samples", "100", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert re.search(r"ball2\.pot\s+burns_verdict\s+FAIL measured=n/a ", out)
 
 
 # -- the streamed grid ------------------------------------------------------------

@@ -10,7 +10,7 @@ from mafoliation import cli
 from mafoliation.cli import _suite_grid_axis, build_parser, bundled_corpus_dir, main
 from mafoliation.foliation import MAX_TRACE_STEPS
 from mafoliation.gradient import gradient_field
-from mafoliation.levi import fields_at_many, ma_scan
+from mafoliation.levi import fields_at_many, levi_scan
 from mafoliation.potential import PolyPotential, format_potential, parse_potential_file
 from mafoliation.sampling import MAX_GRID_POINTS, MAX_SAMPLES
 from helpers import generated_potentials
@@ -510,7 +510,7 @@ def test_burns_csv_matches_fresh_evaluation(corpus, tmp_path, capsys, name):
     rows = _read_csv(tmp_path / f"{name}_burns.csv")
     pts = _csv_points(rows, p.dim)
     rho = p.evaluate_many(pts).real
-    raw, scaled = ma_scan(p, pts)
+    raw, scaled = levi_scan(p, pts).ma[1:]
     assert len(rows) == 10 ** (2 * p.dim) and np.all(rho > 1e-12)
     _assert_close(_column(rows, "rho"), rho)
     _assert_close(_column(rows, "ma_residual"), raw)
@@ -538,6 +538,21 @@ def test_burns_default_grid_on_c3_refused(corpus, tmp_path, capsys):
     assert rc == 2
     assert "20^6 = 64000000 points exceeds the limit of 1048576" in err
     assert "burns --grid-n" in err
+
+
+@pytest.mark.parametrize("box", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", ["analyze", "weights", "burns", "suite"])
+def test_box_not_finite_and_positive_exit2(corpus, tmp_path, capsys, command, box):
+    # inf and nan used to die in the sampler with a traceback (exit 1); burns
+    # passed on a grid where it kept no point
+    target = corpus if command == "suite" else corpus / "ball2.pot"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(target), "--box", box, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument --box: must be a finite number > 0, got '{box}'" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("samples", ["-5", "0"])

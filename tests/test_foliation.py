@@ -6,9 +6,8 @@ import pytest
 from mafoliation import (
     IntegratorConfig,
     Stratum,
-    evaluate,
     flow_level_map_check,
-    flow_point,
+    flow_points,
     leaf_log_linearity,
     leaf_stratum_invariance,
     level_set_invariance,
@@ -140,20 +139,20 @@ def test_stratum_invariance_ball(ball_trace):
 
 
 def test_flow_composition(ball2):
-    z0 = np.array([1.0, 0.5], dtype=complex)
-    one_shot = flow_point(ball2, z0, 1.0, RealFieldKind.X)
-    composed = flow_point(ball2, flow_point(ball2, z0, 0.5, RealFieldKind.X), 0.5, RealFieldKind.X)
+    z0 = np.array([[1.0, 0.5]], dtype=complex)
+    one_shot = flow_points(ball2, z0, 1.0, RealFieldKind.X)
+    composed = flow_points(ball2, flow_points(ball2, z0, 0.5, RealFieldKind.X), 0.5, RealFieldKind.X)
     # identical step partition, so agreement is roundoff-level; 10x the per-step
     # tolerance h^4 is far looser
     assert np.max(np.abs(one_shot - composed)) < 10 * (1e-3) ** 4
 
 
 def test_step_halving_fourth_order(ball2):
-    z0 = np.array([1.0, 0.0], dtype=complex)
+    z0 = np.array([[1.0, 0.0]], dtype=complex)
     exact = np.array([np.exp(1.0), 0.0])  # X flow for t=2: e^{t/2} z0
     err = {}
     for h in (0.1, 0.05):
-        end = flow_point(ball2, z0, 2.0, RealFieldKind.X, step=h)
+        end = flow_points(ball2, z0, 2.0, RealFieldKind.X, step=h)[0]
         err[h] = np.max(np.abs(end - exact))
     assert err[0.1] / err[0.05] >= 8.0
 
@@ -207,9 +206,9 @@ def test_default_step_margin(ball2, weighted24):
 
 def test_y_flow_alone_preserves_rho(weighted24):
     z0 = np.array([1.0, 1.0], dtype=complex)
-    rho0 = evaluate(weighted24, z0)
-    end = flow_point(weighted24, z0, 2.0, RealFieldKind.Y)
-    assert evaluate(weighted24, end) == pytest.approx(rho0, rel=1e-8)
+    rho0 = weighted24.evaluate(z0).real
+    end = flow_points(weighted24, z0.reshape(1, -1), 2.0, RealFieldKind.Y)[0]
+    assert weighted24.evaluate(end).real == pytest.approx(rho0, rel=1e-8)
 
 
 def test_stratum_invariance_all_ma_examples(square_norm, quartic_diag):
@@ -226,7 +225,7 @@ def test_stratum_invariance_all_ma_examples(square_norm, quartic_diag):
 @pytest.mark.parametrize("step", [0.0, -0.01, np.inf, -np.inf, np.nan])
 def test_rk4_rejects_a_step_that_is_not_finite_and_positive(ball2, step):
     with pytest.raises(ValueError, match="--step"):
-        flow_point(ball2, [1, 0], 0.5, step=step)
+        flow_points(ball2, np.array([[1, 0]]), 0.5, step=step)
     with pytest.raises(ValueError, match="--step"):
         rk4_segment(lambda z: z, np.ones(2), 0.0, step)
 
@@ -234,4 +233,4 @@ def test_rk4_rejects_a_step_that_is_not_finite_and_positive(ball2, step):
 @pytest.mark.parametrize("duration", [np.inf, -np.inf, np.nan])
 def test_rk4_rejects_a_duration_that_is_not_finite(ball2, duration):
     with pytest.raises(ValueError, match="--t-max, --s-max"):
-        flow_point(ball2, [1, 0], duration)
+        flow_points(ball2, np.array([[1, 0]]), duration)

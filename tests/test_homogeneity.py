@@ -7,8 +7,6 @@ from mafoliation import (
     PolyPotential,
     analyze_weights,
     default_lambda_samples,
-    evaluate,
-    find_weights,
     flow_level_map_check,
     linear_field_agreement,
     ma_residual,
@@ -16,32 +14,24 @@ from mafoliation import (
     verify_weights,
 )
 from mafoliation.cli import bundled_corpus_dir
-from mafoliation import homogeneity
-from mafoliation.homogeneity import WeightAnalysis, weight_equations
+from mafoliation.homogeneity import weight_equations
 from mafoliation.potential import parse_potential_file
 from mafoliation.sampling import sample_domain
 from helpers import generated_potentials
 
 
 def test_find_weights_weighted(weighted24):
-    wv = find_weights(weighted24)
-    assert wv is not None
-    assert np.allclose(wv.weights, [1.0, 0.5], atol=1e-12)
-    assert wv.unique
+    analysis = analyze_weights(weighted24)
+    assert analysis.status == "ok"
+    assert np.allclose(analysis.weights, [1.0, 0.5], atol=1e-12)
+    assert analysis.unique
 
 
 def test_find_weights_square_norm(square_norm):
-    wv = find_weights(square_norm)
-    assert np.allclose(wv.weights, [0.5, 0.5], atol=1e-12)
-    assert wv.unique
-
-
-def test_find_weights_returns_the_analysis(weighted24):
-    # one record: find_weights hands back analyze_weights' own result
-    wv = find_weights(weighted24)
-    assert isinstance(wv, WeightAnalysis) and wv.status == "ok"
-    assert np.array_equal(wv.weights, analyze_weights(weighted24).weights)
-    assert not hasattr(homogeneity, "WeightVector")
+    analysis = analyze_weights(square_norm)
+    assert analysis.status == "ok"
+    assert np.allclose(analysis.weights, [0.5, 0.5], atol=1e-12)
+    assert analysis.unique
 
 
 def test_analyze_weights_residual_is_exact(bundled_and_generated):
@@ -144,7 +134,7 @@ def test_generated_weights_are_exact(seed):
 
 
 def test_find_weights_nonma_infeasible(nonma):
-    assert find_weights(nonma) is None
+    assert analyze_weights(nonma).status == "infeasible"
 
 
 def test_nonma_inconsistent_equations(nonma):
@@ -166,8 +156,6 @@ def test_underdetermined_weights_flagged_nonunique():
     assert analysis.status == "ok"
     assert not analysis.unique
     assert np.allclose(analysis.weights, [0.5, 0.5], atol=1e-12)
-    wv = find_weights(p)
-    assert not wv.unique
 
 
 def test_nonpositive_weights_reported():
@@ -175,7 +163,6 @@ def test_nonpositive_weights_reported():
     p = PolyPotential(2, {((1, 0), (1, 0)): 1})
     analysis = analyze_weights(p)
     assert analysis.status == "not_positive"
-    assert find_weights(p) is None
 
 
 # -- verification ----------------------------------------------------------------
@@ -214,16 +201,16 @@ def test_imaginary_lambda_detects_asymmetry(quartic_mixed):
 def test_weight_soundness(ma_examples):
     rng = np.random.default_rng(151)
     for p in ma_examples.values():
-        wv = find_weights(p)
-        assert wv is not None
+        analysis = analyze_weights(p)
+        assert analysis.status == "ok"
         pts = sample_domain(p, 100, 1.5, rng, min_rho=1e-3)
-        assert verify_weights(p, wv, pts, default_lambda_samples()) < 1e-9
+        assert verify_weights(p, analysis.weights, pts, default_lambda_samples()) < 1e-9
 
 
 def test_weights_imply_ma(ma_examples):
     rng = np.random.default_rng(157)
     for p in ma_examples.values():
-        if find_weights(p) is None:
+        if analyze_weights(p).status != "ok":
             continue
         pts = sample_domain(p, 100, 1.5, rng, min_rho=1e-2)
         for z in pts:
@@ -233,9 +220,9 @@ def test_weights_imply_ma(ma_examples):
 def test_weights_imply_linear_field(ma_examples):
     rng = np.random.default_rng(163)
     for p in ma_examples.values():
-        wv = find_weights(p)
+        analysis = analyze_weights(p)
         pts = sample_domain(p, 100, 1.5, rng, min_rho=1e-3)
-        assert linear_field_agreement(p, wv, pts) < 1e-8
+        assert linear_field_agreement(p, analysis.weights, pts) < 1e-8
 
 
 def test_linear_field_agreement_examples(ball2, weighted24, square_norm):
@@ -259,7 +246,7 @@ def _level_samples(p, r, count, seed):
 
 def test_rescale_to_level(weighted24):
     samples = _level_samples(weighted24, 1.0, 20, 173)
-    values = np.array([evaluate(weighted24, z) for z in samples])
+    values = np.array([weighted24.evaluate(z).real for z in samples])
     assert np.max(np.abs(values - 1.0)) < 1e-10
 
 

@@ -4,18 +4,15 @@ import pytest
 from mafoliation import (
     PolyPotential,
     Stratum,
-    evaluate,
     levi_data,
     levi_scan,
     ma_residual,
-    ma_scan,
-    rank_identity_residual,
     restricted_levi_eigen,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mafoliation.levi import adjugate, fields_at, fields_at_many, jet, ma_matrix, rank_identity
+from mafoliation.levi import adjugate, fields_at, fields_at_many, jet, log_levi_form, rank_identity
 from mafoliation.sampling import real_grid, sample_domain
 from helpers import (
     hessian_fd,
@@ -109,7 +106,7 @@ def test_stratum_full_rank_has_positive_spectrum(ma_examples):
 def test_ma_residual_ball_vanishes(ball2):
     rng = np.random.default_rng(41)
     for z in random_points(rng, 2, 50):
-        if evaluate(ball2, z) > 1e-6:
+        if ball2.evaluate(z).real > 1e-6:
             assert ma_residual(ball2, z) < 1e-12
 
 
@@ -119,7 +116,7 @@ def test_ma_residual_weighted_at_11(weighted24):
 
 def test_ma_residual_nonma_value(nonma):
     # U = [[2/9, -1/9], [-1/9, 2/9]], det = 1/27
-    u = ma_matrix(nonma, [1, 1])
+    u = log_levi_form(*fields_at(nonma, [1, 1]))
     assert np.allclose(u, [[2 / 9, -1 / 9], [-1 / 9, 2 / 9]], atol=1e-14)
     assert ma_residual(nonma, [1, 1]) == pytest.approx(1 / 27, abs=1e-12)
 
@@ -135,7 +132,7 @@ def test_ma_residual_is_the_one_row_ma_scan(bundled_and_generated):
     rng = np.random.default_rng(1313)
     for name, p in bundled_and_generated.items():
         pts = sample_domain(p, 300, 1.5, rng)
-        raw, _ = ma_scan(p, pts)
+        raw, _ = levi_scan(p, pts).ma[1:]
         agrees = one_row_jet_agrees(p, pts)
         for z, want in zip(pts[agrees], raw[agrees]):
             assert ma_residual(p, z) == want, name
@@ -145,7 +142,7 @@ def test_ma_examples_satisfy_equation(ma_examples):
     rng = np.random.default_rng(43)
     for p in ma_examples.values():
         pts = sample_domain(p, 300, 1.5, rng, min_rho=1e-3)
-        raw, _ = ma_scan(p, pts)
+        raw, _ = levi_scan(p, pts).ma[1:]
         assert raw.max() < 1e-9
 
 
@@ -154,12 +151,12 @@ def test_ma_examples_satisfy_equation(ma_examples):
 
 def test_rank_identity_ball(ball2):
     # rho detH = 2, gbar^T adj(H) g = 2
-    assert rank_identity_residual(ball2, [1, 1]) == pytest.approx(0.0, abs=1e-12)
+    assert float(rank_identity(*fields_at(ball2, [1, 1]))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rank_identity_nonma(nonma):
     # 3*3 - 8 = 1 with adj(H) = [[2,-1],[-1,2]], g = (2,2)
-    assert rank_identity_residual(nonma, [1, 1]) == pytest.approx(1.0, abs=1e-9)
+    assert float(rank_identity(*fields_at(nonma, [1, 1]))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_adjugate_matches_inverse():
@@ -182,7 +179,7 @@ def test_batched_rank_identity_matches_pointwise():
     quad = np.einsum("ni,nij,nj->n", grad.conj(), adjugate(hess), grad)
     scale = np.maximum(1.0, np.abs(rho * det) + np.abs(quad))
     for k, z in enumerate(pts):
-        assert abs(batched[k] - rank_identity_residual(p, z)) <= 1e-12 * scale[k]
+        assert abs(batched[k] - float(rank_identity(*fields_at(p, z)))) <= 1e-12 * scale[k]
 
 
 def test_determinant_lemma_equivalence(all_examples):
@@ -190,17 +187,17 @@ def test_determinant_lemma_equivalence(all_examples):
     for p in all_examples.values():
         pts = sample_domain(p, 200, 1.5, rng, min_rho=1e-6)
         for z in pts:
-            rho = evaluate(p, z)
-            lhs = rank_identity_residual(p, z)
-            rhs = rho ** (p.dim + 1) * np.linalg.det(ma_matrix(p, z)).real
+            rho = p.evaluate(z).real
+            lhs = float(rank_identity(*fields_at(p, z)))
+            rhs = rho ** (p.dim + 1) * np.linalg.det(log_levi_form(*fields_at(p, z))).real
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
 def test_rank_identity_vanishes_where_ma_does(weighted24):
     rng = np.random.default_rng(59)
     for z in sample_domain(weighted24, 100, 1.5, rng, min_rho=1e-3):
-        rho = evaluate(weighted24, z)
-        assert abs(rank_identity_residual(weighted24, z)) < rho ** 3 * 1e-10 + 1e-10
+        rho = weighted24.evaluate(z).real
+        assert abs(float(rank_identity(*fields_at(weighted24, z)))) < rho ** 3 * 1e-10 + 1e-10
 
 
 # -- restricted Levi eigenvalues ------------------------------------------------------
@@ -209,7 +206,7 @@ def test_rank_identity_vanishes_where_ma_does(weighted24):
 def test_restricted_eigen_ball_is_one_over_rho(ball2):
     rng = np.random.default_rng(61)
     for z in random_points(rng, 2, 20):
-        rho = evaluate(ball2, z)
+        rho = ball2.evaluate(z).real
         if rho < 1e-3:
             continue
         eig = restricted_levi_eigen(ball2, z)
