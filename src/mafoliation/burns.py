@@ -31,9 +31,9 @@ lies no farther than the block's strict max. The worst case is a grid of
 degenerate rows: on |z1|^4, whose Hessians are all exactly singular, the
 direct solve returns NaN on every row and every row is classified anyway.
 
-The grid scan is a map and a fold: _scan_chunk does the work of one chunk
-alone, and _scan_grid folds the results in grid order, where the rows
-callback runs.
+The grid scan is one loop over the chunks in grid order (_scan_grid): each
+chunk's jet, its rows with rho > RHO_FLOOR, the rows callback, the chunk's
+radial max, then its det U for the running maxima.
 """
 
 from __future__ import annotations
@@ -158,42 +158,33 @@ def _radial_max(points, grad, hess, k):
     return np.max(found) if found.size else None
 
 
-def _scan_chunk(p, chunk, k):
-    """The LeviScan of the chunk's rows with rho > RHO_FLOOR and their radial
-    max (None without k or without a strict row): the work of one chunk,
-    which depends on no other chunk."""
-    scan = levi_scan(p, chunk)
-    inside = scan.rho > RHO_FLOOR
-    if not inside.all():
-        scan = LeviScan(scan.points[inside], scan.rho[inside], scan.grad[inside], scan.hessian[inside])
-    radial = None if k is None or not len(scan.rho) else _radial_max(scan.points, scan.grad, scan.hessian, k)
-    return scan, radial
-
-
 def _scan_grid(p, grid, k, rows):
-    """One pass over the grid chunks: _scan_chunk of each, folded in grid
-    order. Each chunk's scan goes to rows (if given); with k set it also
-    folds into the gates' running reductions: max raw |det U|, the first
-    point of max scaled |det U| (a NaN counts as the max, as in np.argmax),
-    the radial max over strictly psh rows and the kept count. Reductions over
+    """One pass over the grid chunks in grid order. Each chunk's LeviScan of
+    its rows with rho > RHO_FLOOR goes to rows (if given); with k set it also
+    folds into the gates' running reductions: the kept count, the radial max
+    over strictly psh rows, max raw |det U| and the first point of max scaled
+    |det U| (a NaN counts as the max, as in np.argmax). Reductions over
     no rows stay None."""
     raw_max = scaled_max = worst = radial = None
     kept = 0
     for chunk in grid:
-        scan, chunk_radial = _scan_chunk(p, chunk, k)
+        scan = levi_scan(p, chunk)
+        inside = scan.rho > RHO_FLOOR
+        if not inside.all():
+            scan = LeviScan(scan.points[inside], scan.rho[inside], scan.grad[inside], scan.hessian[inside])
         if rows is not None:
             rows(scan)
         if k is None or not len(scan.rho):
             continue
         kept += len(scan.rho)
+        if (chunk_radial := _radial_max(scan.points, scan.grad, scan.hessian, k)) is not None:
+            radial = _fold(np.maximum, radial, chunk_radial)
         _, raw, scaled = scan.ma
         raw_max = _fold(np.maximum, raw_max, raw.max())
         i = int(np.argmax(scaled))
         value = scaled[i]
         if scaled_max is None or value > scaled_max or (np.isnan(value) and not np.isnan(scaled_max)):
             scaled_max, worst = value, np.array(scan.points[i])
-        if chunk_radial is not None:
-            radial = _fold(np.maximum, radial, chunk_radial)
     return raw_max, scaled_max, worst, radial, kept
 
 

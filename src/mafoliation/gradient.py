@@ -266,7 +266,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
 
     The end-of-step checks (rho > 0, |det H| and the rho drift) do not feed
     the integration, so the end points are checked ORBIT_CHECK_BLOCK at a
-    time, with one batched jet and one batched determinant. A jet row and a
+    time, with one ``levi_scan`` (its jet and det H). A jet row and a
     determinant do not depend on the batch around them, so the maxima are
     those of a per-step check. Before an integration error leaves, the
     pending end points are checked, so the first failing step decides which
@@ -304,13 +304,13 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
         nonlocal max_det, max_drift
         if not pending:
             return
-        rho, _, hess = fields_at_many(p, np.array(pending))
+        scan = levi_scan(p, np.array(pending))
         pending.clear()
-        if np.any(rho <= 0):
+        if np.any(scan.rho <= 0):
             raise ValueError("orbit exited the domain {rho > 0}")
         # folded in step order, as a per-step max() would
-        max_det = max(max_det, *np.abs(np.linalg.det(hess)).tolist())
-        max_drift = max(max_drift, *np.abs(rho - rho0).tolist())
+        max_det = max(max_det, *np.abs(scan.det_hessian).tolist())
+        max_drift = max(max_drift, *np.abs(scan.rho - rho0).tolist())
 
     for _ in range(steps):
         try:

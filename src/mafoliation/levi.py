@@ -11,6 +11,9 @@ A one-row jet gathers every monomial factor at once (``Monomials.doubled_row``)
 and keeps the bits of the factor loop on the doubled row. Likewise
 ``ma_residual`` is row 0 of a one-row ``levi_scan``: det U is formed only in
 ``ma_from_fields``, and every rho > 0 precondition raises in ``_check_inside``.
+Each determinant is one batched LU and has one home: det H in
+``LeviScan.det_hessian``, det U in ``ma_from_fields`` and the bordered
+det [[rho, gbar^T], [g, H]] = rho^(n+1) det U in ``rank_identity``.
 A ``LeviScan`` holds the jet of its points and computes its spectra, strata,
 det H and Monge-Ampere residuals on first use: a reader pays for what it reads.
 """
@@ -190,32 +193,22 @@ def ma_from_fields(rho, grad, hess, dim):
     return det, raw, scaled
 
 
-def adjugate(h):
-    """Adjugate via cofactors over the last two axes: H adj(H) = det(H) I,
-    defined for singular H too. h is one (n, n) matrix or a batch of them."""
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[-1]
-    if n == 1:
-        return np.ones_like(h)
-    cof = np.empty_like(h)
-    keep = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        for jx in range(n):
-            minor = h[..., keep[i], :][..., keep[jx]]
-            cof[..., i, jx] = (-1) ** (i + jx) * np.linalg.det(minor)
-    return np.swapaxes(cof, -1, -2)
-
-
 def rank_identity(rho, grad, hess):
-    """rho det(H) - gbar^T adj(H) g, which equals rho^(n+1) det U identically.
+    """The bordered determinant det [[rho, gbar^T], [g, H]] = rho det(H) -
+    gbar^T adj(H) g, which equals rho^(n+1) det U identically.
 
     rho, grad and hess are one point's scalar, (n,) and (n, n) arrays, or
     carry the same leading batch axes. Vanishes exactly where the
     Monge-Ampere residual does, but is defined wherever the derivatives are
-    (no rho > 0 requirement).
+    (no rho > 0 requirement, singular H included).
     """
-    quad = grad.conj()[..., None, :] @ (adjugate(hess) @ grad[..., None])
-    return (rho * np.linalg.det(hess) - quad[..., 0, 0]).real
+    n = hess.shape[-1]
+    b = np.empty((*hess.shape[:-2], n + 1, n + 1), dtype=complex)
+    b[..., 0, 0] = rho
+    b[..., 0, 1:] = grad.conj()
+    b[..., 1:, 0] = grad
+    b[..., 1:, 1:] = hess
+    return np.linalg.det(b).real
 
 
 def _kernel_basis(v):

@@ -59,7 +59,7 @@ HERMITIAN_EVAL_TOL = 1e-12
 HESSIAN_SYMMETRY_TOL = 1e-12
 # relative to max(1, |det H|), on Im det H; LU of a Hermitian H leaves only roundoff (5.6e-16)
 DET_REAL_TOL = 1e-10
-# relative to max(1, |rho^(n+1) det U|), on rho det H - gbar^T adj(H) g - rho^(n+1) det U, an identity
+# relative to max(1, |rho^(n+1) det U|), on det [[rho, gbar^T], [g, H]] - rho^(n+1) det U, an identity
 DET_LEMMA_TOL = 1e-9
 # exact, on a count of mismatches or violations (and a parse error) or the weight certificate's rational |r|
 ZERO_COUNT = 0.0

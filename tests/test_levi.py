@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from mafoliation import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mafoliation.levi import adjugate, fields_at, fields_at_many, jet, log_levi_form, rank_identity
+from mafoliation.levi import fields_at, fields_at_many, jet, log_levi_form, rank_identity
 from mafoliation.sampling import real_grid, sample_domain
 from helpers import (
     hessian_fd,
@@ -159,25 +162,52 @@ def test_rank_identity_nonma(nonma):
     assert float(rank_identity(*fields_at(nonma, [1, 1]))) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_adjugate_matches_inverse():
-    rng = np.random.default_rng(47)
-    for n in (1, 2, 3, 4):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        adj = adjugate(a)
-        assert np.allclose(a @ adj, np.linalg.det(a) * np.eye(n), atol=1e-10)
-        batch = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
-        assert np.array_equal(adjugate(batch), np.array([adjugate(m) for m in batch]))
+_GAUSSIAN_INTEGER = st.builds(complex, st.integers(-8, 8), st.integers(-8, 8))
+
+
+def _gaussian_integers(data, count):
+    return np.array(data.draw(st.lists(_GAUSSIAN_INTEGER, min_size=count, max_size=count)), dtype=complex)
+
+
+def _leibniz_det(b):
+    """Exact determinant of a small matrix of Gaussian integers: every
+    product and sum stays an integer below 2^53, so Python's complex
+    arithmetic makes no rounding."""
+    n = len(b)
+    total = 0j
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(b[i][perm[i]] for i in range(n))
+    return total
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(1, 4), rank=st.integers(0, 4), rho=st.integers(-8, 8), data=st.data())
+def test_rank_identity_matches_exact_bordered_determinant(n, rank, rho, data):
+    # H is Hermitian with Gaussian-integer entries: a full one, or A A* of rank < n
+    if rank < n:
+        a = _gaussian_integers(data, n * rank).reshape(n, rank)
+        hess = a @ a.conj().T
+    else:
+        upper = np.triu(_gaussian_integers(data, n * n).reshape(n, n), 1)
+        hess = upper + upper.conj().T + np.diag(_gaussian_integers(data, n).real)
+    grad = _gaussian_integers(data, n)
+    bordered = np.block([[np.array([[rho]]), grad.conj()[None, :]], [grad[:, None], hess]])
+    exact = _leibniz_det(bordered.tolist())
+    assert exact.imag == 0 and exact.real == round(exact.real)  # the oracle made no rounding
+    hadamard = np.prod(np.linalg.norm(bordered, axis=1))
+    assert abs(float(rank_identity(float(rho), grad, hess)) - exact.real) <= 1e-12 * hadamard
 
 
 def test_batched_rank_identity_matches_pointwise():
     rng = np.random.default_rng(61)
     p = random_hermitian_potential(rng, dim=4, pairs=6, max_exp=2)
-    pts = random_points(rng, 4, 25, radius=1.0)
+    pts = random_points(rng, 4, 25, radius=1.0)  # rho of either sign
     rho, grad, hess = fields_at_many(p, pts)
     batched = rank_identity(rho, grad, hess)
-    det = np.linalg.det(hess)
-    quad = np.einsum("ni,nij,nj->n", grad.conj(), adjugate(hess), grad)
-    scale = np.maximum(1.0, np.abs(rho * det) + np.abs(quad))
+    rhs = rho ** (p.dim + 1) * np.linalg.det(log_levi_form(rho, grad, hess)).real
+    scale = np.maximum(1.0, np.abs(rhs))
+    assert np.all(np.abs(batched - rhs) < 1e-9 * scale)
     for k, z in enumerate(pts):
         assert abs(batched[k] - float(rank_identity(*fields_at(p, z)))) <= 1e-12 * scale[k]
 
