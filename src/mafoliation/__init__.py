@@ -10,7 +10,6 @@ with seeded, reproducible output.
 
 from .burns import burns_check
 from .foliation import (
-    IntegratorConfig,
     flow_points,
     leaf_log_linearity,
     leaf_stratum_invariance,
@@ -57,8 +56,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "burns_check",
-    "IntegratorConfig", "flow_points", "leaf_log_linearity", "leaf_stratum_invariance",
-    "level_set_invariance", "trace_leaf",
+    "flow_points", "leaf_log_linearity", "leaf_stratum_invariance", "level_set_invariance",
+    "trace_leaf",
     "RealFieldKind", "SingularHessianError", "complex_gradient", "cr_scan", "euler_residual_scan",
     "extended_gradient", "gradient_field", "theta_orbit_det_check",
     "analyze_weights", "default_lambda_samples", "flow_level_map_check", "linear_field_agreement",

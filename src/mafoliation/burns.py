@@ -33,7 +33,8 @@ direct solve returns NaN on every row and every row is classified anyway.
 
 The grid scan is one loop over the chunks in grid order (_scan_grid): each
 chunk's jet, its rows with rho > RHO_FLOOR, the rows callback, the chunk's
-radial max, then its det U for the running maxima.
+radial max and its det U maxima, which np.max and np.argmax reduce after
+the loop.
 """
 
 from __future__ import annotations
@@ -129,11 +130,6 @@ class BurnsReport:
         return "\n".join(lines + [f"  - {reason}" for reason in self.reasons])
 
 
-def _fold(op, acc, value):
-    """Running np.maximum from None; a NaN sticks, as in ndarray.max."""
-    return value if acc is None else op(acc, value)
-
-
 def _strict(hess):
     """Mask of the (M, n, n) Hessians of full numerical rank (the strictly psh
     stratum on rows with rho > 0)."""
@@ -160,12 +156,13 @@ def _radial_max(points, grad, hess, k):
 
 def _scan_grid(p, grid, k, rows):
     """One pass over the grid chunks in grid order. Each chunk's LeviScan of
-    its rows with rho > RHO_FLOOR goes to rows (if given); with k set it also
-    folds into the gates' running reductions: the kept count, the radial max
-    over strictly psh rows, max raw |det U| and the first point of max scaled
-    |det U| (a NaN counts as the max, as in np.argmax). Reductions over
-    no rows stay None."""
-    raw_max = scaled_max = worst = radial = None
+    its rows with rho > RHO_FLOOR goes to rows (if given); with k set each
+    chunk also gives the gates its kept count, radial max over strictly psh
+    rows, max raw |det U|, and max scaled |det U| with a copy of its point.
+    np.max and np.argmax then reduce the chunks: a NaN counts as the max, and
+    the worst point is the first NaN, or else the first max. Reductions over
+    no rows are None."""
+    raws, scaleds, worsts, radials = [], [], [], []
     kept = 0
     for chunk in grid:
         scan = levi_scan(p, chunk)
@@ -178,14 +175,16 @@ def _scan_grid(p, grid, k, rows):
             continue
         kept += len(scan.rho)
         if (chunk_radial := _radial_max(scan.points, scan.grad, scan.hessian, k)) is not None:
-            radial = _fold(np.maximum, radial, chunk_radial)
+            radials.append(chunk_radial)
         _, raw, scaled = scan.ma
-        raw_max = _fold(np.maximum, raw_max, raw.max())
         i = int(np.argmax(scaled))
-        value = scaled[i]
-        if scaled_max is None or value > scaled_max or (np.isnan(value) and not np.isnan(scaled_max)):
-            scaled_max, worst = value, np.array(scan.points[i])
-    return raw_max, scaled_max, worst, radial, kept
+        raws.append(raw.max())
+        scaleds.append(scaled[i])
+        worsts.append(np.array(scan.points[i]))  # a copy: a view would keep the chunk alive
+    if not scaleds:
+        return None, None, None, None, kept
+    i = int(np.argmax(scaleds))
+    return np.max(raws), scaleds[i], worsts[i], np.max(radials) if radials else None, kept
 
 
 def _positivity_margin(p, k):

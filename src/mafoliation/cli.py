@@ -40,7 +40,6 @@ from .burns import burns_check
 from .foliation import (
     MAX_TRACE_NODES,
     MAX_TRACE_STEPS,
-    IntegratorConfig,
     leaf_log_linearity,
     leaf_stratum_invariance,
     level_set_invariance,
@@ -238,7 +237,7 @@ def cmd_trace(args):
     if args.step > (gap := gaps[gaps > 0].min(initial=math.inf)):  # RK4 would silently cut it to the interval
         raise ValueError(f"--step {args.step:g} is larger than the smallest node interval {gap:g}")
     _print_header(f"trace {args.potential}", args)
-    trace = trace_leaf(p, base, t_grid, s_grid, IntegratorConfig(step=args.step))
+    trace = trace_leaf(p, base, t_grid, s_grid, args.step)
 
     out_path = Path(args.out) / (Path(args.potential).stem + "_trace.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -249,7 +248,7 @@ def cmd_trace(args):
                np.abs(trace.det_hessian).ravel(), trace.strata.ravel())
     print(f"csv: {out_path}")
     if trace.truncated:
-        print("note: trace truncated at the domain/box boundary")
+        print("note: trace truncated at the domain boundary")
 
     records = [
         _timed("log_linearity", lambda: leaf_log_linearity(trace)),

@@ -26,12 +26,6 @@ from .levi import Stratum, _check_inside, levi_scan
 from .thresholds import DEFAULT_STEP, RHO_FLOOR
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    step: float = DEFAULT_STEP
-    box_radius: float = math.inf   # truncate when any |Re|, |Im| exceeds this
-
-
 # RK4 steps of one trace, (|t_max| + |s_max|) / step over both sweeps, whatever
 # the node count (each node adds at most one step). A step advances the
 # s-sweep's one row or the t-sweep's s-columns: 0.1-0.26 ms on one row, 0.14-0.86
@@ -85,9 +79,9 @@ def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
 class LeafTrace:
     """Integrated leaf patch with per-node diagnostics.
 
-    nodes are indexed [it, is]; points has shape (nt, ns, n). Truncation (rho
-    hitting the floor or the state leaving the box) shrinks the grids and sets
-    the flag instead of failing.
+    nodes are indexed [it, is]; points has shape (nt, ns, n). Truncation (a
+    non-finite state or rho hitting the floor) shrinks the grids and sets the
+    flag instead of failing.
     """
 
     base: np.ndarray
@@ -101,22 +95,19 @@ class LeafTrace:
     truncated: bool
 
 
-def _node_ok(z, rho, cfg):
-    """Row mask of an (N, n) batch: finite, above RHO_FLOOR, inside the box."""
-    ok = np.all(np.isfinite(z), axis=1) & (rho > RHO_FLOOR)
-    if cfg.box_radius != math.inf:
-        ok &= np.max(np.maximum(np.abs(z.real), np.abs(z.imag)), axis=1) <= cfg.box_radius
-    return ok
+def _node_ok(z, rho):
+    """Row mask of an (N, n) batch: finite and above RHO_FLOOR."""
+    return np.all(np.isfinite(z), axis=1) & (rho > RHO_FLOOR)
 
 
-def _sweep(p, z0, values, kind, cfg):
+def _sweep(p, z0, values, kind, step):
     """Flow the (N, n) batch z0 to the given parameter values, integrating
     outward from 0 with all rows advanced together.
 
     Returns (kept_values, points, truncated) with points of shape
     (len(kept_values), N, n). Each direction stops at the first node where any
-    row violates the rho floor or the box, so the kept values are the longest
-    prefix, on each side of 0, on which every row survives.
+    row is non-finite or violates the rho floor, so the kept values are the
+    longest prefix, on each side of 0, on which every row survives.
     """
     values = np.unique(np.asarray(values, dtype=float))
     kept, nodes = [], []
@@ -124,9 +115,9 @@ def _sweep(p, z0, values, kind, cfg):
     for direction in (values[values >= 0], values[values < 0][::-1]):
         z, prev = z0, 0.0
         for v in direction:
-            z = flow_points(p, z, v - prev, kind, cfg.step)
+            z = flow_points(p, z, v - prev, kind, step)
             prev = v
-            if not np.all(_node_ok(z, p.evaluate_many(z).real, cfg)):
+            if not np.all(_node_ok(z, p.evaluate_many(z).real)):
                 truncated = True
                 break
             kept.append(v)
@@ -135,23 +126,22 @@ def _sweep(p, z0, values, kind, cfg):
     return np.array(kept)[order], np.array(nodes, dtype=complex)[order], truncated
 
 
-def trace_leaf(p, z0, t_grid, s_grid, cfg=None):
+def trace_leaf(p, z0, t_grid, s_grid, step=DEFAULT_STEP):
     """Trace node(t, s) = flow_X(t, flow_Y(s, z0)) over the given grids.
 
     Grids should contain 0 so the base point appears as a node; they are
     sorted internally. rho(z0) must be positive. The t sweep advances every
     s-column together, so truncation keeps the t values on which every column
-    survives and the node grid stays rectangular.
+    survives and the node grid stays rectangular. step is the RK4 step.
     """
-    cfg = cfg or IntegratorConfig()
     z0 = np.asarray(z0, dtype=complex).ravel()
     base_rho = p.evaluate(z0).real
     _check_inside(base_rho)
 
-    s_vals, s_points, s_trunc = _sweep(p, z0[None, :], s_grid, RealFieldKind.Y, cfg)
+    s_vals, s_points, s_trunc = _sweep(p, z0[None, :], s_grid, RealFieldKind.Y, step)
     if len(s_vals) == 0:
         raise ValueError("no admissible nodes on the s sweep")
-    t_vals, points, t_trunc = _sweep(p, s_points[:, 0], t_grid, RealFieldKind.X, cfg)
+    t_vals, points, t_trunc = _sweep(p, s_points[:, 0], t_grid, RealFieldKind.X, step)
     if len(t_vals) == 0:
         raise ValueError("no admissible nodes on the t sweep")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .foliation import flow_points
 from .gradient import RealFieldKind, gradient_field
-from .thresholds import DEFAULT_STEP, LEVEL_BISECT_TOL, LEVEL_SET_TOL
+from .thresholds import LEVEL_BISECT_TOL, LEVEL_SET_TOL
 
 # rescale_to_level: points per multisection round (32 cells, 5 bits of s per
 # round) and the round cap, 32^40 = 2^200 as for 200 bisection steps
@@ -209,7 +209,7 @@ def rescale_to_level(p, z, r):
     return 0.5 * (lo + hi) * z
 
 
-def flow_level_map_check(p, r1, r2, boundary_samples, step=DEFAULT_STEP):
+def flow_level_map_check(p, r1, r2, boundary_samples):
     """Flow {rho = r1} samples along X for log(r2/r1) and measure the miss.
 
     Returns max |rho(endpoint) - r2| / r2. Samples must lie on {rho = r1}
@@ -225,6 +225,6 @@ def flow_level_map_check(p, r1, r2, boundary_samples, step=DEFAULT_STEP):
             f"samples are not on the level set rho = {r1}: worst relative offset {off:.3e}"
         )
     duration = math.log(r2 / r1)
-    ends = flow_points(p, pts, duration, RealFieldKind.X, step=step)
+    ends = flow_points(p, pts, duration, RealFieldKind.X)
     end_values = p.evaluate_many(ends).real
     return float(np.max(np.abs(end_values - r2)) / r2)

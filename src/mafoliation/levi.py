@@ -4,11 +4,11 @@ Conventions: dd^c is realized as the plain matrix of mixed Wirtinger
 derivatives rho_{mu nubar}; no i/2pi or 1/4 factors are carried. All
 vanishing and positivity statements are unaffected by that choice.
 
-Fields: rho, its gradient and the Hessian come from one batched jet over the
-deduplicated monomials of all three (``fields_at_many``); ``fields_at`` is
-that jet on one row, so every scalar and batched check reads the same numbers.
-A one-row jet gathers every monomial factor at once (``Monomials.doubled_row``)
-and keeps the bits of the factor loop on the doubled row. Likewise
+Fields: rho, its gradient and the Hessian are the columns of one
+``potential.Evaluator`` over the 1 + n + n^2 polynomials of ``jet``
+(``fields_at_many``), the package's one polynomial evaluator, which also keeps
+its product on gemm; ``fields_at`` is that jet on one row, so every scalar and
+batched check reads the same numbers. Likewise
 ``ma_residual`` is row 0 of a one-row ``levi_scan``: det U is formed only in
 ``ma_from_fields``, and every rho > 0 precondition raises in ``_check_inside``.
 Each determinant is one batched LU and has one home: det H in
@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .potential import Monomials, _one_row
+from .potential import Evaluator, _one_row
 from .thresholds import DEFAULT_TOL_RANK
 
 
@@ -63,38 +63,10 @@ def jet(p):
     return (p, *grad, *(g.diff_zbar(nu) for g in grad for nu in range(p.dim)))
 
 
-class _BatchJet:
-    """(rho, grad, hessian) of a potential on an (N, n) point array.
-
-    The jet components share most of their monomials, so the distinct ones
-    are evaluated once and a single (N, K) @ (K, 1+n+n^2) coefficient product
-    gives every component; rho, grad and hessian are views of that product.
-    """
-
-    def __init__(self, p):
-        packs = [e._pack() for e in jet(p)]
-        self.dim = p.dim
-        self.monomials = Monomials(p.dim, sorted(set().union(*(m.keys for m, _ in packs))))
-        row = {key: i for i, key in enumerate(self.monomials.keys)}
-        self.coeffs = np.zeros((len(row), len(packs)), dtype=complex)
-        for col, (m, c) in enumerate(packs):
-            self.coeffs[[row[key] for key in m.keys], col] = c
-
-    def __call__(self, points):
-        n = self.dim
-        pts = np.asarray(points, dtype=complex)
-        # numpy hands a one-row product to BLAS gemv, whose sums can differ in
-        # the last bit from gemm's; a doubled row stays on gemm (a threaded
-        # gemm can still sum a large product differently for a large batch).
-        # One point's table is one gather (Monomials.doubled_row).
-        table = self.monomials.doubled_row(pts[0]) if pts.shape == (1, n) else self.monomials(pts)
-        out = (table.T @ self.coeffs)[: len(pts)]
-        return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
-
-
 @lru_cache(maxsize=64)
 def _batch_jet(p):
-    return _BatchJet(p)
+    """The ``Evaluator`` of ``jet(p)``: columns rho, grad and hessian; cached per potential."""
+    return Evaluator(jet(p))
 
 
 def _outside(rho):  # the domain rule, for a scalar or an array: the domain is {rho > 0}
@@ -116,8 +88,11 @@ def fields_at(p, z):
 
 
 def fields_at_many(p, points):
-    """Batched (rho, grad, hessian) arrays for an (N, n) point array."""
-    return _batch_jet(p)(points)
+    """Batched (rho, grad, hessian) arrays for an (N, n) point array: views
+    of the jet evaluator's one product."""
+    n = p.dim
+    out = _batch_jet(p)(points)
+    return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
 
 
 def levi_rank(eigenvalues):

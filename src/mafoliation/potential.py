@@ -6,9 +6,13 @@ Exponent arithmetic is exact integer arithmetic; only point evaluation rounds.
 Coefficients that become exactly zero are pruned, never epsilon-pruned, so the
 term structure stays exact under differentiation and bidegree splitting.
 
-Every point evaluation goes through ``Monomials``, the one monomial evaluator:
-``PolyExpr.evaluate_many`` is one coefficient product over its table, and
-``PolyExpr.evaluate`` is ``evaluate_many`` on one row.
+Every point evaluation goes through ``Evaluator``, the one polynomial
+evaluator: a ``Monomials`` table over the union of the keys of a tuple of
+polynomials, then one coefficient product. ``PolyExpr.evaluate_many`` is the
+evaluator of the one polynomial, ``PolyExpr.evaluate`` is ``evaluate_many`` on
+one row, and the batched jet of ``levi`` is the evaluator of the jet. The rule
+that keeps that product on BLAS gemm, so that a row does not depend on its
+batch, lives in ``Evaluator`` and nowhere else.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ TABLE_BLOCK_ENTRIES = 2**15
 class Monomials:
     """The monomials z**alpha * zbar**beta of a fixed, ordered list of
     exponent pairs ``keys``: the one monomial evaluator of the package, behind
-    ``PolyExpr.evaluate_many`` and the batched jet of ``levi``.
+    ``Evaluator``.
 
     A power table of z and zbar makes each repeated exponent cost one
     multiplication. A monomial is the product of its factors z1^a1, zbar1^b1,
@@ -138,6 +142,36 @@ class Monomials:
         return np.multiply.reduce(powers.take(self._row_index), axis=0, initial=None)
 
 
+class Evaluator:
+    """The values of a tuple of same-dimension polynomials at an (N, n) point
+    array: one ``Monomials`` table over the union of their keys, then one
+    (N, K) @ (K, C) coefficient product, column j for polynomial j.
+
+    numpy hands a product with one row or one column to BLAS gemv, whose sums
+    can differ in the last bit from gemm's, so every product stays on gemm: one
+    point is evaluated as two equal rows (``Monomials.doubled_row``), and the
+    coefficient matrix has at least two columns (a lone polynomial gets a zero
+    second one). A row then does not depend on its batch, with one BLAS thread.
+    """
+
+    __slots__ = ("dim", "monomials", "coeffs")
+
+    def __init__(self, exprs):
+        packs = [e._pack() for e in exprs]
+        self.dim = exprs[0].dim
+        self.monomials = Monomials(self.dim, sorted(set().union(*(keys for keys, _ in packs))))
+        row = {key: i for i, key in enumerate(self.monomials.keys)}
+        self.coeffs = np.zeros((len(row), max(2, len(packs))), dtype=complex)
+        for col, (keys, c) in enumerate(packs):
+            self.coeffs[[row[key] for key in keys], col] = c
+
+    def __call__(self, points):
+        """(N, max(2, len(exprs))) complex values, column j for expression j."""
+        pts = np.asarray(points, dtype=complex)
+        table = self.monomials.doubled_row(pts[0]) if pts.shape == (1, self.dim) else self.monomials(pts)
+        return (table.T @ self.coeffs)[: len(pts)]
+
+
 class PolyExpr:
     """Complex-valued polynomial in z and zbar as a sparse monomial map.
 
@@ -150,7 +184,7 @@ class PolyExpr:
         integer tuples. Zero coefficients are dropped.
     """
 
-    __slots__ = ("dim", "terms", "_hash", "_packed")
+    __slots__ = ("dim", "terms", "_hash", "_evaluator")
 
     def __init__(self, dim, terms):
         dim = int(dim)
@@ -159,7 +193,7 @@ class PolyExpr:
         self.dim = dim
         self.terms = _normalize_terms(dim, terms)
         self._hash = None
-        self._packed = None
+        self._evaluator = None
 
     # -- structure ---------------------------------------------------------
 
@@ -189,17 +223,15 @@ class PolyExpr:
         return complex(self.evaluate_many(_one_row(self, z))[0])
 
     def _pack(self):
-        """(Monomials over the sorted term keys, their coefficients), cached."""
-        if self._packed is None:
-            keys = sorted(self.terms)
-            coeffs = np.array([self.terms[k] for k in keys], dtype=complex)
-            self._packed = (Monomials(self.dim, keys), coeffs)
-        return self._packed
+        """(sorted term keys, their coefficients): what ``Evaluator`` is built from."""
+        keys = sorted(self.terms)
+        return keys, np.array([self.terms[k] for k in keys], dtype=complex)
 
     def evaluate_many(self, points):
         """Evaluate at an (N, n) array of points, returning an (N,) complex array."""
-        monomials, coeffs = self._pack()
-        return coeffs @ monomials(np.asarray(points, dtype=complex))
+        if self._evaluator is None:
+            self._evaluator = Evaluator((self,))
+        return self._evaluator(points)[:, 0]
 
     # -- Wirtinger derivatives ----------------------------------------------
 

@@ -181,7 +181,7 @@ def test_trace_truncation_names_the_node_of_the_final_rho(corpus, tmp_path, caps
     rc = main(["trace", str(corpus / "ball2.pot"), "--base", "1+0i,0+0i", "--t-max", "-30", "--out", str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert "note: trace truncated at the domain/box boundary" in lines
+    assert "note: trace truncated at the domain boundary" in lines
     t_values = {float(row["t"]) for row in _read_csv(tmp_path / "ball2_trace.csv")}
     assert (min(t_values), max(t_values)) == (-26.25, 0.0)
     assert lines[-1] == "final rho at (t = 0.0, s = 0.0): 1.0"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mafoliation import (
-    IntegratorConfig,
     Stratum,
     flow_level_map_check,
     flow_points,
@@ -164,44 +163,17 @@ def test_exponential_growth_slope(ball_trace, weighted_trace):
         assert slope == pytest.approx(1.0, abs=1e-6)
 
 
-def test_truncation_flag_on_small_box(ball2):
-    cfg = IntegratorConfig(box_radius=1.5)
-    trace = trace_leaf(ball2, [1, 0], np.linspace(0, 2, 5), [0.0], cfg)
-    # e^{t/2} exceeds 1.5 before t = 2
-    assert trace.truncated
-    assert trace.t_values.max() < 2.0
-    assert np.all(np.abs(trace.points.real) <= 1.5)
-
-
-def test_truncation_keeps_prefix_common_to_all_columns(ball2):
-    # node(t, s) = (e^{(t+is)/2}, 0): column s leaves the box [-1.5, 1.5]^2
-    # once e^{t/2} max(|cos(s/2)|, |sin(s/2)|) > 1.5, so at different t per column
-    box = 1.5
-    t = np.linspace(0.0, 2.0, 9)
-    s = np.array([0.0, np.pi / 2, 2 * np.pi / 3])  # first nodes outside: t = 1, 1.75, 1.25
-    trace = trace_leaf(ball2, [1, 0], t, s, IntegratorConfig(box_radius=box))
-    reach = np.exp(t[:, None] / 2) * np.maximum(np.abs(np.cos(s / 2)), np.abs(np.sin(s / 2)))
-    inside = np.all(reach <= box, axis=1)
-    expected_t = t[: int(np.argmin(inside))]
-    assert trace.truncated
-    assert np.array_equal(trace.t_values, expected_t)
-    assert np.array_equal(trace.s_values, s)
-    assert trace.points.shape == (len(expected_t), len(s), 2)
-    assert np.all(np.abs(trace.points.real) <= box)
-    assert np.all(np.abs(trace.points.imag) <= box)
-
-
 def test_default_step_margin(ball2, weighted24):
     # accuracy at DEFAULT_STEP, three orders inside the 1e-6 and 1e-5 gates
     t = np.linspace(0.0, 2.0, 5)
     s = np.linspace(0.0, 2 * np.pi, 9)
-    trace = trace_leaf(weighted24, [1, 1], t, s, IntegratorConfig(step=DEFAULT_STEP))
+    trace = trace_leaf(weighted24, [1, 1], t, s, DEFAULT_STEP)
     assert leaf_log_linearity(trace) <= 1e-9
     for p in (ball2, weighted24):
         rng = np.random.default_rng(2029)
         pts = sample_domain(p, 50, 1.5, rng, min_rho=1e-3)
         samples = np.array([rescale_to_level(p, z, 1.0) for z in pts])
-        assert flow_level_map_check(p, 1.0, 2.0, samples, step=DEFAULT_STEP) <= 1e-9
+        assert flow_level_map_check(p, 1.0, 2.0, samples) <= 1e-9
 
 
 def test_y_flow_alone_preserves_rho(weighted24):

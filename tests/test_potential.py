@@ -90,7 +90,7 @@ def test_evaluate_dimension_mismatch(ball2):
         ball2.evaluate([1.0])
 
 
-def test_evaluate_many_matches_single(quartic_mixed):
+def test_evaluate_many_matches_single(quartic_mixed, bundled_and_generated):
     rng = np.random.default_rng(5)
     pts = random_points(rng, 2, 40)
     batch = quartic_mixed.evaluate_many(pts)
@@ -98,6 +98,17 @@ def test_evaluate_many_matches_single(quartic_mixed):
     oracle = np.array([reference_evaluate(quartic_mixed, z) for z in pts])
     assert np.max(np.abs(batch - oracle)) < 1e-12
     assert np.max(np.abs(singles - oracle)) < 1e-12
+    # bit for bit: a row does not depend on the size of its batch, and
+    # evaluate is its row (numpy would send a one-row or one-column product
+    # to BLAS gemv, whose sums differ from gemm's in the last bit)
+    for name, p in bundled_and_generated.items():
+        pts = random_points(rng, p.dim, 100)
+        whole = p.evaluate_many(pts)
+        for size in (1, 2, 3, 7):
+            parts = np.concatenate([p.evaluate_many(pts[i : i + size]) for i in range(0, len(pts), size)])
+            assert parts.tobytes() == whole.tobytes(), (name, size)
+        singles = np.array([p.evaluate(z) for z in pts])
+        assert singles.tobytes() == whole.tobytes(), name
 
 
 @pytest.mark.parametrize("keys", [
