@@ -16,20 +16,13 @@ D'Angelo 2002); an absent pure power leaves a zero row in C, and rho(e_j) = 0.
 
 The positivity and Monge-Ampere gates are records of the check table in
 thresholds.py, which burns and suite share; they are findings, and a gate that
-did not run has no record. A pass must also have max ||Z - w/k|| < RADIAL_TOL
-on the strictly psh grid points; if not, the report's internal_failure names a
-code bug, which burns and suite both report. With no strictly psh point the
-invariant is not applicable. Only the rows that can decide the max are
-classified: Z comes from one direct solve (gradient._direct_z) on every kept
-row; the rows it cannot settle are classified by eigvalsh, and the strict ones
-get the least-squares row solve. The settled rows are ordered by ||Z - w/k||,
-NaN first, and only the first RADIAL_CANDIDATE_ROWS are classified, or every
-settled row when none of those is strict. The max is exactly the eager one
-(eigvalsh on every row, Z on the strict ones): a row's Z, spectrum and
-distance do not depend on the other rows, and a strict row outside the block
-lies no farther than the block's strict max. The worst case is a grid of
-degenerate rows: on |z1|^4, whose Hessians are all exactly singular, the
-direct solve returns NaN on every row and every row is classified anyway.
+did not run has no record. A pass must also have w/k pass the Z-system test at
+every kept grid point: the radial residual, max ||H^T (w/k) - conj(grad)|| /
+max(1, ||grad||), is below Z_SOLVE_TOL. Euler's identity in z makes it an
+identity on any pure-(k,k) rho, sum_mu z_mu rho_{mu nubar} = k rho_nubar, so
+it holds at degenerate points too, and at a strictly psh point it says Z = w/k.
+If it fails, the report's internal_failure names a code bug, which burns and
+suite both report.
 
 The grid scan is one loop over the chunks in grid order (_scan_grid): each
 chunk's jet, its rows with rho > RHO_FLOOR, the rows callback, the chunk's
@@ -44,13 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import _direct_z, _lstsq_rows
-from .levi import LeviScan, levi_rank, levi_scan
+from .gradient import _system_residual
+from .levi import LeviScan, levi_scan
 from .potential import bidegree_decompose, homogeneous_degree
 from .thresholds import RHO_FLOOR, outcome, threshold
-
-# settled rows classified first for the radial max, farthest from w/k first
-RADIAL_CANDIDATE_ROWS = 64
 
 
 @dataclass
@@ -62,7 +52,7 @@ class BurnsReport:
     ma_max_residual: float  # max raw |det U|; NaN when a degree gate stops the check or no point is kept
     worst_ma_point: np.ndarray | None
     bidegree_mass: dict
-    radial_field_residual: float | None  # None: no strictly psh grid point; NaN as ma_max_residual
+    radial_field_residual: float | None  # NaN when a degree gate stops the check; None when no point is kept
     reasons: list
     gates: list  # CheckOutcome of each gate that ran, and of the radial invariant on a pass
     kept_points: int | None  # points with rho > RHO_FLOOR; None when a degree gate stops the check
@@ -114,10 +104,11 @@ class BurnsReport:
         if ma is None:
             radial = "not applicable (a degree gate failed)"
         elif self.radial_field_residual is None:
-            radial = "not applicable (no strictly psh grid point)"
+            radial = f"not applicable (no grid point with rho > {RHO_FLOOR:g})"
         else:
             tol = threshold("radial_field_residual")
-            radial = f"{self.radial_field_residual:.3e} (max ||Z - w/k||, threshold {tol:.0e} on pass)"
+            radial = (f"{self.radial_field_residual:.3e} "
+                      f"(max ||H^T (w/k) - conj(grad)|| / max(1, ||grad||), threshold {tol:.0e} on pass)")
         lines.append(f"radial residual   : {radial}")
         if (positivity := self.gate("positivity_margin")) is not None:
             lines.append(
@@ -130,38 +121,21 @@ class BurnsReport:
         return "\n".join(lines + [f"  - {reason}" for reason in self.reasons])
 
 
-def _strict(hess):
-    """Mask of the (M, n, n) Hessians of full numerical rank (the strictly psh
-    stratum on rows with rho > 0)."""
-    return levi_rank(np.linalg.eigvalsh(hess)) == hess.shape[-1]
-
-
 def _radial_max(points, grad, hess, k):
-    """Max ||Z - points/k|| over the strictly psh rows of (M, n) points with
-    rho > 0, their gradients and Hessians (a NaN counts as the max); None
-    without a strict row. Classifies only the rows that can decide the max
-    (see the module docstring)."""
-    z_field, unsettled = _direct_z(grad, hess)
-    dist = np.linalg.norm(z_field - points / k, axis=1)
-    rows = unsettled[_strict(hess[unsettled])]
-    fallback = np.linalg.norm(_lstsq_rows(grad[rows], hess[rows]) - points[rows] / k, axis=1)
-    settled = np.delete(np.arange(len(dist)), unsettled)
-    block = settled[np.argsort(dist[settled])[::-1][:RADIAL_CANDIDATE_ROWS]]  # NaN sorts last: first here
-    strict = block[_strict(hess[block])]
-    if not strict.size:
-        strict = settled[_strict(hess[settled])]
-    found = np.concatenate([fallback, dist[strict]])
-    return np.max(found) if found.size else None
+    """Max radial residual ||H^T (w/k) - conj(grad)|| / max(1, ||grad||) over
+    the (M, n) points w, gradients and (M, n, n) Hessians of M >= 1 rows (a NaN
+    counts as the max)."""
+    resid = np.linalg.norm(_system_residual(points / k, grad, hess), axis=1)
+    return np.max(resid / np.maximum(1.0, np.linalg.norm(grad, axis=1)))
 
 
 def _scan_grid(p, grid, k, rows):
     """One pass over the grid chunks in grid order. Each chunk's LeviScan of
     its rows with rho > RHO_FLOOR goes to rows (if given); with k set each
-    chunk also gives the gates its kept count, radial max over strictly psh
-    rows, max raw |det U|, and max scaled |det U| with a copy of its point.
-    np.max and np.argmax then reduce the chunks: a NaN counts as the max, and
-    the worst point is the first NaN, or else the first max. Reductions over
-    no rows are None."""
+    chunk also gives the gates its kept count, radial max, max raw |det U|,
+    and max scaled |det U| with a copy of its point. np.max and np.argmax
+    then reduce the chunks: a NaN counts as the max, and the worst point is
+    the first NaN, or else the first max. Reductions over no rows are None."""
     raws, scaleds, worsts, radials = [], [], [], []
     kept = 0
     for chunk in grid:
@@ -174,8 +148,7 @@ def _scan_grid(p, grid, k, rows):
         if k is None or not len(scan.rho):
             continue
         kept += len(scan.rho)
-        if (chunk_radial := _radial_max(scan.points, scan.grad, scan.hessian, k)) is not None:
-            radials.append(chunk_radial)
+        radials.append(_radial_max(scan.points, scan.grad, scan.hessian, k))
         _, raw, scaled = scan.ma
         i = int(np.argmax(scaled))
         raws.append(raw.max())
@@ -184,7 +157,7 @@ def _scan_grid(p, grid, k, rows):
     if not scaleds:
         return None, None, None, None, kept
     i = int(np.argmax(scaleds))
-    return np.max(raws), scaleds[i], worsts[i], np.max(radials) if radials else None, kept
+    return np.max(raws), scaleds[i], worsts[i], np.max(radials), kept
 
 
 def _positivity_margin(p, k):
@@ -250,7 +223,7 @@ def burns_check(p, grid, rows=None):
         elif ma.status != "pass":
             coords = ", ".join(f"{c:.6g}" for c in worst_point)
             reasons.append(f"scaled Monge-Ampere residual {ma.measured:.3e} >= {ma.threshold:.0e} at ({coords})")
-        if not reasons and radial is not None:
+        if not reasons:
             gates.append(outcome("radial_field_residual", radial, t0))
     return BurnsReport(degree2k=degree2k, is_homogeneous=degree is not None, ma_max_residual=ma_max_raw,
                        worst_ma_point=worst_point, bidegree_mass=masses, radial_field_residual=radial,

@@ -306,15 +306,12 @@ def cmd_burns(args):
     else:
         out_path = Path(args.out) / (Path(args.potential).stem + "_burns.csv")
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        header = _coord_header(p.dim) + ["rho", "ma_residual", "ma_residual_scaled"]
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
-
-            def write_rows(scan):  # the header goes out with the first chunk
-                nonlocal header
-                _write_csv(fh, header, *_coord_columns(scan.points), scan.rho, *scan.ma[1:])
-                header = None
-
-            report = burns_check(p, grid, rows=write_rows)
+            # one empty column: no rows, and a row count for perfbench's tracer, which reads the first column
+            _write_csv(fh, _coord_header(p.dim) + ["rho", "ma_residual", "ma_residual_scaled"], ())
+            report = burns_check(
+                p, grid, rows=lambda scan: _write_csv(fh, None, *_coord_columns(scan.points), scan.rho, *scan.ma[1:])
+            )
     print(report.format())
     if args.csv:
         print(f"csv: {out_path}")

@@ -8,13 +8,13 @@ numpy's LAPACK gufunc on a whole stack, without the public wrappers' per-call
 checks and copies. The least-squares Z is the one kernel ``_lstsq_rows``.
 Every direct Z comes from the one direct solve ``_direct_z`` (complex_gradient's
 from a one-row batch); ``_solve_z`` (gradient_field, the analyze scan) sends
-the rows it did not settle to the kernel, and the radial gate of burns sends
-only the strictly psh ones among them. The Euler and CR scans are one jet over
-all their points, then one kernel call. Each RK4 stage of the Theta orbit
+the rows it did not settle to the kernel. The Euler and CR scans are one jet
+over all their points, then one kernel call. Each RK4 stage of the Theta orbit
 calls the kernel on its one-row jet; the orbit's end-of-step checks are
 batched, ORBIT_CHECK_BLOCK end points per jet. The Euler residual
 (``_euler_residual``) and the Z-system test (``_consistent``) are batched
-kernels too; a GradientSample holds their row 0 on a one-row batch.
+kernels too; a GradientSample holds their row 0 on a one-row batch, and
+burns applies the system residual (``_system_residual``) to Z = w/k.
 
 Real-field conventions (kappa = 1): the flows below use the standard
 identification of a (1,0)-field with a real field via zdot = V(z):

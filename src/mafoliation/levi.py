@@ -153,7 +153,7 @@ def ma_residual(p, z):
     return float(levi_scan(p, _one_row(p, z)).ma[1][0])
 
 
-def ma_from_fields(rho, grad, hess, dim):
+def ma_from_fields(rho, grad, hess):
     """det U, |det U| and the scaled |det U| from batched field arrays (rho must be > 0).
 
     Scaled residual divides by max(1, ||U||_F)^n for cross-potential
@@ -164,7 +164,7 @@ def ma_from_fields(rho, grad, hess, dim):
     fro = np.linalg.norm(u, axis=(1, 2))
     det = np.linalg.det(u)
     raw = np.abs(det)
-    scaled = raw / np.maximum(1.0, fro) ** dim
+    scaled = raw / np.maximum(1.0, fro) ** hess.shape[-1]
     return det, raw, scaled
 
 
@@ -237,7 +237,7 @@ class LeviScan:
     @cached_property
     def ma(self):
         """(det U, |det U|, scaled |det U|) per row, ``ma_from_fields`` on first use."""
-        return ma_from_fields(self.rho, self.grad, self.hessian, self.points.shape[1])
+        return ma_from_fields(self.rho, self.grad, self.hessian)
 
 
 def levi_scan(p, points):

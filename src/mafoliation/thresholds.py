@@ -19,7 +19,8 @@ DEFAULT_TOL_RANK = 1e-8
 VERDICT_MA_TOL = 1e-8
 # absolute, in units of rho; log rho and U = H/rho - g gbar^T/rho^2 lose every digit as rho -> 0
 RHO_FLOOR = 1e-12
-# relative to max(1, ||conj(grad)||), on ||H^T Z - conj(grad)||; a stable solve leaves about 1e-16 cond(H)
+# relative to max(1, ||conj(grad)||), on ||H^T Z - conj(grad)||; a stable solve leaves about 1e-16 cond(H);
+# burns applies it to Z = w/k, which Euler's identity makes exact on pure (k,k): measured within 4.3e-16 at box 1e-3 to 1e8
 Z_SOLVE_TOL = 1e-8
 # relative to the largest singular value of H; near machine scale, as a cutoff at 1e-8 would cut consistent directions near the degenerate set and make O(|z|) jumps in Z
 LSTSQ_RCOND = 1e-12
@@ -43,8 +44,6 @@ LEVEL_BISECT_TOL = 1e-14
 LEVEL_SET_TOL = 1e-8
 
 # -- burns ----------------------------------------------------------------------
-# absolute, on max ||Z - z/k|| over strictly psh grid points; Z = z/k exactly on a pass, measured within 5.7e-16
-RADIAL_TOL = 1e-8
 # relative to max |eigenvalue| of C (rho = v* C v), on its min eigenvalue; eigvalsh roundoff is about 1e-16 of the max; the bundled and generated burns-pass inputs measure 0.13 or more
 SPHERE_POSITIVITY_TOL = 1e-12
 
@@ -99,7 +98,7 @@ CHECKS = {check.name: check for check in (
     Check("stratum_invariance", "ZERO_COUNT", "=="),
     # burns (and suite's burns_verdict, which passes when the verdict matches the expectation)
     Check("positivity_margin", "SPHERE_POSITIVITY_TOL", ">", finding=True),
-    Check("radial_field_residual", "RADIAL_TOL", "<"),  # evaluated only on a passing verdict
+    Check("radial_field_residual", "Z_SOLVE_TOL", "<"),  # evaluated only on a passing verdict
 )}
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq}

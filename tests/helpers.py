@@ -11,8 +11,6 @@ RK4 end point as it goes, the oracle for the block-checked
 extended_gradient and one levi_data per stencil point, the oracle for the
 batched ``cr_scan``; ``reference_levi_data`` is the scalar Levi bundle (one
 jet row, its determinant, spectrum and stratum), the oracle for ``levi_data``.
-``reference_radial`` is the eager radial rule (the stratum of every row, Z on
-the strictly psh ones), the oracle for the lazy radial gate of ``burns_check``.
 ``reference_one_row_jet`` is the doubled-row jet, the factor loop of
 ``Monomials`` on the two rows (z, z), the oracle for the one-gather row of
 ``fields_at_many``. ``one_row_jet_agrees`` marks the rows of a batched jet
@@ -27,7 +25,7 @@ import numpy as np
 
 from mafoliation import PolyPotential
 from mafoliation.foliation import rk4_segment
-from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, _solve_z, extended_gradient
+from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, extended_gradient
 from mafoliation.levi import LeviData, Stratum, _batch_jet, classify_strata, fields_at, fields_at_many, levi_data
 from mafoliation.potential import PolyExpr
 from mafoliation.thresholds import LSTSQ_RCOND
@@ -243,21 +241,6 @@ def reference_cr_scan(p, samples):
             report.max_residual = worst_here
             report.worst_point = np.array(zpt)
     return report
-
-
-def reference_radial(chunks, k):
-    """Max ||Z - z/k|| over the strictly psh rows, by the eager rule: eigvalsh
-    and the stratum of every row, then _solve_z on the strict rows of each
-    chunk, folded with np.maximum (a NaN sticks). chunks yields (points, grad,
-    hess) triples of rows with rho > 0. None without a strict row."""
-    radial = None
-    for points, grad, hess in chunks:
-        strata = classify_strata(np.ones(len(points)), np.linalg.eigvalsh(hess))
-        strict = strata == Stratum.STRICTLY_PSH
-        if np.any(strict):
-            dist = np.max(np.linalg.norm(_solve_z(grad[strict], hess[strict]) - points[strict] / k, axis=1))
-            radial = dist if radial is None else np.maximum(radial, dist)
-    return radial
 
 
 def reference_one_row_jet(p, points):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import re
 import tracemalloc
 
@@ -8,12 +9,8 @@ import pytest
 
 from mafoliation import PolyPotential, analyze_weights, burns, burns_check, cli, sampling, thresholds, verify_weights
 from mafoliation.cli import bundled_corpus_dir, main
-from mafoliation.levi import fields_at_many
-from mafoliation.potential import format_potential, homogeneous_degree, parse_potential_file
+from mafoliation.potential import bidegree_decompose, format_potential, homogeneous_degree, parse_potential_file
 from mafoliation.sampling import real_grid
-from mafoliation.thresholds import RHO_FLOOR
-
-from helpers import reference_radial
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +97,14 @@ def test_positivity_gate(terms, margin, grid):
 
 
 def test_uncertified_rho_without_strict_points_is_a_finding(tmp_path, capsys):
-    # |z1|^4: every Hessian is singular, so the radial invariant has no point
-    # to run on, and rho = 0 on {z1 = 0} of the sphere, which the grid misses
+    # |z1|^4: every Hessian is singular, yet w/k still solves the Z system,
+    # and rho = 0 on {z1 = 0} of the sphere, which the grid misses
     pot = tmp_path / "z1_quartic.pot"
     pot.write_text(format_potential(PolyPotential(2, {Q1: 1})))
     rc = main(["burns", str(pot), "--grid-n", "6", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "radial residual   : not applicable (no strictly psh grid point)" in out
+    assert float(re.search(r"^radial residual   : (\S+) \(", out, re.M)[1]) < 1e-15
     assert "verdict           : fail" in out
     assert "  - rho > 0 on the unit sphere not certified: positivity margin 0 <= 1e-12" in out
     assert "nan" not in out
@@ -252,7 +249,7 @@ def test_real_grid_chunks_follow_meshgrid_order(monkeypatch):
 
 def test_burns_and_suite_share_the_radial_invariant(square_norm, tmp_path, capsys, monkeypatch):
     # no residual is below 0: the verdict passes, but the radial invariant fails
-    monkeypatch.setattr(thresholds, "RADIAL_TOL", 0.0)
+    monkeypatch.setattr(thresholds, "Z_SOLVE_TOL", 0.0)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "square_norm.pot").write_text(format_potential(square_norm))
@@ -285,7 +282,7 @@ def test_burns_check_memory_is_bounded(ball3):
     assert peak < 64 * 2**20
 
 
-# -- the lazy radial gate -----------------------------------------------------------
+# -- the radial invariant -----------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,92 +299,34 @@ class _PointGrid:
         return (self.points[i : i + step] for i in range(0, len(self.points), step))
 
 
-def _inside_chunks(p, grid):
-    for chunk in grid:
-        rho, grad, hess = fields_at_many(p, chunk)
-        inside = rho > RHO_FLOOR
-        yield chunk[inside], grad[inside], hess[inside]
+@pytest.mark.parametrize("field", [0, 1], ids=["nan_point", "nan_gradient"])
+def test_a_nan_row_makes_the_radial_max_nan(field):
+    rng = np.random.default_rng(3)
+    points, grad = (rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2)) for _ in range(2))
+    (points, grad)[field][6, 1] = np.nan
+    assert np.isnan(burns._radial_max(points, grad, np.repeat(np.eye(2, dtype=complex)[None], 10, axis=0), 2))
 
 
-def _same(a, b):
-    """Equal, or both None, or both NaN."""
-    return (a is None) == (b is None) and (a is None or np.array_equal(a, b, equal_nan=True))
-
-
-@pytest.mark.parametrize("size", [1, 7, 4096])
-def test_lazy_radial_equals_the_eager_rule(bundled_and_generated, size, monkeypatch):
-    monkeypatch.setattr(sampling, "GRID_CHUNK_ROWS", size)
-    rng = np.random.default_rng(11)
-    axis = np.linspace(-1.5, 1.5, 5)  # holds 0, where the diagonal potentials degenerate
+@pytest.mark.parametrize("box", [1e-3, 1e-1, 10.0, 1e3, 1e5, 1e8])
+def test_the_radial_residual_does_not_grow_with_the_box(bundled_and_generated, box, tmp_path, capsys):
+    """w/k solves H^T Z = conj(grad) at every point of a pure-(k,k) rho, to
+    roundoff relative to the gradient, at any scale; an absolute ||Z - w/k||
+    grows in proportion to the box and exceeds 1e-8 at box 1e8."""
+    rng = np.random.default_rng(17)
     checked = []
     for name, p in bundled_and_generated.items():
-        x = axis[rng.integers(0, len(axis), (300, 2 * p.dim))]
-        grid = _PointGrid(x[:, 0::2] + 1j * x[:, 1::2])
-        got = burns_check(p, grid).radial_field_residual
         degree = homogeneous_degree(p)
-        if degree is None or degree % 2:
-            assert np.isnan(got), name  # a degree gate stops the check before the grid
+        if degree is None or degree % 2 or set(bidegree_decompose(p)) != {(degree // 2, degree // 2)}:
             continue
-        assert _same(got, reference_radial(_inside_chunks(p, grid), degree // 2)), name
+        grid = _PointGrid(box * (rng.uniform(-1, 1, (64, p.dim)) + 1j * rng.uniform(-1, 1, (64, p.dim))))
+        report = burns_check(p, grid)
+        assert report.verdict and report.internal_failure is None, name
+        assert report.radial_field_residual < 1e-15, name
         checked.append(name)
-    assert len(checked) == 7
-
-
-def _rows(rng, count, hess):
-    """count rows at random points and gradients, every Hessian equal to hess."""
-    points = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
-    grad = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
-    return points, grad, np.repeat(np.asarray(hess, dtype=complex)[None], count, axis=0)
-
-
-def _stack(*blocks, seed):
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(sum(len(b[0]) for b in blocks))
-    return tuple(np.concatenate([b[i] for b in blocks])[order] for i in range(3))
-
-
-EYE = np.eye(2)
-NEAR_SINGULAR = np.diag([1.0, 1e-10])  # rank 1 under DEFAULT_TOL_RANK, yet solvable
-SINGULAR = np.diag([1.0, 0.0])  # exactly singular: the direct solve returns NaN
-# eigvalsh reads the lower triangle (the identity), so the row is strict, but
-# the 1e20 entry leaves the direct solve inconsistent: the row takes the lstsq fallback
-SKEW = np.array([[1.0, 1e20], [0.0, 1.0]])
-
-
-FAR_STRICT = 1e-6 * EYE  # strict (1e-6 > 1e-8), and Z = 1e6 conj(g) lies far from z/k
-
-
-def _nan_row(rng, field):
-    """One strict row whose point (field 0) or gradient (field 1) holds a NaN."""
-    row = _rows(rng, 1, EYE)
-    row[field][0, 1] = np.nan
-    return row
-
-
-@pytest.mark.parametrize(
-    "case, blocks, expect",
-    [
-        # 100 settled non-strict rows farther from z/k than any strict one
-        # fill the first block: every settled row is classified
-        ("classify_all", lambda r: [_rows(r, 100, NEAR_SINGULAR), _rows(r, 10, EYE)], "small"),
-        ("singular_and_fallback", lambda r: [_rows(r, 5, SINGULAR), _rows(r, 10, EYE), _rows(r, 3, SKEW)], "finite"),
-        # a settled row at distance NaN comes before 70 strict rows
-        ("nan_point", lambda r: [_rows(r, 70, FAR_STRICT), _nan_row(r, 0)], "nan"),
-        ("nan_gradient", lambda r: [_rows(r, 10, EYE), _nan_row(r, 1)], "nan"),
-        ("no_strict_row", lambda r: [_rows(r, 5, SINGULAR), _rows(r, 80, NEAR_SINGULAR)], "none"),
-    ],
-)
-def test_lazy_radial_on_hand_built_rows(case, blocks, expect):
-    rng = np.random.default_rng(3)
-    points, grad, hess = _stack(*blocks(rng), seed=4)
-    got = burns._radial_max(points, grad, hess, 2)
-    assert _same(got, reference_radial([(points, grad, hess)], 2))
-    if expect == "none":
-        assert got is None
-    elif expect == "nan":
-        assert np.isnan(got)
-    else:
-        assert np.isfinite(got) and (expect != "small" or got < 1e3)
+    assert sorted(checked) == ["ball2", "ball3", "normsq_n4", "normsq_n8", "quartic_diag", "square_norm"]
+    pot = bundled_corpus_dir() / "square_norm.pot"
+    assert main(["burns", str(pot), "--box", repr(box), "--grid-n", "6", "--out", str(tmp_path)]) == 0
+    assert "internal invariant" not in capsys.readouterr().out
 
 
 # -- the chunk map and its fold ------------------------------------------------------
@@ -410,10 +349,13 @@ def _mixed_points(dim, seed):
 
 def test_burns_does_not_depend_on_the_chunk_size(bundled_and_generated, tmp_path, capsys, monkeypatch):
     """Equal reports, stdout and burns --csv bytes at the chunk sizes 4,096, 7
-    and 1, except on n = 8, whose jet products a threaded BLAS may sum in
-    another order by batch size."""
+    and 1. The n = 8 inputs are left out unless OPENBLAS_NUM_THREADS is "1":
+    a threaded BLAS may sum their jet products in another order by batch size
+    (they pass with one thread and differ with two). They are left out
+    rather than skipped, so that the other inputs still count as a pass."""
+    one_thread = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
     for name, p in bundled_and_generated.items():
-        if p.dim == 8:
+        if p.dim == 8 and not one_thread:
             continue
         grid = _PointGrid(_mixed_points(p.dim, 5))
         monkeypatch.setattr("mafoliation.cli.real_grid", lambda *_: grid)

@@ -103,7 +103,7 @@ def test_burns_csv_bytes_match_row_writer(corpus, tmp_path, capsys, name):
     grid = np.concatenate(list(real_grid(2, 10, 1.5)))
     scan = levi_scan(parse_potential_file(pot), grid)
     inside = scan.rho > RHO_FLOOR
-    _, raw, scaled = ma_from_fields(scan.rho[inside], scan.grad[inside], scan.hessian[inside], 2)
+    _, raw, scaled = ma_from_fields(scan.rho[inside], scan.grad[inside], scan.hessian[inside])
     rows = [_coords(z) + [rho, r, sc] for z, rho, r, sc in zip(grid[inside], scan.rho[inside], raw, scaled)]
     header = COORDS2 + ["rho", "ma_residual", "ma_residual_scaled"]
     assert (tmp_path / f"{name}_burns.csv").read_bytes() == reference_csv_bytes(header, rows)
