@@ -297,10 +297,26 @@ def cmd_weights(args):
     return _exit_code(records)
 
 
+def _log_rho_bound(p, box):
+    """log M, where M = sum_k |c_k| (sqrt(2) box)^(|alpha_k| + |beta_k|)
+    bounds |rho| on the cube [-box, box]^{2n} (each |z_j| <= sqrt(2) box).
+    Summed in log space, so M itself may exceed the largest float."""
+    logs = [math.log(abs(c)) + (sum(a) + sum(b)) * math.log(math.sqrt(2) * box) for (a, b), c in p.terms.items()]
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
 def cmd_burns(args):
     p = parse_potential_file(args.potential)
     _print_header(f"burns {args.potential}", args)
     grid = real_grid(p.dim, args.grid_n, args.box)
+    # the Levi form of log rho divides by rho^2, which must stay finite
+    log_bound = _log_rho_bound(p, args.box)
+    if 2 * log_bound >= math.log(sys.float_info.max):
+        raise ValueError(
+            f"--box {args.box!r} is too large for this potential: |rho| on the grid may reach "
+            f"1e{log_bound / math.log(10):.0f}, whose square overflows a float; use a smaller box (burns --box)"
+        )
     if not args.csv:
         report = burns_check(p, grid)
     else:

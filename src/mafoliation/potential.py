@@ -60,12 +60,19 @@ def _normalize_terms(dim, terms):
     return {k: c for k, c in out.items() if c != 0}
 
 
-# entries of one block of a monomial table (Monomials.__call__): 512 KiB of
-# complex128. On 4,096-row grid chunks (a 2-core x86-64 box) the table of
-# normsq_n4 (42 monomials) took 6.6 ms whole and 1.8 ms in blocks, normsq_n8
-# (164) 30 and 16 ms, chain_n8 (52) 8.2 and 4.2 ms. A chunk of at most 8
-# monomials is one block, as before
-TABLE_BLOCK_ENTRIES = 2**15
+# bytes of one block's working set in Monomials.__call__, per row: the power
+# table (2n complex values for each kept power, and for the one running power
+# when some are skipped), the accumulator and the one gathered factor it holds
+# (K values each): 43-910 rows of the jets of the bundled and generated inputs.
+# A grid chunk's transients must stay below glibc's heap trim threshold (twice
+# the largest block it has unmapped), or the heap goes back to the kernel and
+# is faulted in again on every chunk. In a fresh process per benchmark grid
+# operation (tools/fault_probe.py, a 2-core x86-64 box) the 2^15 table entries
+# per block that this replaces took 4,100-22,700 minor faults; this budget
+# with 2,048-row chunks takes 250-10,400 in checkouts at six paths (about
+# 5,300 of square_norm's are the harness reading its CSV). At 2^19,
+# ball3 sat near the threshold: 700-3,600, and 11,752 at one path
+TABLE_BLOCK_BYTES = 2**18
 
 
 class Monomials:
@@ -74,44 +81,55 @@ class Monomials:
     ``Evaluator``.
 
     A power table of z and zbar makes each repeated exponent cost one
-    multiplication. A monomial is the product of its factors z1^a1, zbar1^b1,
-    z2^a2, ..., taken left to right, so it is the same number whichever list
-    it sits in.
+    multiplication. It keeps base**0 and the powers some factor uses; base**e
+    is always base**(e - 1) times base, so a kept power is the same number as in
+    a table of every power, and |z2|**8000 keeps 3 powers, not 4,001. A
+    monomial is the product of its factors z1^a1, zbar1^b1, z2^a2, ..., taken
+    left to right, so it is the same number whichever list it sits in.
 
     ``doubled_row`` evaluates one point with one gather of every factor and
     one ``multiply.reduce``: the same products in the same order. On many rows
     that gather would hold 2n times the table, and the factor loop is faster.
     """
 
-    __slots__ = ("dim", "keys", "_max_e", "_factors", "_row_index")
+    __slots__ = ("dim", "keys", "_kept", "_skipped", "_row_bytes", "_factors", "_row_index")
 
     def __init__(self, dim, keys):
         self.dim = dim
         self.keys = tuple(keys)
         exps = np.array([(*a, *b) for a, b in self.keys], dtype=np.intp).reshape(-1, 2 * dim)
-        self._max_e = int(exps.max(initial=0))
-        # power-table columns of the factors z1, zbar1, z2, zbar2, ..., in order
+        self._kept = sorted({0, *exps.ravel().tolist()})
+        # exponents skipped before each kept power but the first
+        self._skipped = [e - prev - 1 for prev, e in zip(self._kept, self._kept[1:])]
+        self._row_bytes = 16 * ((len(self._kept) + any(self._skipped)) * 2 * dim + 2 * len(self.keys))
+        # power-table columns of the factors z1, zbar1, z2, zbar2, ..., in
+        # order, with the table row of each monomial's exponent
         order = np.arange(2 * dim).reshape(2, dim).T.ravel()
-        self._factors = [(c, np.ascontiguousarray(exps[:, c])) for c in order.tolist()]
+        slot = {e: i for i, e in enumerate(self._kept)}
+        self._factors = [(c, np.array([slot[e] for e in exps[:, c].tolist()], dtype=np.intp)) for c in order.tolist()]
         self._row_index = None  # built by the first doubled_row
 
     def _powers(self, base):
-        """base**0, ..., base**max_e stacked on a new first axis, each one
-        multiplication of the one before."""
-        powers = np.empty((self._max_e + 1, *base.shape), dtype=complex)
+        """base**e for each kept exponent e, in ascending order on a new first
+        axis, each power one multiplication of the one before."""
+        powers = np.empty((len(self._kept), *base.shape), dtype=complex)
         powers[0] = 1.0
-        for e in range(1, self._max_e + 1):
-            np.multiply(powers[e - 1], base, out=powers[e])
+        last, running = powers[0], None
+        for slot, skipped in enumerate(self._skipped, 1):
+            for _ in range(skipped):  # powers no factor uses: one running array
+                last = running = np.multiply(last, base, out=running)
+            last = np.multiply(last, base, out=powers[slot])
         return powers
 
     def __call__(self, pts):
         """(len(keys), N) complex table of the monomials at an (N, n) point
-        array, filled a block of TABLE_BLOCK_ENTRIES entries at a time: a
-        block stays in cache while its 2n factors are gathered and multiplied
-        in, where the whole table would stream through memory 2n times."""
+        array, filled a block of rows at a time, each block's working set
+        within TABLE_BLOCK_BYTES: it stays in cache while its 2n factors are
+        gathered and multiplied in, where the whole table would stream through
+        memory 2n times, and no input size makes it grow."""
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected an (N, {self.dim}) array, got {pts.shape}")
-        rows = max(1, TABLE_BLOCK_ENTRIES // max(1, len(self.keys)))
+        rows = max(1, TABLE_BLOCK_BYTES // self._row_bytes)
         if len(pts) <= rows:
             return self._block(pts)
         table = np.empty((len(self.keys), len(pts)), dtype=complex)
@@ -121,7 +139,7 @@ class Monomials:
 
     def _block(self, pts):
         """The monomial table of the (M, n) point array pts."""
-        # (max_e + 1, 2n, M) powers: each gathered power of a factor is a contiguous row
+        # (kept powers, 2n, M): each gathered power of a factor is a contiguous row
         powers = self._powers(np.concatenate((pts.T, pts.T.conj())))
         (c, exps), *rest = self._factors
         acc = powers[:, c].take(exps, axis=0)
@@ -134,7 +152,7 @@ class Monomials:
         in both columns: ``__call__`` on the two rows (z, z), bit for bit."""
         if self._row_index is None:
             # [f, k, r]: flat index of factor f of monomial k, for both columns
-            # r of the doubled row, into the (max_e + 1, 2n) power table of one point
+            # r of the doubled row, into the (kept powers, 2n) table of one point
             self._row_index = np.repeat(np.array([e * 2 * self.dim + c for c, e in self._factors])[:, :, None], 2, axis=2)
         powers = self._powers(np.concatenate((z, z.conj())))
         # initial=None starts from the first factor, as the loop does; the

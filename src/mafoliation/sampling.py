@@ -21,14 +21,19 @@ MAX_SAMPLE_BATCHES = 1000  # sample_domain gives up after this many rejected-sam
 # and 470 MiB RSS, where --samples 200,000 reached 305 MiB at n = 3
 MAX_SAMPLES = 2**16
 # 4x the largest grid the README, tests and benchmark use (8 per axis on C^3).
-# The grid is streamed (GRID_CHUNK_ROWS), so this bounds time, not memory: a
-# burns check of 2^20 points takes 1-5 s for n = 1..5 (6 s with --csv at
-# n = 2) and peaks under 50 MiB RSS on a 2-core x86-64 box
+# The grid is streamed (GRID_CHUNK_ROWS), so this bounds time, not memory: in a
+# fresh process a burns check of 2^20 points (10^6 at n = 3, 5^8 at n = 4)
+# takes 0.5-3 s for n = 1..5 (3.5-4.6 s with --csv at n = 2) and peaks at
+# 32-36 MiB RSS on a shared 2-core x86-64 box
 MAX_GRID_POINTS = 2**20
-# points per real_grid chunk. On the burns grids of the benchmark and the n = 6
-# suite, peak RSS is 39-60 MiB at 2^12, 45-83 MiB at 2^13 and 57-126 MiB at
-# 2^14 (157-290 MiB and 1.7 GB with whole-grid arrays); time gains stop at 2^12
-GRID_CHUNK_ROWS = 2**12
+# points per real_grid chunk. In a fresh process per benchmark grid operation
+# (tools/fault_probe.py, a 2-core x86-64 box), 2^11 takes 250-10,400 minor
+# faults and peaks at 40-62 MiB. With the same table budget 2^12 took 860-7,000
+# and 41-66 MiB, 2^13 2,000-26,200 and 45-67 MiB, and 2^10 up to 20,800 (ball3):
+# a chunk whose transients top the heap's trim threshold hands the heap back
+# to the kernel and faults it in again on every chunk, and smaller chunks do
+# not always stay below it
+GRID_CHUNK_ROWS = 2**11
 
 
 def complex_from_reals(x):

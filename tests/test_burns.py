@@ -175,6 +175,18 @@ def test_a_grid_without_a_kept_point_fails(ball2, radius):
     assert "max |det U|       : not applicable (no grid point with rho > 1e-12)" in report.format()
 
 
+@pytest.mark.parametrize("box", ["1e10", "1e40", "1e80", "1e160", "1e300"])
+def test_a_box_whose_rho_squared_overflows_is_refused(box, tmp_path, capsys):
+    """burns refuses (exit 2, one line) a box on which |rho| may square past
+    the largest float; on any other box it runs without a numpy warning."""
+    refused = re.compile(rf"error: --box {re.escape(repr(float(box)))} is too large for this potential: "
+                         r"\|rho\| on the grid may reach 1e\d+, whose square overflows a float; use a smaller box \(burns --box\)\n")
+    for pot in sorted(bundled_corpus_dir().glob("*.pot")):
+        rc = main(["burns", str(pot), "--box", box, "--grid-n", "3", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert (rc == 2 and refused.fullmatch(err)) or (rc != 2 and err == ""), (pot.name, rc, err)
+
+
 def test_burns_and_suite_without_a_kept_point(ball2, tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

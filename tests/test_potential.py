@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from mafoliation import (
     homogeneous_degree,
     parse_potential,
 )
-from mafoliation import potential
+from mafoliation import levi, potential, sampling
 from mafoliation.potential import Monomials
 from helpers import random_hermitian_potential, random_points, reference_evaluate, wirtinger_fd
 
@@ -127,6 +129,27 @@ def test_doubled_row_is_the_factor_loop_on_two_equal_rows(keys):
         assert got.tobytes() == want.tobytes()
 
 
+def _row_bytes(monomials):
+    """Bytes per row of a table block's working set, as complex128: 2n values
+    for base**0, for each power a factor uses and for one running power when
+    some power below the largest is not kept; the accumulator and one
+    gathered factor."""
+    kept = {0} | {e for a, b in monomials.keys for e in (*a, *b)}
+    running = max(kept) >= len(kept)
+    return 16 * ((len(kept) + running) * 2 * monomials.dim + 2 * len(monomials.keys))
+
+
+def test_a_skipped_power_does_not_change_a_monomial():
+    """A table that keeps only the powers its factors use gives the bits of one
+    whose other keys make it keep every power."""
+    keys = [((5, 0), (0, 2)), ((0, 1), (3, 0)), ((0, 0), (0, 0)), ((7, 7), (0, 7))]
+    dense = keys + [((e, e), (e, e)) for e in range(8)]
+    pts = random_points(np.random.default_rng(27), 2, 40)
+    assert Monomials(2, keys)(pts).tobytes() == Monomials(2, dense)(pts)[: len(keys)].tobytes()
+    for z in pts[:5]:
+        assert Monomials(2, keys).doubled_row(z).tobytes() == Monomials(2, dense).doubled_row(z)[: len(keys)].tobytes()
+
+
 @pytest.mark.parametrize("keys", [
     [],
     [((0, 0), (0, 0))],
@@ -137,13 +160,52 @@ def test_monomial_table_does_not_depend_on_its_block_size(keys, monkeypatch):
     rng = np.random.default_rng(22)
     pts = np.concatenate([random_points(rng, 2, 50), [[0j, complex(-0.0, -0.0)], [complex(np.inf, 1), -1j]]])
     monomials = Monomials(2, keys)
+    row = _row_bytes(monomials)
     with np.errstate(invalid="ignore"):  # inf * 0 in the row with an infinite coordinate
         tables = []
-        for entries in (2**40, 1, 7, 36 * 5):  # one block; one row per block; 7 or 5 rows per block
-            monkeypatch.setattr(potential, "TABLE_BLOCK_ENTRIES", entries)
+        for budget in (2**60, 1, 7 * row, 6 * row - 1):  # one block; one row per block; 7 or 5 rows per block
+            monkeypatch.setattr(potential, "TABLE_BLOCK_BYTES", budget)
             tables.append(monomials(pts))
     assert all(t.shape == (len(keys), len(pts)) for t in tables)
     assert all(t.tobytes() == tables[0].tobytes() for t in tables[1:])
+
+
+def test_every_jet_table_block_fits_the_budget(bundled_and_generated, monkeypatch):
+    """On a grid chunk, each block of a jet's monomial table is the most rows
+    whose working set fits TABLE_BLOCK_BYTES, or one row where none fits."""
+    blocks = []
+    block = Monomials._block
+
+    def recording(self, pts):
+        blocks.append(len(pts))
+        return block(self, pts)
+
+    monkeypatch.setattr(Monomials, "_block", recording)
+    rng = np.random.default_rng(25)
+    for name, p in bundled_and_generated.items():
+        monomials = levi._batch_jet(p).monomials
+        row = _row_bytes(monomials)
+        blocks.clear()
+        monomials(random_points(rng, p.dim, sampling.GRID_CHUNK_ROWS))
+        assert sum(blocks) == sampling.GRID_CHUNK_ROWS, name
+        assert all(size == 1 or size * row <= potential.TABLE_BLOCK_BYTES for size in blocks), name
+        assert all(potential.TABLE_BLOCK_BYTES < (size + 1) * row for size in blocks[:-1]), name
+        assert blocks[-1] <= blocks[0], name
+
+
+def test_a_table_of_high_powers_is_filled_within_the_budget():
+    """On 2,000 rows the table of |z1|^2 and |z2|^8000 fills blocks within
+    the budget, not a table of 4,001 powers of every row at once (over 500 MiB)."""
+    monomials = Monomials(2, [((1, 0), (1, 0)), ((0, 4000), (0, 4000))])
+    pts = random_points(np.random.default_rng(26), 2, 2000, radius=0.7)  # |z| < 1: no overflow
+    tracemalloc.start()
+    try:
+        table = monomials(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (2, 2000)
+    assert peak < 2 * 2**20
 
 
 def test_hermitian_evaluation_is_real(all_examples):
