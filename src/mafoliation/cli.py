@@ -191,6 +191,7 @@ def _analyze_scan(p, cfg):
 def cmd_analyze(args):
     cfg = _config_from(args)
     p = parse_potential_file(args.potential)
+    _check_box(p, cfg.box_radius, "analyze")
     _print_header(f"analyze {args.potential}", args)
     pts, scan, raw, scaled, euler = _analyze_scan(p, cfg)
 
@@ -276,6 +277,7 @@ def _weight_checks(p, weights, pts):
 def cmd_weights(args):
     cfg = _config_from(args)
     p = parse_potential_file(args.potential)
+    _check_box(p, cfg.box_radius, "weights")
     _print_header(f"weights {args.potential}", args)
     analysis = analyze_weights(p)
     if analysis.status == "infeasible":
@@ -297,26 +299,25 @@ def cmd_weights(args):
     return _exit_code(records)
 
 
-def _log_rho_bound(p, box):
-    """log M, where M = sum_k |c_k| (sqrt(2) box)^(|alpha_k| + |beta_k|)
-    bounds |rho| on the cube [-box, box]^{2n} (each |z_j| <= sqrt(2) box).
-    Summed in log space, so M itself may exceed the largest float."""
+def _check_box(p, box, command, name="this potential"):
+    """Refuse a --box on which |rho| may square past the largest float (the
+    Levi form of log rho divides by rho^2). M = sum_k |c_k| (sqrt(2) box)^(|alpha_k|
+    + |beta_k|) bounds |rho| on [-box, box]^{2n}; its log is summed in log space."""
     logs = [math.log(abs(c)) + (sum(a) + sum(b)) * math.log(math.sqrt(2) * box) for (a, b), c in p.terms.items()]
     top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
+    log_bound = top + math.log(sum(math.exp(v - top) for v in logs))
+    if 2 * log_bound >= math.log(sys.float_info.max):
+        raise ValueError(
+            f"--box {box!r} is too large for {name}: |rho| {'on the grid' if command == 'burns' else 'in the box'} "
+            f"may reach 1e{log_bound / math.log(10):.0f}, whose square overflows a float; use a smaller box ({command} --box)"
+        )
 
 
 def cmd_burns(args):
     p = parse_potential_file(args.potential)
+    _check_box(p, args.box, "burns")
     _print_header(f"burns {args.potential}", args)
     grid = real_grid(p.dim, args.grid_n, args.box)
-    # the Levi form of log rho divides by rho^2, which must stay finite
-    log_bound = _log_rho_bound(p, args.box)
-    if 2 * log_bound >= math.log(sys.float_info.max):
-        raise ValueError(
-            f"--box {args.box!r} is too large for this potential: |rho| on the grid may reach "
-            f"1e{log_bound / math.log(10):.0f}, whose square overflows a float; use a smaller box (burns --box)"
-        )
     if not args.csv:
         report = burns_check(p, grid)
     else:
@@ -399,6 +400,7 @@ def cmd_suite(args):
         t0 = time.perf_counter()
         try:
             p = parse_potential_file(pot_path)
+            _check_box(p, cfg.box_radius, "suite", pot_path.name)
             outcomes = _suite_checks(p, expectations.get(pot_path.name, {}), cfg)
         except PotentialFormatError as exc:
             outcomes = [outcome("parse", None, t0)]

@@ -55,7 +55,7 @@ def rk4_segment(vel, z, duration, step):
         return np.array(z, dtype=complex)
     n_steps = max(1, math.ceil(abs(duration) / step))
     h = duration / n_steps
-    z = np.array(z, dtype=complex)
+    z = np.asarray(z, dtype=complex)  # each step makes a new array
     for _ in range(n_steps):
         k1 = vel(z)
         k2 = vel(z + 0.5 * h * k1)

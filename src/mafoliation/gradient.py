@@ -5,7 +5,13 @@ On the full-rank stratum this is a direct solve; across degenerate points the
 minimum-norm least-squares solution is used, validated by the achieved system
 residual and by the Euler identity Z(rho) = rho. Each solve is one call of
 numpy's LAPACK gufunc on a whole stack, without the public wrappers' per-call
-checks and copies. The least-squares Z is the one kernel ``_lstsq_rows``.
+checks and copies, in a two-line function under np.errstate's decorator form,
+built at import: it sets the state per call with its own token, so it is
+thread-safe and cheaper than a ``with`` block. The least-squares Z is the one
+kernel ``_lstsq_rows``. LAPACK prints on stdout for a non-finite matrix, so the
+kernel first proves the stack finite by one reduction, a finite sum of |h|^2
+(np.vdot); a stack that fails it, or is not C-contiguous (vdot would copy it),
+takes the per-row np.isfinite test, which names the first bad row.
 Every direct Z comes from the one direct solve ``_direct_z`` (complex_gradient's
 from a one-row batch); ``_solve_z`` (gradient_field, the analyze scan) sends
 the rows it did not settle to the kernel. The Euler and CR scans are one jet
@@ -112,18 +118,27 @@ def _svd_failed(err, flag):
     raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
+@np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lstsq_stack(ht, gbar):
+    return _umath_linalg.lstsq(ht, gbar, LSTSQ_RCOND, signature="DDd->Ddid")[0]
+
+
 def _lstsq_rows(grad, hess):
     """Minimum-norm least-squares Z, lstsq(H^T, conj(grad)) with rcond LSTSQ_RCOND,
     of every row of (N, n) gradients and (N, n, n) Hessians. One LAPACK call
     under the public lstsq's error state: every row is that function's answer
     bit for bit, and a failed SVD raises its LinAlgError. A NaN or inf Hessian
-    raises LinAlgError before LAPACK, which would print text on stdout, sees it."""
-    if not hasattr(_umath_linalg, "lstsq"):  # numpy < 2.0, which pyproject.toml excludes
-        raise ImportError(f"numpy {np.__version__} lacks _umath_linalg.lstsq; mafoliation needs numpy >= 2.0")
-    if not np.isfinite(hess).all():
-        raise LinAlgError(f"non-finite Hessian in row {np.argmin(np.isfinite(hess).all(axis=(1, 2)))} of the least-squares Z")
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        z = _umath_linalg.lstsq(hess.transpose(0, 2, 1), grad.conj()[..., None], LSTSQ_RCOND, signature="DDd->Ddid")[0]
+    raises LinAlgError before LAPACK sees it."""
+    if not (hess.flags.c_contiguous and math.isfinite(np.vdot(hess, hess).real)):
+        finite = np.isfinite(hess).all(axis=(1, 2))
+        if not finite.all():
+            raise LinAlgError(f"non-finite Hessian in row {np.argmin(finite)} of the least-squares Z")
+    try:
+        z = _lstsq_stack(hess.transpose(0, 2, 1), grad.conj()[..., None])
+    except AttributeError:  # numpy < 2.0, which pyproject.toml excludes, has no lstsq gufunc
+        if hasattr(_umath_linalg, "lstsq"):
+            raise
+        raise ImportError(f"numpy {np.__version__} lacks _umath_linalg.lstsq; mafoliation needs numpy >= 2.0") from None
     return z[..., 0]
 
 
@@ -148,6 +163,11 @@ def extended_gradient(p, z):
     return _sample(z, _lstsq_rows(grad, hess), LEAST_SQUARES, rho, grad, hess)
 
 
+@np.errstate(all="ignore")
+def _solve_stack(ht, gbar):
+    return _umath_linalg.solve(ht, gbar, signature="DD->D")
+
+
 def _direct_z(grad, hess):
     """One batched direct solve of H^T Z = conj(grad) over (N, n) gradients and
     (N, n, n) Hessians. Returns Z and the ascending indices of the rows it
@@ -160,8 +180,7 @@ def _direct_z(grad, hess):
     it is settled do not depend on the other rows: LAPACK solves each matrix
     on its own, and the shortcut skips only tests that would pass.
     """
-    with np.errstate(all="ignore"):  # an exactly singular row comes back NaN
-        out = _umath_linalg.solve(hess.transpose(0, 2, 1), grad.conj()[..., None], signature="DD->D")[..., 0]
+    out = _solve_stack(hess.transpose(0, 2, 1), grad.conj()[..., None])[..., 0]
     resid = _system_residual(out, grad, hess)
     if np.vdot(resid, resid).real <= _CLEAN_BATCH_SQ:
         return out, np.zeros(0, dtype=np.intp)
@@ -289,12 +308,12 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     if steps is None:
         steps = math.ceil(t_max / DEFAULT_STEP)
     h = t_max / steps
-    z = np.asarray(z0, dtype=complex).ravel()
+    z = base.points  # the state is a one-row batch
     mult = RealFieldKind.THETA.multiplier
 
     def vel(w):
-        _, grad, hess = fields_at_many(p, w[None, :])
-        return mult * _lstsq_rows(grad, hess)[0]
+        _, grad, hess = fields_at_many(p, w)
+        return mult * _lstsq_rows(grad, hess)
 
     max_drift = 0.0
     rho0 = float(base.rho[0])
@@ -304,7 +323,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
         nonlocal max_det, max_drift
         if not pending:
             return
-        scan = levi_scan(p, np.array(pending))
+        scan = levi_scan(p, np.array(pending).reshape(-1, p.dim))
         pending.clear()
         if np.any(scan.rho <= 0):
             raise ValueError("orbit exited the domain {rho > 0}")
@@ -315,7 +334,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     for _ in range(steps):
         try:
             z = rk4_segment(vel, z, h, h)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise ValueError("integrator step failure: non-finite state")
         except ValueError:
             check_pending()  # an earlier step that left the domain decides

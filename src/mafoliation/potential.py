@@ -92,20 +92,23 @@ class Monomials:
     that gather would hold 2n times the table, and the factor loop is faster.
     """
 
-    __slots__ = ("dim", "keys", "_kept", "_skipped", "_row_bytes", "_factors", "_row_index")
+    __slots__ = ("dim", "keys", "_kept", "_chain", "_row_bytes", "_factors", "_row_index")
 
     def __init__(self, dim, keys):
         self.dim = dim
         self.keys = tuple(keys)
         exps = np.array([(*a, *b) for a, b in self.keys], dtype=np.intp).reshape(-1, 2 * dim)
         self._kept = sorted({0, *exps.ravel().tolist()})
-        # exponents skipped before each kept power but the first
-        self._skipped = [e - prev - 1 for prev, e in zip(self._kept, self._kept[1:])]
-        self._row_bytes = 16 * ((len(self._kept) + any(self._skipped)) * 2 * dim + 2 * len(self.keys))
+        slot = {e: i for i, e in enumerate(self._kept)}
+        # the table slot of each kept power above base**0, after -k when the k
+        # powers below it are used by no factor
+        self._chain = []
+        for prev, e in zip(self._kept, self._kept[1:]):
+            self._chain += [prev + 1 - e, slot[e]] if e > prev + 1 else [slot[e]]
+        self._row_bytes = 16 * ((len(self._kept) + (self._kept[-1] >= len(self._kept))) * 2 * dim + 2 * len(self.keys))
         # power-table columns of the factors z1, zbar1, z2, zbar2, ..., in
         # order, with the table row of each monomial's exponent
         order = np.arange(2 * dim).reshape(2, dim).T.ravel()
-        slot = {e: i for i, e in enumerate(self._kept)}
         self._factors = [(c, np.array([slot[e] for e in exps[:, c].tolist()], dtype=np.intp)) for c in order.tolist()]
         self._row_index = None  # built by the first doubled_row
 
@@ -115,10 +118,12 @@ class Monomials:
         powers = np.empty((len(self._kept), *base.shape), dtype=complex)
         powers[0] = 1.0
         last, running = powers[0], None
-        for slot, skipped in enumerate(self._skipped, 1):
-            for _ in range(skipped):  # powers no factor uses: one running array
-                last = running = np.multiply(last, base, out=running)
-            last = np.multiply(last, base, out=powers[slot])
+        for slot in self._chain:
+            if slot > 0:
+                last = np.multiply(last, base, powers[slot])
+            else:  # -slot powers no factor uses: one running array
+                for _ in range(-slot):
+                    last = running = np.multiply(last, base, out=running)
         return powers
 
     def __call__(self, pts):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -552,6 +553,21 @@ def test_box_not_finite_and_positive_exit2(corpus, tmp_path, capsys, command, bo
     assert exc.value.code == 2
     assert f"argument --box: must be a finite number > 0, got '{box}'" in err
     assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["analyze", "weights", "suite"])
+def test_a_box_whose_rho_squared_overflows_is_refused_in_one_line(corpus, tmp_path, capsys, command):
+    # analyze and weights printed numpy RuntimeWarnings, then exit 2 with
+    # "could not collect 50 admissible samples"; burns' bound now guards all four
+    target, name = (corpus, "ball2.pot") if command == "suite" else (corpus / "ball2.pot", "this potential")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, str(target), "--box", "1e200", "--samples", "50", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: --box 1e+200 is too large for {name}: |rho| in the box may reach 1e401, "
+                   f"whose square overflows a float; use a smaller box ({command} --box)\n")
     assert not list(tmp_path.iterdir())
 
 

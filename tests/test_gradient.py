@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import types
 
 import numpy as np
@@ -182,7 +184,9 @@ def test_lstsq_rows_is_the_public_lstsq_bit_for_bit(n):
     # deficient and zero rank and at extreme scales of H and of conj(grad)
     rng = np.random.default_rng(1500 + n)
     for rank in range(n + 1):
-        for h_scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+        # at 1e200 the entries are finite but their squares overflow: the
+        # finiteness guard's one reduction fails and the per-row test decides
+        for h_scale in (1e-150, 1e-8, 1.0, 1e8, 1e150, 1e200):
             for g_scale in (1e-150, 1.0, 1e150):
                 hess = _hessian_stack(rng, n, rank, h_scale, 3)
                 grad = g_scale * (rng.normal(size=(len(hess), n)) + 1j * rng.normal(size=(len(hess), n)))
@@ -225,13 +229,64 @@ def test_lstsq_rows_names_the_numpy_it_needs(monkeypatch):
         _lstsq_rows(np.ones((1, 2), dtype=complex), np.eye(2, dtype=complex)[None])
 
 
-def test_direct_z_leaves_an_exactly_singular_row_unsettled():
-    # the singular rows come back NaN and fail the Z-system test; every other
-    # row is the plain solve's, bit for bit
+def _singular_stack():
+    # rows 1 and 6 exactly singular, the others full rank
     rng = np.random.default_rng(1600)
     hess = _hessian_stack(rng, 3, 3, 1.0, 4)
     hess[1], hess[6] = np.diag([1.0, 0.0, 2.0]), 0.0
-    grad = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    return rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)), hess
+
+
+def test_the_kernels_hold_their_own_error_state():
+    # a caller's error state reaches neither LAPACK call: the singular rows'
+    # NaN raises no FloatingPointError, and a NaN Hessian is still refused
+    grad, hess = _singular_stack()
+    with np.errstate(all="raise"):
+        z, unsettled = _direct_z(grad, hess)
+    assert unsettled.tolist() == [1, 6] and np.isnan(z[unsettled]).all()
+    hess[4, 2, 0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError, match="non-finite Hessian in row 4 "):
+        _lstsq_rows(grad, hess)
+
+
+def test_the_kernels_are_thread_safe():
+    # each call sets and resets its error state with a token of its own, so
+    # threads in the kernels at once get the one-thread answers
+    grad, hess = _singular_stack()
+    want = [_direct_z(grad, hess), _lstsq_rows(grad, hess)]
+    start = threading.Barrier(4, timeout=60)
+    failures = []
+
+    def worker():
+        try:
+            start.wait()
+            with np.errstate(all="raise"):
+                for _ in range(300):
+                    (z, unsettled), lstsq = _direct_z(grad, hess), _lstsq_rows(grad, hess)
+                    if not (np.array_equal(z, want[0][0], equal_nan=True) and np.array_equal(unsettled, want[0][1])
+                            and np.array_equal(lstsq, want[1])):
+                        failures.append((z, unsettled, lstsq))
+        except Exception as exc:  # e.g. "Cannot enter np.errstate twice" from a shared context
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]  # more threads than CI's cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+
+
+def test_direct_z_leaves_an_exactly_singular_row_unsettled():
+    # the singular rows come back NaN and fail the Z-system test; every other
+    # row is the plain solve's, bit for bit
+    grad, hess = _singular_stack()
     z, unsettled = _direct_z(grad, hess)
     assert unsettled.tolist() == [1, 6] and np.isnan(z[unsettled]).all()
     for i in (0, 2, 3, 4, 5, 7):
