@@ -26,8 +26,8 @@ suite both report.
 
 The grid scan is one loop over the chunks in grid order (_scan_grid): each
 chunk's jet, its rows with rho > RHO_FLOOR, the rows callback, the chunk's
-radial max and its det U maxima, which np.max and np.argmax reduce after
-the loop.
+radial max (from squared norms) and its det U maxima, which np.max and
+np.argmax reduce after the loop.
 """
 
 from __future__ import annotations
@@ -124,9 +124,12 @@ class BurnsReport:
 def _radial_max(points, grad, hess, k):
     """Max radial residual ||H^T (w/k) - conj(grad)|| / max(1, ||grad||) over
     the (M, n) points w, gradients and (M, n, n) Hessians of M >= 1 rows (a NaN
-    counts as the max)."""
-    resid = np.linalg.norm(_system_residual(points / k, grad, hess), axis=1)
-    return np.max(resid / np.maximum(1.0, np.linalg.norm(grad, axis=1)))
+    counts as the max): the root of the max ratio of squared norms, each summed
+    on a float view. The squares overflow where np.linalg.norm's do."""
+    resid = _system_residual(points / k, grad, hess).view(float)  # (M, 2n) float views
+    grad = grad.view(float)
+    ratio = np.einsum("ij,ij->i", resid, resid) / np.maximum(1.0, np.einsum("ij,ij->i", grad, grad))
+    return np.sqrt(np.max(ratio))
 
 
 def _scan_grid(p, grid, k, rows):

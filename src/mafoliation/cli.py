@@ -301,15 +301,20 @@ def cmd_weights(args):
 
 def _check_box(p, box, command, name="this potential"):
     """Refuse a --box on which |rho| may square past the largest float (the
-    Levi form of log rho divides by rho^2). M = sum_k |c_k| (sqrt(2) box)^(|alpha_k|
+    Levi form of log rho divides by rho^2), or for analyze and suite reach a
+    power n + 1 past it (det_lemma forms rho^(n+1)); the message names the
+    lower power that overflows. M = sum_k |c_k| (sqrt(2) box)^(|alpha_k|
     + |beta_k|) bounds |rho| on [-box, box]^{2n}; its log is summed in log space."""
     logs = [math.log(abs(c)) + (sum(a) + sum(b)) * math.log(math.sqrt(2) * box) for (a, b), c in p.terms.items()]
     top = max(logs)
     log_bound = top + math.log(sum(math.exp(v - top) for v in logs))
-    if 2 * log_bound >= math.log(sys.float_info.max):
+    highest = p.dim + 1 if command in ("analyze", "suite") else 2
+    power = next((k for k in (2, highest) if k * log_bound >= math.log(sys.float_info.max)), None)
+    if power is not None:
         raise ValueError(
             f"--box {box!r} is too large for {name}: |rho| {'on the grid' if command == 'burns' else 'in the box'} "
-            f"may reach 1e{log_bound / math.log(10):.0f}, whose square overflows a float; use a smaller box ({command} --box)"
+            f"may reach 1e{log_bound / math.log(10):.0f}, whose {'square' if power == 2 else f'power n + 1 = {power}'} "
+            f"overflows a float; use a smaller box ({command} --box)"
         )
 
 
@@ -394,17 +399,23 @@ def cmd_suite(args):
     expect_path = directory / "expect.json"
     expectations = json.loads(expect_path.read_text(encoding="utf-8")) if expect_path.exists() else {}
 
+    potentials, parse_errors = {}, {}
+    for pot_path in pot_files:  # every box before any scan: a refusal leaves no partial output
+        t0 = time.perf_counter()
+        try:
+            potentials[pot_path] = parse_potential_file(pot_path)
+            _check_box(potentials[pot_path], cfg.box_radius, "suite", pot_path.name)
+        except PotentialFormatError as exc:
+            parse_errors[pot_path] = (outcome("parse", None, t0), exc)
     _print_header(f"suite {directory}", args)
     names, results = [], []
     for pot_path in pot_files:
-        t0 = time.perf_counter()
-        try:
-            p = parse_potential_file(pot_path)
-            _check_box(p, cfg.box_radius, "suite", pot_path.name)
-            outcomes = _suite_checks(p, expectations.get(pot_path.name, {}), cfg)
-        except PotentialFormatError as exc:
-            outcomes = [outcome("parse", None, t0)]
+        if pot_path in parse_errors:
+            parse, exc = parse_errors[pot_path]
+            outcomes = [parse]
             print(f"{pot_path.name}: parse error: {exc}")
+        else:
+            outcomes = _suite_checks(potentials[pot_path], expectations.get(pot_path.name, {}), cfg)
         for oc in outcomes:
             print(f"{pot_path.name:20} {oc.name:20} {_check_text(oc)} [{oc.wall:.2f}s]")
             names.append(pot_path.name)

@@ -8,8 +8,8 @@ Fields: rho, its gradient and the Hessian are the columns of one
 ``potential.Evaluator`` over the 1 + n + n^2 polynomials of ``jet``
 (``fields_at_many``), the package's one polynomial evaluator, which also keeps
 its product on gemm; ``fields_at`` is that jet on one row, so every scalar and
-batched check reads the same numbers. Likewise
-``ma_residual`` is row 0 of a one-row ``levi_scan``: det U is formed only in
+batched check reads the same numbers. Likewise ``ma_residual`` is row 0 of a
+one-row ``levi_scan``: det U, of U scaled on its float view, is formed only in
 ``ma_from_fields``, and every rho > 0 precondition raises in ``_check_inside``.
 Each determinant is one batched LU and has one home: det H in
 ``LeviScan.det_hessian``, det U in ``ma_from_fields`` and the bordered
@@ -136,13 +136,15 @@ def log_levi_form(rho, grad, hess):
     """The Levi form of log rho, U = H/rho - g gbar^T / rho^2. Requires rho > 0.
 
     rho, grad and hess are one point's scalar, (n,) and (n, n) arrays, or
-    carry the same leading batch axes.
+    carry the same leading batch axes. U is new and complex: H and g gbar^T are
+    scaled on their float views by 1/rho and 1/rho^2, which is numpy's complex
+    by real division bit for bit on finite entries, up to the sign of a zero part.
     """
     rho = np.asarray(rho)[..., None, None]
-    # in place: two (..., n, n) temporaries where the one expression makes four
-    outer = grad[..., :, None] * grad.conj()[..., None, :]
-    outer /= rho**2
-    u = hess / rho
+    outer = np.multiply(grad[..., :, None], grad.conj()[..., None, :], dtype=complex)
+    outer.view(float)[...] *= 1 / rho**2
+    u = np.array(hess, dtype=complex)  # a copy, and complex: a real array's float view is not its parts
+    u.view(float)[...] *= 1 / rho
     u -= outer
     return u
 

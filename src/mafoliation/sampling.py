@@ -1,8 +1,8 @@
 """Seeded point sampling and grids for scans.
 
 The sampling measure is uniform on the real 2n-cube [-r, r]^{2n} identified
-with C^n via interleaved (re, im) pairs; points with rho below a floor are
-rejected. Identical seeds reproduce identical samples.
+with C^n via interleaved (re, im) pairs, read as complex without arithmetic;
+points with rho below a floor are rejected. Identical seeds give identical samples.
 """
 
 from __future__ import annotations
@@ -37,15 +37,9 @@ GRID_CHUNK_ROWS = 2**11
 
 
 def complex_from_reals(x):
-    """Map (..., 2n) real coordinates to (..., n) complex (re, im interleaved)."""
-    x = np.asarray(x, dtype=float)
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-def sample_box(dim, count, radius=DEFAULT_BOX, rng=None):
-    """Uniform complex points in the 2n-cube, no domain filtering."""
-    rng = np.random.default_rng(rng)
-    return complex_from_reals(rng.uniform(-radius, radius, size=(count, 2 * dim)))
+    """Map (..., 2n) real coordinates to (..., n) complex (re, im interleaved):
+    the complex view of x as a C-contiguous float array, with no arithmetic."""
+    return np.ascontiguousarray(x, dtype=float).view(complex)
 
 
 def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR):
@@ -64,7 +58,7 @@ def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR):
     kept = []
     have = 0
     for _ in range(MAX_SAMPLE_BATCHES):
-        batch = sample_box(p.dim, max(count, 64), radius, rng)
+        batch = complex_from_reals(rng.uniform(-radius, radius, size=(max(count, 64), 2 * p.dim)))
         good = batch[p.evaluate_many(batch).real > min_rho]
         if len(good):
             kept.append(good)
@@ -82,7 +76,8 @@ def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR):
 class RealGrid:
     """The per_axis**(2*dim) points of a uniform grid over the real 2n-cube,
     built on demand: iterating yields (M, dim) complex chunks of at most
-    GRID_CHUNK_ROWS points, in the C order of meshgrid(indexing="ij")."""
+    GRID_CHUNK_ROWS points in meshgrid(indexing="ij") order, real coordinate j
+    of flat index i at i's base-per_axis digit j (np.unravel_index)."""
 
     dim: int
     per_axis: int
@@ -93,12 +88,11 @@ class RealGrid:
 
     def __iter__(self):
         axis = np.linspace(-self.radius, self.radius, self.per_axis)
-        # real coordinate j of flat index i is its base-per_axis digit j
-        place = self.per_axis ** np.arange(2 * self.dim - 1, -1, -1)
+        shape = (self.per_axis,) * (2 * self.dim)
         count, step = len(self), GRID_CHUNK_ROWS
         for start in range(0, count, step):
-            flat = np.arange(start, min(start + step, count))
-            yield complex_from_reals(axis[flat[:, None] // place % self.per_axis])
+            digits = np.unravel_index(np.arange(start, min(start + step, count)), shape)
+            yield complex_from_reals(axis[np.stack(digits, axis=-1)])
 
 
 def real_grid(dim, per_axis, radius=DEFAULT_BOX):

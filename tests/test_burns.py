@@ -249,14 +249,22 @@ def test_results_do_not_depend_on_chunk_size(name, grid_n, sizes, tmp_path, caps
         assert other == results[0]
 
 
-def test_real_grid_chunks_follow_meshgrid_order(monkeypatch):
-    monkeypatch.setattr(sampling, "GRID_CHUNK_ROWS", 7)
-    grid = real_grid(2, 3, 1.5)
+# chunk sizes 7 (11 chunks and a rest of 4), GRID_CHUNK_ROWS (2 whole chunks)
+# and 1,500 (a rest of 1,096 on 4,096 points)
+@pytest.mark.parametrize("dim, per_axis, size", [(2, 3, 7), (2, 8, 2048), (3, 4, 1500)],
+                         ids=["chunk7", "chunk2048", "chunk1500"])
+def test_real_grid_chunks_follow_meshgrid_order(monkeypatch, dim, per_axis, size):
+    monkeypatch.setattr(sampling, "GRID_CHUNK_ROWS", size)
+    grid = real_grid(dim, per_axis, 1.5)
     chunks = list(grid)
-    assert len(grid) == 81 and [len(c) for c in chunks] == [7] * 11 + [4]
-    axes = np.meshgrid(*[np.linspace(-1.5, 1.5, 3)] * 4, indexing="ij")
+    count = per_axis ** (2 * dim)
+    assert len(grid) == count
+    assert [len(c) for c in chunks] == [size] * (count // size) + [count % size] * (count % size > 0)
+    axes = np.meshgrid(*[np.linspace(-1.5, 1.5, per_axis)] * (2 * dim), indexing="ij")
     flat = np.stack([a.ravel() for a in axes], axis=-1)
-    np.testing.assert_array_equal(np.concatenate(chunks), flat[:, 0::2] + 1j * flat[:, 1::2])
+    want = flat[:, 0::2] + 1j * flat[:, 1::2]
+    got = np.concatenate(chunks)
+    assert got.dtype == complex and np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
 
 
 def test_burns_and_suite_share_the_radial_invariant(square_norm, tmp_path, capsys, monkeypatch):
@@ -317,6 +325,24 @@ def test_a_nan_row_makes_the_radial_max_nan(field):
     points, grad = (rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2)) for _ in range(2))
     (points, grad)[field][6, 1] = np.nan
     assert np.isnan(burns._radial_max(points, grad, np.repeat(np.eye(2, dtype=complex)[None], 10, axis=0), 2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_the_radial_max_is_the_max_ratio_of_norms(dim):
+    """The root of the max ratio of squared norms is the max ratio of norms
+    to rtol 1e-15, over gradients of norm below and above 1 and a spread of
+    scales. The gradient is a column slice of a wider array, as the jet's is."""
+    rng = np.random.default_rng(97 + dim)
+    rows = 500
+    scale = 10.0 ** rng.uniform(-6, 6, size=(rows, 1))
+    points, jet = ((rng.normal(size=(rows, 2 * dim)) + 1j * rng.normal(size=(rows, 2 * dim))) * scale for _ in range(2))
+    points, grad = points[:, :dim], jet[:, 1 : 1 + dim]
+    hess = (rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))) * scale[..., None]
+    for k in (1, 2, 3):
+        resid = np.linalg.norm(np.einsum("nji,nj->ni", hess, points / k) - grad.conj(), axis=1)
+        for m in (1, 7, rows):  # the max over one row, a few and all
+            want = np.max(resid[:m] / np.maximum(1.0, np.linalg.norm(grad[:m], axis=1)))
+            np.testing.assert_allclose(burns._radial_max(points[:m], grad[:m], hess[:m], k), want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("box", [1e-3, 1e-1, 10.0, 1e3, 1e5, 1e8])

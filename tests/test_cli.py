@@ -1,6 +1,7 @@
 import argparse
 import csv
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -569,6 +570,43 @@ def test_a_box_whose_rho_squared_overflows_is_refused_in_one_line(corpus, tmp_pa
     assert err == (f"error: --box 1e+200 is too large for {name}: |rho| in the box may reach 1e401, "
                    f"whose square overflows a float; use a smaller box ({command} --box)\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, box, target, message", [
+    ("analyze", "1e60", "ball2.pot", "--box 1e+60 is too large for this potential: |rho| in the box may reach 1e121"),
+    ("suite", "1e40", None, "--box 1e+40 is too large for ball3.pot: |rho| in the box may reach 1e81"),
+])
+def test_a_box_whose_rho_power_n_plus_1_overflows_is_refused_in_one_line(
+        corpus, tmp_path, capsys, command, box, target, message):
+    # det_lemma forms rho^(n+1): below the rho^2 bound these printed numpy
+    # RuntimeWarnings, and analyze read det_lemma nan and exit 1, suite stopped
+    # at nonma.pot with exit 2 and no summary. suite checks every box first
+    target = corpus if target is None else corpus / target
+    n = 3 if command == "suite" else 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, str(target), "--box", box, "--samples", "50", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == (f"error: {message}, whose power n + 1 = {n + 1} overflows a float; "
+                   f"use a smaller box ({command} --box)\n")
+    assert out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_box_just_inside_the_rho_power_bound_is_not_refused(corpus, tmp_path, capsys):
+    # ball2 = |z1|^2 + |z2|^2 has M = 4 box^2, and analyze needs M^3 finite
+    edge = math.sqrt(sys.float_info.max ** (1 / 3) / 4)
+    p = parse_potential_file(corpus / "ball2.pot")
+    with pytest.raises(ValueError, match="power n \\+ 1 = 3"):
+        cli._check_box(p, edge * (1 + 1e-9), "analyze")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["analyze", str(corpus / "ball2.pot"), "--box", repr(edge * (1 - 1e-9)), "--samples", "50",
+                   "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc != 2 and err == ""
+    assert "invariant det_lemma" in out and (tmp_path / "ball2_analyze.csv").exists()
 
 
 @pytest.mark.parametrize("samples", ["-5", "0"])

@@ -15,7 +15,7 @@ from mafoliation import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mafoliation.levi import fields_at, fields_at_many, jet, log_levi_form, rank_identity
+from mafoliation.levi import fields_at, fields_at_many, jet, log_levi_form, ma_from_fields, rank_identity
 from mafoliation.sampling import real_grid, sample_domain
 from helpers import (
     hessian_fd,
@@ -122,6 +122,66 @@ def test_ma_residual_nonma_value(nonma):
     u = log_levi_form(*fields_at(nonma, [1, 1]))
     assert np.allclose(u, [[2 / 9, -1 / 9], [-1 / 9, 2 / 9]], atol=1e-14)
     assert ma_residual(nonma, [1, 1]) == pytest.approx(1 / 27, abs=1e-12)
+
+
+def _divided_levi_form(rho, grad, hess):
+    """U = H/rho - g gbar^T / rho^2 by numpy's division, the reference of the
+    float-view scaling in log_levi_form."""
+    rho = np.asarray(rho)[..., None, None]
+    return hess / rho - grad[..., :, None] * grad.conj()[..., None, :] / rho**2
+
+
+def _random_fields(rng, rows, n, zero_share=0.2):
+    """Complex gradients and Hessians with about zero_share of their real and
+    imaginary parts exactly 0, and rho log-uniform on [1e-12, 1e12]."""
+    grad = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    hess = rng.normal(size=(rows, n, n)) + 1j * rng.normal(size=(rows, n, n))
+    for parts in (grad.view(float), hess.view(float)):
+        parts[rng.random(parts.shape) < zero_share] = 0.0
+    return 10.0 ** rng.uniform(-12, 12, size=rows), grad, hess
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_log_levi_form_equals_numpy_division(n):
+    """Scaling the float views by 1/rho and 1/rho^2 gives numpy's complex
+    division by a real rho value for value (np.array_equal: a zero part may
+    change sign), on stacks and on one point."""
+    rng = np.random.default_rng(400 + n)
+    rho, grad, hess = _random_fields(rng, 2000, n)
+    u = log_levi_form(rho, grad, hess)
+    assert u.dtype == complex
+    assert np.array_equal(u, _divided_levi_form(rho, grad, hess))
+    assert np.array_equal(log_levi_form(float(rho[3]), grad[3], hess[3]), u[3])
+
+
+def test_log_levi_form_takes_real_arrays():
+    """Real gradients and Hessians give a complex U equal to the division of
+    the same values as complex arrays. numpy's real division rounds the
+    quotient itself, so U may differ from the real-dtype division by the last
+    bits of its two terms."""
+    rng = np.random.default_rng(409)
+    rho, grad, hess = _random_fields(rng, 500, 3)
+    grad, hess = grad.real.copy(), hess.real.copy()
+    u = log_levi_form(rho, grad, hess)
+    assert u.dtype == complex and not u.imag.any()
+    assert np.array_equal(u, _divided_levi_form(rho, grad.astype(complex), hess.astype(complex)))
+    r = rho[:, None, None]
+    terms = np.abs(hess) / r + np.abs(grad[:, :, None] * grad[:, None, :]) / r**2
+    assert np.all(np.abs(u.real - _divided_levi_form(rho, grad, hess)) <= 4.5e-16 * terms)
+
+
+def test_ma_from_fields_is_the_division_bit_for_bit(bundled_and_generated):
+    """raw and scaled |det U| of the scaled Levi form are those of numpy's
+    division, bit for bit, on the jets of every bundled and generated input."""
+    rng = np.random.default_rng(411)
+    for name, p in bundled_and_generated.items():
+        rho, grad, hess = fields_at_many(p, sample_domain(p, 300, 1.5, rng))
+        u = _divided_levi_form(rho, grad, hess)
+        raw = np.abs(np.linalg.det(u))
+        scaled = raw / np.maximum(1.0, np.linalg.norm(u, axis=(1, 2))) ** p.dim
+        _, got_raw, got_scaled = ma_from_fields(rho, grad, hess)
+        assert np.array_equal(got_raw.view(np.int64), raw.view(np.int64)), name
+        assert np.array_equal(got_scaled.view(np.int64), scaled.view(np.int64)), name
 
 
 def test_ma_residual_requires_positive_rho(nonma):

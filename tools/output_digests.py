@@ -7,6 +7,9 @@ The outputs, each at the default seed and settings:
 * the ``weights`` stdout of the same 13 potentials (weights writes no CSV);
 * the ``trace`` CSV and stdout of weighted24, ball3 and square_norm;
 * the ``burns --csv`` CSV and stdout of square_norm at ``--grid-n 20``;
+* the ``burns`` stdout, radial residual line included, of the grid
+  benchmark's other three runs: ball3 at ``--grid-n 8``, quartic_mixed and
+  the generated normsq_n4 at ``--grid-n 4``;
 * ``suite_summary.csv`` and the stdout of ``suite`` on both corpora.
 
 Wall times are stripped from stdout. Each line also shows the exit code of
@@ -40,6 +43,7 @@ from mafoliation import cli  # noqa: E402
 
 BUNDLED = ("ball2", "ball3", "nonma", "quartic_diag", "quartic_mixed", "square_norm", "weighted24")
 GENERATED = ("chain_n4", "chain_n8", "normsq_n4", "normsq_n8", "weighted_n4", "weighted_n8")
+BURNS = {"ball3": ("bundled", "8"), "quartic_mixed": ("bundled", "20"), "normsq_n4": ("generated", "4")}
 TRACES = {"weighted24": "1+0i,1+0i", "ball3": "1+0i,0.5+0.5i,0.3-0.2i", "square_norm": "1+0i,0.5-0.5i"}
 _WALL = re.compile(r" \[\d+\.\d+s\]")
 
@@ -84,6 +88,8 @@ def digests():
                       f"{name}_trace.csv") for name, base in TRACES.items()]
             runs.append(("burns/square_norm", ["burns", "bundled/square_norm.pot", "--grid-n", "20", "--csv"],
                          "burns", "square_norm_burns.csv"))
+            runs += [(f"burns/{name}", ["burns", f"{corpus}/{name}.pot", "--grid-n", grid_n], "burns", None)
+                     for name, (corpus, grid_n) in BURNS.items()]
             runs += [(f"suite/{corpus}", ["suite", corpus], f"suite_{corpus}", "suite_summary.csv")
                      for corpus in ("bundled", "generated")]
             return [line for label, argv, out, name in runs for line in _run(label, argv, out, name)]
