@@ -9,7 +9,8 @@ Integrator: classical fixed-step RK4 (default step DEFAULT_STEP = 1e-2) in
 ``rk4_segment``, the one RK4 loop behind flow_points and the Theta orbit of
 gradient.theta_orbit_det_check. A leaf is traced in two batched sweeps: one in
 s from z0, then one in t that advances every s-column together, one batched Z
-solve per RK4 stage. The fields are smooth and low-dimensional;
+solve per RK4 stage; the s-sweep's one row in the buffers of a
+``gradient._RowStage``. The fields are smooth and low-dimensional;
 reproducibility beats adaptivity here. At 1e-2 the log-linearity error of a
 leaf is about 1e-11, five orders below the 1e-6 gates.
 """
@@ -18,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .gradient import RealFieldKind, gradient_field
+from .gradient import RealFieldKind, _RowStage, gradient_field
 from .levi import Stratum, _check_inside, levi_scan
 from .thresholds import DEFAULT_STEP, RHO_FLOOR
 
@@ -68,9 +70,10 @@ def rk4_segment(vel, z, duration, step):
 def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
     """Flow an (N, n) batch of points simultaneously (one solve per RK4 stage)."""
     mult = kind.multiplier
+    z_of = _RowStage(p).solved if np.shape(points) == (1, p.dim) else partial(gradient_field, p)
 
     def vel(w):
-        return mult * gradient_field(p, w)
+        return mult * z_of(w)
 
     return rk4_segment(vel, points, time, step)
 

@@ -15,12 +15,12 @@ takes the per-row np.isfinite test, which names the first bad row.
 Every direct Z comes from the one direct solve ``_direct_z`` (complex_gradient's
 from a one-row batch); ``_solve_z`` (gradient_field, the analyze scan) sends
 the rows it did not settle to the kernel. The Euler and CR scans are one jet
-over all their points, then one kernel call. Each RK4 stage of the Theta orbit
-calls the kernel on its one-row jet; the orbit's end-of-step checks are
-batched, ORBIT_CHECK_BLOCK end points per jet. The Euler residual
-(``_euler_residual``) and the Z-system test (``_consistent``) are batched
-kernels too; a GradientSample holds their row 0 on a one-row batch, and
-burns applies the system residual (``_system_residual``) to Z = w/k.
+over all their points, then one kernel call. The RK4 stages of the Theta orbit
+and of a one-row flow run in the buffers of a ``_RowStage``; the orbit's
+end-of-step checks are batched, ORBIT_CHECK_BLOCK end points per jet. The
+Euler residual (``_euler_residual``) and the Z-system test (``_consistent``)
+are batched kernels too; a GradientSample holds their row 0 on a one-row
+batch, and burns applies the system residual (``_system_residual``) to Z = w/k.
 
 Real-field conventions (kappa = 1): the flows below use the standard
 identification of a (1,0)-field with a real field via zdot = V(z):
@@ -37,11 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .levi import Stratum, _check_inside, fields_at_many, levi_scan
+from .levi import Stratum, _batch_jet, _check_inside, _jet_columns, fields_at_many, levi_scan
 from .potential import _one_row
 from .thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
 
@@ -129,12 +130,17 @@ def _lstsq_rows(grad, hess):
     under the public lstsq's error state: every row is that function's answer
     bit for bit, and a failed SVD raises its LinAlgError. A NaN or inf Hessian
     raises LinAlgError before LAPACK sees it."""
+    return _lstsq_solve(hess, hess.transpose(0, 2, 1), grad.conj()[..., None])
+
+
+def _lstsq_solve(hess, ht, gbar):
+    """``_lstsq_rows`` given the transposes ht and the (N, n, 1) conj(grad)."""
     if not (hess.flags.c_contiguous and math.isfinite(np.vdot(hess, hess).real)):
         finite = np.isfinite(hess).all(axis=(1, 2))
         if not finite.all():
             raise LinAlgError(f"non-finite Hessian in row {np.argmin(finite)} of the least-squares Z")
     try:
-        z = _lstsq_stack(hess.transpose(0, 2, 1), grad.conj()[..., None])
+        z = _lstsq_stack(ht, gbar)
     except AttributeError:  # numpy < 2.0, which pyproject.toml excludes, has no lstsq gufunc
         if hasattr(_umath_linalg, "lstsq"):
             raise
@@ -194,6 +200,33 @@ def _solve_z(grad, hess):
     if rows.size:
         out[rows] = _lstsq_rows(grad[rows], hess[rows])
     return out
+
+
+class _RowStage:
+    """The RK4 stages of one integration of a one-row batch w: its jet in
+    buffers of this object, then a Z kernel on fixed views of them, bit for bit
+    the kernel on ``fields_at_many(p, w)``. Nothing shared is written, and each
+    Z is a new array, which RK4 keeps while later stages refill the buffers."""
+
+    __slots__ = ("_jet", "_buffers", "_grad", "_hess", "_ht", "_gbar")
+
+    def __init__(self, p):
+        self._jet = _batch_jet(p)
+        self._buffers = self._jet.row_buffers()
+        _, self._grad, self._hess = _jet_columns(self._buffers[1][:1], p.dim)
+        self._ht = self._hess.transpose(0, 2, 1)
+        self._gbar = np.empty((1, p.dim, 1), dtype=complex)
+
+    def extended(self, w):
+        """``_lstsq_rows``'s Z at w."""
+        self._jet.doubled_row(w[0], self._buffers)
+        np.conjugate(self._grad, out=self._gbar[..., 0])
+        return _lstsq_solve(self._hess, self._ht, self._gbar)
+
+    def solved(self, w):
+        """``_solve_z``'s Z at w, as ``gradient_field`` gives it."""
+        self._jet.doubled_row(w[0], self._buffers)
+        return _solve_z(self._grad, self._hess)
 
 
 def gradient_field(p, points):
@@ -276,7 +309,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     degenerate stratum, where H is singular and has no direct solve.
 
     ``steps`` RK4 steps cover [0, t_max]; None means ceil(t_max / DEFAULT_STEP).
-    t_max must be finite and > 0, and steps at least 1.
+    t_max must be finite and > 0, and steps an integer of at least 1.
     For weighted homogeneous rho the orbit is exactly z_j(t) = e^{i c_j t}
     z_j(0). On weighted24 over t = 5 the error against it is 2.6e-7 at 100
     steps, 4e-10 at DEFAULT_STEP (500 steps) and 4e-14 at 5,000 steps; at
@@ -291,7 +324,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     pending end points are checked, so the first failing step decides which
     error is raised.
     """
-    if not (math.isfinite(t_max) and t_max > 0) or (steps is not None and steps < 1):
+    if not (math.isfinite(t_max) and t_max > 0) or not (steps is None or isinstance(steps, Integral) and steps >= 1):
         raise ValueError(f"need a finite t_max > 0 and steps >= 1, got t_max = {t_max}, steps = {steps}")
     base = levi_scan(p, _one_row(p, z0))
     _check_inside(base.rho)
@@ -310,10 +343,10 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     h = t_max / steps
     z = base.points  # the state is a one-row batch
     mult = RealFieldKind.THETA.multiplier
+    stage = _RowStage(p)
 
     def vel(w):
-        _, grad, hess = fields_at_many(p, w)
-        return mult * _lstsq_rows(grad, hess)
+        return mult * stage.extended(w)
 
     max_drift = 0.0
     rho0 = float(base.rho[0])

@@ -90,8 +90,11 @@ def fields_at(p, z):
 def fields_at_many(p, points):
     """Batched (rho, grad, hessian) arrays for an (N, n) point array: views
     of the jet evaluator's one product."""
-    n = p.dim
-    out = _batch_jet(p)(points)
+    return _jet_columns(_batch_jet(p)(points), p.dim)
+
+
+def _jet_columns(out, n):
+    """(rho, grad, hessian) views of the (N, 1 + n + n^2) jet product out."""
     return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
 
 

@@ -110,13 +110,15 @@ class Monomials:
         # order, with the table row of each monomial's exponent
         order = np.arange(2 * dim).reshape(2, dim).T.ravel()
         self._factors = [(c, np.array([slot[e] for e in exps[:, c].tolist()], dtype=np.intp)) for c in order.tolist()]
-        self._row_index = None  # built by the first doubled_row
+        self._row_index = None  # built by the first row_buffers
 
-    def _powers(self, base):
+    def _powers(self, base, powers=None):
         """base**e for each kept exponent e, in ascending order on a new first
-        axis, each power one multiplication of the one before."""
-        powers = np.empty((len(self._kept), *base.shape), dtype=complex)
-        powers[0] = 1.0
+        axis, each power one multiplication of the one before; into ``powers``,
+        whose slot 0 is 1, when given."""
+        if powers is None:
+            powers = np.empty((len(self._kept), *base.shape), dtype=complex)
+            powers[0] = 1.0
         last, running = powers[0], None
         for slot in self._chain:
             if slot > 0:
@@ -152,17 +154,31 @@ class Monomials:
             acc *= powers[:, c].take(exps, axis=0)
         return acc
 
-    def doubled_row(self, z):
-        """(len(keys), 2) complex table of the monomials at the one point z,
-        in both columns: ``__call__`` on the two rows (z, z), bit for bit."""
+    def row_buffers(self):
+        """Fresh buffers of ``doubled_row``: z and conj(z), their power table
+        (slot 0 is 1), the gathered factors and the table."""
         if self._row_index is None:
             # [f, k, r]: flat index of factor f of monomial k, for both columns
             # r of the doubled row, into the (kept powers, 2n) table of one point
             self._row_index = np.repeat(np.array([e * 2 * self.dim + c for c, e in self._factors])[:, :, None], 2, axis=2)
-        powers = self._powers(np.concatenate((z, z.conj())))
+        powers = np.empty((len(self._kept), 2 * self.dim), dtype=complex)
+        powers[0] = 1.0
+        return (np.empty(2 * self.dim, dtype=complex), powers, np.empty(self._row_index.shape, dtype=complex),
+                np.empty((len(self.keys), 2), dtype=complex))
+
+    def doubled_row(self, z, buffers=None):
+        """(len(keys), 2) complex table of the monomials at the one point z,
+        in both columns: ``__call__`` on the two rows (z, z), bit for bit. It
+        overwrites ``buffers`` (fresh ones by default) and returns the last."""
+        base, powers, factors, table = self.row_buffers() if buffers is None else buffers
+        base[: self.dim] = z
+        np.conjugate(z, out=base[self.dim :])
+        self._powers(base, powers)
+        # clip: the indices are in range, and the default mode buffers the output
+        powers.take(self._row_index, out=factors, mode="clip")
         # initial=None starts from the first factor, as the loop does; the
         # default starts from 1, whose product flips the sign of some zeros
-        return np.multiply.reduce(powers.take(self._row_index), axis=0, initial=None)
+        return np.multiply.reduce(factors, axis=0, initial=None, out=table)
 
 
 class Evaluator:
@@ -188,11 +204,21 @@ class Evaluator:
         for col, (keys, c) in enumerate(packs):
             self.coeffs[[row[key] for key in keys], col] = c
 
+    def row_buffers(self):
+        """Fresh buffers of ``doubled_row``: the monomials' and the product's."""
+        return self.monomials.row_buffers(), np.empty((2, self.coeffs.shape[1]), dtype=complex)
+
+    def doubled_row(self, z, buffers):
+        """(2, C) values at the one point z in both rows, in ``buffers``."""
+        table = self.monomials.doubled_row(z, buffers[0])
+        return np.matmul(table.T, self.coeffs, out=buffers[1])
+
     def __call__(self, points):
         """(N, max(2, len(exprs))) complex values, column j for expression j."""
         pts = np.asarray(points, dtype=complex)
-        table = self.monomials.doubled_row(pts[0]) if pts.shape == (1, self.dim) else self.monomials(pts)
-        return (table.T @ self.coeffs)[: len(pts)]
+        if pts.shape == (1, self.dim):
+            return self.doubled_row(pts[0], self.row_buffers())[:1]
+        return self.monomials(pts).T @ self.coeffs
 
 
 class PolyExpr:

@@ -14,8 +14,10 @@ from mafoliation import (
     trace_leaf,
 )
 from mafoliation.foliation import DEFAULT_STEP, rk4_segment
-from mafoliation.gradient import RealFieldKind
+from mafoliation.gradient import RealFieldKind, _direct_z, gradient_field
+from mafoliation.levi import _batch_jet, fields_at_many
 from mafoliation.sampling import sample_domain
+from helpers import weighted_sum_potential
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,28 @@ def test_flow_composition(ball2):
     # identical step partition, so agreement is roundoff-level; 10x the per-step
     # tolerance h^4 is far looser
     assert np.max(np.abs(one_shot - composed)) < 10 * (1e-3) ** 4
+
+
+@pytest.mark.parametrize("kind", [RealFieldKind.X, RealFieldKind.Y])
+@pytest.mark.parametrize("case", ["weighted24 (1, 1)", "weighted24 (1, 0)", "ball3", "|z1|^2 + |z2|^12"])
+def test_one_row_flow_is_the_batched_field_flow(weighted24, ball3, case, kind):
+    # a one-row batch is solved in buffers of its own; every stage must be
+    # gradient_field's, on a directly solved row, on one that the direct
+    # solve leaves to the least-squares Z, and on a jet whose power chain
+    # skips powers. Both sides evaluate one doubled row on gemm, so this holds
+    # under a threaded BLAS too
+    p, z0 = {
+        "weighted24 (1, 1)": (weighted24, [1, 1]),
+        "weighted24 (1, 0)": (weighted24, [1, 0]),
+        "ball3": (ball3, [0.3 + 0.2j, -0.4, 0.1j]),
+        "|z1|^2 + |z2|^12": (weighted_sum_potential((1.0, 1.0), (1, 6)), [0.6, 0.5 + 0.3j]),
+    }[case]
+    z0 = np.array([z0], dtype=complex)
+    assert _direct_z(*fields_at_many(p, z0)[1:])[1].size == (case == "weighted24 (1, 0)")
+    assert min(_batch_jet(p).monomials._chain) < 0 or case != "|z1|^2 + |z2|^12"
+    mult = kind.multiplier
+    want = rk4_segment(lambda w: mult * gradient_field(p, w), z0, 0.5, DEFAULT_STEP)
+    assert flow_points(p, z0, 0.5, kind).tobytes() == want.tobytes()
 
 
 def test_step_halving_fourth_order(ball2):

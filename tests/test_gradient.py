@@ -249,13 +249,25 @@ def test_the_kernels_hold_their_own_error_state():
         _lstsq_rows(grad, hess)
 
 
-def test_the_kernels_are_thread_safe():
+def test_the_kernels_are_thread_safe(weighted24):
     # each call sets and resets its error state with a token of its own, so
-    # threads in the kernels at once get the one-thread answers
+    # threads in the kernels at once get the one-thread answers; each Theta
+    # orbit runs its stages in buffers of its own
     grad, hess = _singular_stack()
     want = [_direct_z(grad, hess), _lstsq_rows(grad, hess)]
-    start = threading.Barrier(4, timeout=60)
+    starts = ([1, 0], [0.5, 0])
+    orbits = [theta_orbit_det_check(weighted24, z0, t_max=5.0, steps=500) for z0 in starts]
+    start = threading.Barrier(4 + len(starts), timeout=60)
     failures = []
+
+    def orbit(z0, serial):
+        try:
+            start.wait()
+            got = theta_orbit_det_check(weighted24, z0, t_max=5.0, steps=500)
+            if got != serial:
+                failures.append((z0, got))
+        except Exception as exc:
+            failures.append(exc)
 
     def worker():
         try:
@@ -270,6 +282,7 @@ def test_the_kernels_are_thread_safe():
             failures.append(exc)
 
     threads = [threading.Thread(target=worker) for _ in range(4)]  # more threads than CI's cores
+    threads += [threading.Thread(target=orbit, args=args) for args in zip(starts, orbits)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -484,13 +497,16 @@ def test_theta_orbit_smaller_radius(weighted24):
 
 
 @pytest.mark.parametrize("steps", [5000, 7, ORBIT_CHECK_BLOCK + 1, 2 * ORBIT_CHECK_BLOCK])
-@pytest.mark.parametrize("start", ["weighted24 (1, 0)", "weighted24 (0.5, 0)", "weighted_n4"])
+@pytest.mark.parametrize("start", ["weighted24 (1, 0)", "weighted24 (0.5, 0)", "weighted_n4", "|z1|^2 + |z2|^12 (1, 0)"])
 def test_theta_orbit_matches_per_step_reference(weighted24, start, steps):
-    # the end-of-step checks run in blocks; every value must be the per-step loop's
+    # the end-of-step checks run in blocks, and the stages in buffers of their
+    # own; every value must be the per-step loop's. The jet of |z1|^2 + |z2|^12
+    # skips the powers 2 to 4 of each coordinate
     p, z0 = {
         "weighted24 (1, 0)": (weighted24, [1, 0]),
         "weighted24 (0.5, 0)": (weighted24, [0.5, 0]),
         "weighted_n4": (WEIGHTED_N4, N4_DEGENERATE),
+        "|z1|^2 + |z2|^12 (1, 0)": (weighted_sum_potential((1.0, 1.0), (1, 6)), [1, 0]),
     }[start]
     got = theta_orbit_det_check(p, z0, t_max=5.0, steps=steps)
     assert not got.skipped
@@ -543,7 +559,7 @@ def test_theta_flow_follows_the_exact_orbit(weighted24, name):
 
 
 @pytest.mark.parametrize(
-    "t_max, steps", [(0.0, None), (-1.0, None), (math.inf, 10), (math.nan, 10), (5.0, 0), (5.0, -3)]
+    "t_max, steps", [(0.0, None), (-1.0, None), (math.inf, 10), (math.nan, 10), (5.0, 0), (5.0, -3), (5.0, 2.5)]
 )
 def test_theta_orbit_rejects_an_empty_or_invalid_interval(weighted24, t_max, steps):
     with pytest.raises(ValueError, match="t_max > 0 and steps >= 1"):

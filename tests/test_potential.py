@@ -118,15 +118,19 @@ def test_evaluate_many_matches_single(quartic_mixed, bundled_and_generated):
     [((0, 0), (0, 0))],  # the constant: no power of z above 0
     [((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 1), (1, 1))],  # powers up to 1
     [((3, 0), (0, 1)), ((0, 2), (2, 0)), ((1, 1), (1, 1))],
+    [((5, 0), (0, 2)), ((0, 1), (3, 0)), ((7, 7), (0, 7))],  # skipped powers: a negative chain entry
 ])
 def test_doubled_row_is_the_factor_loop_on_two_equal_rows(keys):
+    # in fresh buffers, and in one set of buffers kept across the points
     monomials = Monomials(2, keys)
+    kept = monomials.row_buffers()
     rng = np.random.default_rng(21)
     for z in [*random_points(rng, 2, 20), np.array([0j, complex(-0.0, -0.0)])]:
         got = monomials.doubled_row(z)
         want = monomials(np.repeat(z[None], 2, axis=0))
         assert got.shape == want.shape == (len(keys), 2)
         assert got.tobytes() == want.tobytes()
+        assert monomials.doubled_row(z, kept).tobytes() == want.tobytes()
 
 
 def _row_bytes(monomials):
