@@ -10,7 +10,6 @@ with seeded, reproducible output.
 
 from .burns import burns_check
 from .foliation import (
-    flow_points,
     leaf_log_linearity,
     leaf_stratum_invariance,
     level_set_invariance,
@@ -23,6 +22,7 @@ from .gradient import (
     cr_scan,
     euler_residual_scan,
     extended_gradient,
+    flow_points,
     gradient_field,
     theta_orbit_det_check,
 )
@@ -56,10 +56,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "burns_check",
-    "flow_points", "leaf_log_linearity", "leaf_stratum_invariance", "level_set_invariance",
-    "trace_leaf",
+    "leaf_log_linearity", "leaf_stratum_invariance", "level_set_invariance", "trace_leaf",
     "RealFieldKind", "SingularHessianError", "complex_gradient", "cr_scan", "euler_residual_scan",
-    "extended_gradient", "gradient_field", "theta_orbit_det_check",
+    "extended_gradient", "flow_points", "gradient_field", "theta_orbit_det_check",
     "analyze_weights", "default_lambda_samples", "flow_level_map_check", "linear_field_agreement",
     "rescale_to_level", "verify_weights",
     "Stratum", "levi_data", "levi_scan", "ma_residual", "restricted_levi_eigen",

@@ -221,9 +221,13 @@ def cmd_trace(args):
     base = np.array([parse_complex(tok) for tok in args.base.split(",")], dtype=complex)
     if base.size != p.dim:
         raise ValueError(f"base point has {base.size} coordinates, potential has n = {p.dim}")
+    if not np.isfinite(base).all():
+        raise ValueError(f"--base must be finite, got {args.base}")
     for option, end, count in (("t", args.t_max, args.t_nodes), ("s", args.s_max, args.s_nodes)):
         if not math.isfinite(end):  # refused before np.linspace warns about it
             raise ValueError(f"--{option}-max must be finite, got {end}")
+        if count < 1:
+            raise ValueError(f"--{option}-nodes must be at least 1, got {count}")
         if count > MAX_TRACE_NODES:
             raise ValueError(f"--{option}-nodes {count} exceeds the limit of {MAX_TRACE_NODES} nodes")
     # a step that is not > 0 is refused by rk4_segment

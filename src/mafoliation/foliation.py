@@ -1,29 +1,28 @@
-"""Leaf tracing: numerical integration of the X and Y flows with diagnostics.
+"""Foliation leaves: the (t, s) node grid of a leaf and its diagnostics.
 
 A leaf through z0 is parametrized as node(t, s) = flow_X(t, flow_Y(s, z0)),
 matching the (t, s) flow grid rather than arc length so that log rho is an
 exact affine function of t along the leaf (kappa = 1 convention:
 rho(flow_X(t, z)) = e^t rho(z)).
 
-Integrator: classical fixed-step RK4 (default step DEFAULT_STEP = 1e-2) in
-``rk4_segment``, the one RK4 loop behind flow_points and the Theta orbit of
-gradient.theta_orbit_det_check. A leaf is traced in two batched sweeps: one in
-s from z0, then one in t that advances every s-column together, one batched Z
-solve per RK4 stage; the s-sweep's one row in the buffers of a
-``gradient._RowStage``. The fields are smooth and low-dimensional;
-reproducibility beats adaptivity here. At 1e-2 the log-linearity error of a
-leaf is about 1e-11, five orders below the 1e-6 gates.
+A leaf is traced in two batched sweeps of ``gradient.flow_points``, whose
+classical fixed-step RK4 (default step DEFAULT_STEP = 1e-2) is the one loop
+behind every flow of Z: one in s from z0, on one row, then one in t that
+advances every s-column together, one batched Z solve per RK4 stage. The
+fields are smooth and low-dimensional; reproducibility beats adaptivity here.
+At 1e-2 the log-linearity error of a leaf is about 1e-11, five orders below
+the 1e-6 gates. The diagnostics (log-linearity, level-set invariance and
+stratum invariance) read the nodes' rho, det H and strata of the trace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .gradient import RealFieldKind, _RowStage, gradient_field
+from .gradient import RealFieldKind, flow_points
 from .levi import Stratum, _check_inside, levi_scan
 from .thresholds import DEFAULT_STEP, RHO_FLOOR
 
@@ -40,42 +39,6 @@ MAX_TRACE_STEPS = 2**15
 # t or s nodes of one trace: a trace holds at most MAX_TRACE_NODES**2 = 2**16
 # nodes, sampling.MAX_SAMPLES, each with its jet, as analyze holds its samples
 MAX_TRACE_NODES = 2**8
-
-
-def rk4_segment(vel, z, duration, step):
-    """Advance z by `duration` with fixed-step RK4, landing exactly on target.
-
-    The one RK4 loop of the package: z is one point or an (N, n) batch,
-    whatever `vel` maps. The step must be finite and > 0, and the duration
-    finite.
-    """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"RK4 step must be finite and > 0 (--step), got {step}")
-    if not math.isfinite(duration):
-        raise ValueError(f"RK4 duration must be finite (--t-max, --s-max), got {duration}")
-    if duration == 0.0:
-        return np.array(z, dtype=complex)
-    n_steps = max(1, math.ceil(abs(duration) / step))
-    h = duration / n_steps
-    z = np.asarray(z, dtype=complex)  # each step makes a new array
-    for _ in range(n_steps):
-        k1 = vel(z)
-        k2 = vel(z + 0.5 * h * k1)
-        k3 = vel(z + 0.5 * h * k2)
-        k4 = vel(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return z
-
-
-def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
-    """Flow an (N, n) batch of points simultaneously (one solve per RK4 stage)."""
-    mult = kind.multiplier
-    z_of = _RowStage(p).solved if np.shape(points) == (1, p.dim) else partial(gradient_field, p)
-
-    def vel(w):
-        return mult * z_of(w)
-
-    return rk4_segment(vel, points, time, step)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""The complex gradient field Z, its least-squares extension, and diagnostics.
+"""The complex gradient field Z, its least-squares extension, its flows, and diagnostics.
 
 Z solves sum_mu Z^mu rho_{mu nubar} = rho_nubar, i.e. H^T Z = conj(grad).
 On the full-rank stratum this is a direct solve; across degenerate points the
@@ -15,10 +15,11 @@ takes the per-row np.isfinite test, which names the first bad row.
 Every direct Z comes from the one direct solve ``_direct_z`` (complex_gradient's
 from a one-row batch); ``_solve_z`` (gradient_field, the analyze scan) sends
 the rows it did not settle to the kernel. The Euler and CR scans are one jet
-over all their points, then one kernel call. The RK4 stages of the Theta orbit
-and of a one-row flow run in the buffers of a ``_RowStage``; the orbit's
-end-of-step checks are batched, ORBIT_CHECK_BLOCK end points per jet. The
-Euler residual (``_euler_residual``) and the Z-system test (``_consistent``)
+over all their points, then one kernel call. The flows of Z (``flow_points``,
+the Theta orbit) run in ``rk4_segment``, the one RK4 loop of the package; a
+one-row integration evaluates its jet and gemm in the buffers of a
+``_RowStage``, and the orbit checks its end points ORBIT_CHECK_BLOCK per jet.
+The Euler residual (``_euler_residual``) and the Z-system test (``_consistent``)
 are batched kernels too; a GradientSample holds their row 0 on a one-row
 batch, and burns applies the system residual (``_system_residual``) to Z = w/k.
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -203,29 +205,31 @@ def _solve_z(grad, hess):
 
 
 class _RowStage:
-    """The RK4 stages of one integration of a one-row batch w: its jet in
-    buffers of this object, then a Z kernel on fixed views of them, bit for bit
-    the kernel on ``fields_at_many(p, w)``. Nothing shared is written, and each
-    Z is a new array, which RK4 keeps while later stages refill the buffers."""
+    """The RK4 stages of one integration of a one-row batch w: its doubled-row
+    jet and gemm in buffers of this object, then a Z kernel on fixed views of
+    them, bit for bit the kernel on ``fields_at_many(p, w)``. Nothing shared is
+    written; each Z is a new array, kept by RK4 while later stages refill them."""
 
-    __slots__ = ("_jet", "_buffers", "_grad", "_hess", "_ht", "_gbar")
+    __slots__ = ("_doubled_row", "_buffers", "_coeffs", "_product", "_grad", "_hess", "_ht", "_gbar")
 
     def __init__(self, p):
-        self._jet = _batch_jet(p)
-        self._buffers = self._jet.row_buffers()
-        _, self._grad, self._hess = _jet_columns(self._buffers[1][:1], p.dim)
+        jet = _batch_jet(p)
+        self._doubled_row, self._coeffs = jet.monomials.doubled_row, jet.coeffs
+        self._buffers = jet.monomials.row_buffers()
+        self._product = np.empty((2, self._coeffs.shape[1]), dtype=complex)
+        _, self._grad, self._hess = _jet_columns(self._product[:1], p.dim)
         self._ht = self._hess.transpose(0, 2, 1)
         self._gbar = np.empty((1, p.dim, 1), dtype=complex)
 
     def extended(self, w):
         """``_lstsq_rows``'s Z at w."""
-        self._jet.doubled_row(w[0], self._buffers)
+        np.matmul(self._doubled_row(w[0], self._buffers).T, self._coeffs, out=self._product)
         np.conjugate(self._grad, out=self._gbar[..., 0])
         return _lstsq_solve(self._hess, self._ht, self._gbar)
 
     def solved(self, w):
         """``_solve_z``'s Z at w, as ``gradient_field`` gives it."""
-        self._jet.doubled_row(w[0], self._buffers)
+        np.matmul(self._doubled_row(w[0], self._buffers).T, self._coeffs, out=self._product)
         return _solve_z(self._grad, self._hess)
 
 
@@ -234,6 +238,42 @@ def gradient_field(p, points):
     singular or inconsistent rows."""
     _, grad, hess = fields_at_many(p, np.asarray(points, dtype=complex))
     return _solve_z(grad, hess)
+
+
+def rk4_segment(vel, z, duration, step):
+    """Advance z by `duration` with fixed-step RK4, landing exactly on target.
+
+    The one RK4 loop of the package: z is one point or an (N, n) batch,
+    whatever `vel` maps. The step must be finite and > 0, and the duration
+    finite.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"RK4 step must be finite and > 0 (--step), got {step}")
+    if not math.isfinite(duration):
+        raise ValueError(f"RK4 duration must be finite (--t-max, --s-max), got {duration}")
+    if duration == 0.0:
+        return np.array(z, dtype=complex)
+    n_steps = max(1, math.ceil(abs(duration) / step))
+    h = duration / n_steps
+    z = np.asarray(z, dtype=complex)  # each step makes a new array
+    for _ in range(n_steps):
+        k1 = vel(z)
+        k2 = vel(z + 0.5 * h * k1)
+        k3 = vel(z + 0.5 * h * k2)
+        k4 = vel(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return z
+
+
+def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
+    """Flow an (N, n) batch of points simultaneously (one solve per RK4 stage)."""
+    mult = kind.multiplier
+    z_of = _RowStage(p).solved if np.shape(points) == (1, p.dim) else partial(gradient_field, p)
+
+    def vel(w):
+        return mult * z_of(w)
+
+    return rk4_segment(vel, points, time, step)
 
 
 def euler_residual_scan(p, samples):
@@ -336,8 +376,6 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
             max_abs_det=max_det,
             max_rho_drift=0.0,
         )
-    from .foliation import rk4_segment  # foliation imports this module
-
     if steps is None:
         steps = math.ceil(t_max / DEFAULT_STEP)
     h = t_max / steps

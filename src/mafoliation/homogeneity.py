@@ -20,8 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .foliation import flow_points
-from .gradient import RealFieldKind, gradient_field
+from .gradient import RealFieldKind, flow_points, gradient_field
 from .thresholds import LEVEL_BISECT_TOL, LEVEL_SET_TOL
 
 # rescale_to_level: points per multisection round (32 cells, 5 bits of s per

@@ -36,7 +36,7 @@ class Stratum(Enum):
     STRICTLY_PSH = "strict"          # full rank n
     LOW_DEGENERACY = "low_degeneracy"  # rank exactly n-1
     WEAK = "weak"                    # rank <= n-2
-    OUTSIDE_DOMAIN = "outside"       # rho <= 0
+    OUTSIDE_DOMAIN = "outside"       # not rho > 0: rho <= 0 or NaN
 
     def __str__(self):
         return self.value
@@ -69,8 +69,8 @@ def _batch_jet(p):
     return Evaluator(jet(p))
 
 
-def _outside(rho):  # the domain rule, for a scalar or an array: the domain is {rho > 0}
-    return np.asarray(rho) <= 0
+def _outside(rho):  # the domain rule, for a scalar or an array: the domain is {rho > 0}, so NaN is outside
+    return ~(np.asarray(rho) > 0)
 
 
 def _check_inside(rho):
@@ -108,7 +108,7 @@ def levi_rank(eigenvalues):
 
 def classify_strata(rho, eigenvalues):
     """Rank rule (``levi_rank``) over rho (...) and spectra (..., n), for one
-    point or many; points with rho <= 0 are outside the domain. Returns an
+    point or many; points whose rho is not > 0 are outside the domain. Returns an
     object array of Stratum with rho's shape (0-d for one point: take ``.item()``).
     """
     rho = np.asarray(rho, dtype=float)

@@ -12,7 +12,8 @@ polynomials, then one coefficient product. ``PolyExpr.evaluate_many`` is the
 evaluator of the one polynomial, ``PolyExpr.evaluate`` is ``evaluate_many`` on
 one row, and the batched jet of ``levi`` is the evaluator of the jet. The rule
 that keeps that product on BLAS gemm, so that a row does not depend on its
-batch, lives in ``Evaluator`` and nowhere else.
+batch, lives in ``Evaluator``; the one-row RK4 stages of ``gradient`` make
+its product of a doubled row (``Monomials.doubled_row``) in their own buffers.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ class PotentialFormatError(ValueError):
 
 
 def _one_row(p, z):
-    """z as a (1, n) point array, checked against the dimension of p."""
+    """z as a (1, n) point array, checked against the dimension of p and
+    refused when a coordinate is not finite."""
     z = np.asarray(z, dtype=complex).ravel()
     if z.size != p.dim:
         raise ValueError(f"point has length {z.size}, expected {p.dim}")
+    if not np.isfinite(z).all():
+        raise ValueError(f"point has a non-finite coordinate: {z}")
     return z[None, :]
 
 
@@ -88,11 +92,12 @@ class Monomials:
     left to right, so it is the same number whichever list it sits in.
 
     ``doubled_row`` evaluates one point with one gather of every factor and
-    one ``multiply.reduce``: the same products in the same order. On many rows
-    that gather would hold 2n times the table, and the factor loop is faster.
+    one ``multiply.reduce``: the same products in the same order, from the same
+    factor index ``_index`` as the factor loop of ``_block``. On many rows that
+    gather would hold 2n times the table, and the factor loop is faster.
     """
 
-    __slots__ = ("dim", "keys", "_kept", "_chain", "_row_bytes", "_factors", "_row_index")
+    __slots__ = ("dim", "keys", "_kept", "_chain", "_row_bytes", "_index")
 
     def __init__(self, dim, keys):
         self.dim = dim
@@ -106,11 +111,10 @@ class Monomials:
         for prev, e in zip(self._kept, self._kept[1:]):
             self._chain += [prev + 1 - e, slot[e]] if e > prev + 1 else [slot[e]]
         self._row_bytes = 16 * ((len(self._kept) + (self._kept[-1] >= len(self._kept))) * 2 * dim + 2 * len(self.keys))
-        # power-table columns of the factors z1, zbar1, z2, zbar2, ..., in
-        # order, with the table row of each monomial's exponent
-        order = np.arange(2 * dim).reshape(2, dim).T.ravel()
-        self._factors = [(c, np.array([slot[e] for e in exps[:, c].tolist()], dtype=np.intp)) for c in order.tolist()]
-        self._row_index = None  # built by the first row_buffers
+        # [f, k]: flat index of factor f of monomial k, for the factors z1,
+        # zbar1, z2, zbar2, ... in order, into a (kept powers, 2n) power table
+        order = np.arange(2 * dim).reshape(2, dim).T.ravel().tolist()
+        self._index = np.array([[slot[e] * 2 * dim + c for e in exps[:, c].tolist()] for c in order], dtype=np.intp)
 
     def _powers(self, base, powers=None):
         """base**e for each kept exponent e, in ascending order on a new first
@@ -146,36 +150,33 @@ class Monomials:
 
     def _block(self, pts):
         """The monomial table of the (M, n) point array pts."""
-        # (kept powers, 2n, M): each gathered power of a factor is a contiguous row
-        powers = self._powers(np.concatenate((pts.T, pts.T.conj())))
-        (c, exps), *rest = self._factors
-        acc = powers[:, c].take(exps, axis=0)
-        for c, exps in rest:
-            acc *= powers[:, c].take(exps, axis=0)
+        # (kept powers * 2n, M): each gathered power of a factor is a contiguous row
+        powers = self._powers(np.concatenate((pts.T, pts.T.conj()))).reshape(len(self._kept) * 2 * self.dim, -1)
+        first, *rest = self._index
+        acc = powers.take(first, axis=0)
+        for index in rest:
+            acc *= powers.take(index, axis=0)
         return acc
 
     def row_buffers(self):
         """Fresh buffers of ``doubled_row``: z and conj(z), their power table
-        (slot 0 is 1), the gathered factors and the table."""
-        if self._row_index is None:
-            # [f, k, r]: flat index of factor f of monomial k, for both columns
-            # r of the doubled row, into the (kept powers, 2n) table of one point
-            self._row_index = np.repeat(np.array([e * 2 * self.dim + c for c, e in self._factors])[:, :, None], 2, axis=2)
+        (slot 0 is 1), the gather index, the gathered factors and the table."""
+        index = np.repeat(self._index[:, :, None], 2, axis=2)  # [f, k, r]: both columns r of the doubled row
         powers = np.empty((len(self._kept), 2 * self.dim), dtype=complex)
         powers[0] = 1.0
-        return (np.empty(2 * self.dim, dtype=complex), powers, np.empty(self._row_index.shape, dtype=complex),
+        return (np.empty(2 * self.dim, dtype=complex), powers, index, np.empty(index.shape, dtype=complex),
                 np.empty((len(self.keys), 2), dtype=complex))
 
-    def doubled_row(self, z, buffers=None):
+    def doubled_row(self, z, buffers):
         """(len(keys), 2) complex table of the monomials at the one point z,
         in both columns: ``__call__`` on the two rows (z, z), bit for bit. It
-        overwrites ``buffers`` (fresh ones by default) and returns the last."""
-        base, powers, factors, table = self.row_buffers() if buffers is None else buffers
+        fills ``buffers`` (``row_buffers``) and returns their last, the table."""
+        base, powers, index, factors, table = buffers
         base[: self.dim] = z
         np.conjugate(z, out=base[self.dim :])
         self._powers(base, powers)
         # clip: the indices are in range, and the default mode buffers the output
-        powers.take(self._row_index, out=factors, mode="clip")
+        powers.take(index, out=factors, mode="clip")
         # initial=None starts from the first factor, as the loop does; the
         # default starts from 1, whose product flips the sign of some zeros
         return np.multiply.reduce(factors, axis=0, initial=None, out=table)
@@ -204,20 +205,11 @@ class Evaluator:
         for col, (keys, c) in enumerate(packs):
             self.coeffs[[row[key] for key in keys], col] = c
 
-    def row_buffers(self):
-        """Fresh buffers of ``doubled_row``: the monomials' and the product's."""
-        return self.monomials.row_buffers(), np.empty((2, self.coeffs.shape[1]), dtype=complex)
-
-    def doubled_row(self, z, buffers):
-        """(2, C) values at the one point z in both rows, in ``buffers``."""
-        table = self.monomials.doubled_row(z, buffers[0])
-        return np.matmul(table.T, self.coeffs, out=buffers[1])
-
     def __call__(self, points):
         """(N, max(2, len(exprs))) complex values, column j for expression j."""
         pts = np.asarray(points, dtype=complex)
         if pts.shape == (1, self.dim):
-            return self.doubled_row(pts[0], self.row_buffers())[:1]
+            return (self.monomials.doubled_row(pts[0], self.monomials.row_buffers()).T @ self.coeffs)[:1]
         return self.monomials(pts).T @ self.coeffs
 
 

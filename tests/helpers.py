@@ -24,8 +24,7 @@ import io
 import numpy as np
 
 from mafoliation import PolyPotential
-from mafoliation.foliation import rk4_segment
-from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, extended_gradient
+from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, extended_gradient, rk4_segment
 from mafoliation.levi import LeviData, Stratum, _batch_jet, classify_strata, fields_at, fields_at_many, levi_data
 from mafoliation.potential import PolyExpr
 from mafoliation.thresholds import LSTSQ_RCOND

@@ -656,13 +656,23 @@ def test_burns_grid_below_two_per_axis_exit2(tmp_path, capsys, grid_n, extra):
         (["--s-max", "1e7"], f"take 1e+09 RK4 steps, above the limit of {MAX_TRACE_STEPS}; use a larger --step"),
         # many nodes do not lift the limit: 4e4 / 0.01 steps in 255 segments of 1,569
         (["--t-max", "4e4", "--t-nodes", "256"], f"take 4e+06 RK4 steps, above the limit of {MAX_TRACE_STEPS}"),
+        # a count below 1 used to print the header, then blame the domain (0)
+        # or reach np.linspace (-1); so did a non-finite base (the s sweep)
+        (["--t-nodes", "0"], "--t-nodes must be at least 1, got 0"),
+        (["--t-nodes=-1"], "--t-nodes must be at least 1, got -1"),
+        (["--s-nodes", "0"], "--s-nodes must be at least 1, got 0"),
+        (["--s-nodes=-1"], "--s-nodes must be at least 1, got -1"),
+        (["--base", "nan+0i,0+0i"], "--base must be finite, got nan+0i,0+0i"),
+        (["--base=1+0i,-inf+0i"], "--base must be finite, got 1+0i,-inf+0i"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trace_refuses_what_it_cannot_finish_exit2(corpus, tmp_path, capsys, extra, message):
     rc = main(["trace", str(corpus / "ball2.pot"), "--base", "1+0i,0+0i", *extra, "--out", str(tmp_path)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 2
-    assert message in err and "Traceback" not in err
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""  # refused before the header
     assert not (tmp_path / "ball2_trace.csv").exists()
 
 

@@ -13,10 +13,10 @@ from mafoliation import (
     rescale_to_level,
     trace_leaf,
 )
-from mafoliation.foliation import DEFAULT_STEP, rk4_segment
-from mafoliation.gradient import RealFieldKind, _direct_z, gradient_field
+from mafoliation.gradient import RealFieldKind, _direct_z, gradient_field, rk4_segment
 from mafoliation.levi import _batch_jet, fields_at_many
 from mafoliation.sampling import sample_domain
+from mafoliation.thresholds import DEFAULT_STEP
 from helpers import weighted_sum_potential
 
 

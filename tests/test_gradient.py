@@ -1,7 +1,10 @@
+import ast
 import math
+import re
 import sys
 import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +20,7 @@ from mafoliation import (
     levi_data,
     theta_orbit_det_check,
 )
-from mafoliation import foliation, gradient
-from mafoliation.foliation import flow_points
+from mafoliation import gradient
 from mafoliation.cli import ScanConfig, _analyze_scan
 from mafoliation.gradient import (
     ORBIT_CHECK_BLOCK,
@@ -29,8 +31,10 @@ from mafoliation.gradient import (
     _lstsq_rows,
     _solve_z,
     _system_residual,
+    flow_points,
 )
 from mafoliation.levi import Stratum, fields_at, fields_at_many
+from mafoliation.potential import Evaluator
 from mafoliation.sampling import sample_domain
 from mafoliation.thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
 from helpers import (
@@ -523,10 +527,10 @@ def test_theta_orbit_first_failing_step_decides_the_error(monkeypatch):
 
     # the step that leaves {rho > 0} comes first, so it decides, though the
     # non-finite step after it fails before that step's block is checked
-    monkeypatch.setattr(foliation, "rk4_segment", scripted([1, 0], [0.5, 1.0], [np.nan, 0]))
+    monkeypatch.setattr(gradient, "rk4_segment", scripted([1, 0], [0.5, 1.0], [np.nan, 0]))
     with pytest.raises(ValueError, match="exited the domain"):
         theta_orbit_det_check(p, [1, 0], steps=10)
-    monkeypatch.setattr(foliation, "rk4_segment", scripted([1, 0], [np.nan, 0], [0.5, 1.0]))
+    monkeypatch.setattr(gradient, "rk4_segment", scripted([1, 0], [np.nan, 0], [0.5, 1.0]))
     with pytest.raises(ValueError, match="non-finite"):
         theta_orbit_det_check(p, [1, 0], steps=10)
 
@@ -601,3 +605,23 @@ def test_gradient_sample_euler_residual_consistent(weighted24):
     rho, grad, _ = fields_at(weighted24, g.point)
     recomputed = abs(g.Z @ grad - rho)
     assert recomputed == pytest.approx(g.euler_residual, abs=1e-14)
+
+
+# -- layout of the flows of Z --------------------------------------------------------
+
+
+def test_the_flows_of_z_live_in_gradient_alone():
+    # gradient integrates Z without importing foliation, its one-row stage is
+    # named nowhere else, and the evaluator has no one-row buffer API
+    src = Path(gradient.__file__).parent
+    modules = []
+    for node in ast.walk(ast.parse((src / "gradient.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            modules += [node.module or "", *(f"{node.module or ''}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert not [m for m in modules if "foliation" in m.split(".")]
+    naming = {path.name for path in src.glob("*.py") if re.search(r"\b_RowStage\b", path.read_text(encoding="utf-8"))}
+    assert naming == {"gradient.py"}
+    assert isinstance(gradient.__dict__.get("_RowStage"), type)
+    assert not {"row_buffers", "doubled_row"} & set(vars(Evaluator))

@@ -7,6 +7,8 @@ import pytest
 from mafoliation import (
     PolyPotential,
     Stratum,
+    complex_gradient,
+    extended_gradient,
     levi_data,
     levi_scan,
     ma_residual,
@@ -69,6 +71,24 @@ def test_levi_data_matches_scalar_reference(bundled_and_generated):
 def test_levi_data_rejects_a_point_of_the_wrong_length(ball2):
     with pytest.raises(ValueError, match="point has length 3, expected 2"):
         levi_data(ball2, [1, 0, 0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z", [[math.nan, 0], [1, math.inf], [complex(0, -math.inf), 1], [complex(1, math.nan), 0]])
+def test_a_point_with_a_non_finite_coordinate_is_refused(ball2, z):
+    # NaN failed no domain test: levi_data read the stratum weak, ma_residual
+    # returned nan, and complex_gradient called the Hessian singular
+    for entry in (levi_data, ma_residual, complex_gradient, extended_gradient, fields_at):
+        with pytest.raises(ValueError, match="point has a non-finite coordinate"):
+            entry(ball2, z)
+    with pytest.raises(ValueError, match="point has a non-finite coordinate"):
+        ball2.evaluate(z)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_nan_row_of_a_scan_is_outside_the_domain(ball2):
+    scan = levi_scan(ball2, np.array([[math.nan, 0], [1, 0], [0, 0], [1, math.nan]]))
+    assert scan.strata.tolist() == [Stratum.OUTSIDE_DOMAIN, Stratum.STRICTLY_PSH] + [Stratum.OUTSIDE_DOMAIN] * 2
 
 
 def test_levi_data_outside_domain(nonma):

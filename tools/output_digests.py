@@ -10,7 +10,12 @@ The outputs, each at the default seed and settings:
 * the ``burns`` stdout, radial residual line included, of the grid
   benchmark's other three runs: ball3 at ``--grid-n 8``, quartic_mixed and
   the generated normsq_n4 at ``--grid-n 4``;
-* ``suite_summary.csv`` and the stdout of ``suite`` on both corpora.
+* ``suite_summary.csv`` and the stdout of ``suite`` on both corpora;
+* ``theta_orbit_det_check`` from (1, 0) over t = 5 in 5,000 steps on
+  weighted24 and on |z1|^2 + |z2|^12, as the reprs of its two maxima;
+* the ``rescale_to_level`` samples (onto rho = 1) and the
+  ``flow_level_map_check`` value (to rho = 2) of ball2 and weighted24, from
+  50 points of ``sample_domain(..., 1.5, min_rho=1e-3)`` at seed 1.
 
 Wall times are stripped from stdout. Each line also shows the exit code of
 the command that wrote the output. Two checkouts that print the same lines
@@ -39,12 +44,16 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from mafoliation import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from mafoliation import cli, gradient, homogeneity, potential, sampling  # noqa: E402
 
 BUNDLED = ("ball2", "ball3", "nonma", "quartic_diag", "quartic_mixed", "square_norm", "weighted24")
 GENERATED = ("chain_n4", "chain_n8", "normsq_n4", "normsq_n8", "weighted_n4", "weighted_n8")
 BURNS = {"ball3": ("bundled", "8"), "quartic_mixed": ("bundled", "20"), "normsq_n4": ("generated", "4")}
 TRACES = {"weighted24": "1+0i,1+0i", "ball3": "1+0i,0.5+0.5i,0.3-0.2i", "square_norm": "1+0i,0.5-0.5i"}
+ORBITS = {"weighted24": None, "z1^2+z2^12": {((1, 0), (1, 0)): 1, ((0, 6), (0, 6)): 1}}
+LEVEL_MAPS = ("ball2", "weighted24")
 _WALL = re.compile(r" \[\d+\.\d+s\]")
 
 
@@ -66,6 +75,22 @@ def _run(label, argv, out_dir, csv_name):
     csv_digest = _sha(csv_path.read_bytes()) if csv_path.exists() else "missing"
     yield f"{csv_digest}  {label}.csv (exit {code})"
     yield stdout
+
+
+def _flow_lines():
+    """The Theta orbit and level-map lines: the values of the flows of Z that
+    no command prints in full."""
+    corpus = cli.bundled_corpus_dir()
+    for label, terms in ORBITS.items():
+        p = potential.parse_potential_file(corpus / f"{label}.pot") if terms is None else potential.PolyPotential(2, terms)
+        res = gradient.theta_orbit_det_check(p, [1, 0], t_max=5.0, steps=5000)
+        yield f"{res.max_abs_det!r} {res.max_rho_drift!r}  theta_orbit/{label} (skipped {res.skipped})"
+    for name in LEVEL_MAPS:
+        p = potential.parse_potential_file(corpus / f"{name}.pot")
+        pts = sampling.sample_domain(p, 50, 1.5, np.random.default_rng(1), min_rho=1e-3)
+        samples = np.array([homogeneity.rescale_to_level(p, z, 1.0) for z in pts])
+        yield f"{_sha(samples.tobytes())}  level_map/{name}.samples"
+        yield f"{homogeneity.flow_level_map_check(p, 1.0, 2.0, samples)!r}  level_map/{name}.check"
 
 
 def digests():
@@ -92,7 +117,7 @@ def digests():
                      for name, (corpus, grid_n) in BURNS.items()]
             runs += [(f"suite/{corpus}", ["suite", corpus], f"suite_{corpus}", "suite_summary.csv")
                      for corpus in ("bundled", "generated")]
-            return [line for label, argv, out, name in runs for line in _run(label, argv, out, name)]
+            return [line for label, argv, out, name in runs for line in _run(label, argv, out, name)] + list(_flow_lines())
         finally:
             os.chdir(cwd)
 
