@@ -230,8 +230,7 @@ def cmd_trace(args):
             raise ValueError(f"--{option}-nodes must be at least 1, got {count}")
         if count > MAX_TRACE_NODES:
             raise ValueError(f"--{option}-nodes {count} exceeds the limit of {MAX_TRACE_NODES} nodes")
-    # a step that is not > 0 is refused by rk4_segment
-    if args.step > 0 and (steps := (abs(args.t_max) + abs(args.s_max)) / args.step) > MAX_TRACE_STEPS:
+    if (steps := (abs(args.t_max) + abs(args.s_max)) / args.step) > MAX_TRACE_STEPS:
         raise ValueError(
             f"--t-max {args.t_max:g} and --s-max {args.s_max:g} at --step {args.step:g} take {steps:.3g} RK4 steps, "
             f"above the limit of {MAX_TRACE_STEPS}; use a larger --step or a smaller --t-max, --s-max"
@@ -457,7 +456,7 @@ _OPTIONS = {
     "seed": dict(type=int, default=1234, help="RNG seed (printed in the report header)"),
     "samples": dict(type=int, default=1000, help="number of random samples"),
     "box": dict(type=_positive_finite, default=1.5, help="half-width of the real sampling cube"),
-    "step": dict(type=float, default=DEFAULT_STEP, help="fixed RK4 step size"),
+    "step": dict(type=_positive_finite, default=DEFAULT_STEP, help="fixed RK4 step size"),
     "out": dict(default=".", help="output directory for CSV artifacts"),
 }
 

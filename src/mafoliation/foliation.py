@@ -5,10 +5,10 @@ matching the (t, s) flow grid rather than arc length so that log rho is an
 exact affine function of t along the leaf (kappa = 1 convention:
 rho(flow_X(t, z)) = e^t rho(z)).
 
-A leaf is traced in two batched sweeps of ``gradient.flow_points``, whose
-classical fixed-step RK4 (default step DEFAULT_STEP = 1e-2) is the one loop
-behind every flow of Z: one in s from z0, on one row, then one in t that
-advances every s-column together, one batched Z solve per RK4 stage. The
+A leaf is traced in two batched sweeps, one ``gradient.flow_path`` per
+direction, whose fixed-step RK4 (``gradient.rk4_path``, default step 1e-2) is
+the one loop behind every flow of Z: one in s from z0, on one row, then one in
+t that advances every s-column together, one batched Z solve per RK4 stage. The
 fields are smooth and low-dimensional; reproducibility beats adaptivity here.
 At 1e-2 the log-linearity error of a leaf is about 1e-11, five orders below
 the 1e-6 gates. The diagnostics (log-linearity, level-set invariance and
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradient import RealFieldKind, flow_points
+from .gradient import RealFieldKind, flow_path
 from .levi import Stratum, _check_inside, levi_scan
 from .thresholds import DEFAULT_STEP, RHO_FLOOR
 
@@ -79,10 +79,7 @@ def _sweep(p, z0, values, kind, step):
     kept, nodes = [], []
     truncated = False
     for direction in (values[values >= 0], values[values < 0][::-1]):
-        z, prev = z0, 0.0
-        for v in direction:
-            z = flow_points(p, z, v - prev, kind, step)
-            prev = v
+        for v, z in zip(direction, flow_path(p, z0, np.diff(direction, prepend=0.0), kind, step)):
             if not np.all(_node_ok(z, p.evaluate_many(z).real)):
                 truncated = True
                 break

@@ -15,9 +15,10 @@ takes the per-row np.isfinite test, which names the first bad row.
 Every direct Z comes from the one direct solve ``_direct_z`` (complex_gradient's
 from a one-row batch); ``_solve_z`` (gradient_field, the analyze scan) sends
 the rows it did not settle to the kernel. The Euler and CR scans are one jet
-over all their points, then one kernel call. The flows of Z (``flow_points``,
-the Theta orbit) run in ``rk4_segment``, the one RK4 loop of the package; a
-one-row integration evaluates its jet and gemm in the buffers of a
+over all their points, then one kernel call. Every flow of Z (``flow_path``,
+its one-duration ``flow_points``, the Theta orbit) iterates ``rk4_path``, the
+one RK4 loop of the package, which yields the state after each duration; a
+one-row integration evaluates its jet and gemm in the buffers of one
 ``_RowStage``, and the orbit checks its end points ORBIT_CHECK_BLOCK per jet.
 The Euler residual (``_euler_residual``) and the Z-system test (``_consistent``)
 are batched kernels too; a GradientSample holds their row 0 on a one-row
@@ -35,6 +36,7 @@ identification of a (1,0)-field with a real field via zdot = V(z):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,7 +46,7 @@ from numbers import Integral
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .levi import Stratum, _batch_jet, _check_inside, _jet_columns, fields_at_many, levi_scan
+from .levi import Stratum, _batch_jet, _check_inside, _jet_columns, _outside, fields_at_many, levi_scan
 from .potential import _one_row
 from .thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
 
@@ -240,40 +242,39 @@ def gradient_field(p, points):
     return _solve_z(grad, hess)
 
 
-def rk4_segment(vel, z, duration, step):
-    """Advance z by `duration` with fixed-step RK4, landing exactly on target.
-
-    The one RK4 loop of the package: z is one point or an (N, n) batch,
-    whatever `vel` maps. The step must be finite and > 0, and the duration
-    finite.
-    """
+def rk4_path(vel, z, durations, step):
+    """Yield z after each of the durations, each covered by fixed RK4 steps
+    that land on it exactly: the one RK4 loop of the package. z is one point
+    or an (N, n) batch, whatever `vel` maps. The step must be finite and > 0,
+    checked before the first duration, and each duration finite, checked when
+    it is reached. A zero duration yields z unchanged and evaluates no field."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"RK4 step must be finite and > 0 (--step), got {step}")
-    if not math.isfinite(duration):
-        raise ValueError(f"RK4 duration must be finite (--t-max, --s-max), got {duration}")
-    if duration == 0.0:
-        return np.array(z, dtype=complex)
-    n_steps = max(1, math.ceil(abs(duration) / step))
-    h = duration / n_steps
     z = np.asarray(z, dtype=complex)  # each step makes a new array
-    for _ in range(n_steps):
-        k1 = vel(z)
-        k2 = vel(z + 0.5 * h * k1)
-        k3 = vel(z + 0.5 * h * k2)
-        k4 = vel(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return z
+    for duration in durations:
+        if not math.isfinite(duration):
+            raise ValueError(f"RK4 duration must be finite (--t-max, --s-max), got {duration}")
+        n_steps = max(1, math.ceil(abs(duration) / step))
+        h = duration / n_steps
+        for _ in range(n_steps if duration else 0):
+            k1 = vel(z)
+            k2 = vel(z + 0.5 * h * k1)
+            k3 = vel(z + 0.5 * h * k2)
+            k4 = vel(z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield z
+
+
+def flow_path(p, points, durations, kind, step):
+    """``rk4_path`` of an (N, n) batch along a real field of Z; one row runs in one ``_RowStage``."""
+    mult = kind.multiplier
+    z_of = _RowStage(p).solved if np.shape(points) == (1, p.dim) else partial(gradient_field, p)
+    return rk4_path(lambda w: mult * z_of(w), points, durations, step)
 
 
 def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
     """Flow an (N, n) batch of points simultaneously (one solve per RK4 stage)."""
-    mult = kind.multiplier
-    z_of = _RowStage(p).solved if np.shape(points) == (1, p.dim) else partial(gradient_field, p)
-
-    def vel(w):
-        return mult * z_of(w)
-
-    return rk4_segment(vel, points, time, step)
+    return next(flow_path(p, points, (time,), kind, step))
 
 
 def euler_residual_scan(p, samples):
@@ -379,13 +380,8 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     if steps is None:
         steps = math.ceil(t_max / DEFAULT_STEP)
     h = t_max / steps
-    z = base.points  # the state is a one-row batch
     mult = RealFieldKind.THETA.multiplier
     stage = _RowStage(p)
-
-    def vel(w):
-        return mult * stage.extended(w)
-
     max_drift = 0.0
     rho0 = float(base.rho[0])
     pending = []
@@ -396,24 +392,21 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
             return
         scan = levi_scan(p, np.array(pending).reshape(-1, p.dim))
         pending.clear()
-        if np.any(scan.rho <= 0):
+        if np.any(_outside(scan.rho)):
             raise ValueError("orbit exited the domain {rho > 0}")
         # folded in step order, as a per-step max() would
         max_det = max(max_det, *np.abs(scan.det_hessian).tolist())
         max_drift = max(max_drift, *np.abs(scan.rho - rho0).tolist())
 
-    for _ in range(steps):
-        try:
-            z = rk4_segment(vel, z, h, h)
+    try:  # each duration is one step of h; the state is a one-row batch
+        for z in rk4_path(lambda w: mult * stage.extended(w), base.points, itertools.repeat(h, steps), h):
             if not np.isfinite(z).all():
                 raise ValueError("integrator step failure: non-finite state")
-        except ValueError:
-            check_pending()  # an earlier step that left the domain decides
-            raise
-        pending.append(z)
-        if len(pending) == ORBIT_CHECK_BLOCK:
-            check_pending()
-    check_pending()
+            pending.append(z)
+            if len(pending) == ORBIT_CHECK_BLOCK:
+                check_pending()
+    finally:
+        check_pending()  # an earlier step that left the domain decides which error leaves
     return ThetaOrbitResult(
         skipped=False, reason="", max_abs_det=float(max_det), max_rho_drift=float(max_drift)
     )

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gradient import RealFieldKind, flow_points, gradient_field
+from .levi import _outside
 from .thresholds import LEVEL_BISECT_TOL, LEVEL_SET_TOL
 
 # rescale_to_level: points per multisection round (32 cells, 5 bits of s per
@@ -174,7 +175,7 @@ def rescale_to_level(p, z, r):
     would; after them the midpoint is returned.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    if p.evaluate(z).real <= 0:
+    if _outside(p.evaluate(z).real):
         raise ValueError("need rho(z) > 0 to rescale onto a level set")
 
     def val(s):

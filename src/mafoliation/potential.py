@@ -18,6 +18,7 @@ its product of a doubled row (``Monomials.doubled_row``) in their own buffers.
 
 from __future__ import annotations
 
+import cmath
 import re
 
 import numpy as np
@@ -358,7 +359,7 @@ _DIM_RE = re.compile(r"^n\s*=\s*(\d+)$")
 _MONO_RE = re.compile(
     r"^(?:monomial\s*:\s*)?a\s*=\s*\[([^\]]*)\]\s*b\s*=\s*\[([^\]]*)\]\s*c\s*=\s*(\S+)$"
 )
-_LONE_J_RE = re.compile(r"(?<![0-9.])j")
+_LONE_J_RE = re.compile(r"(?<![0-9.a-z])j")  # a j that stands for 1j: not that of 2j, .j, infj or nanj
 
 
 def parse_complex(token):
@@ -396,7 +397,8 @@ def parse_potential(text):
 
     The ``monomial:`` prefix is optional. Repeated keys accumulate. The
     Hermitian-symmetry requirement is enforced, not silently repaired, and a
-    text whose monomials are absent or cancel to none is refused.
+    text whose monomials are absent or cancel to none is refused, as is a
+    coefficient that is not finite or whose key's sum overflows.
     """
     dim = None
     acc = {}
@@ -430,6 +432,9 @@ def parse_potential(text):
                     f"bad coefficient {m.group(3)!r}", lineno
                 ) from None
             acc[(alpha, beta)] = acc.get((alpha, beta), 0j) + coeff
+            if not cmath.isfinite(acc[(alpha, beta)]):
+                why = "overflows the sum of its key" if cmath.isfinite(coeff) else "is not finite"
+                raise PotentialFormatError(f"coefficient {m.group(3)!r} {why}", lineno)
     if dim is None:
         raise PotentialFormatError("missing dimension line 'n = <int>'")
     try:

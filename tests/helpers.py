@@ -24,7 +24,7 @@ import io
 import numpy as np
 
 from mafoliation import PolyPotential
-from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, extended_gradient, rk4_segment
+from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, extended_gradient, rk4_path
 from mafoliation.levi import LeviData, Stratum, _batch_jet, classify_strata, fields_at, fields_at_many, levi_data
 from mafoliation.potential import PolyExpr
 from mafoliation.thresholds import LSTSQ_RCOND
@@ -153,7 +153,7 @@ def reference_theta_orbit(p, z0, t_max=5.0, steps=5000):
     max_drift = 0.0
     rho0 = base.rho
     for _ in range(steps):
-        z = rk4_segment(vel, z, h, h)
+        z = next(rk4_path(vel, z, (h,), h))
         if not np.all(np.isfinite(z)):
             raise ValueError("integrator step failure: non-finite state")
         rho, _, hess = fields_at(p, z)

@@ -196,10 +196,15 @@ def test_trace_from_origin_exit2(corpus, capsys):
 
 @pytest.mark.parametrize("step", ["0", "-0.01", "inf", "nan"])
 def test_trace_step_not_finite_and_positive_exit2(corpus, tmp_path, capsys, step):
-    rc = main(["trace", str(corpus / "weighted24.pot"), "--base", "1+0i,1+0i", f"--step={step}",
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert "--step" in capsys.readouterr().err
+    # refused by argparse, as --box is, before the header is printed
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", str(corpus / "weighted24.pot"), "--base", "1+0i,1+0i", f"--step={step}",
+              "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument --step: must be a finite number > 0, got '{step}'" in err
+    assert out == ""
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("step, extra", [("1e9", []), ("0.26", []), ("0.6", ["--t-nodes", "2", "--s-nodes", "13"])])
@@ -664,6 +669,9 @@ def test_burns_grid_below_two_per_axis_exit2(tmp_path, capsys, grid_n, extra):
         (["--s-nodes=-1"], "--s-nodes must be at least 1, got -1"),
         (["--base", "nan+0i,0+0i"], "--base must be finite, got nan+0i,0+0i"),
         (["--base=1+0i,-inf+0i"], "--base must be finite, got 1+0i,-inf+0i"),
+        # an infinite imaginary part used to be read as inf1j, a malformed string
+        (["--base", "1+0i,0+infi"], "--base must be finite, got 1+0i,0+infi"),
+        (["--base=-inf-infi,0"], "--base must be finite, got -inf-infi,0"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -674,6 +682,26 @@ def test_trace_refuses_what_it_cannot_finish_exit2(corpus, tmp_path, capsys, ext
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""  # refused before the header
     assert not (tmp_path / "ball2_trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "weights", "burns", "trace"])
+@pytest.mark.parametrize("body, message", [
+    ("c=inf+0i", "line 2: coefficient 'inf+0i' is not finite"),
+    ("c=1e308\na=[1,0] b=[1,0] c=1e308", "line 3: coefficient '1e308' overflows the sum of its key"),
+], ids=["inf", "overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_coefficient_that_is_not_finite_exit2(tmp_path, capsys, command, body, message):
+    # these used to warn and fail to sample (analyze, weights), print an
+    # infinite bidegree mass (burns) or blame the domain (trace)
+    path = tmp_path / "bad.pot"
+    path.write_text(f"n = 2\na=[1,0] b=[1,0] {body}\na=[0,1] b=[0,1] c=1\n", encoding="utf-8")
+    extra = ["--base", "1+0i,0+0i"] if command == "trace" else []
+    rc = main([command, str(path), *extra, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("option", ["--t-nodes", "--s-nodes"])

@@ -13,7 +13,9 @@ from mafoliation import (
     rescale_to_level,
     trace_leaf,
 )
-from mafoliation.gradient import RealFieldKind, _direct_z, gradient_field, rk4_segment
+from mafoliation import gradient
+from mafoliation.foliation import _sweep
+from mafoliation.gradient import RealFieldKind, _direct_z, gradient_field, rk4_path
 from mafoliation.levi import _batch_jet, fields_at_many
 from mafoliation.sampling import sample_domain
 from mafoliation.thresholds import DEFAULT_STEP
@@ -166,7 +168,7 @@ def test_one_row_flow_is_the_batched_field_flow(weighted24, ball3, case, kind):
     assert _direct_z(*fields_at_many(p, z0)[1:])[1].size == (case == "weighted24 (1, 0)")
     assert min(_batch_jet(p).monomials._chain) < 0 or case != "|z1|^2 + |z2|^12"
     mult = kind.multiplier
-    want = rk4_segment(lambda w: mult * gradient_field(p, w), z0, 0.5, DEFAULT_STEP)
+    want = next(rk4_path(lambda w: mult * gradient_field(p, w), z0, (0.5,), DEFAULT_STEP))
     assert flow_points(p, z0, 0.5, kind).tobytes() == want.tobytes()
 
 
@@ -223,10 +225,83 @@ def test_rk4_rejects_a_step_that_is_not_finite_and_positive(ball2, step):
     with pytest.raises(ValueError, match="--step"):
         flow_points(ball2, np.array([[1, 0]]), 0.5, step=step)
     with pytest.raises(ValueError, match="--step"):
-        rk4_segment(lambda z: z, np.ones(2), 0.0, step)
+        next(rk4_path(lambda z: z, np.ones(2), (0.0,), step))
 
 
 @pytest.mark.parametrize("duration", [np.inf, -np.inf, np.nan])
 def test_rk4_rejects_a_duration_that_is_not_finite(ball2, duration):
     with pytest.raises(ValueError, match="--t-max, --s-max"):
         flow_points(ball2, np.array([[1, 0]]), duration)
+
+
+# -- the RK4 driver -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [RealFieldKind.X, RealFieldKind.Y])
+@pytest.mark.parametrize("rows", [[[1.0, 0.5]], [[1, 1], [0.5 - 0.2j, 0.3j], [0.8, 0]]])
+def test_rk4_path_yields_the_chained_flows(weighted24, kind, rows):
+    # the state after each duration is that of one flow_points call per
+    # duration, each starting where the last one ended
+    z0 = np.array(rows, dtype=complex)
+    mult = kind.multiplier
+    first, second = rk4_path(lambda w: mult * gradient_field(weighted24, w), z0, (0.35, -0.6), DEFAULT_STEP)
+    once = flow_points(weighted24, z0, 0.35, kind)
+    assert first.tobytes() == once.tobytes()
+    assert second.tobytes() == flow_points(weighted24, once, -0.6, kind).tobytes()
+
+
+def test_rk4_path_zero_duration_yields_its_input_and_evaluates_nothing():
+    calls = []
+
+    def vel(w):
+        calls.append(w)
+        return 1j * w
+
+    z0 = np.array([[1.0, 2.0j]])
+    path = rk4_path(vel, z0, (0.0, 0.05, 0.0), 0.1)
+    assert next(path).tobytes() == z0.tobytes()
+    assert not calls
+    moved = next(path)
+    assert len(calls) == 4  # one RK4 step of 0.05
+    assert next(path).tobytes() == moved.tobytes()
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, np.inf, np.nan])
+@pytest.mark.parametrize("durations", [(0.5, np.nan), ()])
+def test_rk4_path_refuses_a_bad_step_before_any_duration(step, durations):
+    calls = []
+    with pytest.raises(ValueError, match="--step"):
+        next(rk4_path(calls.append, np.ones(2), durations, step))
+    assert not calls
+
+
+def test_rk4_path_checks_each_duration_when_it_reaches_it():
+    path = rk4_path(lambda w: -w, np.ones(2), (0.1, np.inf), 0.1)
+    assert np.all(next(path) < 1)
+    with pytest.raises(ValueError, match="--t-max, --s-max"):
+        next(path)
+
+
+def test_sweep_builds_one_row_stage_per_direction(ball2, monkeypatch):
+    # each direction of the one-row s sweep is one integration with one stage,
+    # whose nodes are those of one flow_points call per node interval
+    built = []
+
+    class CountedStage(gradient._RowStage):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    z0 = np.array([[0.8, 0.3 - 0.1j]])
+    values = np.linspace(-1.0, 1.5, 11)
+    monkeypatch.setattr(gradient, "_RowStage", CountedStage)
+    kept, points, truncated = _sweep(ball2, z0, values, RealFieldKind.Y, DEFAULT_STEP)
+    assert len(built) == 2
+    assert not truncated and kept.tobytes() == values.tobytes()
+    for direction in (values[values >= 0], values[values < 0][::-1]):
+        z, prev = z0, 0.0
+        for v in direction:
+            z = flow_points(ball2, z, v - prev, RealFieldKind.Y)
+            prev = v
+            assert points[np.flatnonzero(kept == v)[0]].tobytes() == z.tobytes()

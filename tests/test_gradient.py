@@ -522,16 +522,21 @@ def test_theta_orbit_first_failing_step_decides_the_error(monkeypatch):
     p = PolyPotential(2, {((1, 0), (1, 0)): 1, ((0, 2), (0, 2)): -1})
 
     def scripted(*points):
-        steps = iter(np.array(points, dtype=complex))
-        return lambda vel, z, duration, step: next(steps)
+        return lambda vel, z, durations, step: iter(np.array(points, dtype=complex))
 
     # the step that leaves {rho > 0} comes first, so it decides, though the
     # non-finite step after it fails before that step's block is checked
-    monkeypatch.setattr(gradient, "rk4_segment", scripted([1, 0], [0.5, 1.0], [np.nan, 0]))
+    monkeypatch.setattr(gradient, "rk4_path", scripted([1, 0], [0.5, 1.0], [np.nan, 0]))
     with pytest.raises(ValueError, match="exited the domain"):
         theta_orbit_det_check(p, [1, 0], steps=10)
-    monkeypatch.setattr(gradient, "rk4_segment", scripted([1, 0], [np.nan, 0], [0.5, 1.0]))
+    monkeypatch.setattr(gradient, "rk4_path", scripted([1, 0], [np.nan, 0], [0.5, 1.0]))
     with pytest.raises(ValueError, match="non-finite"):
+        theta_orbit_det_check(p, [1, 0], steps=10)
+    # a finite state where rho is inf - inf = NaN is outside too; a NaN rho
+    # used to pass, and Python's max() dropped it from both maxima. Its jet
+    # overflows, which numpy would warn about
+    monkeypatch.setattr(gradient, "rk4_path", scripted([1, 0], [1e200, 1e100], [np.nan, 0]))
+    with pytest.raises(ValueError, match="exited the domain"), np.errstate(over="ignore", invalid="ignore"):
         theta_orbit_det_check(p, [1, 0], steps=10)
 
 
@@ -612,7 +617,8 @@ def test_gradient_sample_euler_residual_consistent(weighted24):
 
 def test_the_flows_of_z_live_in_gradient_alone():
     # gradient integrates Z without importing foliation, its one-row stage is
-    # named nowhere else, and the evaluator has no one-row buffer API
+    # named nowhere else, the evaluator has no one-row buffer API, and the RK4
+    # update is written once, in rk4_path
     src = Path(gradient.__file__).parent
     modules = []
     for node in ast.walk(ast.parse((src / "gradient.py").read_text(encoding="utf-8"))):
@@ -625,3 +631,6 @@ def test_the_flows_of_z_live_in_gradient_alone():
     assert naming == {"gradient.py"}
     assert isinstance(gradient.__dict__.get("_RowStage"), type)
     assert not {"row_buffers", "doubled_row"} & set(vars(Evaluator))
+    assert not hasattr(gradient, "rk4_segment")
+    updating = {path.name: len(re.findall(r"\bk4 = vel\(", path.read_text(encoding="utf-8"))) for path in src.glob("*.py")}
+    assert {name: count for name, count in updating.items() if count} == {"gradient.py": 1}

@@ -269,6 +269,12 @@ def test_rescale_to_level_refusals(ball2):
     shifted = PolyPotential(2, {((0, 0), (0, 0)): 1, ((1, 0), (1, 0)): 1, ((0, 1), (0, 1)): 1})
     with pytest.raises(ValueError, match="could not bracket the level set from below"):
         rescale_to_level(shifted, [1, 0], 0.5)
+    # rho = |z1|^2 - |z2|^4 is inf - inf = NaN at this finite point, which is
+    # outside the domain (it used to fail to bracket from above); numpy would
+    # warn about the overflow
+    indefinite = PolyPotential(2, {((1, 0), (1, 0)): 1, ((0, 2), (0, 2)): -1})
+    with pytest.raises(ValueError, match=r"need rho\(z\) > 0"), np.errstate(over="ignore", invalid="ignore"):
+        rescale_to_level(indefinite, [1e200, 1e100], 1.0)
 
 
 def test_flow_level_map_ball(ball2):

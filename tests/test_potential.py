@@ -67,6 +67,31 @@ def test_parse_requires_dimension_first():
         parse_potential("# nothing here\n")
 
 
+@pytest.mark.parametrize(
+    "token, value",
+    [("0+infi", complex(0, np.inf)), ("infi", complex(0, np.inf)), ("nan+nani", complex(np.nan, np.nan)),
+     ("-inf-infi", complex(-np.inf, -np.inf)), ("1+i", 1 + 1j), ("-i", complex(0, -1)), ("i", 1j), ("1e5i", 1e5j)],
+)
+def test_parse_complex(token, value):
+    # a lone i stands for 1i, but not the i after inf or nan; repr compares NaN parts
+    assert repr(potential.parse_complex(token)) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("a=[1,0] b=[1,0] c=inf+0i", "line 2: coefficient 'inf+0i' is not finite"),
+     ("a=[1,0] b=[1,0] c=1+nani", "line 2: coefficient '1+nani' is not finite"),
+     ("a=[1,0] b=[1,0] c=nan", "line 2: coefficient 'nan' is not finite"),
+     ("a=[1,0] b=[1,0] c=1e308\na=[0,1] b=[0,1] c=1\na=[1,0] b=[1,0] c=1e308",
+      "line 4: coefficient '1e308' overflows the sum of its key")],
+    ids=["inf", "nan-imaginary", "nan", "overflow"],
+)
+def test_parse_refuses_a_coefficient_that_is_not_finite(body, message):
+    with pytest.raises(PotentialFormatError) as exc:
+        parse_potential("n = 2\n" + body)
+    assert str(exc.value) == message
+
+
 def test_parse_accumulates_repeated_keys():
     p = parse_potential("n=1; a=[1] b=[1] c=1+0i; a=[1] b=[1] c=2+0i")
     assert p.terms == {((1,), (1,)): 3 + 0j}

@@ -5,7 +5,10 @@ The outputs, each at the default seed and settings:
 * the ``analyze`` CSV and stdout of the 7 bundled potentials and of the 6
   that ``perfbench/gen_inputs.py --seed 7`` generates;
 * the ``weights`` stdout of the same 13 potentials (weights writes no CSV);
-* the ``trace`` CSV and stdout of weighted24, ball3 and square_norm;
+* the ``trace`` CSV and stdout of weighted24, ball3 and square_norm, and of
+  two traces that integrate backward: weighted24 from 0.9+0.2i,0.5-0.5i at
+  negative ``--t-max`` and ``--s-max``, and ball2 at ``--t-max -30``, which
+  truncates at the domain boundary;
 * the ``burns --csv`` CSV and stdout of square_norm at ``--grid-n 20``;
 * the ``burns`` stdout, radial residual line included, of the grid
   benchmark's other three runs: ball3 at ``--grid-n 8``, quartic_mixed and
@@ -51,7 +54,14 @@ from mafoliation import cli, gradient, homogeneity, potential, sampling  # noqa:
 BUNDLED = ("ball2", "ball3", "nonma", "quartic_diag", "quartic_mixed", "square_norm", "weighted24")
 GENERATED = ("chain_n4", "chain_n8", "normsq_n4", "normsq_n8", "weighted_n4", "weighted_n8")
 BURNS = {"ball3": ("bundled", "8"), "quartic_mixed": ("bundled", "20"), "normsq_n4": ("generated", "4")}
-TRACES = {"weighted24": "1+0i,1+0i", "ball3": "1+0i,0.5+0.5i,0.3-0.2i", "square_norm": "1+0i,0.5-0.5i"}
+TRACES = {  # label: potential, options
+    "weighted24": ("weighted24", "--base=1+0i,1+0i"),
+    "ball3": ("ball3", "--base=1+0i,0.5+0.5i,0.3-0.2i"),
+    "square_norm": ("square_norm", "--base=1+0i,0.5-0.5i"),
+    "weighted24.backward": ("weighted24", "--base=0.9+0.2i,0.5-0.5i", "--t-max", "-1.5", "--t-nodes", "7",
+                            "--s-max", "-3", "--s-nodes", "9"),
+    "ball2.truncated": ("ball2", "--base=1+0i,0+0i", "--t-max", "-30"),
+}
 ORBITS = {"weighted24": None, "z1^2+z2^12": {((1, 0), (1, 0)): 1, ((0, 6), (0, 6)): 1}}
 LEVEL_MAPS = ("ball2", "weighted24")
 _WALL = re.compile(r" \[\d+\.\d+s\]")
@@ -63,7 +73,10 @@ def _sha(data):
 
 def _run(label, argv, out_dir, csv_name):
     """Run one command in-process; yield the digest lines of its CSV (None:
-    it writes none) and stdout. The first line shows the exit code."""
+    it writes none) and stdout. The first line shows the exit code. A CSV
+    that an earlier run left under the same name is removed first."""
+    if csv_name is not None:
+        (Path(out_dir) / csv_name).unlink(missing_ok=True)
     text = io.StringIO()
     with redirect_stdout(text), redirect_stderr(text):
         code = cli.main([*argv, "--out", out_dir])
@@ -109,8 +122,8 @@ def digests():
                     for corpus, name in inputs]
             runs += [(f"weights/{name}", ["weights", f"{corpus}/{name}.pot"], "weights", None)
                      for corpus, name in inputs]
-            runs += [(f"trace/{name}", ["trace", f"bundled/{name}.pot", f"--base={base}"], "trace",
-                      f"{name}_trace.csv") for name, base in TRACES.items()]
+            runs += [(f"trace/{label}", ["trace", f"bundled/{name}.pot", *args], "trace", f"{name}_trace.csv")
+                     for label, (name, *args) in TRACES.items()]
             runs.append(("burns/square_norm", ["burns", "bundled/square_norm.pot", "--grid-n", "20", "--csv"],
                          "burns", "square_norm_burns.csv"))
             runs += [(f"burns/{name}", ["burns", f"{corpus}/{name}.pot", "--grid-n", grid_n], "burns", None)
