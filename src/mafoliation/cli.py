@@ -27,6 +27,8 @@ import io
 import itertools
 import json
 import math
+import operator
+import re
 import sys
 import time
 from collections import Counter
@@ -52,7 +54,7 @@ from .homogeneity import (
     linear_field_agreement,
     verify_weights,
 )
-from .levi import levi_scan, rank_identity
+from .levi import _batch_jet, levi_scan, rank_identity
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
 from .sampling import MAX_GRID_POINTS, real_grid, sample_domain
 from .thresholds import DEFAULT_STEP, IFF_TOL, VERDICT_MA_TOL, CheckOutcome, outcome
@@ -92,13 +94,18 @@ def _csv_field(text):
     return buf.getvalue()[:-2]
 
 
+_QUOTED = re.compile('[,"\r\n]')  # the characters for which csv.writer quotes a field here
+
+
 def _cells(columns):
     """The cell strings of each of the columns of one write.
 
     The float ndarray columns are formatted together, each distinct value
     once: repr(float(x)), Python's shortest round-trip form, keyed on the bit
     pattern because np.unique on floats merges -0.0 with 0.0 and collapses
-    NaNs. Any other sequence gives str(x), quoted as csv.writer quotes it.
+    NaNs. Any other sequence gives str(x), quoted as csv.writer quotes it
+    (``_csv_field``) when x is a string that holds a character of _QUOTED;
+    the str of an int or a Stratum holds none.
     """
     cells = list(columns)
     floats = [i for i, col in enumerate(cells) if isinstance(col, np.ndarray) and col.dtype.kind == "f"]
@@ -112,8 +119,8 @@ def _cells(columns):
             cells[i] = part
     for i, col in enumerate(cells):
         if i not in floats:
-            quoted = {v: _csv_field(str(v)) for v in set(col)}
-            cells[i] = [quoted[v] for v in col]
+            text = {v: _csv_field(v) if isinstance(v, str) and _QUOTED.search(v) else str(v) for v in set(col)}
+            cells[i] = [text[v] for v in col]
     return cells
 
 
@@ -153,39 +160,89 @@ def _print_header(title, args):
     print("; ".join(f"{key} = {getattr(args, key):{spec}}" for key, spec in specs.items() if hasattr(args, key)))
 
 
-def _internal_invariants(p, scan, euler_res):
-    """Invariants that must hold for any potential; failures mean a code bug."""
+def _internal_invariants(p, start, scan, euler, folded):
+    """Fold one block of the scan (its LeviScan and Euler residuals, from
+    sample number `start`) into the invariants that must hold for any
+    potential; failures mean a code bug. folded maps each invariant to its
+    value so far and the seconds spent on it. The folds are exact, so no block
+    size changes a value: maxima by np.maximum (a NaN wins, as in np.max), a
+    count by a sum, det_lemma on the samples numbered below 200, and
+    hessian_symmetry as (max |H - H*|, max |H|), divided in _invariant_records."""
     h, det = scan.hessian, scan.det_hessian
     det_u, raw_ma, _ = scan.ma
-    rho, grad, hess = scan.rho[:200], scan.grad[:200], scan.hessian[:200]
+    head = slice(0, max(0, 200 - start))
+    rho, grad, hess = scan.rho[head], scan.grad[head], h[head]
 
     def hermitian_eval():
         vals = p.evaluate_many(scan.points)
         return np.max(np.abs(vals.imag) / np.maximum(1.0, np.abs(vals)))
 
     def hessian_symmetry():
-        return np.max(np.abs(h - h.conj().transpose(0, 2, 1))) / max(1.0, float(np.max(np.abs(h))))
+        return np.array([np.max(np.abs(h - h.conj().transpose(0, 2, 1))), np.max(np.abs(h))])
 
     def det_lemma():
-        rhs = rho ** (p.dim + 1) * det_u[:200].real
+        rhs = rho ** (p.dim + 1) * det_u[head].real
         return np.max(np.abs(rank_identity(rho, grad, hess) - rhs) / np.maximum(1.0, np.abs(rhs)), initial=0.0)
 
-    return [
-        _timed("hermitian_eval", hermitian_eval),
-        _timed("hessian_symmetry", hessian_symmetry),
-        _timed("det_real", lambda: np.max(np.abs(det.imag) / np.maximum(1.0, np.abs(det)))),
-        _timed("det_lemma", det_lemma),
-        _timed("euler_ma_iff", lambda: np.count_nonzero((euler_res < IFF_TOL) != (raw_ma < IFF_TOL))),
-    ]
+    for name, fold, measure in (
+        ("hermitian_eval", np.maximum, hermitian_eval),
+        ("hessian_symmetry", np.maximum, hessian_symmetry),
+        ("det_real", np.maximum, lambda: np.max(np.abs(det.imag) / np.maximum(1.0, np.abs(det)))),
+        ("det_lemma", np.maximum, det_lemma),
+        ("euler_ma_iff", operator.add, lambda: np.count_nonzero((euler < IFF_TOL) != (raw_ma < IFF_TOL))),
+    ):
+        old, seconds = folded.get(name, (None, 0.0))
+        t0 = time.perf_counter()
+        value = measure()
+        folded[name] = value if old is None else fold(old, value), seconds + time.perf_counter() - t0
 
 
-def _analyze_scan(p, cfg):
-    rng = np.random.default_rng(cfg.rng_seed)
-    pts = sample_domain(p, cfg.samples, cfg.box_radius, rng)
-    scan = levi_scan(p, pts)
-    _, raw, scaled = scan.ma
-    euler = _euler_residual(_solve_z(scan.grad, scan.hessian), scan.grad, scan.rho)
-    return pts, scan, raw, scaled, euler
+def _invariant_records(folded):
+    """The records of the invariants ``_internal_invariants`` folded, each timed by its seconds."""
+    values = {name: value for name, (value, _) in folded.items()}
+    asymmetry, size = values["hessian_symmetry"]
+    values["hessian_symmetry"] = asymmetry / max(1.0, float(size))
+    now = time.perf_counter()
+    return [outcome(name, float(values[name]), now - seconds) for name, (_, seconds) in folded.items()]
+
+
+# Bytes of a scan block's jet: its (K, rows) monomial table, (rows, 1 + n +
+# n^2) jet and n^2 entries of U per row, 16 bytes each; the size of
+# potential.TABLE_BLOCK_BYTES. Measured with one BLAS thread on a shared
+# 2-core x86-64 box: analyze ball3.pot --samples 65536 (464 bytes a row, 564
+# rows a block) peaks at 46.9 MB VmHWM in 0.66-0.71 s, where the whole batch
+# at once took 169 MB and 0.86-0.97 s; 2^19 and 2^20 peak at 47.4 and 49.7 MB,
+# and 2^16 and 2^17 no lower. The scan of 1,000 samples of the generated
+# normsq_n8 (54 rows a block) takes 10.4 ms, against 9.5 ms in one block,
+# 11.3 ms at 2^17 and 14.6 ms at 2^16
+SCAN_BLOCK_BYTES = 2**18
+
+
+def _scan_block_rows(p):
+    """Rows per block of ``_analyze_scan``: SCAN_BLOCK_BYTES over the bytes of one row's jet, at least 1."""
+    n, monomials = p.dim, len(_batch_jet(p).monomials.keys)
+    return max(1, SCAN_BLOCK_BYTES // (16 * (monomials + 1 + n + 2 * n * n)))
+
+
+def _analyze_scan(p, cfg, rows=None):
+    """The scan of analyze and suite over cfg's seeded samples, in blocks of
+    ``_scan_block_rows`` samples in sample order. Each block's LeviScan goes
+    to rows(start, scan, euler) (if given), with the number of its first
+    sample and its Euler residuals; no row depends on the block size, with
+    one BLAS thread. Returns the samples and, per sample, rho, |det U|, the
+    scaled |det U| and the Euler residual: the only arrays kept whole."""
+    pts = sample_domain(p, cfg.samples, cfg.box_radius, np.random.default_rng(cfg.rng_seed))
+    rho, raw, scaled, euler = np.empty((4, len(pts)))
+    step = _scan_block_rows(p)
+    for start in range(0, len(pts), step):
+        block = slice(start, start + step)
+        scan = levi_scan(p, pts[block])
+        rho[block] = scan.rho
+        _, raw[block], scaled[block] = scan.ma
+        euler[block] = _euler_residual(_solve_z(scan.grad, scan.hessian), scan.grad, scan.rho)
+        if rows is not None:
+            rows(start, scan, euler[block])
+    return pts, rho, raw, scaled, euler
 
 
 def cmd_analyze(args):
@@ -193,24 +250,36 @@ def cmd_analyze(args):
     p = parse_potential_file(args.potential)
     _check_box(p, cfg.box_radius, "analyze")
     _print_header(f"analyze {args.potential}", args)
-    pts, scan, raw, scaled, euler = _analyze_scan(p, cfg)
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / (Path(args.potential).stem + "_analyze.csv")
     header = ["sample", *_coord_header(p.dim), "rho", "re_detH", "im_detH", "stratum", "ma_residual",
               "ma_residual_scaled", "euler_residual"]
-    det = scan.det_hessian
-    _write_csv(out_path, header, range(len(pts)), *_coord_columns(pts), scan.rho, det.real, det.imag, scan.strata,
-               raw, scaled, euler)
+    census, folded = Counter(), {}
+    with contextlib.ExitStack() as stack:
+        fh = None
+
+        def rows(start, scan, euler):
+            nonlocal fh
+            if fh is None:  # opened once the samples are drawn: a refused --samples leaves no CSV
+                cfg.out_dir.mkdir(parents=True, exist_ok=True)
+                fh = stack.enter_context(open(out_path, "w", newline="", encoding="utf-8"))
+                # one empty column: no rows, and a row count for perfbench's tracer, which reads the first column
+                _write_csv(fh, header, ())
+            det, (_, raw, scaled) = scan.det_hessian, scan.ma
+            _write_csv(fh, None, range(start, start + len(scan.rho)), *_coord_columns(scan.points), scan.rho,
+                       det.real, det.imag, scan.strata, raw, scaled, euler)
+            census.update(map(str, scan.strata))
+            _internal_invariants(p, start, scan, euler, folded)
+
+        pts, _, raw, scaled, euler = _analyze_scan(p, cfg, rows)
 
     print("stratum census:")
-    for name, count in sorted(Counter(map(str, scan.strata)).items()):
+    for name, count in sorted(census.items()):
         print(f"  {name:15} {count:6d}  ({100.0 * count / len(pts):.1f}%)")
     ma, eu = _timed("ma_residual_scaled", scaled.max), _timed("euler_residual", euler.max)
     print(f"max ma_residual        = {raw.max():.3e} (scaled {ma.measured:.3e}, threshold {ma.threshold:g})")
     print(f"max euler_residual     = {eu.measured:.3e} (threshold {eu.threshold:g})")
     print(f"csv: {out_path}")
-    invariants = _internal_invariants(p, scan, euler)
+    invariants = _invariant_records(folded)
     for oc in invariants:
         print(f"invariant {oc.name:18} {_check_text(oc)}")
     return _exit_code([ma, eu, *invariants])
@@ -223,6 +292,10 @@ def cmd_trace(args):
         raise ValueError(f"base point has {base.size} coordinates, potential has n = {p.dim}")
     if not np.isfinite(base).all():
         raise ValueError(f"--base must be finite, got {args.base}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a rho that overflows is refused below, not warned about
+        rho = p.evaluate(base).real
+    if not math.isfinite(rho):
+        raise ValueError(f"rho(z) = {rho} at --base {args.base} is not finite; use a base nearer the origin")
     for option, end, count in (("t", args.t_max, args.t_nodes), ("s", args.s_max, args.s_nodes)):
         if not math.isfinite(end):  # refused before np.linspace warns about it
             raise ValueError(f"--{option}-max must be finite, got {end}")
@@ -359,8 +432,9 @@ def _suite_grid_axis(dim):
 
 
 def _suite_checks(p, expect, cfg):
-    pts, scan, _, scaled, euler = _analyze_scan(p, cfg)
-    outcomes = _internal_invariants(p, scan, euler)
+    folded = {}
+    pts, _, _, scaled, _ = _analyze_scan(p, cfg, lambda *block: _internal_invariants(p, *block, folded))
+    outcomes = _invariant_records(folded)
     if expect.get("ma") is not None:
         outcomes.append(_timed("ma_holds" if expect["ma"] else "ma_fails", scaled.max))
 

@@ -75,7 +75,9 @@ def _sweep(p, z0, values, kind, step):
     row is non-finite or violates the rho floor, so the kept values are the
     longest prefix, on each side of 0, on which every row survives.
     """
-    values = np.unique(np.asarray(values, dtype=float))
+    # np.unique's values on a finite grid; an index-free np.unique imports numpy.ma
+    values = np.sort(np.asarray(values, dtype=float))
+    values = np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
     kept, nodes = [], []
     truncated = False
     for direction in (values[values >= 0], values[values < 0][::-1]):

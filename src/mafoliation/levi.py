@@ -77,7 +77,8 @@ def _check_inside(rho):
     """Raise for the first rho outside the domain, of a scalar or an array."""
     outside = np.flatnonzero(_outside(rho))
     if outside.size:
-        raise ValueError(f"rho(z) = {float(np.ravel(rho)[outside[0]])} <= 0; outside the domain")
+        value = float(np.ravel(rho)[outside[0]])
+        raise ValueError(f"rho(z) = {value} {'<= 0' if np.isfinite(value) else 'is not finite'}; outside the domain")
 
 
 def fields_at(p, z):

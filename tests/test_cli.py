@@ -626,7 +626,7 @@ def test_analyze_samples_below_one_exit2(corpus, tmp_path, capsys, samples):
 
 @pytest.mark.parametrize("command", ["analyze", "suite"])
 def test_samples_above_the_limit_exit2(corpus, tmp_path, capsys, command):
-    # memory grows with --samples (every sample is held at once)
+    # time grows with --samples (the scan holds one block of samples' jets at once)
     target = corpus / "ball2.pot" if command == "analyze" else corpus
     rc = main([command, str(target), "--samples", str(MAX_SAMPLES + 1), "--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -682,6 +682,20 @@ def test_trace_refuses_what_it_cannot_finish_exit2(corpus, tmp_path, capsys, ext
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""  # refused before the header
     assert not (tmp_path / "ball2_trace.csv").exists()
+
+
+@pytest.mark.parametrize("name, base", [("ball2", "1e160+0i,0+0i"), ("weighted24", "1e200+0i,0+0i")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trace_refuses_a_base_whose_rho_is_not_finite_exit2(corpus, tmp_path, capsys, name, base):
+    # a finite base whose rho overflows used to print the header, numpy's
+    # overflow warnings and "rho(z) = nan <= 0; outside the domain"
+    rc = main(["trace", str(corpus / f"{name}.pot"), "--base", base, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: rho(z) = nan at --base {base} is not finite; use a base nearer the origin"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["analyze", "weights", "burns", "trace"])

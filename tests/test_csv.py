@@ -75,17 +75,18 @@ def test_write_csv_of_no_rows(tmp_path):
 
 @settings(deadline=None)
 @given(
-    texts=st.lists(st.text(alphabet='ab ,;"\r\n\té'), max_size=12),
+    texts=st.lists(st.one_of(st.text(alphabet='ab ,;"\r\n\té'),
+                             st.sampled_from(["", " ", '""', ",", '"', "\r", "\n", " a ", "a b"])), max_size=12),
     pool=st.lists(_FLOATS, min_size=1, max_size=4),
 )
 def test_write_csv_matches_row_writer(texts, pool):
-    header = ["name", 'x,"y"']
+    header = ["sample", "name", 'x,"y"']
     values = _column(pool, range(len(texts)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.csv"
-        _write_csv(path, header, texts, values)
+        _write_csv(path, header, range(-1, len(texts) - 1), texts, values)
         written = path.read_bytes()
-    assert written == reference_csv_bytes(header, zip(texts, values))
+    assert written == reference_csv_bytes(header, zip(range(-1, len(texts) - 1), texts, values))
 
 
 def _coords(z):
@@ -113,7 +114,9 @@ def test_analyze_csv_bytes_match_row_writer(corpus, tmp_path, capsys):
     pot = corpus / "weighted24.pot"
     assert main(["analyze", str(pot), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    pts, scan, raw, scaled, euler = _analyze_scan(parse_potential_file(pot), ScanConfig())
+    p = parse_potential_file(pot)
+    pts, _, raw, scaled, euler = _analyze_scan(p, ScanConfig())
+    scan = levi_scan(p, pts)
     det = scan.det_hessian
     rows = [
         [i] + _coords(pts[i]) + [scan.rho[i], det[i].real, det[i].imag, scan.strata[i], raw[i], scaled[i], euler[i]]

@@ -33,7 +33,7 @@ from mafoliation.gradient import (
     _system_residual,
     flow_points,
 )
-from mafoliation.levi import Stratum, fields_at, fields_at_many
+from mafoliation.levi import Stratum, fields_at, fields_at_many, levi_scan
 from mafoliation.potential import Evaluator
 from mafoliation.sampling import sample_domain
 from mafoliation.thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
@@ -376,7 +376,8 @@ def test_scalar_samples_are_their_batched_rows(bundled_and_generated):
             assert got.system_residual == system[i], name
             assert got.consistent == consistent[i], name
 
-        pts, scan, _, _, euler = _analyze_scan(p, ScanConfig(samples=300, rng_seed=seed))
+        pts, _, _, _, euler = _analyze_scan(p, ScanConfig(samples=300, rng_seed=seed))
+        scan = levi_scan(p, pts)
         settled = np.ones(len(pts), dtype=bool)
         settled[_direct_z(scan.grad, scan.hessian)[1]] = False
         settled &= (scan.strata == Stratum.STRICTLY_PSH) & one_row_jet_agrees(p, pts)

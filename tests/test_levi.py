@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mafoliation import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mafoliation.levi import fields_at, fields_at_many, jet, log_levi_form, ma_from_fields, rank_identity
+from mafoliation.levi import _check_inside, fields_at, fields_at_many, jet, log_levi_form, ma_from_fields, rank_identity
 from mafoliation.sampling import real_grid, sample_domain
 from helpers import (
     hessian_fd,
@@ -89,6 +90,17 @@ def test_a_point_with_a_non_finite_coordinate_is_refused(ball2, z):
 def test_a_nan_row_of_a_scan_is_outside_the_domain(ball2):
     scan = levi_scan(ball2, np.array([[math.nan, 0], [1, 0], [0, 0], [1, math.nan]]))
     assert scan.strata.tolist() == [Stratum.OUTSIDE_DOMAIN, Stratum.STRICTLY_PSH] + [Stratum.OUTSIDE_DOMAIN] * 2
+
+
+@pytest.mark.parametrize("rho, message", [
+    ([1.0, 0.0], "rho(z) = 0.0 <= 0"), ([-2.5], "rho(z) = -2.5 <= 0"),
+    ([1.0, math.nan], "rho(z) = nan is not finite"), ([-math.inf, 0.0], "rho(z) = -inf is not finite"),
+])
+def test_check_inside_names_the_first_value_outside(rho, message):
+    # a NaN rho used to read "rho(z) = nan <= 0"
+    with pytest.raises(ValueError, match=re.escape(f"{message}; outside the domain")):
+        _check_inside(np.array(rho))
+    _check_inside(np.array([1e-300, math.inf]))  # inside: rho > 0
 
 
 def test_levi_data_outside_domain(nonma):
