@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import potential
 from .burns import burns_check
 from .foliation import (
     MAX_TRACE_NODES,
@@ -206,22 +207,10 @@ def _invariant_records(folded):
     return [outcome(name, float(values[name]), now - seconds) for name, (_, seconds) in folded.items()]
 
 
-# Bytes of a scan block's jet: its (K, rows) monomial table, (rows, 1 + n +
-# n^2) jet and n^2 entries of U per row, 16 bytes each; the size of
-# potential.TABLE_BLOCK_BYTES. Measured with one BLAS thread on a shared
-# 2-core x86-64 box: analyze ball3.pot --samples 65536 (464 bytes a row, 564
-# rows a block) peaks at 46.9 MB VmHWM in 0.66-0.71 s, where the whole batch
-# at once took 169 MB and 0.86-0.97 s; 2^19 and 2^20 peak at 47.4 and 49.7 MB,
-# and 2^16 and 2^17 no lower. The scan of 1,000 samples of the generated
-# normsq_n8 (54 rows a block) takes 10.4 ms, against 9.5 ms in one block,
-# 11.3 ms at 2^17 and 14.6 ms at 2^16
-SCAN_BLOCK_BYTES = 2**18
-
-
 def _scan_block_rows(p):
-    """Rows per block of ``_analyze_scan``: SCAN_BLOCK_BYTES over the bytes of one row's jet, at least 1."""
-    n, monomials = p.dim, len(_batch_jet(p).monomials.keys)
-    return max(1, SCAN_BLOCK_BYTES // (16 * (monomials + 1 + n + 2 * n * n)))
+    """Rows per block of ``_analyze_scan``: potential.TABLE_BLOCK_BYTES over the bytes of one row's jet, at least 1."""
+    n, monomials = p.dim, len(_batch_jet(p).keys)
+    return max(1, potential.TABLE_BLOCK_BYTES // (16 * (monomials + 1 + n + 2 * n * n)))
 
 
 def _analyze_scan(p, cfg, rows=None):

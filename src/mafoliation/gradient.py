@@ -216,8 +216,7 @@ class _RowStage:
 
     def __init__(self, p):
         jet = _batch_jet(p)
-        self._doubled_row, self._coeffs = jet.monomials.doubled_row, jet.coeffs
-        self._buffers = jet.monomials.row_buffers()
+        self._doubled_row, self._coeffs, self._buffers = jet.doubled_row, jet.coeffs, jet.row_buffers()
         self._product = np.empty((2, self._coeffs.shape[1]), dtype=complex)
         _, self._grad, self._hess = _jet_columns(self._product[:1], p.dim)
         self._ht = self._hess.transpose(0, 2, 1)

@@ -7,13 +7,14 @@ Coefficients that become exactly zero are pruned, never epsilon-pruned, so the
 term structure stays exact under differentiation and bidegree splitting.
 
 Every point evaluation goes through ``Evaluator``, the one polynomial
-evaluator: a ``Monomials`` table over the union of the keys of a tuple of
-polynomials, then one coefficient product. ``PolyExpr.evaluate_many`` is the
-evaluator of the one polynomial, ``PolyExpr.evaluate`` is ``evaluate_many`` on
-one row, and the batched jet of ``levi`` is the evaluator of the jet. The rule
-that keeps that product on BLAS gemm, so that a row does not depend on its
-batch, lives in ``Evaluator``; the one-row RK4 stages of ``gradient`` make
-its product of a doubled row (``Monomials.doubled_row``) in their own buffers.
+evaluator: over the union of the keys of a tuple of polynomials, a monomial
+table a block of rows at a time, each block times the coefficients before the
+next. ``PolyExpr.evaluate_many`` is the evaluator of the one polynomial,
+``PolyExpr.evaluate`` is ``evaluate_many`` on one row, and the batched jet of
+``levi`` is the evaluator of the jet. ``Evaluator`` owns the blocks, the rule
+that keeps each product on BLAS gemm, so that a row does not depend on its
+batch, and the doubled row (``Evaluator.doubled_row``), whose product the
+one-row RK4 stages of ``gradient`` take in their own buffers.
 """
 
 from __future__ import annotations
@@ -65,10 +66,12 @@ def _normalize_terms(dim, terms):
     return {k: c for k, c in out.items() if c != 0}
 
 
-# bytes of one block's working set in Monomials.__call__, per row: the power
+# bytes of one block's working set, per row. In Evaluator.table: the power
 # table (2n complex values for each kept power, and for the one running power
 # when some are skipped), the accumulator and the one gathered factor it holds
-# (K values each): 43-910 rows of the jets of the bundled and generated inputs.
+# (K values each), 43-910 rows of the jets of the bundled and generated
+# inputs. In the scan of analyze and suite (cli._scan_block_rows): the jet's
+# K monomials, 1 + n + n^2 columns and n^2 entries of U, 16 bytes each.
 # A grid chunk's transients must stay below glibc's heap trim threshold (twice
 # the largest block it has unmapped), or the heap goes back to the kernel and
 # is faulted in again on every chunk. In a fresh process per benchmark grid
@@ -76,33 +79,47 @@ def _normalize_terms(dim, terms):
 # per block that this replaces took 4,100-22,700 minor faults; this budget
 # with 2,048-row chunks takes 250-10,400 in checkouts at six paths (about
 # 5,300 of square_norm's are the harness reading its CSV). At 2^19,
-# ball3 sat near the threshold: 700-3,600, and 11,752 at one path
+# ball3 sat near the threshold: 700-3,600, and 11,752 at one path. With one
+# BLAS thread, analyze ball3.pot --samples 65536 (464 bytes a row, 564 rows a
+# scan block) peaks at 46.9 MB VmHWM in 0.66-0.71 s, against 169 MB and
+# 0.86-0.97 s for the whole batch at once, and at 47.4 and 49.7 MB at 2^19
+# and 2^20 (2^16 and 2^17 no lower); the scan of 1,000 samples of the
+# generated normsq_n8 (54 rows a block) takes 10.4 ms, against 9.5 ms in one
+# block, 11.3 ms at 2^17 and 14.6 ms at 2^16
 TABLE_BLOCK_BYTES = 2**18
 
 
-class Monomials:
-    """The monomials z**alpha * zbar**beta of a fixed, ordered list of
-    exponent pairs ``keys``: the one monomial evaluator of the package, behind
-    ``Evaluator``.
+class Evaluator:
+    """The values of a tuple of same-dimension polynomials at an (N, n) point
+    array, column j for polynomial j: the monomials z**alpha * zbar**beta of
+    the sorted union ``keys`` of their keys times ``coeffs``.
 
-    A power table of z and zbar makes each repeated exponent cost one
-    multiplication. It keeps base**0 and the powers some factor uses; base**e
-    is always base**(e - 1) times base, so a kept power is the same number as in
-    a table of every power, and |z2|**8000 keeps 3 powers, not 4,001. A
-    monomial is the product of its factors z1^a1, zbar1^b1, z2^a2, ..., taken
-    left to right, so it is the same number whichever list it sits in.
+    ``table`` fills the monomials of at most ``rows`` points, the most whose
+    working set fits TABLE_BLOCK_BYTES, and ``__call__`` takes each block's
+    product while it is in cache, so no input size makes a table grow. The
+    power table of z and zbar keeps base**0 and the powers some factor uses,
+    each base**(e - 1) times base, so a kept power is the number a table of
+    every power holds, and |z2|**8000 keeps 3 powers, not 4,001. A monomial is
+    the product of its factors z1^a1, zbar1^b1, z2^a2, ..., left to right, so
+    it is the same number whichever list it sits in.
 
-    ``doubled_row`` evaluates one point with one gather of every factor and
-    one ``multiply.reduce``: the same products in the same order, from the same
-    factor index ``_index`` as the factor loop of ``_block``. On many rows that
-    gather would hold 2n times the table, and the factor loop is faster.
+    numpy hands a product with one row or one column to BLAS gemv, whose sums
+    can differ in the last bit from gemm's, so every product stays on gemm: a
+    one-row batch or last block is evaluated as two equal rows
+    (``doubled_row``), and the coefficient matrix has at least two columns (a
+    lone polynomial gets a zero second one). A row then does not depend on its
+    batch, with one BLAS thread. ``doubled_row`` gathers every factor at once
+    and takes one ``multiply.reduce``: the products of ``table``'s factor loop
+    in the same order, from the same index ``_index``. On many rows that
+    gather would hold 2n times the table, and the loop is faster.
     """
 
-    __slots__ = ("dim", "keys", "_kept", "_chain", "_row_bytes", "_index")
+    __slots__ = ("dim", "keys", "rows", "coeffs", "_kept", "_chain", "_index")
 
-    def __init__(self, dim, keys):
-        self.dim = dim
-        self.keys = tuple(keys)
+    def __init__(self, exprs):
+        packs = [e._pack() for e in exprs]
+        self.dim = dim = exprs[0].dim
+        self.keys = tuple(sorted(set().union(*(keys for keys, _ in packs))))
         exps = np.array([(*a, *b) for a, b in self.keys], dtype=np.intp).reshape(-1, 2 * dim)
         self._kept = sorted({0, *exps.ravel().tolist()})
         slot = {e: i for i, e in enumerate(self._kept)}
@@ -111,11 +128,34 @@ class Monomials:
         self._chain = []
         for prev, e in zip(self._kept, self._kept[1:]):
             self._chain += [prev + 1 - e, slot[e]] if e > prev + 1 else [slot[e]]
-        self._row_bytes = 16 * ((len(self._kept) + (self._kept[-1] >= len(self._kept))) * 2 * dim + 2 * len(self.keys))
+        running = self._kept[-1] >= len(self._kept)
+        self.rows = max(1, TABLE_BLOCK_BYTES // (16 * ((len(self._kept) + running) * 2 * dim + 2 * len(self.keys))))
         # [f, k]: flat index of factor f of monomial k, for the factors z1,
         # zbar1, z2, zbar2, ... in order, into a (kept powers, 2n) power table
         order = np.arange(2 * dim).reshape(2, dim).T.ravel().tolist()
         self._index = np.array([[slot[e] * 2 * dim + c for e in exps[:, c].tolist()] for c in order], dtype=np.intp)
+        row = {key: i for i, key in enumerate(self.keys)}
+        self.coeffs = np.zeros((len(row), max(2, len(packs))), dtype=complex)
+        for col, (keys, c) in enumerate(packs):
+            self.coeffs[[row[key] for key in keys], col] = c
+
+    def __call__(self, points):
+        """(N, max(2, len(exprs))) complex values, column j for expression j."""
+        pts = np.asarray(points, dtype=complex)
+        if pts.shape == (1, self.dim):
+            return (self.doubled_row(pts[0], self.row_buffers()).T @ self.coeffs)[:1]
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"expected an (N, {self.dim}) array, got {pts.shape}")
+        if len(pts) <= self.rows:
+            return self.table(pts).T @ self.coeffs
+        out = np.empty((len(pts), self.coeffs.shape[1]), dtype=complex)
+        for start in range(0, len(pts), self.rows):
+            block = pts[start : start + self.rows]
+            if len(block) > 1:
+                np.matmul(self.table(block).T, self.coeffs, out=out[start : start + self.rows])
+            else:  # a one-row last block: the doubled row
+                out[start:] = self(block)
+        return out
 
     def _powers(self, base, powers=None):
         """base**e for each kept exponent e, in ascending order on a new first
@@ -133,24 +173,8 @@ class Monomials:
                     last = running = np.multiply(last, base, out=running)
         return powers
 
-    def __call__(self, pts):
-        """(len(keys), N) complex table of the monomials at an (N, n) point
-        array, filled a block of rows at a time, each block's working set
-        within TABLE_BLOCK_BYTES: it stays in cache while its 2n factors are
-        gathered and multiplied in, where the whole table would stream through
-        memory 2n times, and no input size makes it grow."""
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"expected an (N, {self.dim}) array, got {pts.shape}")
-        rows = max(1, TABLE_BLOCK_BYTES // self._row_bytes)
-        if len(pts) <= rows:
-            return self._block(pts)
-        table = np.empty((len(self.keys), len(pts)), dtype=complex)
-        for start in range(0, len(pts), rows):
-            table[:, start : start + rows] = self._block(pts[start : start + rows])
-        return table
-
-    def _block(self, pts):
-        """The monomial table of the (M, n) point array pts."""
+    def table(self, pts):
+        """(len(keys), M) complex table of the monomials at an (M, n) point array."""
         # (kept powers * 2n, M): each gathered power of a factor is a contiguous row
         powers = self._powers(np.concatenate((pts.T, pts.T.conj()))).reshape(len(self._kept) * 2 * self.dim, -1)
         first, *rest = self._index
@@ -170,7 +194,7 @@ class Monomials:
 
     def doubled_row(self, z, buffers):
         """(len(keys), 2) complex table of the monomials at the one point z,
-        in both columns: ``__call__`` on the two rows (z, z), bit for bit. It
+        in both columns: ``table`` on the two rows (z, z), bit for bit. It
         fills ``buffers`` (``row_buffers``) and returns their last, the table."""
         base, powers, index, factors, table = buffers
         base[: self.dim] = z
@@ -181,37 +205,6 @@ class Monomials:
         # initial=None starts from the first factor, as the loop does; the
         # default starts from 1, whose product flips the sign of some zeros
         return np.multiply.reduce(factors, axis=0, initial=None, out=table)
-
-
-class Evaluator:
-    """The values of a tuple of same-dimension polynomials at an (N, n) point
-    array: one ``Monomials`` table over the union of their keys, then one
-    (N, K) @ (K, C) coefficient product, column j for polynomial j.
-
-    numpy hands a product with one row or one column to BLAS gemv, whose sums
-    can differ in the last bit from gemm's, so every product stays on gemm: one
-    point is evaluated as two equal rows (``Monomials.doubled_row``), and the
-    coefficient matrix has at least two columns (a lone polynomial gets a zero
-    second one). A row then does not depend on its batch, with one BLAS thread.
-    """
-
-    __slots__ = ("dim", "monomials", "coeffs")
-
-    def __init__(self, exprs):
-        packs = [e._pack() for e in exprs]
-        self.dim = exprs[0].dim
-        self.monomials = Monomials(self.dim, sorted(set().union(*(keys for keys, _ in packs))))
-        row = {key: i for i, key in enumerate(self.monomials.keys)}
-        self.coeffs = np.zeros((len(row), max(2, len(packs))), dtype=complex)
-        for col, (keys, c) in enumerate(packs):
-            self.coeffs[[row[key] for key in keys], col] = c
-
-    def __call__(self, points):
-        """(N, max(2, len(exprs))) complex values, column j for expression j."""
-        pts = np.asarray(points, dtype=complex)
-        if pts.shape == (1, self.dim):
-            return (self.monomials.doubled_row(pts[0], self.monomials.row_buffers()).T @ self.coeffs)[:1]
-        return self.monomials(pts).T @ self.coeffs
 
 
 class PolyExpr:

@@ -16,11 +16,12 @@ from .thresholds import RHO_FLOOR
 DEFAULT_BOX = 1.5
 MAX_SAMPLE_BATCHES = 1000  # sample_domain gives up after this many rejected-sample batches
 # 65 times the default --samples. analyze and suite scan the samples in
-# blocks of cli.SCAN_BLOCK_BYTES and keep whole only the samples and four
-# per-sample vectors, 16n + 32 bytes a sample. With one BLAS thread on a
-# shared 2-core x86-64 box, analyze of 2^16 samples peaks at 47 MB VmHWM in
-# 0.7 s on ball3 (n = 3) and at 85 MB in 2.8 s on the generated normsq_n8
-# (n = 8), whose peak is sample_domain's rho over one batch of 2^16 points
+# blocks of potential.TABLE_BLOCK_BYTES and keep whole only the samples and
+# four per-sample vectors, 16n + 32 bytes a sample; sample_domain's rho over
+# one batch of 2^16 points is taken a table block at a time too. With one
+# BLAS thread on a shared 2-core x86-64 box, analyze of 2^16 samples peaks at
+# 47 MB VmHWM in 0.7 s on ball3 (n = 3) and at 62 MB on the generated
+# normsq_n8 (n = 8), where a whole table of that batch took 85 MB
 MAX_SAMPLES = 2**16
 # 4x the largest grid the README, tests and benchmark use (8 per axis on C^3).
 # The grid is streamed (GRID_CHUNK_ROWS), so this bounds time, not memory: in a

@@ -12,7 +12,7 @@ extended_gradient and one levi_data per stencil point, the oracle for the
 batched ``cr_scan``; ``reference_levi_data`` is the scalar Levi bundle (one
 jet row, its determinant, spectrum and stratum), the oracle for ``levi_data``.
 ``reference_one_row_jet`` is the doubled-row jet, the factor loop of
-``Monomials`` on the two rows (z, z), the oracle for the one-gather row of
+``Evaluator.table`` on the two rows (z, z), the oracle for the one-gather row of
 ``fields_at_many``. ``one_row_jet_agrees`` marks the rows of a batched jet
 that equal the one-row jet's, where a scalar entry point must give its
 batched row bit for bit.
@@ -244,12 +244,12 @@ def reference_cr_scan(p, samples):
 
 def reference_one_row_jet(p, points):
     """(rho, grad, hessian) of a (1, n) point array by the doubled-row path:
-    the factor loop of Monomials on the two rows (z, z), then the 2-row
+    the factor loop of Evaluator.table on the two rows (z, z), then the 2-row
     coefficient product, so that the product stays on gemm."""
     batch = _batch_jet(p)
     n = batch.dim
     pts = np.asarray(points, dtype=complex)
-    table = batch.monomials(np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts)
+    table = batch.table(np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts)
     out = (table.T @ batch.coeffs)[: len(pts)]
     return out[:, 0].real, out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
 

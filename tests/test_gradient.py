@@ -20,7 +20,7 @@ from mafoliation import (
     levi_data,
     theta_orbit_det_check,
 )
-from mafoliation import gradient
+from mafoliation import gradient, potential
 from mafoliation.cli import ScanConfig, _analyze_scan
 from mafoliation.gradient import (
     ORBIT_CHECK_BLOCK,
@@ -34,7 +34,6 @@ from mafoliation.gradient import (
     flow_points,
 )
 from mafoliation.levi import Stratum, fields_at, fields_at_many, levi_scan
-from mafoliation.potential import Evaluator
 from mafoliation.sampling import sample_domain
 from mafoliation.thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
 from helpers import (
@@ -618,8 +617,9 @@ def test_gradient_sample_euler_residual_consistent(weighted24):
 
 def test_the_flows_of_z_live_in_gradient_alone():
     # gradient integrates Z without importing foliation, its one-row stage is
-    # named nowhere else, the evaluator has no one-row buffer API, and the RK4
-    # update is written once, in rk4_path
+    # named nowhere else, one class of potential has the one-row buffer API and
+    # gradient is its one caller outside potential, and the RK4 update is
+    # written once, in rk4_path
     src = Path(gradient.__file__).parent
     modules = []
     for node in ast.walk(ast.parse((src / "gradient.py").read_text(encoding="utf-8"))):
@@ -631,7 +631,11 @@ def test_the_flows_of_z_live_in_gradient_alone():
     naming = {path.name for path in src.glob("*.py") if re.search(r"\b_RowStage\b", path.read_text(encoding="utf-8"))}
     assert naming == {"gradient.py"}
     assert isinstance(gradient.__dict__.get("_RowStage"), type)
-    assert not {"row_buffers", "doubled_row"} & set(vars(Evaluator))
+    row_api = {"row_buffers", "doubled_row"}
+    owners = [cls for cls in vars(potential).values() if isinstance(cls, type) and row_api & set(vars(cls))]
+    assert len(owners) == 1 and row_api <= set(vars(owners[0]))
+    calling = {path.name for path in src.glob("*.py") if re.search(r"\.(row_buffers|doubled_row)\b", path.read_text(encoding="utf-8"))}
+    assert calling - {"potential.py"} == {"gradient.py"}
     assert not hasattr(gradient, "rk4_segment")
     updating = {path.name: len(re.findall(r"\bk4 = vel\(", path.read_text(encoding="utf-8"))) for path in src.glob("*.py")}
     assert {name: count for name, count in updating.items() if count} == {"gradient.py": 1}

@@ -13,7 +13,7 @@ from mafoliation import (
     parse_potential,
 )
 from mafoliation import levi, potential, sampling
-from mafoliation.potential import Monomials
+from mafoliation.potential import Evaluator
 from helpers import random_hermitian_potential, random_points, reference_evaluate, wirtinger_fd
 
 
@@ -138,6 +138,11 @@ def test_evaluate_many_matches_single(quartic_mixed, bundled_and_generated):
         assert singles.tobytes() == whole.tobytes(), name
 
 
+def _evaluator(keys):
+    """The evaluator of the one polynomial on C^2 whose keys are ``keys``, each with coefficient 1."""
+    return Evaluator((PolyExpr(2, dict.fromkeys(keys, 1)),))
+
+
 @pytest.mark.parametrize("keys", [
     [],  # no monomial
     [((0, 0), (0, 0))],  # the constant: no power of z above 0
@@ -147,25 +152,25 @@ def test_evaluate_many_matches_single(quartic_mixed, bundled_and_generated):
 ])
 def test_doubled_row_is_the_factor_loop_on_two_equal_rows(keys):
     # in fresh buffers, and in one set of buffers kept across the points
-    monomials = Monomials(2, keys)
-    kept = monomials.row_buffers()
+    evaluator = _evaluator(keys)
+    kept = evaluator.row_buffers()
     rng = np.random.default_rng(21)
     for z in [*random_points(rng, 2, 20), np.array([0j, complex(-0.0, -0.0)])]:
-        got = monomials.doubled_row(z, monomials.row_buffers())
-        want = monomials(np.repeat(z[None], 2, axis=0))
+        got = evaluator.doubled_row(z, evaluator.row_buffers())
+        want = evaluator.table(np.repeat(z[None], 2, axis=0))
         assert got.shape == want.shape == (len(keys), 2)
         assert got.tobytes() == want.tobytes()
-        assert monomials.doubled_row(z, kept).tobytes() == want.tobytes()
+        assert evaluator.doubled_row(z, kept).tobytes() == want.tobytes()
 
 
-def _row_bytes(monomials):
+def _row_bytes(evaluator):
     """Bytes per row of a table block's working set, as complex128: 2n values
     for base**0, for each power a factor uses and for one running power when
     some power below the largest is not kept; the accumulator and one
     gathered factor."""
-    kept = {0} | {e for a, b in monomials.keys for e in (*a, *b)}
+    kept = {0} | {e for a, b in evaluator.keys for e in (*a, *b)}
     running = max(kept) >= len(kept)
-    return 16 * ((len(kept) + running) * 2 * monomials.dim + 2 * len(monomials.keys))
+    return 16 * ((len(kept) + running) * 2 * evaluator.dim + 2 * len(evaluator.keys))
 
 
 def test_a_skipped_power_does_not_change_a_monomial():
@@ -173,11 +178,13 @@ def test_a_skipped_power_does_not_change_a_monomial():
     whose other keys make it keep every power."""
     keys = [((5, 0), (0, 2)), ((0, 1), (3, 0)), ((0, 0), (0, 0)), ((7, 7), (0, 7))]
     dense = keys + [((e, e), (e, e)) for e in range(8)]
+    sparse, full = _evaluator(keys), _evaluator(dense)
+    rows = [full.keys.index(key) for key in sparse.keys]  # the dense table's row of each key
+    assert len(sparse.keys) == len(keys)
     pts = random_points(np.random.default_rng(27), 2, 40)
-    assert Monomials(2, keys)(pts).tobytes() == Monomials(2, dense)(pts)[: len(keys)].tobytes()
+    assert sparse.table(pts).tobytes() == full.table(pts)[rows].tobytes()
     for z in pts[:5]:
-        sparse, full = Monomials(2, keys), Monomials(2, dense)
-        assert sparse.doubled_row(z, sparse.row_buffers()).tobytes() == full.doubled_row(z, full.row_buffers())[: len(keys)].tobytes()
+        assert sparse.doubled_row(z, sparse.row_buffers()).tobytes() == full.doubled_row(z, full.row_buffers())[rows].tobytes()
 
 
 @pytest.mark.parametrize("keys", [
@@ -187,38 +194,47 @@ def test_a_skipped_power_does_not_change_a_monomial():
     [((a, b), (c, d)) for a in range(3) for b in range(2) for c in range(2) for d in range(3)],  # 36 monomials
 ])
 def test_monomial_table_does_not_depend_on_its_block_size(keys, monkeypatch):
+    """The values of 52 points, in one block, in blocks of 1, 7, 5 and 3 rows
+    (the last leaves a one-row block, which goes through the doubled row),
+    are the same bits. Each evaluator is built after its budget is set, since
+    it fixes its block rows when it is built."""
     rng = np.random.default_rng(22)
     pts = np.concatenate([random_points(rng, 2, 50), [[0j, complex(-0.0, -0.0)], [complex(np.inf, 1), -1j]]])
-    monomials = Monomials(2, keys)
-    row = _row_bytes(monomials)
+    row = _row_bytes(_evaluator(keys))
     with np.errstate(invalid="ignore"):  # inf * 0 in the row with an infinite coordinate
-        tables = []
-        for budget in (2**60, 1, 7 * row, 6 * row - 1):  # one block; one row per block; 7 or 5 rows per block
+        values = []
+        for budget, rows in ((2**60, len(pts)), (1, 1), (7 * row, 7), (6 * row - 1, 5), (3 * row, 3)):
             monkeypatch.setattr(potential, "TABLE_BLOCK_BYTES", budget)
-            tables.append(monomials(pts))
-    assert all(t.shape == (len(keys), len(pts)) for t in tables)
-    assert all(t.tobytes() == tables[0].tobytes() for t in tables[1:])
+            evaluator = _evaluator(keys)
+            assert min(evaluator.rows, len(pts)) == rows
+            values.append(evaluator(pts))
+    assert len(pts) % 3 == 1
+    assert all(v.shape == (len(pts), 2) for v in values)
+    assert all(v.tobytes() == values[0].tobytes() for v in values[1:])
 
 
 def test_every_jet_table_block_fits_the_budget(bundled_and_generated, monkeypatch):
     """On a grid chunk, each block of a jet's monomial table is the most rows
-    whose working set fits TABLE_BLOCK_BYTES, or one row where none fits."""
+    whose working set fits TABLE_BLOCK_BYTES, but for a last block of one row,
+    which is the doubled row and no table."""
     blocks = []
-    block = Monomials._block
+    table = Evaluator.table
 
     def recording(self, pts):
         blocks.append(len(pts))
-        return block(self, pts)
+        return table(self, pts)
 
-    monkeypatch.setattr(Monomials, "_block", recording)
+    monkeypatch.setattr(Evaluator, "table", recording)
     rng = np.random.default_rng(25)
+    chunk = sampling.GRID_CHUNK_ROWS
     for name, p in bundled_and_generated.items():
-        monomials = levi._batch_jet(p).monomials
-        row = _row_bytes(monomials)
+        evaluator = levi._batch_jet(p)
+        row = _row_bytes(evaluator)
+        assert evaluator.rows == max(1, potential.TABLE_BLOCK_BYTES // row), name
         blocks.clear()
-        monomials(random_points(rng, p.dim, sampling.GRID_CHUNK_ROWS))
-        assert sum(blocks) == sampling.GRID_CHUNK_ROWS, name
-        assert all(size == 1 or size * row <= potential.TABLE_BLOCK_BYTES for size in blocks), name
+        evaluator(random_points(rng, p.dim, chunk))
+        assert sum(blocks) == chunk - (chunk % evaluator.rows == 1), name
+        assert all(size * row <= potential.TABLE_BLOCK_BYTES for size in blocks), name
         assert all(potential.TABLE_BLOCK_BYTES < (size + 1) * row for size in blocks[:-1]), name
         assert blocks[-1] <= blocks[0], name
 
@@ -226,15 +242,15 @@ def test_every_jet_table_block_fits_the_budget(bundled_and_generated, monkeypatc
 def test_a_table_of_high_powers_is_filled_within_the_budget():
     """On 2,000 rows the table of |z1|^2 and |z2|^8000 fills blocks within
     the budget, not a table of 4,001 powers of every row at once (over 500 MiB)."""
-    monomials = Monomials(2, [((1, 0), (1, 0)), ((0, 4000), (0, 4000))])
+    evaluator = _evaluator([((1, 0), (1, 0)), ((0, 4000), (0, 4000))])
     pts = random_points(np.random.default_rng(26), 2, 2000, radius=0.7)  # |z| < 1: no overflow
     tracemalloc.start()
     try:
-        table = monomials(pts)
+        values = evaluator(pts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.shape == (2, 2000)
+    assert values.shape == (2000, 2)
     assert peak < 2 * 2**20
 
 

@@ -6,7 +6,9 @@ import re
 import shutil
 import tracemalloc
 
-from mafoliation import cli
+import numpy as np
+
+from mafoliation import cli, potential
 from mafoliation.cli import (
     ScanConfig,
     _analyze_scan,
@@ -17,6 +19,7 @@ from mafoliation.cli import (
 )
 from mafoliation.levi import levi_scan
 from mafoliation.potential import format_potential
+from mafoliation.sampling import MAX_SAMPLES, sample_domain
 
 _WALL = re.compile(r" \[\d+\.\d+s\]")
 
@@ -75,10 +78,10 @@ def test_the_invariant_fold_over_blocks_is_the_fold_of_one_block(bundled_and_gen
 
 def test_scan_block_rows_follow_the_byte_budget(bundled_and_generated, monkeypatch):
     # 16 bytes for each of ball3's 7 monomials, 13 jet columns and 9 entries of U
-    assert cli._scan_block_rows(bundled_and_generated["ball3"]) == cli.SCAN_BLOCK_BYTES // 464
+    assert cli._scan_block_rows(bundled_and_generated["ball3"]) == potential.TABLE_BLOCK_BYTES // 464
     rows = {name: cli._scan_block_rows(p) for name, p in bundled_and_generated.items()}
     assert rows["normsq_n8"] < rows["normsq_n4"] < rows["ball3"] < rows["ball2"]
-    monkeypatch.setattr(cli, "SCAN_BLOCK_BYTES", 1)
+    monkeypatch.setattr(potential, "TABLE_BLOCK_BYTES", 1)
     assert {cli._scan_block_rows(p) for p in bundled_and_generated.values()} == {1}
 
 
@@ -97,3 +100,18 @@ def test_analyze_at_the_sample_limit_holds_no_whole_jet(tmp_path, capsys):
     assert peak < 24 * 2**20
     with open(tmp_path / "ball3_analyze.csv", "rb") as fh:
         assert sum(1 for _ in fh) == 2**16 + 1
+
+
+def test_sampling_at_the_sample_limit_holds_no_whole_monomial_table(bundled_and_generated):
+    # rho over one batch of 2^16 points of normsq_n8 (36 monomials) traced
+    # 46.7 MiB with its whole monomial table; the evaluator takes each
+    # block's product before it fills the next
+    p = bundled_and_generated["normsq_n8"]
+    tracemalloc.start()
+    try:
+        pts = sample_domain(p, MAX_SAMPLES, 1.5, np.random.default_rng(1234))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts.shape == (MAX_SAMPLES, 8)
+    assert peak < 32 * 2**20
