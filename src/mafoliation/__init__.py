@@ -28,7 +28,6 @@ from .gradient import (
 )
 from .homogeneity import (
     analyze_weights,
-    default_lambda_samples,
     flow_level_map_check,
     linear_field_agreement,
     rescale_to_level,
@@ -59,7 +58,7 @@ __all__ = [
     "leaf_log_linearity", "leaf_stratum_invariance", "level_set_invariance", "trace_leaf",
     "RealFieldKind", "SingularHessianError", "complex_gradient", "cr_scan", "euler_residual_scan",
     "extended_gradient", "flow_points", "gradient_field", "theta_orbit_det_check",
-    "analyze_weights", "default_lambda_samples", "flow_level_map_check", "linear_field_agreement",
+    "analyze_weights", "flow_level_map_check", "linear_field_agreement",
     "rescale_to_level", "verify_weights",
     "Stratum", "levi_data", "levi_scan", "ma_residual", "restricted_levi_eigen",
     "PolyExpr", "PolyPotential", "PotentialFormatError", "bidegree_decompose", "format_potential",

@@ -25,9 +25,11 @@ If it fails, the report's internal_failure names a code bug, which burns and
 suite both report.
 
 The grid scan is one loop over the chunks in grid order (_scan_grid): each
-chunk's jet, its rows with rho > RHO_FLOOR, the rows callback, the chunk's
-radial max (from squared norms) and its det U maxima, which np.max and
-np.argmax reduce after the loop.
+chunk's jet, its rows with rho > RHO_FLOOR, the rows callback (given the grid
+index of the chunk's first point, so burns --csv creates its CSV on the first
+chunk and appends each further chunk's rows), the chunk's radial max (from
+squared norms) and its det U maxima, which np.max and np.argmax reduce after
+the loop.
 """
 
 from __future__ import annotations
@@ -134,20 +136,22 @@ def _radial_max(points, grad, hess, k):
 
 def _scan_grid(p, grid, k, rows):
     """One pass over the grid chunks in grid order. Each chunk's LeviScan of
-    its rows with rho > RHO_FLOOR goes to rows (if given); with k set each
+    its rows with rho > RHO_FLOOR goes to rows(start, scan) (if given), with
+    the grid index of the chunk's first point; with k set each
     chunk also gives the gates its kept count, radial max, max raw |det U|,
     and max scaled |det U| with a copy of its point. np.max and np.argmax
     then reduce the chunks: a NaN counts as the max, and the worst point is
     the first NaN, or else the first max. Reductions over no rows are None."""
     raws, scaleds, worsts, radials = [], [], [], []
-    kept = 0
+    start = kept = 0
     for chunk in grid:
         scan = levi_scan(p, chunk)
         inside = scan.rho > RHO_FLOOR
         if not inside.all():
             scan = LeviScan(scan.points[inside], scan.rho[inside], scan.grad[inside], scan.hessian[inside])
         if rows is not None:
-            rows(scan)
+            rows(start, scan)
+        start += len(chunk)
         if k is None or not len(scan.rho):
             continue
         kept += len(scan.rho)
@@ -184,9 +188,10 @@ def burns_check(p, grid, rows=None):
     grid: a RealGrid (sampling.real_grid), read one chunk at a time in a
     single pass; points with rho <= RHO_FLOOR are skipped for the
     Monge-Ampere gate and the radial invariant (log rho needs rho > 0).
-    rows: optional callable given the LeviScan of each chunk's kept points in
-    grid order (the rows of burns --csv, whose residuals are its ``ma``), also
-    when a degree gate fails. Failures are verdicts with reasons, not errors.
+    rows: optional callable given, chunk by chunk in grid order, the grid
+    index of the chunk's first point and the LeviScan of its kept points (the
+    rows of burns --csv, whose residuals are its ``ma``), also when a degree
+    gate fails. Failures are verdicts with reasons, not errors.
     """
     t0 = time.perf_counter()
     masses = {key: float(sum(abs(c) for c in comp.terms.values())) for key, comp in bidegree_decompose(p).items()}

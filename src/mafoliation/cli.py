@@ -21,7 +21,6 @@ reads, plus --seed and --out; every tolerance is a constant of thresholds.py.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import itertools
@@ -38,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import potential
 from .burns import burns_check
 from .foliation import (
     MAX_TRACE_NODES,
@@ -50,8 +48,8 @@ from .foliation import (
 )
 from .gradient import _euler_residual, _solve_z
 from .homogeneity import (
+    LAMBDA_SAMPLES,
     analyze_weights,
-    default_lambda_samples,
     linear_field_agreement,
     verify_weights,
 )
@@ -125,15 +123,14 @@ def _cells(columns):
     return cells
 
 
-def _write_csv(out, header, *columns):
-    """Write the header (unless None) and the rows of the equal-length columns
-    (see _cells), byte for byte as csv.writer with lineterminator "\n" would.
-
-    out is a path, or a text file opened with newline="" that further calls
-    append to (burns --csv writes one call per grid chunk).
-    """
-    opened = contextlib.nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="", encoding="utf-8")
-    with opened as fh:
+def _write_csv(path, header, *columns):
+    """Write the rows of the equal-length columns (see _cells) to the file at
+    the Path path, byte for byte as csv.writer with lineterminator "\n" would.
+    With a header, create the file and its directory and write the header
+    first; with None, append: analyze and burns --csv write one call per block."""
+    if header is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a" if header is None else "w", newline="", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(map(_csv_field, header)) + "\n")
         lines = map(",".join, zip(*_cells(columns)))
@@ -207,22 +204,17 @@ def _invariant_records(folded):
     return [outcome(name, float(values[name]), now - seconds) for name, (_, seconds) in folded.items()]
 
 
-def _scan_block_rows(p):
-    """Rows per block of ``_analyze_scan``: potential.TABLE_BLOCK_BYTES over the bytes of one row's jet, at least 1."""
-    n, monomials = p.dim, len(_batch_jet(p).keys)
-    return max(1, potential.TABLE_BLOCK_BYTES // (16 * (monomials + 1 + n + 2 * n * n)))
-
-
 def _analyze_scan(p, cfg, rows=None):
-    """The scan of analyze and suite over cfg's seeded samples, in blocks of
-    ``_scan_block_rows`` samples in sample order. Each block's LeviScan goes
-    to rows(start, scan, euler) (if given), with the number of its first
-    sample and its Euler residuals; no row depends on the block size, with
-    one BLAS thread. Returns the samples and, per sample, rho, |det U|, the
-    scaled |det U| and the Euler residual: the only arrays kept whole."""
+    """The scan of analyze and suite over cfg's seeded samples, in sample
+    order, a block at a time: each block is the ``rows`` of the jet's
+    ``Evaluator``, one fill of its table. Each block's LeviScan goes to
+    rows(start, scan, euler) (if given), with the number of its first sample
+    and its Euler residuals; no row depends on the block size, with one BLAS
+    thread. Returns the samples and, per sample, rho, |det U|, the scaled
+    |det U| and the Euler residual: the only arrays kept whole."""
     pts = sample_domain(p, cfg.samples, cfg.box_radius, np.random.default_rng(cfg.rng_seed))
     rho, raw, scaled, euler = np.empty((4, len(pts)))
-    step = _scan_block_rows(p)
+    step = _batch_jet(p).rows
     for start in range(0, len(pts), step):
         block = slice(start, start + step)
         scan = levi_scan(p, pts[block])
@@ -243,23 +235,15 @@ def cmd_analyze(args):
     header = ["sample", *_coord_header(p.dim), "rho", "re_detH", "im_detH", "stratum", "ma_residual",
               "ma_residual_scaled", "euler_residual"]
     census, folded = Counter(), {}
-    with contextlib.ExitStack() as stack:
-        fh = None
 
-        def rows(start, scan, euler):
-            nonlocal fh
-            if fh is None:  # opened once the samples are drawn: a refused --samples leaves no CSV
-                cfg.out_dir.mkdir(parents=True, exist_ok=True)
-                fh = stack.enter_context(open(out_path, "w", newline="", encoding="utf-8"))
-                # one empty column: no rows, and a row count for perfbench's tracer, which reads the first column
-                _write_csv(fh, header, ())
-            det, (_, raw, scaled) = scan.det_hessian, scan.ma
-            _write_csv(fh, None, range(start, start + len(scan.rho)), *_coord_columns(scan.points), scan.rho,
-                       det.real, det.imag, scan.strata, raw, scaled, euler)
-            census.update(map(str, scan.strata))
-            _internal_invariants(p, start, scan, euler, folded)
+    def rows(start, scan, euler):  # the first block creates the CSV, once the samples are drawn
+        det, (_, raw, scaled) = scan.det_hessian, scan.ma
+        _write_csv(out_path, None if start else header, range(start, start + len(scan.rho)),
+                   *_coord_columns(scan.points), scan.rho, det.real, det.imag, scan.strata, raw, scaled, euler)
+        census.update(map(str, scan.strata))
+        _internal_invariants(p, start, scan, euler, folded)
 
-        pts, _, raw, scaled, euler = _analyze_scan(p, cfg, rows)
+    pts, _, raw, scaled, euler = _analyze_scan(p, cfg, rows)
 
     print("stratum census:")
     for name, count in sorted(census.items()):
@@ -306,7 +290,6 @@ def cmd_trace(args):
     trace = trace_leaf(p, base, t_grid, s_grid, args.step)
 
     out_path = Path(args.out) / (Path(args.potential).stem + "_trace.csv")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     header = ["t", "s"] + _coord_header(p.dim) + ["rho", "abs_detH", "stratum"]
     nt, ns = trace.rho.shape
     _write_csv(out_path, header, np.repeat(trace.t_values, ns), np.tile(trace.s_values, nt),
@@ -334,7 +317,7 @@ WEIGHT_CHECK_SAMPLES = 100  # the weight checks of weights and suite use at most
 def _weight_checks(p, weights, pts):
     """The homogeneity identity and Z = c z at pts (weights and suite)."""
     return [
-        _timed("weights_verify", lambda: verify_weights(p, weights, pts, default_lambda_samples())),
+        _timed("weights_verify", lambda: verify_weights(p, weights, pts, LAMBDA_SAMPLES)),
         _timed("weights_field", lambda: linear_field_agreement(p, weights, pts)),
     ]
 
@@ -383,22 +366,46 @@ def _check_box(p, box, command, name="this potential"):
         )
 
 
+def _check_expect(path, expectations, dims):
+    """Refuse an expect.json (at path) unless it is an object of objects whose
+    keys are among ma (true, false or null), weights (null or a list of n
+    finite numbers, n the dimension in dims of that file's potential) and
+    burns ("pass", "fail" or null); the message names the file and the key."""
+    if not isinstance(expectations, dict):
+        raise ValueError(f"{path}: must be an object of per-file objects")
+    for name, expect in expectations.items():
+        if not isinstance(expect, dict):
+            raise ValueError(f"{path}: {json.dumps(name)} must map to an object, got {json.dumps(expect)}")
+        n = dims.get(name)
+        for key, value in expect.items():
+            if key == "ma":
+                ok, wanted = value is None or isinstance(value, bool), "true, false or null"
+            elif key == "weights":
+                ok = value is None or (isinstance(value, list) and (n is None or len(value) == n)
+                                       and all(type(w) in (int, float) and abs(w) <= sys.float_info.max for w in value))
+                wanted = f"null or a list of {n or 'n'} finite numbers"
+            elif key == "burns":
+                ok, wanted = value in (None, "pass", "fail"), '"pass", "fail" or null'
+            else:
+                raise ValueError(f"{path}: {json.dumps(name)} has the unknown key {json.dumps(key)}; "
+                                 "the keys are ma, weights and burns")
+            if not ok:
+                raise ValueError(f"{path}: {json.dumps(name)} key {json.dumps(key)}: must be {wanted}, "
+                                 f"got {json.dumps(value)}")
+
+
 def cmd_burns(args):
     p = parse_potential_file(args.potential)
     _check_box(p, args.box, "burns")
     _print_header(f"burns {args.potential}", args)
     grid = real_grid(p.dim, args.grid_n, args.box)
-    if not args.csv:
-        report = burns_check(p, grid)
-    else:
-        out_path = Path(args.out) / (Path(args.potential).stem + "_burns.csv")
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            # one empty column: no rows, and a row count for perfbench's tracer, which reads the first column
-            _write_csv(fh, _coord_header(p.dim) + ["rho", "ma_residual", "ma_residual_scaled"], ())
-            report = burns_check(
-                p, grid, rows=lambda scan: _write_csv(fh, None, *_coord_columns(scan.points), scan.rho, *scan.ma[1:])
-            )
+    out_path = Path(args.out) / (Path(args.potential).stem + "_burns.csv")
+    header = _coord_header(p.dim) + ["rho", "ma_residual", "ma_residual_scaled"]
+
+    def rows(start, scan):  # the first chunk creates the CSV
+        _write_csv(out_path, None if start else header, *_coord_columns(scan.points), scan.rho, *scan.ma[1:])
+
+    report = burns_check(p, grid, rows if args.csv else None)
     print(report.format())
     if args.csv:
         print(f"csv: {out_path}")
@@ -463,16 +470,20 @@ def cmd_suite(args):
         print(f"error: no .pot files in {directory}", file=sys.stderr)
         return 2
     expect_path = directory / "expect.json"
-    expectations = json.loads(expect_path.read_text(encoding="utf-8")) if expect_path.exists() else {}
+    try:
+        expectations = json.loads(expect_path.read_text(encoding="utf-8")) if expect_path.exists() else {}
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{expect_path}: {exc}") from None
 
     potentials, parse_errors = {}, {}
-    for pot_path in pot_files:  # every box before any scan: a refusal leaves no partial output
+    for pot_path in pot_files:  # every box and expectation before any scan: a refusal leaves no partial output
         t0 = time.perf_counter()
         try:
             potentials[pot_path] = parse_potential_file(pot_path)
             _check_box(potentials[pot_path], cfg.box_radius, "suite", pot_path.name)
         except PotentialFormatError as exc:
             parse_errors[pot_path] = (outcome("parse", None, t0), exc)
+    _check_expect(expect_path, expectations, {path.name: p.dim for path, p in potentials.items()})
     _print_header(f"suite {directory}", args)
     names, results = [], []
     for pot_path in pot_files:
@@ -486,7 +497,6 @@ def cmd_suite(args):
             print(f"{pot_path.name:20} {oc.name:20} {_check_text(oc)} [{oc.wall:.2f}s]")
             names.append(pot_path.name)
             results.append(oc)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "suite_summary.csv"
     _write_csv(out_path, ["potential", "check", "status", "measured", "threshold"], names,
                [oc.name for oc in results], [oc.status for oc in results],
@@ -503,23 +513,28 @@ def bundled_corpus_dir():
     return Path(str(files("mafoliation").joinpath("data")))
 
 
-def _positive_finite(text):
-    """An option's float, refused by argparse (exit 2) unless finite and > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+def _positive(convert, wanted):
+    """An option's argparse type: convert(text), refused (exit 2) unless it is
+    finite and > 0, with a message that it must be `wanted`."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+
+    return parse
 
 
 # the options a command may take: every command takes --seed and --out, and the others only where it reads them
 _OPTIONS = {
     "seed": dict(type=int, default=1234, help="RNG seed (printed in the report header)"),
-    "samples": dict(type=int, default=1000, help="number of random samples"),
-    "box": dict(type=_positive_finite, default=1.5, help="half-width of the real sampling cube"),
-    "step": dict(type=_positive_finite, default=DEFAULT_STEP, help="fixed RK4 step size"),
+    "samples": dict(type=_positive(int, "an integer >= 1"), default=1000, help="number of random samples"),
+    "box": dict(type=_positive(float, "a finite number > 0"), default=1.5, help="half-width of the real sampling cube"),
+    "step": dict(type=_positive(float, "a finite number > 0"), default=DEFAULT_STEP, help="fixed RK4 step size"),
     "out": dict(default=".", help="output directory for CSV artifacts"),
 }
 

@@ -28,6 +28,9 @@ from .thresholds import LEVEL_BISECT_TOL, LEVEL_SET_TOL
 # round) and the round cap, 32^40 = 2^200 as for 200 bisection steps
 LEVEL_SECTIONS = 33
 LEVEL_ROUNDS = 40
+# the scalings L of verify_weights in the CLI's weight checks: real, imaginary
+# and generic complex values (a real L alone cannot see an alpha/beta asymmetry)
+LAMBDA_SAMPLES = (1.0, 1j, 1.0 + 1j, -0.5 + 0.25j, 2j, 0.3, -1.0 + 0.7j, 0.8 - 1.1j)
 
 
 @dataclass(frozen=True)
@@ -140,20 +143,6 @@ def verify_weights(p, c, z_samples, lam_samples):
         rel = np.abs(moved - abs(np.exp(lam)) ** 2 * base) / np.abs(base)
         worst = float(np.max(rel, initial=worst))
     return worst
-
-
-def default_lambda_samples():
-    """Eight scalings mixing real, imaginary and generic complex values."""
-    return (
-        1.0,
-        1j,
-        1.0 + 1j,
-        -0.5 + 0.25j,
-        2j,
-        0.3,
-        -1.0 + 0.7j,
-        0.8 - 1.1j,
-    )
 
 
 def linear_field_agreement(p, c, z_samples):

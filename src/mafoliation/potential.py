@@ -70,8 +70,9 @@ def _normalize_terms(dim, terms):
 # table (2n complex values for each kept power, and for the one running power
 # when some are skipped), the accumulator and the one gathered factor it holds
 # (K values each), 43-910 rows of the jets of the bundled and generated
-# inputs. In the scan of analyze and suite (cli._scan_block_rows): the jet's
-# K monomials, 1 + n + n^2 columns and n^2 entries of U, 16 bytes each.
+# inputs. The scan of analyze and suite steps by the jet's rows, so each of
+# its blocks is one table fill and one gemm, and the block's LeviScan and CSV
+# rows are as many.
 # A grid chunk's transients must stay below glibc's heap trim threshold (twice
 # the largest block it has unmapped), or the heap goes back to the kernel and
 # is faulted in again on every chunk. In a fresh process per benchmark grid
@@ -80,12 +81,13 @@ def _normalize_terms(dim, terms):
 # with 2,048-row chunks takes 250-10,400 in checkouts at six paths (about
 # 5,300 of square_norm's are the harness reading its CSV). At 2^19,
 # ball3 sat near the threshold: 700-3,600, and 11,752 at one path. With one
-# BLAS thread, analyze ball3.pot --samples 65536 (464 bytes a row, 564 rows a
-# scan block) peaks at 46.9 MB VmHWM in 0.66-0.71 s, against 169 MB and
-# 0.86-0.97 s for the whole batch at once, and at 47.4 and 49.7 MB at 2^19
-# and 2^20 (2^16 and 2^17 no lower); the scan of 1,000 samples of the
-# generated normsq_n8 (54 rows a block) takes 10.4 ms, against 9.5 ms in one
-# block, 11.3 ms at 2^17 and 14.6 ms at 2^16
+# BLAS thread, analyze ball3.pot --samples 65536 (630 rows a block) peaks at
+# 46.9-47.0 MB VmHWM in 0.72-0.74 s, against 169 MB and 0.86-0.97 s for the
+# whole batch at once. With scan blocks of a budget of their own (564 rows on
+# ball3, 54 on the generated normsq_n8), 2^19 and 2^20 peaked at 47.4 and
+# 49.7 MB (2^16 and 2^17 no lower), and the scan of 1,000 samples of
+# normsq_n8 took 10.4 ms, against 9.5 ms in one block, 11.3 ms at 2^17 and
+# 14.6 ms at 2^16; in the jet's 43-row blocks it takes 8.1-10.8 ms
 TABLE_BLOCK_BYTES = 2**18
 
 

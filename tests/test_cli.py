@@ -1,6 +1,7 @@
 import argparse
 import csv
 import math
+import shutil
 import sys
 import tracemalloc
 import warnings
@@ -468,6 +469,40 @@ def test_suite_flags_wrong_expectation(tmp_path, capsys, nonma):
     assert rc == 1
 
 
+@pytest.mark.parametrize("body, message", [
+    # a traceback (AttributeError: 'list' object has no attribute 'get'), exit 1
+    ('[{"ball2.pot": {"ma": true}}]', "must be an object of per-file objects"),
+    # a traceback from .get, exit 1
+    ('{"ball2.pot": [true]}', '"ball2.pot" must map to an object, got [true]'),
+    # numpy's "operands could not be broadcast together", exit 2 after the header
+    ('{"ball2.pot": {"weights": [0.5, 0.5, 0.5]}}',
+     '"ball2.pot" key "weights": must be null or a list of 2 finite numbers, got [0.5, 0.5, 0.5]'),
+    # weights_match FAIL with measured=nan, exit 1
+    ('{"ball2.pot": {"weights": [1.0, NaN]}}',
+     '"ball2.pot" key "weights": must be null or a list of 2 finite numbers, got [1.0, NaN]'),
+    # read as true: ma_holds, exit 0
+    ('{"ball2.pot": {"ma": "yes"}}', '"ball2.pot" key "ma": must be true, false or null, got "yes"'),
+    # read as an expected fail: burns_verdict FAIL, exit 1
+    ('{"ball2.pot": {"burns": "maybe"}}', '"ball2.pot" key "burns": must be "pass", "fail" or null, got "maybe"'),
+    # ignored: exit 0
+    ('{"ball2.pot": {"mA": true}}', '"ball2.pot" has the unknown key "mA"; the keys are ma, weights and burns'),
+    # exit 2, without the file's name
+    ('{"ball2.pot": ', "Expecting value: line 1 column 15 (char 14)"),
+], ids=["list", "entry-not-object", "weights-length", "weights-nan", "ma-string", "burns-string", "unknown-key",
+        "not-json"])
+def test_suite_refuses_a_malformed_expect_json_exit2(corpus, tmp_path, capsys, body, message):
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    shutil.copy(corpus / "ball2.pot", directory)
+    (directory / "expect.json").write_text(body)
+    rc = main(["suite", str(directory), "--samples", "50", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {directory / 'expect.json'}: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_csv_determinism(corpus, tmp_path, capsys):
     out1 = tmp_path / "a1"
     out2 = tmp_path / "a2"
@@ -522,6 +557,25 @@ def test_burns_csv_matches_fresh_evaluation(corpus, tmp_path, capsys, name):
     _assert_close(_column(rows, "rho"), rho)
     _assert_close(_column(rows, "ma_residual"), raw)
     _assert_close(_column(rows, "ma_residual_scaled"), scaled)
+
+
+@pytest.mark.parametrize("argv, csv_name", [
+    (["analyze", "--samples", "50"], "ball2_analyze.csv"),
+    (["burns", "--grid-n", "4", "--csv"], "ball2_burns.csv"),
+    (["burns", "--grid-n", "4", "--csv", "--box", "1e-7"], "ball2_burns.csv"),  # no kept point: the header only
+], ids=["analyze", "burns", "burns-no-kept-point"])
+def test_a_streamed_csv_is_created_by_its_first_block(corpus, tmp_path, capsys, argv, csv_name):
+    # the first block writes the header into a new file and the others append,
+    # so a second run into the same directory writes the same bytes
+    command, *options = argv
+    written = []
+    for _ in range(2):
+        main([command, str(corpus / "ball2.pot"), *options, "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        written.append((tmp_path / "out" / csv_name).read_bytes())
+    assert written[0] == written[1] and written[0].count(b"\n") > 0
+    if "1e-7" in options:
+        assert written[0] == b"re_z1,im_z1,re_z2,im_z2,rho,ma_residual,ma_residual_scaled\n"
 
 
 @pytest.mark.parametrize("name", ["weighted24", "nonma"])
@@ -615,13 +669,22 @@ def test_a_box_just_inside_the_rho_power_bound_is_not_refused(corpus, tmp_path, 
 
 
 @pytest.mark.parametrize("samples", ["-5", "0"])
-def test_analyze_samples_below_one_exit2(corpus, tmp_path, capsys, samples):
-    # -5 used to scan 59 points (the first 64-row batch cut at [:-5])
-    rc = main(["analyze", str(corpus / "ball2.pot"), "--samples", samples, "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "--samples" in err
-    assert not (tmp_path / "ball2_analyze.csv").exists()
+@pytest.mark.parametrize("command, target", [("analyze", "ball2.pot"), ("weights", "nonma.pot"),
+                                             ("weights", "ball2.pot"), ("suite", None)],
+                         ids=["analyze", "weights-nonma", "weights-ball2", "suite"])
+def test_samples_below_one_exit2(corpus, tmp_path, capsys, command, target, samples):
+    # refused by argparse, as --box is. analyze -5 used to scan 59 points (the
+    # first 64-row batch cut at [:-5]); weights printed "infeasible" on nonma
+    # and exited 0, and the weights of ball2 before exit 2; analyze and suite
+    # printed their header first
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(corpus / target if target else corpus), "--samples", samples, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"mafoliation {command}: error: argument --samples: must be an integer >= 1, got '{samples}'"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["analyze", "suite"])

@@ -63,14 +63,17 @@ def test_write_csv_shares_values_across_columns(drawn, picks, texts):
 
 
 def test_write_csv_of_no_rows(tmp_path):
-    # a burns chunk whose every row has rho <= RHO_FLOOR writes no row
-    path = tmp_path / "out.csv"
+    # a burns chunk whose every row has rho <= RHO_FLOOR writes no row, the
+    # first one (the header, in a new directory) or a later one (appended)
+    path = tmp_path / "new" / "out.csv"
     empty = np.zeros(0)
     _write_csv(path, ["re_z1", "rho", "stratum"], empty, empty, [])
     assert path.read_bytes() == reference_csv_bytes(["re_z1", "rho", "stratum"], [])
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        _write_csv(fh, None, empty, empty, [])
+    _write_csv(path, None, empty, empty, [])
     assert path.read_bytes() == b"re_z1,rho,stratum\n"
+    _write_csv(path, None, np.array([0.5]), np.array([-0.0]), ["a,b"])
+    _write_csv(path, None, empty, empty, [])
+    assert path.read_bytes() == b're_z1,rho,stratum\n0.5,-0.0,"a,b"\n'
 
 
 @settings(deadline=None)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mafoliation import (
     PolyPotential,
     analyze_weights,
-    default_lambda_samples,
     flow_level_map_check,
     linear_field_agreement,
     ma_residual,
@@ -14,7 +13,7 @@ from mafoliation import (
     verify_weights,
 )
 from mafoliation.cli import bundled_corpus_dir
-from mafoliation.homogeneity import weight_equations
+from mafoliation.homogeneity import LAMBDA_SAMPLES, weight_equations
 from mafoliation.potential import parse_potential_file
 from mafoliation.sampling import sample_domain
 from helpers import generated_potentials
@@ -204,7 +203,7 @@ def test_weight_soundness(ma_examples):
         analysis = analyze_weights(p)
         assert analysis.status == "ok"
         pts = sample_domain(p, 100, 1.5, rng, min_rho=1e-3)
-        assert verify_weights(p, analysis.weights, pts, default_lambda_samples()) < 1e-9
+        assert verify_weights(p, analysis.weights, pts, LAMBDA_SAMPLES) < 1e-9
 
 
 def test_weights_imply_ma(ma_examples):

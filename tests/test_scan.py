@@ -8,7 +8,6 @@ import tracemalloc
 
 import numpy as np
 
-from mafoliation import cli, potential
 from mafoliation.cli import (
     ScanConfig,
     _analyze_scan,
@@ -17,8 +16,8 @@ from mafoliation.cli import (
     bundled_corpus_dir,
     main,
 )
-from mafoliation.levi import levi_scan
-from mafoliation.potential import format_potential
+from mafoliation.levi import _batch_jet, levi_scan
+from mafoliation.potential import Evaluator, format_potential, parse_potential_file
 from mafoliation.sampling import MAX_SAMPLES, sample_domain
 
 _WALL = re.compile(r" \[\d+\.\d+s\]")
@@ -27,7 +26,8 @@ _WALL = re.compile(r" \[\d+\.\d+s\]")
 def test_analyze_and_suite_do_not_depend_on_the_block_size(bundled_and_generated, tmp_path, capsys, monkeypatch):
     """Equal analyze CSV bytes and stdout, suite stdout and summary bytes
     without wall times, and _analyze_scan arrays at the default block size
-    and at 7 and 1 rows per block. 250 samples cross det_lemma's first 200 in
+    (the jet evaluator's rows) and at 7 and 1 rows per block, set on the jet
+    evaluator of each input. 250 samples cross det_lemma's first 200 in
     the middle of a 7-row block. The n = 8 inputs are left out unless
     OPENBLAS_NUM_THREADS is "1", as in the burns chunk-size test: a threaded
     BLAS may sum their jet products in another order by batch size."""
@@ -41,7 +41,8 @@ def test_analyze_and_suite_do_not_depend_on_the_block_size(bundled_and_generated
     by_size = {}
     for size in (None, 7, 1):
         if size is not None:
-            monkeypatch.setattr(cli, "_scan_block_rows", lambda p, rows=size: rows)
+            for name in inputs:  # the evaluator the CLI's parse of the file gets from the jet cache
+                monkeypatch.setattr(_batch_jet(parse_potential_file(corpus / f"{name}.pot")), "rows", size)
         out = tmp_path / f"out{size}"
         outputs = []
         for name, p in inputs.items():
@@ -76,13 +77,19 @@ def test_the_invariant_fold_over_blocks_is_the_fold_of_one_block(bundled_and_gen
             (oc.name, oc.status, oc.measured) for oc in records[0]], name
 
 
-def test_scan_block_rows_follow_the_byte_budget(bundled_and_generated, monkeypatch):
-    # 16 bytes for each of ball3's 7 monomials, 13 jet columns and 9 entries of U
-    assert cli._scan_block_rows(bundled_and_generated["ball3"]) == potential.TABLE_BLOCK_BYTES // 464
-    rows = {name: cli._scan_block_rows(p) for name, p in bundled_and_generated.items()}
-    assert rows["normsq_n8"] < rows["normsq_n4"] < rows["ball3"] < rows["ball2"]
-    monkeypatch.setattr(potential, "TABLE_BLOCK_BYTES", 1)
-    assert {cli._scan_block_rows(p) for p in bundled_and_generated.values()} == {1}
+def test_each_scan_block_is_one_table_fill_of_the_jet(bundled_and_generated, monkeypatch):
+    """The scan of 1,000 samples steps by the jet evaluator's rows, and each
+    block is one fill of the jet's table: ball3 (630 rows) in blocks of 630
+    and 370 samples, ball2 (910 rows) in blocks of 910 and 90."""
+    fills, table = [], Evaluator.table
+    monkeypatch.setattr(Evaluator, "table", lambda self, pts: fills.append((self, len(pts))) or table(self, pts))
+    for name, p in bundled_and_generated.items():
+        jet, blocks = _batch_jet(p), []
+        fills.clear()
+        _analyze_scan(p, ScanConfig(), lambda start, scan, euler: blocks.append(len(scan.rho)))
+        expected = [min(jet.rows, 1000 - start) for start in range(0, 1000, jet.rows)]
+        assert blocks == [size for evaluator, size in fills if evaluator is jet] == expected, name
+    assert _batch_jet(bundled_and_generated["ball3"]).rows == 630
 
 
 def test_analyze_at_the_sample_limit_holds_no_whole_jet(tmp_path, capsys):
