@@ -29,7 +29,6 @@ from .gradient import (
 from .homogeneity import (
     analyze_weights,
     flow_level_map_check,
-    linear_field_agreement,
     rescale_to_level,
     verify_weights,
 )
@@ -58,8 +57,7 @@ __all__ = [
     "leaf_log_linearity", "leaf_stratum_invariance", "level_set_invariance", "trace_leaf",
     "RealFieldKind", "SingularHessianError", "complex_gradient", "cr_scan", "euler_residual_scan",
     "extended_gradient", "flow_points", "gradient_field", "theta_orbit_det_check",
-    "analyze_weights", "flow_level_map_check", "linear_field_agreement",
-    "rescale_to_level", "verify_weights",
+    "analyze_weights", "flow_level_map_check", "rescale_to_level", "verify_weights",
     "Stratum", "levi_data", "levi_scan", "ma_residual", "restricted_levi_eigen",
     "PolyExpr", "PolyPotential", "PotentialFormatError", "bidegree_decompose", "format_potential",
     "homogeneous_degree", "parse_potential", "parse_potential_file",

@@ -18,7 +18,8 @@ The positivity and Monge-Ampere gates are records of the check table in
 thresholds.py, which burns and suite share; they are findings, and a gate that
 did not run has no record. A pass must also have w/k pass the Z-system test at
 every kept grid point: the radial residual, max ||H^T (w/k) - conj(grad)|| /
-max(1, ||grad||), is below Z_SOLVE_TOL. Euler's identity in z makes it an
+max(1, ||grad||) (gradient._linear_field_residual, which the weight checks
+apply to c z), is below Z_SOLVE_TOL. Euler's identity in z makes it an
 identity on any pure-(k,k) rho, sum_mu z_mu rho_{mu nubar} = k rho_nubar, so
 it holds at degenerate points too, and at a strictly psh point it says Z = w/k.
 If it fails, the report's internal_failure names a code bug, which burns and
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import _system_residual
+from .gradient import _linear_field_residual
 from .levi import LeviScan, levi_scan
 from .potential import bidegree_decompose, homogeneous_degree
 from .thresholds import RHO_FLOOR, outcome, threshold
@@ -123,17 +124,6 @@ class BurnsReport:
         return "\n".join(lines + [f"  - {reason}" for reason in self.reasons])
 
 
-def _radial_max(points, grad, hess, k):
-    """Max radial residual ||H^T (w/k) - conj(grad)|| / max(1, ||grad||) over
-    the (M, n) points w, gradients and (M, n, n) Hessians of M >= 1 rows (a NaN
-    counts as the max): the root of the max ratio of squared norms, each summed
-    on a float view. The squares overflow where np.linalg.norm's do."""
-    resid = _system_residual(points / k, grad, hess).view(float)  # (M, 2n) float views
-    grad = grad.view(float)
-    ratio = np.einsum("ij,ij->i", resid, resid) / np.maximum(1.0, np.einsum("ij,ij->i", grad, grad))
-    return np.sqrt(np.max(ratio))
-
-
 def _scan_grid(p, grid, k, rows):
     """One pass over the grid chunks in grid order. Each chunk's LeviScan of
     its rows with rho > RHO_FLOOR goes to rows(start, scan) (if given), with
@@ -155,7 +145,7 @@ def _scan_grid(p, grid, k, rows):
         if k is None or not len(scan.rho):
             continue
         kept += len(scan.rho)
-        radials.append(_radial_max(scan.points, scan.grad, scan.hessian, k))
+        radials.append(_linear_field_residual(scan.points / k, scan.grad, scan.hessian))
         _, raw, scaled = scan.ma
         i = int(np.argmax(scaled))
         raws.append(raw.max())

@@ -46,16 +46,11 @@ from .foliation import (
     level_set_invariance,
     trace_leaf,
 )
-from .gradient import _euler_residual, _solve_z
-from .homogeneity import (
-    LAMBDA_SAMPLES,
-    analyze_weights,
-    linear_field_agreement,
-    verify_weights,
-)
-from .levi import _batch_jet, levi_scan, rank_identity
+from .gradient import _euler_residual, _linear_field_residual, _solve_z
+from .homogeneity import LAMBDA_SAMPLES, analyze_weights, verify_weights
+from .levi import _batch_jet, fields_at_many, levi_scan, rank_identity
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
-from .sampling import MAX_GRID_POINTS, real_grid, sample_domain
+from .sampling import MAX_GRID_POINTS, MAX_SAMPLES, real_grid, sample_domain
 from .thresholds import DEFAULT_STEP, IFF_TOL, VERDICT_MA_TOL, CheckOutcome, outcome
 
 _CSV_BLOCK_ROWS = 16_384  # rows joined per write, to bound the memory of one write
@@ -315,10 +310,11 @@ WEIGHT_CHECK_SAMPLES = 100  # the weight checks of weights and suite use at most
 
 
 def _weight_checks(p, weights, pts):
-    """The homogeneity identity and Z = c z at pts (weights and suite)."""
+    """The homogeneity identity, and the Z-system test of Z = c z, at pts
+    (weights and suite); the latter needs only the jet, not a Z solve."""
     return [
         _timed("weights_verify", lambda: verify_weights(p, weights, pts, LAMBDA_SAMPLES)),
-        _timed("weights_field", lambda: linear_field_agreement(p, weights, pts)),
+        _timed("weights_field", lambda: _linear_field_residual(weights * pts, *fields_at_many(p, pts)[1:])),
     ]
 
 
@@ -367,16 +363,19 @@ def _check_box(p, box, command, name="this potential"):
 
 
 def _check_expect(path, expectations, dims):
-    """Refuse an expect.json (at path) unless it is an object of objects whose
-    keys are among ma (true, false or null), weights (null or a list of n
-    finite numbers, n the dimension in dims of that file's potential) and
-    burns ("pass", "fail" or null); the message names the file and the key."""
+    """Refuse an expect.json (at path) unless it is an object of objects, one
+    per .pot file named in dims (each name's dimension, None when the file
+    does not parse), whose keys are among ma (true, false or null), weights
+    (null or a list of n finite numbers, n that file's dimension) and burns
+    ("pass", "fail" or null); the message names the file and the key."""
     if not isinstance(expectations, dict):
         raise ValueError(f"{path}: must be an object of per-file objects")
     for name, expect in expectations.items():
+        if name not in dims:
+            raise ValueError(f"{path}: {json.dumps(name)} names no .pot file in {path.parent}")
         if not isinstance(expect, dict):
             raise ValueError(f"{path}: {json.dumps(name)} must map to an object, got {json.dumps(expect)}")
-        n = dims.get(name)
+        n = dims[name]
         for key, value in expect.items():
             if key == "ma":
                 ok, wanted = value is None or isinstance(value, bool), "true, false or null"
@@ -483,7 +482,8 @@ def cmd_suite(args):
             _check_box(potentials[pot_path], cfg.box_radius, "suite", pot_path.name)
         except PotentialFormatError as exc:
             parse_errors[pot_path] = (outcome("parse", None, t0), exc)
-    _check_expect(expect_path, expectations, {path.name: p.dim for path, p in potentials.items()})
+    _check_expect(expect_path, expectations,
+                  {path.name: potentials[path].dim if path in potentials else None for path in pot_files})
     _print_header(f"suite {directory}", args)
     names, results = [], []
     for pot_path in pot_files:
@@ -513,9 +513,9 @@ def bundled_corpus_dir():
     return Path(str(files("mafoliation").joinpath("data")))
 
 
-def _positive(convert, wanted):
+def _positive(convert, wanted, limit=math.inf):
     """An option's argparse type: convert(text), refused (exit 2) unless it is
-    finite and > 0, with a message that it must be `wanted`."""
+    finite and > 0, with a message that it must be `wanted`, or above `limit`."""
 
     def parse(text):
         try:
@@ -524,6 +524,8 @@ def _positive(convert, wanted):
             value = math.nan
         if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {text!r}")
         return value
 
     return parse
@@ -532,7 +534,8 @@ def _positive(convert, wanted):
 # the options a command may take: every command takes --seed and --out, and the others only where it reads them
 _OPTIONS = {
     "seed": dict(type=int, default=1234, help="RNG seed (printed in the report header)"),
-    "samples": dict(type=_positive(int, "an integer >= 1"), default=1000, help="number of random samples"),
+    "samples": dict(type=_positive(int, "an integer >= 1", MAX_SAMPLES), default=1000,
+                    help="number of random samples"),
     "box": dict(type=_positive(float, "a finite number > 0"), default=1.5, help="half-width of the real sampling cube"),
     "step": dict(type=_positive(float, "a finite number > 0"), default=DEFAULT_STEP, help="fixed RK4 step size"),
     "out": dict(default=".", help="output directory for CSV artifacts"),

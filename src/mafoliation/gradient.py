@@ -22,7 +22,9 @@ one-row integration evaluates its jet and gemm in the buffers of one
 ``_RowStage``, and the orbit checks its end points ORBIT_CHECK_BLOCK per jet.
 The Euler residual (``_euler_residual``) and the Z-system test (``_consistent``)
 are batched kernels too; a GradientSample holds their row 0 on a one-row
-batch, and burns applies the system residual (``_system_residual``) to Z = w/k.
+batch. ``_linear_field_residual`` is the test's max ratio for a field known in
+closed form, an identity at every point by Euler's relation: w/k in burns, c z
+in the weight checks.
 
 Real-field conventions (kappa = 1): the flows below use the standard
 identification of a (1,0)-field with a real field via zdot = V(z):
@@ -103,6 +105,19 @@ def _consistent(resid, grad):
     when its norm is at most Z_SOLVE_TOL * max(1, ||conj(grad)||)."""
     res = np.linalg.norm(resid, axis=1)
     return res, res <= Z_SOLVE_TOL * np.maximum(1.0, np.linalg.norm(grad.conj(), axis=1))
+
+
+def _linear_field_residual(z_field, grad, hess):
+    """Max ||H^T Z - conj(grad)|| / max(1, ||grad||) over the (M, n) fields Z,
+    gradients and (M, n, n) Hessians of M >= 1 rows (a NaN counts as the max):
+    the Z-system test's ratio for a field its caller knows in closed form, w/k
+    (burns) or c z (the weight checks). The root of the max ratio of squared
+    norms, each summed on a float view. The squares overflow where
+    np.linalg.norm's do."""
+    resid = _system_residual(z_field, grad, hess).view(float)  # (M, 2n) float views
+    grad = grad.view(float)
+    ratio = np.einsum("ij,ij->i", resid, resid) / np.maximum(1.0, np.einsum("ij,ij->i", grad, grad))
+    return np.sqrt(np.max(ratio))
 
 
 def _sample(z, z_field, method, rho, grad, hess):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gradient import RealFieldKind, flow_points, gradient_field
+from .gradient import RealFieldKind, flow_points
 from .levi import _outside
 from .thresholds import LEVEL_BISECT_TOL, LEVEL_SET_TOL
 
@@ -143,14 +143,6 @@ def verify_weights(p, c, z_samples, lam_samples):
         rel = np.abs(moved - abs(np.exp(lam)) ** 2 * base) / np.abs(base)
         worst = float(np.max(rel, initial=worst))
     return worst
-
-
-def linear_field_agreement(p, c, z_samples):
-    """Max ||Z(z) - c * z|| over the samples (the linear orbit field)."""
-    weights = np.asarray(c, dtype=float)
-    pts = np.asarray(z_samples, dtype=complex)
-    z_field = gradient_field(p, pts)
-    return float(np.max(np.linalg.norm(z_field - weights * pts, axis=1)))
 
 
 def rescale_to_level(p, z, r):

@@ -36,7 +36,7 @@ TRACE_LEVEL_TOL = 1e-6
 WEIGHTS_MATCH_TOL = 1e-9
 # relative to |rho(z)|, on the homogeneity identity at 8 scalings; measured within 1.2e-14 on the corpus
 WEIGHT_VERIFY_TOL = 1e-9
-# absolute, on max ||Z(z) - c z||; Z is exact up to the solve, measured within 1.5e-15 on the corpus
+# relative, on max ||H^T (c z) - conj(grad)|| / max(1, ||grad||); an identity for valid weights c by Euler's relation, degenerate points included; measured within 3.5e-16 on the corpus
 WEIGHT_FIELD_TOL = 1e-8
 # relative to max(1, r), on |rho(s z) - r|; about 45 ulps of r, where the search along the ray meets rho's roundoff
 LEVEL_BISECT_TOL = 1e-14

@@ -122,6 +122,18 @@ def weighted_sum_potential(coeffs, degrees):
     return PolyPotential(dim, terms)
 
 
+def product(p, q):
+    """rho_1(z) rho_2(w) on C^(n + m), term by term from the two term maps:
+    exact, as the exponents add and each coefficient is one product. With
+    weights c and d for the factors, it is weighted homogeneous with (c, d) / 2."""
+    terms = {}
+    for (a1, b1), c1 in p.terms.items():
+        for (a2, b2), c2 in q.terms.items():
+            key = (tuple(a1) + tuple(a2), tuple(b1) + tuple(b2))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return PolyPotential(p.dim + q.dim, terms)
+
+
 def _np_abs(value):
     """|value| as np.abs of an array rounds it (Python's abs() of a complex
     scalar can differ in the last bit)."""

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mafoliation import PolyPotential, analyze_weights, burns, burns_check, cli, sampling, thresholds, verify_weights
+from mafoliation import PolyPotential, analyze_weights, burns_check, cli, sampling, thresholds, verify_weights
 from mafoliation.cli import bundled_corpus_dir, main
 from mafoliation.potential import bidegree_decompose, format_potential, homogeneous_degree, parse_potential_file
 from mafoliation.sampling import real_grid
@@ -317,32 +317,6 @@ class _PointGrid:
     def __iter__(self):
         step = sampling.GRID_CHUNK_ROWS
         return (self.points[i : i + step] for i in range(0, len(self.points), step))
-
-
-@pytest.mark.parametrize("field", [0, 1], ids=["nan_point", "nan_gradient"])
-def test_a_nan_row_makes_the_radial_max_nan(field):
-    rng = np.random.default_rng(3)
-    points, grad = (rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2)) for _ in range(2))
-    (points, grad)[field][6, 1] = np.nan
-    assert np.isnan(burns._radial_max(points, grad, np.repeat(np.eye(2, dtype=complex)[None], 10, axis=0), 2))
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_the_radial_max_is_the_max_ratio_of_norms(dim):
-    """The root of the max ratio of squared norms is the max ratio of norms
-    to rtol 1e-15, over gradients of norm below and above 1 and a spread of
-    scales. The gradient is a column slice of a wider array, as the jet's is."""
-    rng = np.random.default_rng(97 + dim)
-    rows = 500
-    scale = 10.0 ** rng.uniform(-6, 6, size=(rows, 1))
-    points, jet = ((rng.normal(size=(rows, 2 * dim)) + 1j * rng.normal(size=(rows, 2 * dim))) * scale for _ in range(2))
-    points, grad = points[:, :dim], jet[:, 1 : 1 + dim]
-    hess = (rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))) * scale[..., None]
-    for k in (1, 2, 3):
-        resid = np.linalg.norm(np.einsum("nji,nj->ni", hess, points / k) - grad.conj(), axis=1)
-        for m in (1, 7, rows):  # the max over one row, a few and all
-            want = np.max(resid[:m] / np.maximum(1.0, np.linalg.norm(grad[:m], axis=1)))
-            np.testing.assert_allclose(burns._radial_max(points[:m], grad[:m], hess[:m], k), want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("box", [1e-3, 1e-1, 10.0, 1e3, 1e5, 1e8])

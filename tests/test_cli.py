@@ -16,7 +16,7 @@ from mafoliation.gradient import gradient_field
 from mafoliation.levi import fields_at_many, levi_scan
 from mafoliation.potential import PolyPotential, format_potential, parse_potential_file
 from mafoliation.sampling import MAX_GRID_POINTS, MAX_SAMPLES
-from helpers import generated_potentials
+from helpers import generated_potentials, product
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +323,22 @@ def test_weights_not_positive_is_a_finding(tmp_path, capsys):
     assert "weights exist but not positive: c = (1, -1), unique" in out.splitlines()
 
 
+@pytest.mark.parametrize("factors", [("ball2", "weighted24"), ("quartic_diag", "square_norm")], ids="x".join)
+def test_weights_of_a_product_pass_the_linear_field_test(corpus, tmp_path, capsys, factors):
+    # rho_1(z) rho_2(w) of two Monge-Ampere factors has a line of weights and
+    # a singular H at every point, so the solved Z need not be c z: weights
+    # read 2.454e+01 and 4.998e+01 when weights_field compared Z with c z, and exited 1
+    pot = tmp_path / "product.pot"
+    pot.write_text(format_potential(product(*(parse_potential_file(corpus / f"{name}.pot") for name in factors))))
+    rc = main(["weights", str(pot), "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert any(line.startswith("c = (") and "non-unique" in line for line in lines)
+    field = [line for line in lines if line.startswith("linear field residual")]
+    assert len(field) == 1 and field[0].endswith(" ok")
+    assert float(field[0].split("=")[1].split()[0]) < 1e-15
+
+
 def test_weights_ball(corpus, capsys):
     rc = main(["weights", str(corpus / "ball2.pot"), "--samples", "50"])
     out = capsys.readouterr().out
@@ -501,6 +517,33 @@ def test_suite_refuses_a_malformed_expect_json_exit2(corpus, tmp_path, capsys, b
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {directory / 'expect.json'}: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_suite_refuses_an_expect_json_entry_without_its_file_exit2(corpus, tmp_path, capsys):
+    # a misspelled name used to drop that file's expectations: exit 0 with "OK: 0 failing checks"
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    shutil.copy(corpus / "ball2.pot", directory)
+    (directory / "expect.json").write_text('{"bal2.pot": {"ma": false}}')
+    rc = main(["suite", str(directory), "--samples", "50", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f'error: {directory / "expect.json"}: "bal2.pot" names no .pot file in {directory}']
+    assert not (tmp_path / "out").exists()
+
+
+def test_suite_entry_of_a_file_that_does_not_parse_is_its_parse_record(tmp_path, capsys):
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    (directory / "bad.pot").write_text("n = 2\nmonomial: a=[1,0 b=[1,0] c=1\n")
+    (directory / "expect.json").write_text('{"bad.pot": {"ma": true, "weights": [1.0, 1.0]}}')
+    rc = main(["suite", str(directory), "--samples", "50", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "bad.pot: parse error:" in out
+    assert (tmp_path / "suite_summary.csv").read_text().splitlines()[1:] == ["bad.pot,parse,fail,,0.0"]
 
 
 def test_analyze_csv_determinism(corpus, tmp_path, capsys):
@@ -687,15 +730,19 @@ def test_samples_below_one_exit2(corpus, tmp_path, capsys, command, target, samp
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["analyze", "suite"])
+@pytest.mark.parametrize("command", ["analyze", "suite", "weights"])
 def test_samples_above_the_limit_exit2(corpus, tmp_path, capsys, command):
-    # time grows with --samples (the scan holds one block of samples' jets at once)
-    target = corpus / "ball2.pot" if command == "analyze" else corpus
-    rc = main([command, str(target), "--samples", str(MAX_SAMPLES + 1), "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert f"exceeds the limit of {MAX_SAMPLES} samples" in err and "--samples" in err
-    assert not list(tmp_path.glob("*.csv"))
+    # refused by argparse, as --samples 0 is; analyze and suite used to print
+    # their header and settings lines before sample_domain refused it
+    target = corpus if command == "suite" else corpus / "ball2.pot"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(target), "--samples", str(MAX_SAMPLES + 1), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"mafoliation {command}: error: argument --samples: must be at most {MAX_SAMPLES}, got '{MAX_SAMPLES + 1}'"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("extra", [[], ["--csv"]])

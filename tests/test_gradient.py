@@ -28,6 +28,7 @@ from mafoliation.gradient import (
     _consistent,
     _direct_z,
     _euler_residual,
+    _linear_field_residual,
     _lstsq_rows,
     _solve_z,
     _system_residual,
@@ -307,6 +308,49 @@ def test_direct_z_leaves_an_exactly_singular_row_unsettled():
     assert unsettled.tolist() == [1, 6] and np.isnan(z[unsettled]).all()
     for i in (0, 2, 3, 4, 5, 7):
         assert np.array_equal(z[i], np.linalg.solve(hess[i].T, grad[i].conj()))
+
+
+# -- the Z-system test of a linear field ---------------------------------------------
+
+
+@pytest.mark.parametrize("field", [0, 1], ids=["nan_point", "nan_gradient"])
+def test_a_nan_row_makes_the_linear_field_residual_nan(field):
+    rng = np.random.default_rng(3)
+    points, grad = (rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2)) for _ in range(2))
+    (points, grad)[field][6, 1] = np.nan
+    assert np.isnan(_linear_field_residual(points / 2, grad, np.repeat(np.eye(2, dtype=complex)[None], 10, axis=0)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_the_linear_field_residual_is_the_max_ratio_of_norms(dim):
+    """The root of the max ratio of squared norms is the max ratio of norms
+    to rtol 1e-15, over gradients of norm below and above 1 and a spread of
+    scales. The gradient is a column slice of a wider array, as the jet's is."""
+    rng = np.random.default_rng(97 + dim)
+    rows = 500
+    scale = 10.0 ** rng.uniform(-6, 6, size=(rows, 1))
+    points, jet = ((rng.normal(size=(rows, 2 * dim)) + 1j * rng.normal(size=(rows, 2 * dim))) * scale for _ in range(2))
+    points, grad = points[:, :dim], jet[:, 1 : 1 + dim]
+    hess = (rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))) * scale[..., None]
+    for k in (1, 2, 3):
+        resid = np.linalg.norm(np.einsum("nji,nj->ni", hess, points / k) - grad.conj(), axis=1)
+        for m in (1, 7, rows):  # the max over one row, a few and all
+            want = np.max(resid[:m] / np.maximum(1.0, np.linalg.norm(grad[:m], axis=1)))
+            got = _linear_field_residual(points[:m] / k, grad[:m], hess[:m])
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_the_linear_field_residual_holds_where_h_is_singular(weighted24):
+    """c z = (z1, z2 / 2) solves H^T Z = conj(grad) on weighted24's degenerate
+    set z2 = 0, where H = diag(1, 4|z2|^2) is singular and the minimum-norm Z is
+    one of many solutions; and at points near it, where det H is tiny."""
+    rng = np.random.default_rng(139)
+    z1 = rng.normal(size=200) + 1j * rng.normal(size=200)
+    for z2 in (np.zeros(200), 1e-9 * (rng.normal(size=200) + 1j * rng.normal(size=200))):
+        pts = np.stack([z1, z2], axis=1)
+        rho, grad, hess = fields_at_many(weighted24, pts)
+        assert (rho > 0).all() and np.max(np.abs(np.linalg.det(hess))) < 1e-16
+        assert _linear_field_residual(pts * np.array([1.0, 0.5]), grad, hess) < 1e-15
 
 
 # -- Euler identity -------------------------------------------------------------

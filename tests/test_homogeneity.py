@@ -7,13 +7,14 @@ from mafoliation import (
     PolyPotential,
     analyze_weights,
     flow_level_map_check,
-    linear_field_agreement,
     ma_residual,
     rescale_to_level,
     verify_weights,
 )
 from mafoliation.cli import bundled_corpus_dir
+from mafoliation.gradient import _linear_field_residual
 from mafoliation.homogeneity import LAMBDA_SAMPLES, weight_equations
+from mafoliation.levi import fields_at_many
 from mafoliation.potential import parse_potential_file
 from mafoliation.sampling import sample_domain
 from helpers import generated_potentials
@@ -216,22 +217,30 @@ def test_weights_imply_ma(ma_examples):
             assert ma_residual(p, z) < 1e-9
 
 
+def _linear_field(p, c, pts):
+    """The weight checks' weights_field: the Z-system test of Z = c z at pts."""
+    _, grad, hess = fields_at_many(p, pts)
+    return _linear_field_residual(np.asarray(c) * pts, grad, hess)
+
+
 def test_weights_imply_linear_field(ma_examples):
     rng = np.random.default_rng(163)
     for p in ma_examples.values():
         analysis = analyze_weights(p)
         pts = sample_domain(p, 100, 1.5, rng, min_rho=1e-3)
-        assert linear_field_agreement(p, analysis.weights, pts) < 1e-8
+        assert _linear_field(p, analysis.weights, pts) < 1e-14
 
 
-def test_linear_field_agreement_examples(ball2, weighted24, square_norm):
+def test_linear_field_residual_examples(ball2, weighted24, square_norm):
     rng = np.random.default_rng(167)
     pts_b = sample_domain(ball2, 50, 1.5, rng, min_rho=1e-2)
-    assert linear_field_agreement(ball2, np.array([1.0, 1.0]), pts_b) < 1e-12
+    assert _linear_field(ball2, [1.0, 1.0], pts_b) < 1e-14
     pts_w = sample_domain(weighted24, 50, 1.5, rng, min_rho=1e-2)
-    assert linear_field_agreement(weighted24, np.array([1.0, 0.5]), pts_w) < 1e-9
+    assert _linear_field(weighted24, [1.0, 0.5], pts_w) < 1e-14
     pts_s = sample_domain(square_norm, 50, 1.5, rng, min_rho=1e-2)
-    assert linear_field_agreement(square_norm, np.array([0.5, 0.5]), pts_s) < 1e-9
+    assert _linear_field(square_norm, [0.5, 0.5], pts_s) < 1e-14
+    # weights that are not weighted24's fail the test by far
+    assert _linear_field(weighted24, [1.0, 1.0], pts_w) > 0.1
 
 
 # -- level set mapping ---------------------------------------------------------
