@@ -17,10 +17,7 @@ from .foliation import (
 )
 from .gradient import (
     RealFieldKind,
-    SingularHessianError,
-    complex_gradient,
     cr_scan,
-    euler_residual_scan,
     extended_gradient,
     flow_points,
     gradient_field,
@@ -55,8 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "burns_check",
     "leaf_log_linearity", "leaf_stratum_invariance", "level_set_invariance", "trace_leaf",
-    "RealFieldKind", "SingularHessianError", "complex_gradient", "cr_scan", "euler_residual_scan",
-    "extended_gradient", "flow_points", "gradient_field", "theta_orbit_det_check",
+    "RealFieldKind", "cr_scan", "extended_gradient", "flow_points", "gradient_field", "theta_orbit_det_check",
     "analyze_weights", "flow_level_map_check", "rescale_to_level", "verify_weights",
     "Stratum", "levi_data", "levi_scan", "ma_residual", "restricted_levi_eigen",
     "PolyExpr", "PolyPotential", "PotentialFormatError", "bidegree_decompose", "format_potential",

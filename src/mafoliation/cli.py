@@ -48,7 +48,7 @@ from .foliation import (
 )
 from .gradient import _euler_residual, _linear_field_residual, _solve_z
 from .homogeneity import LAMBDA_SAMPLES, analyze_weights, verify_weights
-from .levi import _batch_jet, fields_at_many, levi_scan, rank_identity
+from .levi import _batch_jet, _check_inside, fields_at_many, levi_scan, rank_identity
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
 from .sampling import MAX_GRID_POINTS, MAX_SAMPLES, real_grid, sample_domain
 from .thresholds import DEFAULT_STEP, IFF_TOL, VERDICT_MA_TOL, CheckOutcome, outcome
@@ -215,7 +215,7 @@ def _analyze_scan(p, cfg, rows=None):
         scan = levi_scan(p, pts[block])
         rho[block] = scan.rho
         _, raw[block], scaled[block] = scan.ma
-        euler[block] = _euler_residual(_solve_z(scan.grad, scan.hessian), scan.grad, scan.rho)
+        euler[block] = _euler_residual(_solve_z(scan.grad, scan.hessian)[0], scan.grad, scan.rho)
         if rows is not None:
             rows(start, scan, euler[block])
     return pts, rho, raw, scaled, euler
@@ -264,6 +264,7 @@ def cmd_trace(args):
         rho = p.evaluate(base).real
     if not math.isfinite(rho):
         raise ValueError(f"rho(z) = {rho} at --base {args.base} is not finite; use a base nearer the origin")
+    _check_inside(rho)
     for option, end, count in (("t", args.t_max, args.t_nodes), ("s", args.s_max, args.s_nodes)):
         if not math.isfinite(end):  # refused before np.linspace warns about it
             raise ValueError(f"--{option}-max must be finite, got {end}")
@@ -396,8 +397,8 @@ def _check_expect(path, expectations, dims):
 def cmd_burns(args):
     p = parse_potential_file(args.potential)
     _check_box(p, args.box, "burns")
-    _print_header(f"burns {args.potential}", args)
     grid = real_grid(p.dim, args.grid_n, args.box)
+    _print_header(f"burns {args.potential}", args)
     out_path = Path(args.out) / (Path(args.potential).stem + "_burns.csv")
     header = _coord_header(p.dim) + ["rho", "ma_residual", "ma_residual_scaled"]
 

@@ -12,10 +12,11 @@ kernel ``_lstsq_rows``. LAPACK prints on stdout for a non-finite matrix, so the
 kernel first proves the stack finite by one reduction, a finite sum of |h|^2
 (np.vdot); a stack that fails it, or is not C-contiguous (vdot would copy it),
 takes the per-row np.isfinite test, which names the first bad row.
-Every direct Z comes from the one direct solve ``_direct_z`` (complex_gradient's
-from a one-row batch); ``_solve_z`` (gradient_field, the analyze scan) sends
-the rows it did not settle to the kernel. The Euler and CR scans are one jet
-over all their points, then one kernel call. Every flow of Z (``flow_path``,
+Every direct Z comes from the one direct solve ``_direct_z``, and every Z of a
+point from ``_solve_z``, which sends the rows the direct solve did not settle to
+the kernel: ``gradient_field``, the analyze scan's Euler column, the flows, and
+``extended_gradient``, its row 0 on a one-row jet. The CR scan is one jet over
+all its stencil points, then one kernel call. Every flow of Z (``flow_path``,
 its one-duration ``flow_points``, the Theta orbit) iterates ``rk4_path``, the
 one RK4 loop of the package, which yields the state after each duration; a
 one-row integration evaluates its jet and gemm in the buffers of one
@@ -60,10 +61,6 @@ LEAST_SQUARES = "least-squares-extension"
 _CLEAN_BATCH_SQ = (Z_SOLVE_TOL / 2) ** 2
 # end-of-step checks of the Theta orbit are evaluated this many steps at a time
 ORBIT_CHECK_BLOCK = 256
-
-
-class SingularHessianError(ValueError):
-    """Hessian is rank-deficient under the rank tolerance; use extended_gradient."""
 
 
 class RealFieldKind(Enum):
@@ -120,20 +117,6 @@ def _linear_field_residual(z_field, grad, hess):
     return np.sqrt(np.max(ratio))
 
 
-def _sample(z, z_field, method, rho, grad, hess):
-    """GradientSample of one point from the one-row arrays z_field (1, n),
-    rho (1,), grad (1, n) and hess (1, n, n): row 0 of the batched kernels."""
-    system, consistent = _consistent(_system_residual(z_field, grad, hess), grad)
-    return GradientSample(
-        point=np.asarray(z, dtype=complex).ravel(),
-        Z=z_field[0],
-        method=method,
-        euler_residual=float(_euler_residual(z_field, grad, rho)[0]),
-        system_residual=float(system[0]),
-        consistent=bool(consistent[0]),
-    )
-
-
 def _svd_failed(err, flag):
     raise LinAlgError("SVD did not converge in Linear Least Squares")
 
@@ -167,27 +150,6 @@ def _lstsq_solve(hess, ht, gbar):
     return z[..., 0]
 
 
-def complex_gradient(p, z):
-    """Direct solve of H^T Z = conj(grad); requires the point to be in the
-    full-rank stratum under DEFAULT_TOL_RANK."""
-    scan = levi_scan(p, _one_row(p, z))
-    _check_inside(scan.rho)
-    if scan.strata[0] is not Stratum.STRICTLY_PSH:
-        raise SingularHessianError(
-            "Hessian is singular under the rank tolerance; use extended_gradient"
-        )
-    z_field = _direct_z(scan.grad, scan.hessian)[0]
-    return _sample(z, z_field, DIRECT_SOLVE, scan.rho, scan.grad, scan.hessian)
-
-
-def extended_gradient(p, z):
-    """Minimum-norm least-squares Z across the degenerate set. Requires rho > 0;
-    the sample is flagged inconsistent when it fails the Z-system test."""
-    rho, grad, hess = fields_at_many(p, _one_row(p, z))
-    _check_inside(rho)
-    return _sample(z, _lstsq_rows(grad, hess), LEAST_SQUARES, rho, grad, hess)
-
-
 @np.errstate(all="ignore")
 def _solve_stack(ht, gbar):
     return _umath_linalg.solve(ht, gbar, signature="DD->D")
@@ -214,11 +176,31 @@ def _direct_z(grad, hess):
 
 def _solve_z(grad, hess):
     """Batched Z from (N, n) gradients and (N, n, n) Hessians: ``_direct_z``,
-    then the least-squares row solve on the rows it did not settle."""
+    then the least-squares row solve on the rows it did not settle. Returns Z
+    and the indices of those rows."""
     out, rows = _direct_z(grad, hess)
     if rows.size:
         out[rows] = _lstsq_rows(grad[rows], hess[rows])
-    return out
+    return out, rows
+
+
+def extended_gradient(p, z):
+    """Z at one point with the residuals certifying it: row 0 of ``_solve_z``
+    on a one-row jet. Requires rho > 0. The method is DIRECT_SOLVE where
+    ``_direct_z`` settled the row and LEAST_SQUARES otherwise; the sample is
+    flagged inconsistent when it fails the Z-system test."""
+    rho, grad, hess = fields_at_many(p, _one_row(p, z))
+    _check_inside(rho)
+    z_field, fallback = _solve_z(grad, hess)
+    system, consistent = _consistent(_system_residual(z_field, grad, hess), grad)
+    return GradientSample(
+        point=np.asarray(z, dtype=complex).ravel(),
+        Z=z_field[0],
+        method=LEAST_SQUARES if fallback.size else DIRECT_SOLVE,
+        euler_residual=float(_euler_residual(z_field, grad, rho)[0]),
+        system_residual=float(system[0]),
+        consistent=bool(consistent[0]),
+    )
 
 
 class _RowStage:
@@ -246,14 +228,14 @@ class _RowStage:
     def solved(self, w):
         """``_solve_z``'s Z at w, as ``gradient_field`` gives it."""
         np.matmul(self._doubled_row(w[0], self._buffers).T, self._coeffs, out=self._product)
-        return _solve_z(self._grad, self._hess)
+        return _solve_z(self._grad, self._hess)[0]
 
 
 def gradient_field(p, points):
     """Batched Z over an (N, n) array; per-row least-squares fallback on
     singular or inconsistent rows."""
     _, grad, hess = fields_at_many(p, np.asarray(points, dtype=complex))
-    return _solve_z(grad, hess)
+    return _solve_z(grad, hess)[0]
 
 
 def rk4_path(vel, z, durations, step):
@@ -291,17 +273,6 @@ def flow_points(p, points, time, kind=RealFieldKind.X, step=DEFAULT_STEP):
     return next(flow_path(p, points, (time,), kind, step))
 
 
-def euler_residual_scan(p, samples):
-    """Max |Z(rho) - rho| of the extended gradient over the samples, from one
-    jet over all of them; every sample must have rho > 0."""
-    if np.size(samples) == 0:
-        raise ValueError("empty sample set")
-    rho, grad, hess = fields_at_many(p, samples)
-    _check_inside(rho)
-    # the kernel of extended_gradient's residual, whose rows are this max's terms
-    return float(np.max(_euler_residual(_lstsq_rows(grad, hess), grad, rho)))
-
-
 @dataclass
 class CrReport:
     """Finite-difference holomorphy scan: max |d Z^mu / d zbar^nu| estimate."""
@@ -314,7 +285,7 @@ class CrReport:
 def cr_scan(p, samples):
     """Central-difference estimate of the antiholomorphic derivatives of Z.
 
-    Stencil points are always evaluated with the extended gradient; samples
+    Stencil points always take the least-squares Z (``_lstsq_rows``); samples
     whose stencil crosses into a different stratum are recorded (flagged, not
     fatal). Stencil points must stay inside {rho > 0}. One ``levi_scan`` covers
     the samples and their 4n stencil points each.
@@ -359,7 +330,7 @@ def theta_orbit_det_check(p, z0, t_max=5.0, steps=None):
     The orbit field is the real vector field i(Z - Zbar); it is tangent to the
     level set of rho, and det H should stay zero along the orbit when it
     starts at a degenerate point. Non-degenerate starting points are reported
-    as skipped rather than failed. Z is extended_gradient's minimum-norm
+    as skipped rather than failed. Z is ``_lstsq_rows``'s minimum-norm
     least-squares solution at every RK4 stage, because the orbit runs on the
     degenerate stratum, where H is singular and has no direct solve.
 

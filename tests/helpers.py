@@ -8,9 +8,10 @@ difference values of ``evaluate`` and never read a derivative.
 ``reference_theta_orbit`` is the per-step Theta-orbit loop that checks every
 RK4 end point as it goes, the oracle for the block-checked
 ``theta_orbit_det_check``. ``reference_cr_scan`` is the per-point CR loop, one
-extended_gradient and one levi_data per stencil point, the oracle for the
-batched ``cr_scan``; ``reference_levi_data`` is the scalar Levi bundle (one
-jet row, its determinant, spectrum and stratum), the oracle for ``levi_data``.
+least-squares Z (``_lstsq_rows`` on a one-row jet) and one levi_data per
+stencil point, the oracle for the batched ``cr_scan``; ``reference_levi_data``
+is the scalar Levi bundle (one jet row, its determinant, spectrum and
+stratum), the oracle for ``levi_data``.
 ``reference_one_row_jet`` is the doubled-row jet, the factor loop of
 ``Evaluator.table`` on the two rows (z, z), the oracle for the one-gather row of
 ``fields_at_many``. ``one_row_jet_agrees`` marks the rows of a batched jet
@@ -24,8 +25,10 @@ import io
 import numpy as np
 
 from mafoliation import PolyPotential
-from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, extended_gradient, rk4_path
-from mafoliation.levi import LeviData, Stratum, _batch_jet, classify_strata, fields_at, fields_at_many, levi_data
+from mafoliation.gradient import CrReport, RealFieldKind, ThetaOrbitResult, _lstsq_rows, rk4_path
+from mafoliation.levi import (
+    LeviData, Stratum, _batch_jet, _check_inside, classify_strata, fields_at, fields_at_many, levi_data,
+)
 from mafoliation.potential import PolyExpr
 from mafoliation.thresholds import LSTSQ_RCOND
 
@@ -239,7 +242,9 @@ def reference_cr_scan(p, samples):
             vals = {}
             for tag, delta in (("xp", h), ("xm", -h), ("yp", 1j * h), ("ym", -1j * h)):
                 w = zpt + delta * e_nu
-                vals[tag] = extended_gradient(p, w).Z
+                rho, grad, hess = fields_at_many(p, w[None])
+                _check_inside(rho)
+                vals[tag] = _lstsq_rows(grad, hess)[0]
                 if levi_data(p, w).stratum is not base_stratum:
                     mixed = True
             dx = (vals["xp"] - vals["xm"]) / (2 * h)

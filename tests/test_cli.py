@@ -190,9 +190,14 @@ def test_trace_truncation_names_the_node_of_the_final_rho(corpus, tmp_path, caps
     assert lines[-1] == "final rho at (t = 0.0, s = 0.0): 1.0"
 
 
-def test_trace_from_origin_exit2(corpus, capsys):
-    rc = main(["trace", str(corpus / "weighted24.pot"), "--base", "0+0i,0+0i"])
+def test_trace_from_origin_exit2(corpus, tmp_path, capsys):
+    # refused before the header, as a non-finite --base is
+    rc = main(["trace", str(corpus / "weighted24.pot"), "--base", "0+0i,0+0i", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
     assert rc == 2
+    assert out == ""
+    assert err.splitlines() == ["error: rho(z) = 0.0 <= 0; outside the domain"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("step", ["0", "-0.01", "inf", "nan"])
@@ -636,10 +641,12 @@ def test_analyze_euler_residual_matches_gradient_field(corpus, tmp_path, capsys,
 
 
 def test_burns_default_grid_on_c3_refused(corpus, tmp_path, capsys):
-    # 20 points per axis on C^3 would be 64M points built up front
+    # 20 points per axis on C^3 would be 64M points built up front; the grid
+    # is refused before the header
     rc = main(["burns", str(corpus / "ball3.pot"), "--out", str(tmp_path)])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc == 2
+    assert out == ""
     assert "20^6 = 64000000 points exceeds the limit of 1048576" in err
     assert "burns --grid-n" in err
 
@@ -749,7 +756,7 @@ def test_samples_above_the_limit_exit2(corpus, tmp_path, capsys, command):
 @pytest.mark.parametrize("grid_n", ["0", "1"])
 def test_burns_grid_below_two_per_axis_exit2(tmp_path, capsys, grid_n, extra):
     # |z1|^4 + 3|z1|^2|z2|^2 + |z2|^4 passes every degree gate, so an empty
-    # grid used to reach a verdict on 0 points
+    # grid used to reach a verdict on 0 points; the grid is refused before the header
     pot = tmp_path / "homog22.pot"
     terms = {((2, 0), (2, 0)): 1, ((1, 1), (1, 1)): 3, ((0, 2), (0, 2)): 1}
     pot.write_text(format_potential(PolyPotential(2, terms)))
@@ -757,7 +764,7 @@ def test_burns_grid_below_two_per_axis_exit2(tmp_path, capsys, grid_n, extra):
     captured = capsys.readouterr()
     assert rc == 2
     assert "burns --grid-n" in captured.err
-    assert "verdict" not in captured.out
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

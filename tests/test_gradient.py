@@ -11,10 +11,7 @@ import pytest
 
 from mafoliation import (
     PolyPotential,
-    SingularHessianError,
-    complex_gradient,
     cr_scan,
-    euler_residual_scan,
     extended_gradient,
     gradient_field,
     levi_data,
@@ -34,7 +31,7 @@ from mafoliation.gradient import (
     _system_residual,
     flow_points,
 )
-from mafoliation.levi import Stratum, fields_at, fields_at_many, levi_scan
+from mafoliation.levi import Stratum, fields_at, fields_at_many
 from mafoliation.sampling import sample_domain
 from mafoliation.thresholds import DEFAULT_STEP, LSTSQ_RCOND, Z_SOLVE_TOL
 from helpers import (
@@ -51,50 +48,60 @@ WEIGHTED_N4 = weighted_sum_potential((1.0, 2.0, 0.5, 1.5), N4_DEGREES)
 N4_DEGENERATE = [0.8 + 0.1j, 0.0, 0.6 - 0.3j, 0.5j]
 
 
-# -- direct solve -------------------------------------------------------------
+# -- the complex gradient Z on rows the direct solve settles ----------------------
 
 
 def test_complex_gradient_ball(ball2):
-    g = complex_gradient(ball2, [1, 1j])
+    g = extended_gradient(ball2, [1, 1j])
     assert np.allclose(g.Z, [1, 1j], atol=1e-14)
     assert g.method == "direct-solve"
     assert g.euler_residual < 1e-12
 
 
 def test_complex_gradient_weighted(weighted24):
-    g = complex_gradient(weighted24, [1, 1])
+    g = extended_gradient(weighted24, [1, 1])
+    assert g.method == "direct-solve"
     assert np.allclose(g.Z, [1, 0.5], atol=1e-12)
 
 
 def test_complex_gradient_square_norm(square_norm):
     # radial field w/k with k = 2
-    g = complex_gradient(square_norm, [1, 1])
+    g = extended_gradient(square_norm, [1, 1])
+    assert g.method == "direct-solve"
     assert np.allclose(g.Z, [0.5, 0.5], atol=1e-12)
 
 
-def test_complex_gradient_singular_raises(weighted24):
-    with pytest.raises(SingularHessianError):
-        complex_gradient(weighted24, [1, 0])
-
-
 def test_complex_gradient_outside_domain_raises(nonma):
-    with pytest.raises(ValueError, match="outside the domain") as info:
-        complex_gradient(nonma, [0, 0])
-    assert not isinstance(info.value, SingularHessianError)
+    with pytest.raises(ValueError, match=r"rho\(z\) = 0.0 <= 0; outside the domain"):
+        extended_gradient(nonma, [0, 0])
 
 
-def test_complex_gradient_is_the_one_row_direct_solve(bundled_and_generated):
-    # complex_gradient takes its Z from _direct_z on a one-row batch; on every
-    # strictly psh sample it equals the plain solve of H^T Z = conj(grad) bit for bit
+def test_extended_gradient_is_the_row_of_gradient_field(bundled_and_generated):
+    # extended_gradient is row 0 of _solve_z on a one-row jet: where the jet
+    # rows agree (every row under one BLAS thread) its Z is gradient_field's
+    # row bit for bit, and its method is least squares exactly on the rows
+    # that _direct_z leaves unsettled. A direct-solve Z is the plain solve of
+    # H^T Z = conj(grad). The point (1, 0, ..., 0) is degenerate on weighted24
+    # and on some generated potentials, so both branches are taken.
     rng = np.random.default_rng(2100)
+    methods = set()
     for name, p in bundled_and_generated.items():
-        for z in sample_domain(p, 300, 1.5, rng):
-            ld = levi_data(p, z)
-            if ld.stratum is not Stratum.STRICTLY_PSH:
-                continue
-            got = complex_gradient(p, z).Z
-            assert np.array_equal(got, np.linalg.solve(ld.hessian.T, ld.grad.conj())), name
-            assert np.array_equal(got, _direct_z(ld.grad[None], ld.hessian[None])[0][0]), name
+        pts = np.concatenate([sample_domain(p, 200, 1.5, rng), np.eye(1, p.dim, dtype=complex)])
+        pts = pts[fields_at_many(p, pts)[0] > 0]
+        _, grad, hess = fields_at_many(p, pts)
+        batch = gradient_field(p, pts)
+        unsettled = np.zeros(len(pts), dtype=bool)
+        unsettled[_direct_z(grad, hess)[1]] = True
+        for i in np.flatnonzero(one_row_jet_agrees(p, pts)):
+            g = extended_gradient(p, pts[i])
+            assert np.array_equal(g.Z, gradient_field(p, pts[i][None])[0]), name
+            assert np.array_equal(g.Z, batch[i]), name
+            assert g.method == ("least-squares-extension" if unsettled[i] else "direct-solve"), name
+            methods.add(g.method)
+            if g.method == "direct-solve":
+                _, grad_i, hess_i = fields_at(p, pts[i])
+                assert np.array_equal(g.Z, np.linalg.solve(hess_i.T, grad_i.conj())), name
+    assert methods == {"direct-solve", "least-squares-extension"}
 
 
 def test_solve_correctness(ma_examples):
@@ -103,9 +110,8 @@ def test_solve_correctness(ma_examples):
         pts = sample_domain(p, 100, 1.5, rng, min_rho=1e-3)
         for z in pts:
             _, grad, hess = fields_at(p, z)
-            try:
-                g = complex_gradient(p, z)
-            except SingularHessianError:
+            g = extended_gradient(p, z)
+            if g.method != "direct-solve":
                 continue
             gbar = grad.conj()
             res = np.linalg.norm(g.Z @ hess - gbar)
@@ -124,6 +130,7 @@ def test_extended_gradient_at_degenerate_point(weighted24):
 
 def test_extended_gradient_reduces_to_direct(ball2):
     g = extended_gradient(ball2, [1, 0])
+    assert g.method == "direct-solve"
     assert np.allclose(g.Z, [1, 0], atol=1e-14)
 
 
@@ -168,7 +175,8 @@ def test_solve_z_falls_back_on_one_inconsistent_row_among_clean_rows(weighted24)
     bad_h = 2 * np.outer(u, u.conj()) + 1e-13 * np.outer(v, v.conj())
     bad_gbar = np.array([0.3 + 0.1j, 0.7])
     assert np.linalg.norm(bad_h.T @ np.linalg.solve(bad_h.T, bad_gbar) - bad_gbar) > 1e3 * Z_SOLVE_TOL
-    z = _solve_z(np.vstack([grad, bad_gbar.conj()]), np.concatenate([hess, bad_h[None]]))
+    z, fallback = _solve_z(np.vstack([grad, bad_gbar.conj()]), np.concatenate([hess, bad_h[None]]))
+    assert fallback.tolist() == [3]
     assert np.array_equal(z[3], np.linalg.lstsq(bad_h.T, bad_gbar, rcond=LSTSQ_RCOND)[0])
     assert np.array_equal(z[:3], np.linalg.solve(hess.transpose(0, 2, 1), grad.conj()[..., None])[..., 0])
 
@@ -356,16 +364,23 @@ def test_the_linear_field_residual_holds_where_h_is_singular(weighted24):
 # -- Euler identity -------------------------------------------------------------
 
 
+def _euler_scan(p, pts):
+    """Max |Z(rho) - rho| over the points, of gradient_field's Z on one jet:
+    the maximum of analyze's Euler column."""
+    rho, grad, _ = fields_at_many(p, pts)
+    return np.max(_euler_residual(gradient_field(p, pts), grad, rho))
+
+
 def test_euler_scan_weighted(weighted24):
     rng = np.random.default_rng(101)
     pts = sample_domain(weighted24, 100, 1.5, rng, min_rho=1e-1)
-    assert euler_residual_scan(weighted24, pts) < 1e-9
+    assert _euler_scan(weighted24, pts) < 1e-9
 
 
 def test_euler_scan_ball(ball2):
     rng = np.random.default_rng(103)
     pts = sample_domain(ball2, 100, 1.5, rng, min_rho=1e-1)
-    assert euler_residual_scan(ball2, pts) < 1e-12
+    assert _euler_scan(ball2, pts) < 1e-12
 
 
 def test_euler_scan_nonma_large(nonma):
@@ -376,41 +391,30 @@ def test_euler_scan_nonma_large(nonma):
     pts = np.concatenate(
         [sample_domain(nonma, 99, 1.5, rng), np.array([[1, 1]], dtype=complex)]
     )
-    assert euler_residual_scan(nonma, pts) > 1e-3
-
-
-def test_euler_scan_empty_error(ball2):
-    with pytest.raises(ValueError, match="empty"):
-        euler_residual_scan(ball2, np.zeros((0, 2), dtype=complex))
+    assert _euler_scan(nonma, pts) > 1e-3
 
 
 def test_euler_scan_equals_pointwise_max(bundled_and_generated):
-    # the scan is the max of the Euler kernel over the public lstsq of its own
-    # jet rows, and so extended_gradient's per-point maximum bit for bit. The
-    # rows of one batched jet equal the one-row jet's except where
-    # multithreaded BLAS sums a large product in another order (normsq_n8 on
-    # two threads); there only the first holds.
+    # the scan's max is extended_gradient's per-point maximum bit for bit where
+    # the rows of one batched jet equal the one-row jet's; they differ only
+    # where multithreaded BLAS sums a large product in another order
+    # (normsq_n8 on two threads)
     rng = np.random.default_rng(151)
     for name, p in bundled_and_generated.items():
         pts = sample_domain(p, 80, 1.5, rng)
-        scan = euler_residual_scan(p, pts)
-        rho, grad, hess = fields_at_many(p, pts)
-        z_field = np.array([np.linalg.lstsq(h.T, g.conj(), rcond=LSTSQ_RCOND)[0] for g, h in zip(grad, hess)])
-        assert scan == np.max(_euler_residual(z_field, grad, rho)), name
         if one_row_jet_agrees(p, pts).all():
-            assert scan == max(extended_gradient(p, z).euler_residual for z in pts), name
+            assert _euler_scan(p, pts) == max(extended_gradient(p, z).euler_residual for z in pts), name
 
 
 def test_scalar_samples_are_their_batched_rows(bundled_and_generated):
     # a GradientSample carries the row of the batched kernels on its jet row:
-    # extended_gradient's of the row solves, complex_gradient's of the analyze
-    # scan's Euler column on the rows that _direct_z settled. Compared where
-    # the jet rows agree (every row under one BLAS thread).
+    # of _solve_z's Z, and so of the analyze scan's Euler column. Compared
+    # where the jet rows agree (every row under one BLAS thread).
     rng = np.random.default_rng(1717)
     for seed, (name, p) in enumerate(bundled_and_generated.items()):
         pts = sample_domain(p, 300, 1.5, rng)
         rho, grad, hess = fields_at_many(p, pts)
-        z_field = _lstsq_rows(grad, hess)
+        z_field = _solve_z(grad, hess)[0]
         euler = _euler_residual(z_field, grad, rho)
         system, consistent = _consistent(_system_residual(z_field, grad, hess), grad)
         for i in np.flatnonzero(one_row_jet_agrees(p, pts)):
@@ -420,18 +424,8 @@ def test_scalar_samples_are_their_batched_rows(bundled_and_generated):
             assert got.consistent == consistent[i], name
 
         pts, _, _, _, euler = _analyze_scan(p, ScanConfig(samples=300, rng_seed=seed))
-        scan = levi_scan(p, pts)
-        settled = np.ones(len(pts), dtype=bool)
-        settled[_direct_z(scan.grad, scan.hessian)[1]] = False
-        settled &= (scan.strata == Stratum.STRICTLY_PSH) & one_row_jet_agrees(p, pts)
-        for i in np.flatnonzero(settled):
-            assert complex_gradient(p, pts[i]).euler_residual == euler[i], name
-
-
-def test_euler_scan_outside_domain_names_the_first_point(nonma):
-    pts = np.array([[1, 1], [0, 0], [0.5, 0]], dtype=complex)
-    with pytest.raises(ValueError, match=r"rho\(z\) = 0.0 <= 0; outside the domain"):
-        euler_residual_scan(nonma, pts)
+        for i in np.flatnonzero(one_row_jet_agrees(p, pts)):
+            assert extended_gradient(p, pts[i]).euler_residual == euler[i], name
 
 
 def test_euler_iff_ma(all_examples):

@@ -8,7 +8,6 @@ import pytest
 from mafoliation import (
     PolyPotential,
     Stratum,
-    complex_gradient,
     extended_gradient,
     levi_data,
     levi_scan,
@@ -78,8 +77,8 @@ def test_levi_data_rejects_a_point_of_the_wrong_length(ball2):
 @pytest.mark.parametrize("z", [[math.nan, 0], [1, math.inf], [complex(0, -math.inf), 1], [complex(1, math.nan), 0]])
 def test_a_point_with_a_non_finite_coordinate_is_refused(ball2, z):
     # NaN failed no domain test: levi_data read the stratum weak, ma_residual
-    # returned nan, and complex_gradient called the Hessian singular
-    for entry in (levi_data, ma_residual, complex_gradient, extended_gradient, fields_at):
+    # returned nan, and the direct Z solve called the Hessian singular
+    for entry in (levi_data, ma_residual, extended_gradient, fields_at):
         with pytest.raises(ValueError, match="point has a non-finite coordinate"):
             entry(ball2, z)
     with pytest.raises(ValueError, match="point has a non-finite coordinate"):
