@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import operator
@@ -50,10 +49,8 @@ from .gradient import _euler_residual, _linear_field_residual, _solve_z
 from .homogeneity import LAMBDA_SAMPLES, analyze_weights, verify_weights
 from .levi import _batch_jet, _check_inside, fields_at_many, levi_scan, rank_identity
 from .potential import PotentialFormatError, parse_complex, parse_potential_file
-from .sampling import MAX_GRID_POINTS, MAX_SAMPLES, real_grid, sample_domain
+from .sampling import MAX_GRID_POINTS, MAX_SAMPLES, SamplingError, real_grid, sample_domain
 from .thresholds import DEFAULT_STEP, IFF_TOL, VERDICT_MA_TOL, CheckOutcome, outcome
-
-_CSV_BLOCK_ROWS = 16_384  # rows joined per write, to bound the memory of one write
 
 
 @dataclass
@@ -119,18 +116,17 @@ def _cells(columns):
 
 
 def _write_csv(path, header, *columns):
-    """Write the rows of the equal-length columns (see _cells) to the file at
-    the Path path, byte for byte as csv.writer with lineterminator "\n" would.
-    With a header, create the file and its directory and write the header
-    first; with None, append: analyze and burns --csv write one call per block."""
+    """Write one block of rows, the equal-length columns (see _cells), to the
+    file at the Path path in one write, byte for byte as csv.writer with
+    lineterminator "\n" would. With a header, create the file and its directory
+    and write the header first; with None, append: one call per block."""
     if header is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a" if header is None else "w", newline="", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(map(_csv_field, header)) + "\n")
-        lines = map(",".join, zip(*_cells(columns)))
-        while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
-            fh.write("\n".join(block) + "\n")
+        if lines := list(map(",".join, zip(*_cells(columns)))):
+            fh.write("\n".join(lines) + "\n")
 
 
 def _coord_header(dim):
@@ -225,13 +221,14 @@ def cmd_analyze(args):
     cfg = _config_from(args)
     p = parse_potential_file(args.potential)
     _check_box(p, cfg.box_radius, "analyze")
-    _print_header(f"analyze {args.potential}", args)
     out_path = cfg.out_dir / (Path(args.potential).stem + "_analyze.csv")
     header = ["sample", *_coord_header(p.dim), "rho", "re_detH", "im_detH", "stratum", "ma_residual",
               "ma_residual_scaled", "euler_residual"]
     census, folded = Counter(), {}
 
-    def rows(start, scan, euler):  # the first block creates the CSV, once the samples are drawn
+    def rows(start, scan, euler):  # the first block prints the header and creates the CSV, once the samples are drawn
+        if not start:
+            _print_header(f"analyze {args.potential}", args)
         det, (_, raw, scaled) = scan.det_hessian, scan.ma
         _write_csv(out_path, None if start else header, range(start, start + len(scan.rho)),
                    *_coord_columns(scan.points), scan.rho, det.real, det.imag, scan.strata, raw, scaled, euler)
@@ -282,15 +279,14 @@ def cmd_trace(args):
     gaps = np.abs(np.concatenate([np.diff(t_grid), np.diff(s_grid)]))
     if args.step > (gap := gaps[gaps > 0].min(initial=math.inf)):  # RK4 would silently cut it to the interval
         raise ValueError(f"--step {args.step:g} is larger than the smallest node interval {gap:g}")
-    _print_header(f"trace {args.potential}", args)
     trace = trace_leaf(p, base, t_grid, s_grid, args.step)
+    _print_header(f"trace {args.potential}", args)
 
     out_path = Path(args.out) / (Path(args.potential).stem + "_trace.csv")
     header = ["t", "s"] + _coord_header(p.dim) + ["rho", "abs_detH", "stratum"]
-    nt, ns = trace.rho.shape
-    _write_csv(out_path, header, np.repeat(trace.t_values, ns), np.tile(trace.s_values, nt),
-               *_coord_columns(trace.points.reshape(nt * ns, p.dim)), trace.rho.ravel(),
-               np.abs(trace.det_hessian).ravel(), trace.strata.ravel())
+    for row, (t, nodes) in enumerate(zip(trace.t_values, trace.points)):  # a block per t row; the first creates the CSV
+        _write_csv(out_path, None if row else header, np.full_like(trace.s_values, t), trace.s_values,
+                   *_coord_columns(nodes), trace.rho[row], np.abs(trace.det_hessian[row]), trace.strata[row])
     print(f"csv: {out_path}")
     if trace.truncated:
         print("note: trace truncated at the domain boundary")
@@ -323,8 +319,10 @@ def cmd_weights(args):
     cfg = _config_from(args)
     p = parse_potential_file(args.potential)
     _check_box(p, cfg.box_radius, "weights")
-    _print_header(f"weights {args.potential}", args)
     analysis = analyze_weights(p)
+    if analysis.status == "ok":  # samples before the header: a domain without them exits 2 with nothing printed
+        pts = sample_domain(p, min(cfg.samples, WEIGHT_CHECK_SAMPLES), cfg.box_radius, cfg.rng_seed)
+    _print_header(f"weights {args.potential}", args)
     if analysis.status == "infeasible":
         eqs = ", ".join(eq.label for eq in analysis.inconsistent_subset)
         print(f"infeasible: equations {{{eqs}}}")
@@ -335,8 +333,6 @@ def cmd_weights(args):
         print(f"weights exist but not positive: c = ({weights}), {tag}")
         return 0
     print(f"c = ({weights}), {tag}, system residual {analysis.residual:.3e}")
-    rng = np.random.default_rng(cfg.rng_seed)
-    pts = sample_domain(p, min(cfg.samples, WEIGHT_CHECK_SAMPLES), cfg.box_radius, rng)
     print(f"weight checks on {len(pts)} samples (at most {WEIGHT_CHECK_SAMPLES})")
     records = _weight_checks(p, analysis.weights, pts)
     for label, oc in zip(("homogeneity residual", "linear field residual"), records):
@@ -475,25 +471,29 @@ def cmd_suite(args):
     except json.JSONDecodeError as exc:
         raise ValueError(f"{expect_path}: {exc}") from None
 
-    potentials, parse_errors = {}, {}
+    potentials, errors = {}, {}  # errors: the failing record of a file that does not parse or sample, and why
     for pot_path in pot_files:  # every box and expectation before any scan: a refusal leaves no partial output
         t0 = time.perf_counter()
         try:
             potentials[pot_path] = parse_potential_file(pot_path)
             _check_box(potentials[pot_path], cfg.box_radius, "suite", pot_path.name)
         except PotentialFormatError as exc:
-            parse_errors[pot_path] = (outcome("parse", None, t0), exc)
+            errors[pot_path] = (outcome("parse", None, t0), exc)
     _check_expect(expect_path, expectations,
                   {path.name: potentials[path].dim if path in potentials else None for path in pot_files})
     _print_header(f"suite {directory}", args)
     names, results = [], []
     for pot_path in pot_files:
-        if pot_path in parse_errors:
-            parse, exc = parse_errors[pot_path]
-            outcomes = [parse]
-            print(f"{pot_path.name}: parse error: {exc}")
-        else:
-            outcomes = _suite_checks(potentials[pot_path], expectations.get(pot_path.name, {}), cfg)
+        if pot_path not in errors:
+            t0 = time.perf_counter()
+            try:
+                outcomes = _suite_checks(potentials[pot_path], expectations.get(pot_path.name, {}), cfg)
+            except SamplingError as exc:  # too few samples fail the file, not the corpus
+                errors[pot_path] = (outcome("samples", None, t0), exc)
+        if pot_path in errors:
+            record, exc = errors[pot_path]
+            outcomes = [record]
+            print(f"{pot_path.name}: {record.name} error: {exc}")
         for oc in outcomes:
             print(f"{pot_path.name:20} {oc.name:20} {_check_text(oc)} [{oc.wall:.2f}s]")
             names.append(pot_path.name)

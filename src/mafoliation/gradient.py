@@ -21,7 +21,7 @@ its one-duration ``flow_points``, the Theta orbit) iterates ``rk4_path``, the
 one RK4 loop of the package, which yields the state after each duration; a
 one-row integration evaluates its jet and gemm in the buffers of one
 ``_RowStage``, and the orbit checks its end points ORBIT_CHECK_BLOCK per jet.
-The Euler residual (``_euler_residual``) and the Z-system test (``_consistent``)
+The Euler residual (``_euler_residual``) and the Z-system test (``_system_ratio``)
 are batched kernels too; a GradientSample holds their row 0 on a one-row
 batch. ``_linear_field_residual`` is the test's max ratio for a field known in
 closed form, an identity at every point by Euler's relation: w/k in burns, c z
@@ -83,7 +83,7 @@ class GradientSample:
     Z: np.ndarray
     method: str
     euler_residual: float        # |sum Z^mu rho_mu - rho|
-    system_residual: float       # ||H^T Z - conj(grad)||
+    system_residual: float       # ||H^T Z - conj(grad)|| / max(1, ||grad||)
     consistent: bool = True
 
 
@@ -97,24 +97,20 @@ def _system_residual(z_field, grad, hess):
     return np.einsum("nji,nj->ni", hess, z_field) - grad.conj()
 
 
-def _consistent(resid, grad):
-    """Norms of the system residual rows, and the Z-system test: a row passes
-    when its norm is at most Z_SOLVE_TOL * max(1, ||conj(grad)||)."""
-    res = np.linalg.norm(resid, axis=1)
-    return res, res <= Z_SOLVE_TOL * np.maximum(1.0, np.linalg.norm(grad.conj(), axis=1))
+def _system_ratio(resid, grad):
+    """Rows ||H^T Z - conj(grad)|| / max(1, ||grad||) of (N, n) system residuals
+    and gradients: the Z-system test, which a row passes when its ratio is at
+    most Z_SOLVE_TOL (a NaN fails). The root of the ratio of squared norms, each
+    summed on a float view; the squares overflow where np.linalg.norm's do."""
+    resid, grad = resid.view(float), grad.view(float)  # (N, 2n) float views
+    return np.sqrt(np.einsum("ij,ij->i", resid, resid) / np.maximum(1.0, np.einsum("ij,ij->i", grad, grad)))
 
 
 def _linear_field_residual(z_field, grad, hess):
-    """Max ||H^T Z - conj(grad)|| / max(1, ||grad||) over the (M, n) fields Z,
-    gradients and (M, n, n) Hessians of M >= 1 rows (a NaN counts as the max):
-    the Z-system test's ratio for a field its caller knows in closed form, w/k
-    (burns) or c z (the weight checks). The root of the max ratio of squared
-    norms, each summed on a float view. The squares overflow where
-    np.linalg.norm's do."""
-    resid = _system_residual(z_field, grad, hess).view(float)  # (M, 2n) float views
-    grad = grad.view(float)
-    ratio = np.einsum("ij,ij->i", resid, resid) / np.maximum(1.0, np.einsum("ij,ij->i", grad, grad))
-    return np.sqrt(np.max(ratio))
+    """Max ``_system_ratio`` over the (M, n) fields Z, gradients and (M, n, n)
+    Hessians of M >= 1 rows (a NaN counts as the max), for a field its caller
+    knows in closed form: w/k (burns) or c z (the weight checks)."""
+    return np.max(_system_ratio(_system_residual(z_field, grad, hess), grad))
 
 
 def _svd_failed(err, flag):
@@ -158,7 +154,7 @@ def _solve_stack(ht, gbar):
 def _direct_z(grad, hess):
     """One batched direct solve of H^T Z = conj(grad) over (N, n) gradients and
     (N, n, n) Hessians. Returns Z and the ascending indices of the rows it
-    did not settle: those that fail the Z-system test (``_consistent``), which
+    did not settle: those that fail the Z-system test (``_system_ratio``), which
     an exactly singular or non-finite row fails, as LAPACK returns it NaN.
 
     When the squared residual of the whole batch is at most (Z_SOLVE_TOL /
@@ -171,7 +167,7 @@ def _direct_z(grad, hess):
     resid = _system_residual(out, grad, hess)
     if np.vdot(resid, resid).real <= _CLEAN_BATCH_SQ:
         return out, np.zeros(0, dtype=np.intp)
-    return out, np.flatnonzero(~_consistent(resid, grad)[1])
+    return out, np.flatnonzero(~(_system_ratio(resid, grad) <= Z_SOLVE_TOL))
 
 
 def _solve_z(grad, hess):
@@ -192,14 +188,14 @@ def extended_gradient(p, z):
     rho, grad, hess = fields_at_many(p, _one_row(p, z))
     _check_inside(rho)
     z_field, fallback = _solve_z(grad, hess)
-    system, consistent = _consistent(_system_residual(z_field, grad, hess), grad)
+    system = float(_system_ratio(_system_residual(z_field, grad, hess), grad)[0])
     return GradientSample(
         point=np.asarray(z, dtype=complex).ravel(),
         Z=z_field[0],
         method=LEAST_SQUARES if fallback.size else DIRECT_SOLVE,
         euler_residual=float(_euler_residual(z_field, grad, rho)[0]),
-        system_residual=float(system[0]),
-        consistent=bool(consistent[0]),
+        system_residual=system,
+        consistent=system <= Z_SOLVE_TOL,
     )
 
 

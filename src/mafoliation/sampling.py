@@ -40,6 +40,10 @@ MAX_GRID_POINTS = 2**20
 GRID_CHUNK_ROWS = 2**11
 
 
+class SamplingError(ValueError):
+    """sample_domain found too few points with rho > min_rho in its batches."""
+
+
 def complex_from_reals(x):
     """Map (..., 2n) real coordinates to (..., n) complex (re, im interleaved):
     the complex view of x as a C-contiguous float array, with no arithmetic."""
@@ -50,7 +54,7 @@ def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR):
     """Rejection-sample `count` points with rho > min_rho.
 
     Deterministic for a given seed/generator state. Raises ValueError for
-    count < 1 or count > MAX_SAMPLES.
+    count < 1 or count > MAX_SAMPLES, and SamplingError if the batches fall short.
     """
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count} (--samples)")
@@ -70,7 +74,7 @@ def sample_domain(p, count, radius=DEFAULT_BOX, rng=None, min_rho=RHO_FLOOR):
         if have >= count:
             break
     else:
-        raise ValueError(
+        raise SamplingError(
             f"could not collect {count} admissible samples in {MAX_SAMPLE_BATCHES} batches"
         )
     return np.concatenate(kept, axis=0)[:count]

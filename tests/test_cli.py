@@ -551,6 +551,51 @@ def test_suite_entry_of_a_file_that_does_not_parse_is_its_parse_record(tmp_path,
     assert (tmp_path / "suite_summary.csv").read_text().splitlines()[1:] == ["bad.pot,parse,fail,,0.0"]
 
 
+_EMPTY_DOMAIN = "n = 2\nmonomial: a=[1,0] b=[1,0] c=-1\nmonomial: a=[0,1] b=[0,1] c=-1\n"  # -|z1|^2 - |z2|^2 < 0
+
+
+def test_trace_without_an_admissible_s_node_prints_nothing_exit2(corpus, tmp_path, capsys):
+    # rho(base) = 1e-14 > 0, but every node is below the rho floor 1e-12
+    rc = main(["trace", str(corpus / "ball2.pot"), "--base", "1e-7+0i,0+0i", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == ["error: no admissible nodes on the s sweep"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, count", [("analyze", 1000), ("weights", 100)])
+def test_a_domain_without_samples_prints_nothing_exit2(tmp_path, capsys, command, count):
+    # weights finds c = (1, 1) before it draws its samples, and prints neither
+    pot = tmp_path / "neg.pot"
+    pot.write_text(_EMPTY_DOMAIN)
+    rc = main([command, str(pot), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: could not collect {count} admissible samples in 1000 batches"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_suite_entry_of_a_domain_without_samples_is_its_samples_record(corpus, tmp_path, capsys):
+    # the file fails its samples record and the suite goes on to the others
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    (directory / "neg.pot").write_text(_EMPTY_DOMAIN)
+    shutil.copy(corpus / "ball2.pot", directory)
+    rc = main(["suite", str(directory), "--samples", "50", "--out", str(tmp_path)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert "neg.pot: samples error: could not collect 50 admissible samples in 1000 batches" in out
+    assert [line for line in out if line.startswith("neg.pot ")] == [
+        next(line for line in out if line.startswith(f"{'neg.pot':20} {'samples':20} FAIL measured=n/a threshold=0 ["))]
+    summary = (tmp_path / "suite_summary.csv").read_text().splitlines()
+    assert summary[-1] == "neg.pot,samples,fail,,0.0"
+    assert [row.split(",")[:3] for row in summary[1:-1]] == [
+        ["ball2.pot", name, "pass"] for name in ("hermitian_eval", "hessian_symmetry", "det_real", "det_lemma", "euler_ma_iff")]
+    assert out[-1] == "FAILED: 1 failing checks"
+
+
 def test_analyze_csv_determinism(corpus, tmp_path, capsys):
     out1 = tmp_path / "a1"
     out2 = tmp_path / "a2"
@@ -611,7 +656,8 @@ def test_burns_csv_matches_fresh_evaluation(corpus, tmp_path, capsys, name):
     (["analyze", "--samples", "50"], "ball2_analyze.csv"),
     (["burns", "--grid-n", "4", "--csv"], "ball2_burns.csv"),
     (["burns", "--grid-n", "4", "--csv", "--box", "1e-7"], "ball2_burns.csv"),  # no kept point: the header only
-], ids=["analyze", "burns", "burns-no-kept-point"])
+    (["trace", "--base", "1+0i,0.5+0i", "--t-nodes", "3", "--s-nodes", "4"], "ball2_trace.csv"),  # a block per t row
+], ids=["analyze", "burns", "burns-no-kept-point", "trace"])
 def test_a_streamed_csv_is_created_by_its_first_block(corpus, tmp_path, capsys, argv, csv_name):
     # the first block writes the header into a new file and the others append,
     # so a second run into the same directory writes the same bytes
@@ -624,6 +670,8 @@ def test_a_streamed_csv_is_created_by_its_first_block(corpus, tmp_path, capsys, 
     assert written[0] == written[1] and written[0].count(b"\n") > 0
     if "1e-7" in options:
         assert written[0] == b"re_z1,im_z1,re_z2,im_z2,rho,ma_residual,ma_residual_scaled\n"
+    if command == "trace":
+        assert written[0].count(b"\n") == 1 + 3 * 4
 
 
 @pytest.mark.parametrize("name", ["weighted24", "nonma"])

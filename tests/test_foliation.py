@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from mafoliation import (
 from mafoliation import gradient
 from mafoliation.foliation import _sweep
 from mafoliation.gradient import RealFieldKind, _direct_z, gradient_field, rk4_path
-from mafoliation.levi import _batch_jet, fields_at_many
+from mafoliation.levi import _batch_jet, fields_at_many, levi_scan
 from mafoliation.sampling import sample_domain
 from mafoliation.thresholds import DEFAULT_STEP
-from helpers import weighted_sum_potential
+from helpers import generated_potentials, weighted_sum_potential
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,32 @@ def test_weighted_trace_preserves_z1_zero(weighted24):
     assert np.max(np.abs(trace.points[:, :, 0])) == 0.0
     for it, tv in enumerate(trace.t_values):
         assert np.allclose(trace.rho[it], np.exp(tv), rtol=1e-6)
+
+
+def test_trace_rows_are_one_levi_scan_of_all_nodes(ball3, weighted24, quartic_diag):
+    """trace_leaf scans each t row on its own. Each row's rho, det H and
+    strata equal those of one levi_scan of every node, bit for bit, wherever
+    the row's jet equals that row of the whole jet: on every row under one
+    BLAS thread, where no jet row depends on its batch; a threaded BLAS may
+    sum the n = 8 products in another order by batch size."""
+    one_thread = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+    inputs = [(ball3, [1, 0.5 + 0.5j, 0.3 - 0.2j]), (weighted24, [1, 1]), (quartic_diag, [1, 0])]
+    inputs += [(p, [0.4 + 0.1j] * 8) for name, p in generated_potentials(7).items() if name.endswith("n8")]
+    for p, base in inputs:
+        trace = trace_leaf(p, base, np.linspace(0.0, 0.5, 4), np.linspace(-1.0, 1.0, 9))
+        nt, ns = trace.rho.shape
+        nodes = trace.points.reshape(nt * ns, p.dim)
+        whole, jet = levi_scan(p, nodes), fields_at_many(p, nodes)
+        agree = []
+        for row in range(nt):
+            block = slice(row * ns, (row + 1) * ns)
+            agree.append(all(np.array_equal(a[block], b) for a, b in zip(jet, fields_at_many(p, trace.points[row]))))
+            if agree[-1]:
+                assert trace.rho[row].tobytes() == whole.rho[block].tobytes()
+                assert trace.det_hessian[row].tobytes() == whole.det_hessian[block].tobytes()
+                assert list(trace.strata[row]) == list(whole.strata[block])
+        assert all(agree) or not one_thread
+        assert nt * ns == 36 and not trace.truncated
 
 
 def test_single_node_trace(weighted24):

@@ -22,12 +22,12 @@ from mafoliation.cli import ScanConfig, _analyze_scan
 from mafoliation.gradient import (
     ORBIT_CHECK_BLOCK,
     RealFieldKind,
-    _consistent,
     _direct_z,
     _euler_residual,
     _linear_field_residual,
     _lstsq_rows,
     _solve_z,
+    _system_ratio,
     _system_residual,
     flow_points,
 )
@@ -331,8 +331,9 @@ def test_a_nan_row_makes_the_linear_field_residual_nan(field):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_the_linear_field_residual_is_the_max_ratio_of_norms(dim):
-    """The root of the max ratio of squared norms is the max ratio of norms
-    to rtol 1e-15, over gradients of norm below and above 1 and a spread of
+    """The Z-system test's ratio, the root of the ratio of squared norms, is
+    the ratio of norms to rtol 1e-15 on every row, and the linear-field
+    residual its max, over gradients of norm below and above 1 and a spread of
     scales. The gradient is a column slice of a wider array, as the jet's is."""
     rng = np.random.default_rng(97 + dim)
     rows = 500
@@ -341,11 +342,12 @@ def test_the_linear_field_residual_is_the_max_ratio_of_norms(dim):
     points, grad = points[:, :dim], jet[:, 1 : 1 + dim]
     hess = (rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))) * scale[..., None]
     for k in (1, 2, 3):
-        resid = np.linalg.norm(np.einsum("nji,nj->ni", hess, points / k) - grad.conj(), axis=1)
+        system = np.einsum("nji,nj->ni", hess, points / k) - grad.conj()
+        ratio = np.linalg.norm(system, axis=1) / np.maximum(1.0, np.linalg.norm(grad, axis=1))
+        np.testing.assert_allclose(_system_ratio(system, grad), ratio, rtol=1e-15, atol=0)
         for m in (1, 7, rows):  # the max over one row, a few and all
-            want = np.max(resid[:m] / np.maximum(1.0, np.linalg.norm(grad[:m], axis=1)))
             got = _linear_field_residual(points[:m] / k, grad[:m], hess[:m])
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(got, np.max(ratio[:m]), rtol=1e-15, atol=0)
 
 
 def test_the_linear_field_residual_holds_where_h_is_singular(weighted24):
@@ -408,7 +410,8 @@ def test_euler_scan_equals_pointwise_max(bundled_and_generated):
 
 def test_scalar_samples_are_their_batched_rows(bundled_and_generated):
     # a GradientSample carries the row of the batched kernels on its jet row:
-    # of _solve_z's Z, and so of the analyze scan's Euler column. Compared
+    # of _solve_z's Z, and so of the analyze scan's Euler column, and of the
+    # Z-system test's ratio, which it passes at most Z_SOLVE_TOL. Compared
     # where the jet rows agree (every row under one BLAS thread).
     rng = np.random.default_rng(1717)
     for seed, (name, p) in enumerate(bundled_and_generated.items()):
@@ -416,12 +419,12 @@ def test_scalar_samples_are_their_batched_rows(bundled_and_generated):
         rho, grad, hess = fields_at_many(p, pts)
         z_field = _solve_z(grad, hess)[0]
         euler = _euler_residual(z_field, grad, rho)
-        system, consistent = _consistent(_system_residual(z_field, grad, hess), grad)
+        system = _system_ratio(_system_residual(z_field, grad, hess), grad)
         for i in np.flatnonzero(one_row_jet_agrees(p, pts)):
             got = extended_gradient(p, pts[i])
             assert got.euler_residual == euler[i], name
             assert got.system_residual == system[i], name
-            assert got.consistent == consistent[i], name
+            assert got.consistent == (system[i] <= Z_SOLVE_TOL), name
 
         pts, _, _, _, euler = _analyze_scan(p, ScanConfig(samples=300, rng_seed=seed))
         for i in np.flatnonzero(one_row_jet_agrees(p, pts)):
@@ -643,7 +646,7 @@ def test_weighted_gradient_is_linear_field(weighted24):
     assert np.min(np.linalg.norm(z_field, axis=1)) > 0
 
 
-def test_gradient_sample_euler_residual_consistent(weighted24):
+def test_gradient_sample_euler_residual_matches_recomputation(weighted24):
     g = extended_gradient(weighted24, [0.3, 0.7 + 0.2j])
     rho, grad, _ = fields_at(weighted24, g.point)
     recomputed = abs(g.Z @ grad - rho)
